@@ -476,8 +476,9 @@ COMMANDS:
                                      seed 42); nonzero exit on any violation;
                                      reports which faults actually fired
   obs-summary <trace.jsonl>          per-span latency table (count, total,
-                                     p50, p99, p999) plus per-trace
-                                     attribution from a --trace-out file
+                                     p50, p99, p999), SSSP-engine counters,
+                                     and per-trace attribution from a
+                                     --trace-out file
   obs trace <trace.jsonl> [--out P]  convert a --trace-out file to Chrome
                                      trace-event JSON (default out
                                      trace.json; open in chrome://tracing)

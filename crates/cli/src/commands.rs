@@ -1517,7 +1517,8 @@ pub fn chaos(plans: usize, seed: u64) -> Result<String, CliError> {
 /// `riskroute obs-summary <trace.jsonl>`
 ///
 /// Reads a `--trace-out` JSONL file and prints a per-span latency table
-/// (count, total, p50, p99, p999) sorted by total time, a per-trace
+/// (count, total, p50, p99, p999) sorted by total time, the SSSP-engine
+/// counters (runs, early exits, settles, cache hits/misses), a per-trace
 /// attribution table when the trace carries request scopes, and a warning
 /// when the capture ring buffer dropped span events.
 pub fn obs_summary(path: &str) -> Result<String, CliError> {
@@ -1549,6 +1550,11 @@ pub fn obs_summary(path: &str) -> Result<String, CliError> {
     let mut out = warning;
     let _ = write!(out, "{path}: spans by total time\n\n");
     out.push_str(&riskroute_obs::summary::render_table(&rows));
+    let engine = riskroute_obs::summary::render_engine_counters(&lines);
+    if !engine.is_empty() {
+        out.push_str("\nsssp engine\n\n");
+        out.push_str(&engine);
+    }
     let traces = riskroute_obs::summary::summarize_traces(&lines);
     if !traces.is_empty() {
         out.push_str("\nper-trace attribution\n\n");
@@ -1720,6 +1726,29 @@ mod tests {
         assert!(out.contains("per-trace attribution"), "{out}");
         assert!(out.contains("replay"), "{out}");
         assert!(out.contains("risk_sssp_runs"), "{out}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn obs_summary_reports_sssp_early_exits() {
+        let dir = tmp_dir("riskroute-cli-obs-engine");
+        let path = dir.join("trace.jsonl");
+        std::fs::write(
+            &path,
+            "{\"type\":\"span\",\"name\":\"pair_sweep\",\"id\":2,\"parent\":0,\
+             \"trace\":0,\"thread\":1,\"depth\":0,\"start_us\":0,\"dur_us\":100,\
+             \"fields\":[]}\n\
+             {\"type\":\"counter\",\"name\":\"risk_sssp_runs\",\"value\":9}\n\
+             {\"type\":\"counter\",\"name\":\"risk_sssp_early_exits\",\"value\":8}\n",
+        )
+        .unwrap();
+        let out = obs_summary(&path.display().to_string()).unwrap();
+        assert!(out.contains("sssp engine"), "{out}");
+        let line = out
+            .lines()
+            .find(|l| l.starts_with("risk_sssp_early_exits"))
+            .unwrap_or_else(|| panic!("no early-exit row: {out}"));
+        assert!(line.ends_with(" 8"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

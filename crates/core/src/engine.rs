@@ -21,8 +21,8 @@
 //!    across drains; steady-state runs allocate nothing but the output
 //!    tree.
 //!
-//! 3. **Exact route-tree cache** ([`RouteTreeCache`]): completed trees
-//!    keyed by `(root, β.to_bits(), stamp)` where the stamp names one
+//! 3. **Exact route-tree cache** ([`RouteTreeCache`]): trees keyed by
+//!    `(root, β.to_bits(), stamp)` where the stamp names one
 //!    immutable (topology, cost-function) state — any risk/weight mutation
 //!    mints a fresh stamp, so a stale entry can never be *returned*, only
 //!    evicted. After greedy provisioning adds a link `(a, b)` the planner
@@ -36,10 +36,13 @@
 //!    run could route through the new link and flip the printed path even
 //!    though the distance is unchanged. The cache is exact, never
 //!    approximate: outputs are byte-identical with it on or off.
+//!
+//! Pair queries that read one path run [`sssp_to`], which stops as soon as
+//! the target settles; the cache holds those partial trees too, and only
+//! pair lookups whose target settled in them may read them.
 
 use crate::routing::{Adjacency, Entry, RiskTree, NO_PRED};
 use riskroute_graph::queue::{inv_quantum_for_mean, BucketQueue};
-use std::collections::hash_map::Entry as MapEntry;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -325,6 +328,8 @@ struct SearchStats {
     peak: usize,
     settles: u64,
     skipped: u64,
+    /// The run broke at its stop node instead of draining the frontier.
+    stopped: bool,
 }
 
 /// β-scaled SSSP from `source` over the CSR snapshot, using a pooled
@@ -343,7 +348,33 @@ struct SearchStats {
 /// Panics when `source` is out of range.
 pub fn sssp(csr: &CsrGraph, source: usize, beta: f64, rho: &[f64], use_bucket: bool) -> RiskTree {
     ARENAS.with(SsspArena::new, |arena| {
-        run(arena, csr, source, beta, rho, use_bucket)
+        run(arena, csr, source, beta, rho, use_bucket, None)
+    })
+}
+
+/// [`sssp`] for a pair query: the run stops right after `target` settles
+/// and returns the settled prefix as a partial tree
+/// ([`RiskTree::is_complete`] is `false`). Pops happen in the same
+/// `(cost, node)` order as the full run on either frontier, and a node's
+/// dist/pred/ρ-sum are final once it settles, so every settled node —
+/// `target` and its whole tree path included — is bit-for-bit the full
+/// run's; touched-but-unsettled nodes read ∞ / no predecessor. When
+/// `target` is unreachable the frontier drains first and the tree comes
+/// back complete.
+///
+/// # Panics
+/// Panics when `source` or `target` is out of range.
+pub fn sssp_to(
+    csr: &CsrGraph,
+    source: usize,
+    beta: f64,
+    rho: &[f64],
+    use_bucket: bool,
+    target: usize,
+) -> RiskTree {
+    assert!(target < csr.node_count(), "target {target} out of range");
+    ARENAS.with(SsspArena::new, |arena| {
+        run(arena, csr, source, beta, rho, use_bucket, Some(target))
     })
 }
 
@@ -354,6 +385,7 @@ fn run(
     beta: f64,
     rho: &[f64],
     use_bucket: bool,
+    stop: Option<usize>,
 ) -> RiskTree {
     let n = csr.node_count();
     assert!(source < n, "source {source} out of range ({n} nodes)");
@@ -385,13 +417,13 @@ fn run(
         let mut q = std::mem::take(&mut arena.bucket);
         q.reset(run_inv_quantum(csr, &arena.costs[..n]));
         q.push(seed);
-        let stats = search(arena, csr, source, track_rho, rho, &mut q);
+        let stats = search(arena, csr, source, track_rho, rho, stop, &mut q);
         arena.bucket = q;
         stats
     } else {
         let mut q = std::mem::take(&mut arena.heap);
         q.push(seed);
-        let stats = search(arena, csr, source, track_rho, rho, &mut q);
+        let stats = search(arena, csr, source, track_rho, rho, stop, &mut q);
         arena.heap = q;
         stats
     };
@@ -400,17 +432,23 @@ fn run(
         riskroute_obs::counter_add("risk_sssp_pops", stats.pops);
         riskroute_obs::counter_add("risk_sssp_relaxations", stats.relaxations);
         riskroute_obs::gauge_max("risk_sssp_heap_peak", stats.peak as f64);
+        if stats.stopped {
+            riskroute_obs::counter_add("risk_sssp_early_exits", 1);
+        }
         if use_bucket {
             riskroute_obs::counter_add("bucket_queue_settles", stats.settles);
             riskroute_obs::counter_add("bucket_relaxations_skipped", stats.skipped);
         }
     }
 
-    // Extract the compact output tree; untouched slots read as unreachable.
+    // Extract the compact output tree from the settled nodes; every other
+    // slot reads as unreachable. A drained run settles every node it
+    // touched (touched ⇒ finite dist ⇒ pushed ⇒ popped), so this is the
+    // whole tree; a stopped run drops its touched-but-unsettled frontier.
     let mut dist = Vec::with_capacity(n);
     let mut pred = Vec::with_capacity(n);
     for v in 0..n {
-        if arena.touched[v] == gen {
+        if arena.settled[v] == gen {
             dist.push(arena.dist[v]);
             pred.push(arena.pred[v]);
         } else {
@@ -431,18 +469,25 @@ fn run(
     } else {
         Vec::new()
     };
-    RiskTree::from_parts(source, dist, pred, rho_sum)
+    let mut tree = RiskTree::from_parts(source, dist, pred, rho_sum);
+    if stats.stopped {
+        tree.mark_partial();
+    }
+    tree
 }
 
 /// The Dijkstra hot loop, generic over the frontier. Monomorphized per
 /// frontier type so neither path pays a dispatch branch; the loop body is
-/// byte-for-byte the arithmetic the engine has always run.
+/// byte-for-byte the arithmetic the engine has always run. With a `stop`
+/// node the loop breaks right after that node settles (before relaxing
+/// its edges): everything settled so far is final.
 fn search<Q: Frontier>(
     arena: &mut SsspArena,
     csr: &CsrGraph,
     source: usize,
     track_rho: bool,
     rho: &[f64],
+    stop: Option<usize>,
     q: &mut Q,
 ) -> SearchStats {
     let gen = arena.gen;
@@ -452,6 +497,7 @@ fn search<Q: Frontier>(
         peak: q.len(),
         settles: 0,
         skipped: 0,
+        stopped: false,
     };
     while let Some(Entry { cost, node }) = q.pop() {
         stats.pops += 1;
@@ -468,6 +514,10 @@ fn search<Q: Frontier>(
             } else {
                 arena.rho_sum[arena.pred[node] as usize] + rho[node]
             };
+        }
+        if stop == Some(node) {
+            stats.stopped = true;
+            break;
         }
         for e in csr.edge_range(node) {
             let v = csr.targets[e] as usize;
@@ -782,37 +832,71 @@ pub(crate) struct TreeKey {
     pub(crate) stamp: u64,
 }
 
-/// Roughly how much memory the cache may pin before it starts refusing
-/// inserts (entries are ~`12·n + 96` bytes each).
-const CACHE_BUDGET_BYTES: usize = 256 << 20;
+/// How much memory the cache may pin before it starts refusing inserts.
+/// Every entry is charged [`entry_bytes`] when it is inserted.
+pub(crate) const CACHE_BUDGET_BYTES: usize = 256 << 20;
+
+/// Entry-count cap on top of the byte budget, bounding the map itself on
+/// tiny graphs whose trees cost only a few hundred bytes.
+const CACHE_MAX_ENTRIES: usize = 1 << 20;
+
+/// Fixed per-entry overhead: the map slot, the tree header, and the `Arc`
+/// reference counts.
+const ENTRY_OVERHEAD_BYTES: usize = std::mem::size_of::<(TreeKey, Arc<RiskTree>)>()
+    + std::mem::size_of::<RiskTree>()
+    + 2 * std::mem::size_of::<usize>();
+
+/// What one cached tree is charged against [`CACHE_BUDGET_BYTES`]: the
+/// bytes its vectors hold (the ρ-sum channel of a β = 0 tree included)
+/// plus the fixed overhead. A tree shared by several keys is charged once
+/// per key.
+fn entry_bytes(tree: &RiskTree) -> usize {
+    ENTRY_OVERHEAD_BYTES + tree.heap_bytes()
+}
 
 struct CacheInner {
     map: HashMap<TreeKey, Arc<RiskTree>>,
+    /// Sum of [`entry_bytes`] over `map`.
+    bytes: usize,
     /// Stamp for which the cache already proved full after purging stale
     /// generations — inserts under it are skipped without rescanning.
     full_stamp: u64,
 }
 
+/// What a cache lookup for one pair query found (see
+/// [`RouteTreeCache::lookup`]).
+pub(crate) enum Lookup {
+    /// A tree that answers the query.
+    Hit(Arc<RiskTree>),
+    /// Only a partial tree whose settle horizon stops short of the query —
+    /// the caller replaces it with a complete run.
+    Partial,
+    /// No tree under the key.
+    Miss,
+}
+
 /// Exact, shared route-tree cache (see the module docs). Clones of a
 /// planner share one cache through an `Arc`; the per-entry stamp keeps
 /// divergent clones from ever observing each other's trees.
+///
+/// Entries may be partial trees (the settled prefix of an early-exit pair
+/// query, see [`sssp_to`]). Pair lookups ([`Self::lookup`] with a target)
+/// accept one when the target settled before the run stopped; every
+/// full-tree reader — lookups without a target, [`Self::peek`], and
+/// [`Self::entries_with_stamp`] — treats partial trees as absent.
 pub(crate) struct RouteTreeCache {
     inner: Mutex<CacheInner>,
-    max_entries: usize,
 }
 
 impl RouteTreeCache {
-    /// A cache sized so `max_entries` trees of an `n_nodes` graph stay
-    /// within [`CACHE_BUDGET_BYTES`].
-    pub(crate) fn with_budget(n_nodes: usize) -> Self {
-        let per_tree = 96 + 12 * n_nodes.max(1);
-        let max_entries = (CACHE_BUDGET_BYTES / per_tree).clamp(1024, 1 << 20);
+    /// An empty cache holding at most [`CACHE_BUDGET_BYTES`] of trees.
+    pub(crate) fn new() -> Self {
         RouteTreeCache {
             inner: Mutex::new(CacheInner {
                 map: HashMap::new(),
+                bytes: 0,
                 full_stamp: 0,
             }),
-            max_entries,
         }
     }
 
@@ -822,19 +906,38 @@ impl RouteTreeCache {
         self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Look up a tree without touching the hit/miss counters — the
-    /// delta-repair path probes for *parent-stamp* trees this way, so the
-    /// pinned `route_cache_hits`/`route_cache_misses` series keep counting
-    /// only current-state lookups.
+    /// Look up a complete tree without touching the hit/miss counters —
+    /// the delta-repair path probes for *parent-stamp* trees this way, so
+    /// the pinned `route_cache_hits`/`route_cache_misses` series keep
+    /// counting only current-state lookups.
     pub(crate) fn peek(&self, key: &TreeKey) -> Option<Arc<RiskTree>> {
-        self.lock().map.get(key).cloned()
+        self.lock()
+            .map
+            .get(key)
+            .filter(|t| t.is_complete())
+            .cloned()
     }
 
-    /// Look up a tree, counting the hit or miss.
-    pub(crate) fn get(&self, key: &TreeKey) -> Option<Arc<RiskTree>> {
-        let found = self.lock().map.get(key).cloned();
+    /// Look up a tree that answers `target` (any complete tree when
+    /// `target` is `None`), counting a hit only when one is returned: a
+    /// partial tree that stops short of the target counts as a miss.
+    pub(crate) fn lookup(&self, key: &TreeKey, target: Option<usize>) -> Lookup {
+        let found = match self.lock().map.get(key) {
+            None => Lookup::Miss,
+            Some(tree) => {
+                let answers = match target {
+                    Some(t) => tree.answers(t),
+                    None => tree.is_complete(),
+                };
+                if answers {
+                    Lookup::Hit(Arc::clone(tree))
+                } else {
+                    Lookup::Partial
+                }
+            }
+        };
         if riskroute_obs::is_enabled() {
-            let counter = if found.is_some() {
+            let counter = if matches!(found, Lookup::Hit(_)) {
                 "route_cache_hits"
             } else {
                 "route_cache_misses"
@@ -844,41 +947,52 @@ impl RouteTreeCache {
         found
     }
 
-    /// Insert a freshly computed (or revalidated) tree. At capacity, stale
+    /// Insert a freshly computed (or revalidated) tree. An occupied key
+    /// keeps its tree — concurrent duplicate computes are identical by
+    /// construction — unless a complete tree replaces a partial one (never
+    /// the reverse). When the entry would overrun the byte budget, stale
     /// stamps are purged once per stamp transition; if the current stamp
-    /// alone fills the cache, further inserts under it are skipped (counted
-    /// as `route_cache_insert_skips`) — correctness is unaffected, those
-    /// trees are simply recomputed on demand.
+    /// alone fills the cache, further inserts under it are skipped
+    /// (counted as `route_cache_insert_skips`) — correctness is
+    /// unaffected, those trees are simply recomputed on demand.
     pub(crate) fn insert(&self, key: TreeKey, tree: Arc<RiskTree>) {
+        let cost = entry_bytes(&tree);
         let mut inner = self.lock();
-        if inner.map.len() >= self.max_entries {
+        let freed = match inner.map.get(&key) {
+            Some(old) if old.is_complete() || !tree.is_complete() => return,
+            Some(old) => entry_bytes(old),
+            None => 0,
+        };
+        let fits = |inner: &CacheInner| {
+            inner.bytes - freed + cost <= CACHE_BUDGET_BYTES
+                && (freed > 0 || inner.map.len() < CACHE_MAX_ENTRIES)
+        };
+        if !fits(&inner) {
             if inner.full_stamp == key.stamp {
                 drop(inner);
                 riskroute_obs::counter_add("route_cache_insert_skips", 1);
                 return;
             }
             inner.map.retain(|k, _| k.stamp == key.stamp);
-            if inner.map.len() >= self.max_entries {
+            inner.bytes = inner.map.values().map(|t| entry_bytes(t)).sum();
+            if !fits(&inner) {
                 inner.full_stamp = key.stamp;
                 drop(inner);
                 riskroute_obs::counter_add("route_cache_insert_skips", 1);
                 return;
             }
         }
-        // First writer wins on concurrent duplicate computes — the values
-        // are identical by construction, so either Arc is fine.
-        if let MapEntry::Vacant(slot) = inner.map.entry(key) {
-            slot.insert(tree);
-        }
+        inner.bytes = inner.bytes - freed + cost;
+        inner.map.insert(key, tree);
     }
 
-    /// Snapshot every entry computed under `stamp` (the adoption walk after
-    /// greedy adds a link).
+    /// Snapshot every complete entry computed under `stamp` (the adoption
+    /// walk after greedy adds a link).
     pub(crate) fn entries_with_stamp(&self, stamp: u64) -> Vec<(TreeKey, Arc<RiskTree>)> {
         self.lock()
             .map
             .iter()
-            .filter(|(k, _)| k.stamp == stamp)
+            .filter(|(k, t)| k.stamp == stamp && t.is_complete())
             .map(|(k, t)| (*k, Arc::clone(t)))
             .collect()
     }
@@ -887,13 +1001,18 @@ impl RouteTreeCache {
     pub(crate) fn len(&self) -> usize {
         self.lock().map.len()
     }
+
+    /// Bytes charged for the cached trees (all stamps).
+    pub(crate) fn bytes(&self) -> usize {
+        self.lock().bytes
+    }
 }
 
 impl std::fmt::Debug for RouteTreeCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RouteTreeCache")
             .field("entries", &self.len())
-            .field("max_entries", &self.max_entries)
+            .field("bytes", &self.bytes())
             .finish()
     }
 }
@@ -1169,7 +1288,7 @@ mod tests {
 
     #[test]
     fn cache_peek_does_not_count() {
-        let cache = RouteTreeCache::with_budget(4);
+        let cache = RouteTreeCache::new();
         let adj = square();
         let csr = CsrGraph::from_adjacency(&adj);
         let tree = Arc::new(sssp(&csr, 0, 0.0, &[0.0; 4]));
@@ -1185,7 +1304,7 @@ mod tests {
 
     #[test]
     fn cache_isolates_stamps_and_counts_hits() {
-        let cache = RouteTreeCache::with_budget(4);
+        let cache = RouteTreeCache::new();
         let adj = square();
         let csr = CsrGraph::from_adjacency(&adj);
         let tree = Arc::new(sssp(&csr, 0, 0.0, &[0.0; 4]));
@@ -1194,15 +1313,88 @@ mod tests {
             beta_bits: 0,
             stamp: next_stamp(),
         };
-        assert!(cache.get(&key).is_none());
+        assert!(matches!(cache.lookup(&key, None), Lookup::Miss));
         cache.insert(key, Arc::clone(&tree));
-        assert!(cache.get(&key).is_some());
+        assert!(matches!(cache.lookup(&key, None), Lookup::Hit(_)));
         let other_stamp = TreeKey {
             stamp: next_stamp(),
             ..key
         };
-        assert!(cache.get(&other_stamp).is_none(), "stamps never alias");
+        assert!(
+            matches!(cache.lookup(&other_stamp, None), Lookup::Miss),
+            "stamps never alias"
+        );
         assert_eq!(cache.entries_with_stamp(key.stamp).len(), 1);
         assert_eq!(cache.len(), 1);
+    }
+
+    /// Both frontiers' early-exit trees, asserted bit-equal; returns one.
+    fn sssp_to(csr: &CsrGraph, source: usize, beta: f64, rho: &[f64], target: usize) -> RiskTree {
+        let heap = super::sssp_to(csr, source, beta, rho, false, target);
+        let bucket = super::sssp_to(csr, source, beta, rho, true, target);
+        assert_trees_bit_equal(&heap, &bucket);
+        assert_eq!(heap.is_complete(), bucket.is_complete());
+        heap
+    }
+
+    #[test]
+    fn cache_serves_partial_trees_only_to_settled_targets() {
+        let cache = RouteTreeCache::new();
+        let csr = CsrGraph::from_adjacency(&line8());
+        let rho = [0.0; 8];
+        let key = TreeKey {
+            root: 0,
+            beta_bits: 1.0f64.to_bits(),
+            stamp: next_stamp(),
+        };
+        cache.insert(key, Arc::new(sssp_to(&csr, 0, 1.0, &rho, 2)));
+        assert!(matches!(cache.lookup(&key, Some(2)), Lookup::Hit(_)));
+        assert!(matches!(cache.lookup(&key, Some(1)), Lookup::Hit(_)));
+        assert!(matches!(cache.lookup(&key, Some(5)), Lookup::Partial));
+        // Full-tree readers see nothing.
+        assert!(matches!(cache.lookup(&key, None), Lookup::Partial));
+        assert!(cache.peek(&key).is_none());
+        assert!(cache.entries_with_stamp(key.stamp).is_empty());
+        // A partial insert never displaces a tree; a complete one replaces
+        // a partial and is never displaced.
+        cache.insert(key, Arc::new(sssp_to(&csr, 0, 1.0, &rho, 6)));
+        assert!(matches!(cache.lookup(&key, Some(5)), Lookup::Partial));
+        let full = Arc::new(sssp(&csr, 0, 1.0, &rho));
+        cache.insert(key, Arc::clone(&full));
+        assert!(matches!(cache.lookup(&key, Some(7)), Lookup::Hit(_)));
+        assert!(cache.peek(&key).is_some());
+        cache.insert(key, Arc::new(sssp_to(&csr, 0, 1.0, &rho, 2)));
+        assert!(cache.peek(&key).is_some_and(|t| Arc::ptr_eq(&t, &full)));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.bytes(), entry_bytes(&full));
+    }
+
+    #[test]
+    fn cache_budget_charges_the_rho_sum_channel() {
+        // One real β = 0 tree of a 10k-node line, inserted under many keys:
+        // each entry is charged its dist + pred + ρ-sum vectors (20 bytes a
+        // node, not the 12 a β ≠ 0 tree holds) plus the fixed overhead,
+        // and the running total never crosses the budget.
+        let n = 10_000;
+        let adj = Adjacency::from_links(n, (1..n).map(|u| (u - 1, u, 1.0)));
+        let csr = CsrGraph::from_adjacency(&adj);
+        let tree = Arc::new(super::sssp(&csr, 0, 0.0, &vec![0.5; n], true));
+        assert_eq!(tree.rho_sum_slice().len(), n);
+        let per_entry = entry_bytes(&tree);
+        assert!(per_entry >= 20 * n + ENTRY_OVERHEAD_BYTES);
+        let cache = RouteTreeCache::new();
+        let stamp = next_stamp();
+        let fit = CACHE_BUDGET_BYTES / per_entry;
+        for root in 0..(fit as u32 + 16) {
+            let key = TreeKey {
+                root,
+                beta_bits: 0,
+                stamp,
+            };
+            cache.insert(key, Arc::clone(&tree));
+            assert!(cache.bytes() <= CACHE_BUDGET_BYTES);
+        }
+        assert_eq!(cache.len(), fit);
+        assert_eq!(cache.bytes(), fit * per_entry);
     }
 }

@@ -1,7 +1,7 @@
 //! Intradomain RiskRoute (§6.1): minimum bit-risk-mile routing within one
 //! provider and the aggregate trade-off against shortest-path routing.
 
-use crate::engine::{self, CsrGraph, RepairOutcome, RouteTreeCache, TreeKey};
+use crate::engine::{self, CsrGraph, Lookup, RepairOutcome, RouteTreeCache, TreeKey};
 use crate::error::Error;
 use crate::metric::{ImpactModel, NodeRisk, RiskWeights};
 use crate::ratios::{PairOutcome, RatioReport};
@@ -124,7 +124,7 @@ impl Planner {
         );
         let csr = Arc::new(CsrGraph::from_adjacency(&adjacency));
         let rho = Arc::new(compute_rho(&risk, weights));
-        let cache = Arc::new(RouteTreeCache::with_budget(network.pop_count()));
+        let cache = Arc::new(RouteTreeCache::new());
         Planner {
             adjacency,
             csr,
@@ -380,7 +380,18 @@ impl Planner {
     /// `None` when unreachable.
     pub fn risk_route(&self, i: usize, j: usize) -> Option<RoutedPath> {
         let beta = self.impact(i, j);
-        let tree = self.risk_tree(i, beta);
+        self.routed_on(&self.risk_tree(i, beta), j, beta)
+    }
+
+    /// [`risk_route`](Self::risk_route) for the pair sweeps, which read
+    /// one path per tree: served by an early-exit [`pair_tree`](Self::pair_tree).
+    fn pair_risk_route(&self, i: usize, j: usize) -> Option<RoutedPath> {
+        let beta = self.impact(i, j);
+        self.routed_on(&self.pair_tree(i, beta, j), j, beta)
+    }
+
+    /// Evaluate the tree path to `j` under metric β.
+    fn routed_on(&self, tree: &RiskTree, j: usize, beta: f64) -> Option<RoutedPath> {
         let nodes = tree.path_to(j)?;
         // Tree paths traverse real links by construction.
         evaluate_path(&self.adjacency, &nodes, self.entry_cost(beta)).ok()
@@ -431,16 +442,38 @@ impl Planner {
     /// Full SSSP under the (i, j) pair's bit-risk weighting, rooted at `root`
     /// (used by the provisioning sweep). Served from the route-tree cache
     /// when enabled; computed trees are shared behind an `Arc` with every
-    /// clone of this planner in the same cost state.
+    /// clone of this planner in the same cost state. Always complete: a
+    /// cached partial tree counts as absent and is replaced.
     pub(crate) fn risk_tree(&self, root: usize, beta: f64) -> Arc<RiskTree> {
+        self.tree_for(root, beta, None)
+    }
+
+    /// A tree rooted at `root` under metric β that answers a pair query for
+    /// `target` (see [`RiskTree::answers`]): any cached tree in which the
+    /// target settled, else an early-exit run that stops once it settles.
+    /// A cached partial tree that stops short of `target` is replaced by a
+    /// complete run, so each key costs at most one partial plus one full
+    /// run per cost state.
+    fn pair_tree(&self, root: usize, beta: f64, target: usize) -> Arc<RiskTree> {
+        self.tree_for(root, beta, Some(target))
+    }
+
+    /// [`risk_tree`](Self::risk_tree) (`target` `None`) and
+    /// [`pair_tree`](Self::pair_tree) in one lookup chain: own cache, then
+    /// complete trees carried over from the parent cache or across the
+    /// delta log, then a scratch run.
+    fn tree_for(&self, root: usize, beta: f64, target: Option<usize>) -> Arc<RiskTree> {
         let key = TreeKey {
             root: root as u32,
             beta_bits: beta.to_bits(),
             stamp: self.stamp,
         };
+        let mut stop = target;
         if self.route_cache {
-            if let Some(tree) = self.cache.get(&key) {
-                return tree;
+            match self.cache.lookup(&key, target) {
+                Lookup::Hit(tree) => return tree,
+                Lookup::Partial => stop = None,
+                Lookup::Miss => {}
             }
             if let Some(parent) = &self.parent_cache {
                 // Same stamp in the parent cache: interchangeable
@@ -455,13 +488,10 @@ impl Planner {
                 return tree;
             }
         }
-        let tree = Arc::new(engine::sssp(
-            &self.csr,
-            root,
-            beta,
-            &self.rho,
-            self.bucket_queue,
-        ));
+        let tree = Arc::new(match stop {
+            Some(t) => engine::sssp_to(&self.csr, root, beta, &self.rho, self.bucket_queue, t),
+            None => engine::sssp(&self.csr, root, beta, &self.rho, self.bucket_queue),
+        });
         if self.route_cache {
             self.cache.insert(key, Arc::clone(&tree));
         }
@@ -472,8 +502,9 @@ impl Planner {
     /// the recorded changed-edge log: reuse it outright when the delta
     /// provably cannot touch it (counted as `trees_survived_delta`), repair
     /// it incrementally otherwise (counted as `sssp_repairs`). `None` falls
-    /// through to a scratch SSSP run — either there is no log, no parent
-    /// tree to carry, or the repair declined (cost tie or oversized cone).
+    /// through to a scratch SSSP run — either there is no log, no complete
+    /// parent tree to carry (partial trees are never repaired), or the
+    /// repair declined (cost tie or oversized cone).
     fn delta_repair(&self, key: &TreeKey, root: usize, beta: f64) -> Option<Arc<RiskTree>> {
         let delta = self.delta.as_ref()?;
         let parent_key = TreeKey {
@@ -527,7 +558,8 @@ impl Planner {
     ///
     /// The shortest-path leg is O(1) per destination: path miles and the
     /// ρ-sum are β-independent, so both were accumulated down the distance
-    /// tree once for the whole source.
+    /// tree once for the whole source. The RiskRoute leg's β differs per
+    /// destination, so it reads an early-exit pair tree.
     fn sweep_source(
         &self,
         i: usize,
@@ -545,7 +577,7 @@ impl Planner {
                 stranded.push((i, j));
                 continue;
             };
-            let Some(risk_route) = self.risk_route(i, j) else {
+            let Some(risk_route) = self.pair_risk_route(i, j) else {
                 stranded.push((i, j));
                 continue;
             };
@@ -601,12 +633,14 @@ impl Planner {
     }
 
     /// Route one explicit (i, j) pair: the shortest-path and RiskRoute legs
-    /// of a [`PairOutcome`], or `None` when the pair is stranded.
+    /// of a [`PairOutcome`], or `None` when the pair is stranded. No tree
+    /// is shared across a pair list's sources, so both legs read
+    /// early-exit pair trees.
     fn route_pair(&self, i: usize, j: usize) -> Option<PairOutcome> {
-        let dist_tree = self.risk_tree_distance(i);
+        let dist_tree = self.pair_tree(i, 0.0, j);
         let beta = self.impact(i, j);
         let shortest = self.routed_from_distance_tree(&dist_tree, j, beta)?;
-        let risk_route = self.risk_route(i, j)?;
+        let risk_route = self.pair_risk_route(i, j)?;
         Some(PairOutcome {
             src: i,
             dst: j,
@@ -760,7 +794,7 @@ impl Planner {
             risk.set_forecast(f.to_vec());
         }
         let rho = Arc::new(compute_rho(&risk, self.weights));
-        let cache = Arc::new(RouteTreeCache::with_budget(self.pop_count()));
+        let cache = Arc::new(RouteTreeCache::new());
         Planner {
             adjacency,
             csr,
@@ -797,24 +831,28 @@ impl Planner {
     /// (same contract as [`Self::set_forecast`]).
     pub(crate) fn fork_forecast(&self, forecast: &[f64]) -> Planner {
         let mut fork = self.clone();
-        fork.cache = Arc::new(RouteTreeCache::with_budget(self.pop_count()));
+        fork.cache = Arc::new(RouteTreeCache::new());
         fork.parent_cache = Some(Arc::clone(&self.cache));
         fork.set_forecast(forecast.to_vec());
         fork
     }
 
-    /// The cached β = 0 distance tree rooted at `root` under the current
-    /// cost state, if any (scenario forks probe the base cache for trees to
-    /// adopt).
+    /// The cached complete β = 0 distance tree rooted at `root` under the
+    /// current cost state, if any (scenario forks probe the base cache for
+    /// trees to adopt; a partial tree cannot be projected).
     pub(crate) fn cached_distance_tree(&self, root: usize) -> Option<Arc<RiskTree>> {
         if !self.route_cache {
             return None;
         }
-        self.cache.get(&TreeKey {
+        let key = TreeKey {
             root: root as u32,
             beta_bits: 0.0f64.to_bits(),
             stamp: self.stamp,
-        })
+        };
+        match self.cache.lookup(&key, None) {
+            Lookup::Hit(tree) => Some(tree),
+            Lookup::Partial | Lookup::Miss => None,
+        }
     }
 
     /// Seed a β = 0 tree into this planner's cache under its current stamp
@@ -863,6 +901,9 @@ impl Planner {
     /// simply re-keyed to this planner's stamp. An edge between two nodes
     /// unreachable from `r` also survives: it cannot create any new path
     /// from `r`.
+    ///
+    /// Only complete trees are carried; partial pair-query trees stay
+    /// behind (the test reads distances a partial tree may not hold).
     ///
     /// Adoption is skipped entirely (correct, just slower) unless `prev`
     /// has bitwise-identical ρ and an adjacency equal to this one minus
@@ -1180,6 +1221,61 @@ mod tests {
         let (net, _, shares) = diamond();
         let bad_risk = NodeRisk::new(vec![0.0], vec![0.0]);
         let _ = Planner::new(&net, bad_risk, shares, RiskWeights::PAPER);
+    }
+
+    #[test]
+    fn partial_pair_trees_stay_out_of_full_tree_readers() {
+        // Uniform shares: β = 0.5 for every pair. From West (0) the safe
+        // North PoP (1) settles first, so a pair query to it stops before
+        // South (2) and East (3) settle.
+        let p = planner(1e5);
+        let key = |p: &Planner, beta: f64| TreeKey {
+            root: 0,
+            beta_bits: f64::to_bits(beta),
+            stamp: p.stamp,
+        };
+        let partial = p.pair_tree(0, 0.5, 1);
+        assert!(!partial.is_complete() && partial.answers(1) && !partial.answers(3));
+        assert!(p.cache.peek(&key(&p, 0.5)).is_none());
+        p.pair_tree(0, 0.0, 1);
+        assert!(p.cached_distance_tree(0).is_none());
+
+        // Greedy adoption leaves partial trees behind.
+        let (net, risk, shares) = diamond();
+        let augmented = crate::provisioning::with_extra_link(&net, 1, 2);
+        let rebuild = || {
+            Planner::new(
+                &augmented,
+                risk.clone(),
+                shares.clone(),
+                RiskWeights::historical_only(1e5),
+            )
+        };
+        let mut next = rebuild();
+        next.adopt_route_cache(&p, 1, 2);
+        assert_eq!(next.cache.len(), 0);
+
+        // Delta repair never carries a partial parent.
+        let mut moved = p.clone();
+        moved.set_weights(RiskWeights::historical_only(2e5));
+        assert!(moved.delta_repair(&key(&moved, 0.5), 0, 0.5).is_none());
+
+        // A full request replaces the partial tree; every reader sees it.
+        let full = p.risk_tree(0, 0.5);
+        assert!(full.is_complete() && full.answers(3));
+        assert!(p
+            .cache
+            .peek(&key(&p, 0.5))
+            .is_some_and(|t| Arc::ptr_eq(&t, &full)));
+        assert!(Arc::ptr_eq(&p.pair_tree(0, 0.5, 3), &full));
+        p.risk_tree_distance(0);
+        assert!(p.cached_distance_tree(0).is_some());
+        let mut next = rebuild();
+        next.adopt_route_cache(&p, 1, 2);
+        assert_eq!(next.cache.len(), 2, "both complete trees survive the link");
+        let mut moved = p.clone();
+        moved.set_weights(RiskWeights::historical_only(2e5));
+        assert!(moved.delta_repair(&key(&moved, 0.5), 0, 0.5).is_some());
     }
 
     #[test]

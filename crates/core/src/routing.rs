@@ -86,6 +86,12 @@ pub(crate) const NO_PRED: u32 = u32::MAX;
 /// Predecessors are packed as `u32` (with [`NO_PRED`] as the sentinel) so a
 /// cached tree costs 12 bytes per node instead of 24 — the route-tree cache
 /// in [`crate::engine`] holds tens of thousands of these.
+///
+/// A tree is either *complete* (every reachable node settled) or *partial*:
+/// the engine stopped the run right after a pair query's target settled
+/// (see [`crate::engine::sssp_to`]). A partial tree holds exactly the
+/// settled prefix — bit-for-bit the complete tree's values on those nodes —
+/// and reads every other node as unreachable.
 #[derive(Debug, Clone)]
 pub struct RiskTree {
     source: usize,
@@ -95,10 +101,11 @@ pub struct RiskTree {
     /// path source→t, source excluded). Only populated for β = 0 trees,
     /// where one distance tree serves every pair metric; empty otherwise.
     rho_sum: Vec<f64>,
+    complete: bool,
 }
 
 impl RiskTree {
-    /// Assemble a tree from raw engine output.
+    /// Assemble a complete tree from raw engine output.
     pub(crate) fn from_parts(
         source: usize,
         dist: Vec<f64>,
@@ -110,7 +117,35 @@ impl RiskTree {
             dist,
             pred,
             rho_sum,
+            complete: true,
         }
+    }
+
+    /// Mark this tree as the settled prefix of a stopped run.
+    pub(crate) fn mark_partial(&mut self) {
+        self.complete = false;
+    }
+
+    /// Whether every reachable node is settled (`false` for the settled
+    /// prefix of an early-exit run).
+    pub fn is_complete(&self) -> bool {
+        self.complete
+    }
+
+    /// Whether this tree answers a query for `t`: complete, or `t` settled
+    /// before the run stopped (a partial tree's finite distances are
+    /// exactly its settled nodes).
+    pub fn answers(&self, t: usize) -> bool {
+        self.complete || self.dist[t].is_finite()
+    }
+
+    /// Bytes held by the tree's vectors (allocated capacity, not length) —
+    /// what a cache entry charges against its budget on top of the fixed
+    /// per-entry overhead.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.dist.capacity() * std::mem::size_of::<f64>()
+            + self.pred.capacity() * std::mem::size_of::<u32>()
+            + self.rho_sum.capacity() * std::mem::size_of::<f64>()
     }
 
     /// The source node.
@@ -143,14 +178,16 @@ impl RiskTree {
         &self.dist
     }
 
-    /// The raw packed predecessor array ([`NO_PRED`] sentinel; scenario-fork
-    /// tree projection validates pred edges against a failure delta).
-    pub(crate) fn pred_slice(&self) -> &[u32] {
+    /// The raw packed predecessor array (`u32::MAX` marks the source and
+    /// unreachable nodes; scenario-fork tree projection validates pred
+    /// edges against a failure delta).
+    pub fn pred_slice(&self) -> &[u32] {
         &self.pred
     }
 
-    /// The raw ρ-sum channel (empty unless this is a β = 0 tree).
-    pub(crate) fn rho_sum_slice(&self) -> &[f64] {
+    /// The raw ρ-sum channel (empty unless this is a β = 0 tree; ∞ on
+    /// unreachable nodes).
+    pub fn rho_sum_slice(&self) -> &[f64] {
         &self.rho_sum
     }
 

@@ -210,6 +210,40 @@ pub fn render_trace_table(rows: &[TraceSummary]) -> String {
     render_aligned(&cells)
 }
 
+/// The SSSP-engine counters [`render_engine_counters`] reports, in order:
+/// runs, how many of them stopped early at a pair query's target, settles,
+/// and the route-cache lookups.
+pub const ENGINE_COUNTERS: [&str; 5] = [
+    "risk_sssp_runs",
+    "risk_sssp_early_exits",
+    "risk_sssp_pops",
+    "route_cache_hits",
+    "route_cache_misses",
+];
+
+/// Render the process-wide [`ENGINE_COUNTERS`] a parsed JSONL export
+/// carries as an aligned counter · value table; empty when it carries
+/// none of them.
+pub fn render_engine_counters(lines: &[ObsLine]) -> String {
+    let values: BTreeMap<&str, u64> = lines
+        .iter()
+        .filter_map(|l| match l {
+            ObsLine::Counter { name, value } => Some((name.as_str(), *value)),
+            _ => None,
+        })
+        .collect();
+    let mut cells = vec![vec!["counter".to_string(), "value".to_string()]];
+    for name in ENGINE_COUNTERS {
+        if let Some(v) = values.get(name) {
+            cells.push(vec![name.to_string(), v.to_string()]);
+        }
+    }
+    if cells.len() == 1 {
+        return String::new();
+    }
+    render_aligned(&cells)
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -283,6 +317,28 @@ mod tests {
             duration_us: dur,
             fields: Vec::new(),
         })
+    }
+
+    #[test]
+    fn engine_counters_render_in_fixed_order_and_skip_absent_ones() {
+        let counter = |name: &str, value: u64| ObsLine::Counter {
+            name: name.into(),
+            value,
+        };
+        assert!(render_engine_counters(&[counter("other", 1)]).is_empty());
+        let text = render_engine_counters(&[
+            counter("route_cache_hits", 4),
+            counter("risk_sssp_early_exits", 7),
+            counter("risk_sssp_runs", 9),
+        ]);
+        let names: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        assert_eq!(
+            names,
+            ["counter", "risk_sssp_runs", "risk_sssp_early_exits", "route_cache_hits"]
+        );
     }
 
     #[test]

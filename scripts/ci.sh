@@ -127,6 +127,9 @@ echo "bucket-queue-off outputs are byte-identical"
 echo "== sssp engine: bucket-queue equivalence suite =="
 cargo test --release -p riskroute -q --test bucket_queue_equivalence
 
+echo "== sssp engine: early-exit equivalence suite =="
+cargo test --release -p riskroute -q --test early_exit_equivalence
+
 echo "== scale: seeded 10k-PoP synth smoke gate =="
 # Generate a 10k-PoP synthetic network, then route on it and evaluate a
 # sampled ratio report — the whole sequence must finish inside a wall
@@ -144,6 +147,37 @@ scale_ms=$(( (scale_e - scale_s) / 1000000 ))
 echo "10k synth + route + sampled ratio in ${scale_ms} ms"
 if [ "$scale_ms" -gt 120000 ]; then
   echo "FAIL: 10k-PoP smoke gate took ${scale_ms} ms (budget 120000 ms)"
+  exit 1
+fi
+
+echo "== sssp engine: pair-query early exit, cache vs --no-route-cache byte-for-byte =="
+# Pair sweeps stop each risk-tree run once its target settles and cache the
+# settled prefix; the answers must not move a byte with the cache off, at
+# any worker count, on the paper topology or the 10k synth.
+for t in 1 4; do
+  target/release/riskroute ratio Level3 --threads "$t" > "$OBS_TMP/ratio-t$t.txt"
+  target/release/riskroute ratio Level3 --threads "$t" --no-route-cache > "$OBS_TMP/ratio-nc$t.txt"
+  diff "$OBS_TMP/ratio-t$t.txt" "$OBS_TMP/ratio-nc$t.txt"
+  target/release/riskroute --graphml "$OBS_TMP/synth10k.graphml" --name big \
+    ratio big --sample 64 --seed 7 --threads "$t" > "$OBS_TMP/big-ratio-t$t.txt"
+  target/release/riskroute --graphml "$OBS_TMP/synth10k.graphml" --name big \
+    ratio big --sample 64 --seed 7 --threads "$t" --no-route-cache > "$OBS_TMP/big-ratio-nc$t.txt"
+  diff "$OBS_TMP/big-ratio-t$t.txt" "$OBS_TMP/big-ratio-nc$t.txt"
+done
+diff "$OBS_TMP/ratio-t1.txt" "$OBS_TMP/ratio-t4.txt"
+diff "$OBS_TMP/big-ratio-t1.txt" "$OBS_TMP/big-ratio-t4.txt"
+echo "early-exit ratio outputs are byte-identical"
+
+echo "== sssp engine: settles-must-shrink guard =="
+# ratio Level3 is deterministic, so its settle count is exact;
+# scripts/settles_baseline.txt records it as of the target-settle early
+# exit. A higher count means pair queries build more tree than they read.
+target/release/riskroute ratio Level3 --metrics-out "$OBS_TMP/settles.prom" >/dev/null
+settles=$(awk '$1 == "riskroute_risk_sssp_pops" { print $2 }' "$OBS_TMP/settles.prom")
+settles_baseline=$(cat scripts/settles_baseline.txt)
+echo "risk_sssp_pops ${settles} (baseline ${settles_baseline})"
+if [ -z "$settles" ] || [ "$settles" -gt "$settles_baseline" ]; then
+  echo "FAIL: risk_sssp_pops ${settles:-<missing>} exceeds baseline ${settles_baseline}"
   exit 1
 fi
 

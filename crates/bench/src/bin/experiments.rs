@@ -43,8 +43,7 @@ ids:
   ssspscale   SSSP-engine cache/arena scaling (sweep + 5-round greedy)
   forkscale   scenario-fork N-1 sweep vs naive per-scenario rebuild
   obsscale    enabled-tracing overhead on the fig11 sweep + serve path
-  deltascale  delta-invalidation replay scaling vs blanket invalidation
-  scale       continental-scale curve: synth topologies, bucket-queue sweep, binned KDE
+  scale       continental-scale curve: synth topologies, 10k-PoP sweep, binned KDE
   tables      table1 table2 table3
   figures     fig1..fig13
   ablations   ablation1..ablation5
@@ -98,7 +97,6 @@ fn main() {
                 "ssspscale",
                 "forkscale",
                 "obsscale",
-                "deltascale",
                 "scale",
             ]),
             other => ids.push(other),
@@ -135,7 +133,6 @@ fn main() {
     let mut sssp_curve: Option<String> = None;
     let mut fork_curve: Option<String> = None;
     let mut obs_curve: Option<String> = None;
-    let mut delta_curve: Option<String> = None;
     let mut scale_curve: Option<String> = None;
     for id in ids {
         // A fresh registry per experiment makes every row a self-contained
@@ -168,7 +165,6 @@ fn main() {
             "ssspscale" => sssp_curve = Some(ssspscale::run(&ctx)),
             "forkscale" => fork_curve = Some(forkscale::run(&ctx)),
             "obsscale" => obs_curve = Some(obsscale::run(&ctx)),
-            "deltascale" => delta_curve = Some(deltascale::run(&ctx)),
             "scale" => scale_curve = Some(scale::run(&ctx)),
             unknown => {
                 eprintln!("unknown experiment id {unknown:?}\n{USAGE}");
@@ -213,10 +209,6 @@ fn main() {
     }
     if let Some(curve) = obs_curve {
         timings_out.push_str("\ntracing overhead\n");
-        timings_out.push_str(&curve);
-    }
-    if let Some(curve) = delta_curve {
-        timings_out.push_str("\ndelta scaling\n");
         timings_out.push_str(&curve);
     }
     if let Some(curve) = scale_curve {

@@ -5,7 +5,6 @@
 pub mod ablation_leadtime;
 pub mod ablation_ospf;
 pub mod ablations;
-pub mod deltascale;
 pub mod fig07_routes;
 pub mod fig08_regional_scatter;
 pub mod fig11_peering;

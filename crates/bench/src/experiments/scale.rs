@@ -1,15 +1,13 @@
 //! Continental-scale benchmark: size-vs-wall-time for the 10k-PoP path.
 //!
-//! Three measurements, each with a machine-checked regression guard:
+//! Three measurements:
 //!
 //! 1. **Synthesis curve** — `riskroute synth` topologies at 1k/3k/10k PoPs
 //!    (the generator handles 100k; the curve stops at 10k to keep harness
 //!    wall time sane).
 //! 2. **Sampled pair sweep on the 10k-PoP network** — 48 seeded PoP pairs
-//!    routed with the bucket-queue frontier off and on (route-tree cache
-//!    disabled so every run exercises raw SSSP). Outcomes are asserted
-//!    identical before any timing is trusted, then the bucket path must be
-//!    strictly faster (best of [`TIMING_ROUNDS`]).
+//!    routed with the route-tree cache disabled, so every run exercises raw
+//!    SSSP (best of [`TIMING_ROUNDS`]).
 //! 3. **Binned KDE** — a 4000-event corpus evaluated on a 160×320 CONUS
 //!    raster, exact vs binned; the binned path must win by at least
 //!    [`KDE_MIN_SPEEDUP`]× and agree pointwise at the surface peak.
@@ -33,7 +31,7 @@ const SYNTH_SIZES: &[usize] = &[1_000, 3_000, 10_000];
 /// Sampled PoP pairs for the sweep.
 const SWEEP_PAIRS: usize = 48;
 
-/// Timed repetitions per sweep mode; the minimum wall time is compared.
+/// Timed repetitions of the sweep; the minimum wall time is reported.
 const TIMING_ROUNDS: usize = 3;
 
 /// The binned KDE must beat the exact evaluation by at least this factor.
@@ -101,11 +99,11 @@ pub fn run(ctx: &ExperimentContext) -> String {
     }
     let big = big.unwrap_or_else(|| unreachable!("SYNTH_SIZES is non-empty"));
 
-    // 2. Sampled pair sweep, bucket queue off vs on. A reduced hazard model
-    // keeps NodeRisk construction proportionate — the measurement target is
-    // the SSSP frontier, not kernel evaluation.
+    // 2. Sampled pair sweep. A reduced hazard model keeps NodeRisk
+    // construction proportionate — the measurement target is SSSP, not
+    // kernel evaluation.
     let hazards = HistoricalRisk::standard(MASTER_SEED, Some(1_000));
-    let (planner_ms, base) = timed(|| {
+    let (planner_ms, planner) = timed(|| {
         Planner::for_network(&big, &ctx.population, &hazards, RiskWeights::PAPER)
             .with_route_cache(false)
     });
@@ -115,8 +113,6 @@ pub fn run(ctx: &ExperimentContext) -> String {
         detail: vec![("pops", big.pop_count() as f64)],
     });
     let pairs = sampled_pairs(big.pop_count(), SWEEP_PAIRS, MASTER_SEED);
-    let heap_planner = base.clone().with_bucket_queue(false);
-    let bucket_planner = base.with_bucket_queue(true);
 
     let counter = |n: &str| {
         riskroute_obs::snapshot()
@@ -125,49 +121,18 @@ pub fn run(ctx: &ExperimentContext) -> String {
             .copied()
             .unwrap_or(0)
     };
-    let sweep = |planner: &Planner| {
-        let mut best_ms = f64::INFINITY;
-        let mut out = None;
-        for _ in 0..TIMING_ROUNDS {
-            let (wall_ms, s) = timed(|| planner.pair_list_sweep(&pairs));
-            best_ms = best_ms.min(wall_ms);
-            out = Some(s);
-        }
-        (best_ms, out.unwrap_or_else(|| unreachable!("TIMING_ROUNDS > 0")))
-    };
-    let (heap_ms, heap_sweep) = sweep(&heap_planner);
     let settles_before = counter("bucket_queue_settles");
     let skips_before = counter("bucket_relaxations_skipped");
-    let (bucket_ms, bucket_sweep) = sweep(&bucket_planner);
+    let sweep_ms = (0..TIMING_ROUNDS)
+        .map(|_| timed(|| planner.pair_list_sweep(&pairs)).0)
+        .fold(f64::INFINITY, f64::min);
     let settles = counter("bucket_queue_settles").saturating_sub(settles_before);
     let skips = counter("bucket_relaxations_skipped").saturating_sub(skips_before);
-
-    // Equivalence first, speed second: a fast wrong answer is worthless.
-    assert_eq!(
-        heap_sweep.outcomes, bucket_sweep.outcomes,
-        "bucket queue changed sweep outcomes"
-    );
-    assert_eq!(
-        heap_sweep.stranded, bucket_sweep.stranded,
-        "bucket queue changed stranded pairs"
-    );
-    assert!(
-        bucket_ms < heap_ms,
-        "bucket-queue sweep ({bucket_ms:.1} ms) must beat the binary heap \
-         ({heap_ms:.1} ms) on the {}-PoP network",
-        big.pop_count(),
-    );
-    rows.push(Row {
-        name: format!("sweep {} heap", big.pop_count()),
-        wall_ms: heap_ms,
-        detail: vec![("pairs", pairs.len() as f64)],
-    });
     rows.push(Row {
         name: format!("sweep {} bucket", big.pop_count()),
-        wall_ms: bucket_ms,
+        wall_ms: sweep_ms,
         detail: vec![
             ("pairs", pairs.len() as f64),
-            ("speedup", heap_ms / bucket_ms),
             ("settles", settles as f64),
             ("skipped", skips as f64),
         ],
@@ -222,8 +187,8 @@ pub fn run(ctx: &ExperimentContext) -> String {
     let mut out = String::new();
     out.push_str(&format!(
         "Continental scale: synthesis curve, {SWEEP_PAIRS}-pair sweep on the \
-         {}-PoP synthetic network (bucket queue off/on, outcomes verified \
-         identical, best of {TIMING_ROUNDS}), and binned-vs-exact KDE.\n\n",
+         {}-PoP synthetic network (route-tree cache off, best of \
+         {TIMING_ROUNDS}), and binned-vs-exact KDE.\n\n",
         big.pop_count(),
     ));
     out.push_str(&t.render());

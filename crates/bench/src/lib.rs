@@ -62,7 +62,6 @@ const TIMINGS_SECTIONS: &[&str] = &[
     "sssp scaling",
     "fork scaling",
     "tracing overhead",
-    "delta scaling",
     "scale curve",
 ];
 
@@ -239,7 +238,7 @@ mod tests {
     fn section_bodies_with_blank_lines_survive_round_trips() {
         let a = render(
             &[("fig7", "1.0")],
-            &[("delta scaling", "intro text\n\nseg  wall\n----\nrow  1")],
+            &[("fork scaling", "intro text\n\nseg  wall\n----\nrow  1")],
         );
         let merged_once = merge_timings("", &a);
         let merged_twice = merge_timings(&merged_once, &a);

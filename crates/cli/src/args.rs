@@ -21,17 +21,6 @@ pub struct Cli {
     /// route-tree cache. A debugging knob — outputs are byte-identical
     /// either way; disabling only costs wall-clock.
     pub route_cache: bool,
-    /// `--no-delta-invalidation` clears this (default `true`): fall back to
-    /// blanket cache invalidation on any cost change instead of the
-    /// changed-edge log + incremental SSSP repair. A debugging knob —
-    /// outputs are byte-identical either way; disabling only costs
-    /// wall-clock.
-    pub delta_invalidation: bool,
-    /// `--no-bucket-queue` clears this (default `true`): run every SSSP on
-    /// the binary-heap frontier instead of the monotone bucket queue over
-    /// quantized costs. A debugging knob — outputs are byte-identical
-    /// either way; disabling only costs wall-clock at scale.
-    pub bucket_queue: bool,
     /// Observability flags (metrics/trace export, progress heartbeat).
     pub obs: ObsArgs,
     /// The subcommand.
@@ -521,16 +510,6 @@ GLOBALS:
   --no-route-cache                   disable the exact route-tree cache
                                      (debugging; output is byte-identical,
                                      runs just recompute every tree)
-  --no-delta-invalidation            blanket cache invalidation on any cost
-                                     change instead of the changed-edge log +
-                                     incremental SSSP repair (debugging;
-                                     output is byte-identical, forecast ticks
-                                     just rerun Dijkstra from scratch)
-  --no-bucket-queue                  binary-heap SSSP frontier instead of the
-                                     monotone bucket queue over quantized
-                                     costs (debugging; output is
-                                     byte-identical, large sweeps just run
-                                     slower)
   -h, --help                         this text
 
 OBSERVABILITY (any command):
@@ -561,8 +540,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, CliError> {
     let mut lambda_f = 1e3;
     let mut threads = Parallelism::Sequential;
     let mut route_cache = true;
-    let mut delta_invalidation = true;
-    let mut bucket_queue = true;
     let mut obs = ObsArgs::default();
     let mut rest: Vec<String> = Vec::new();
     let mut i = 0;
@@ -621,14 +598,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, CliError> {
                 route_cache = false;
                 i += 1;
             }
-            "--no-delta-invalidation" => {
-                delta_invalidation = false;
-                i += 1;
-            }
-            "--no-bucket-queue" => {
-                bucket_queue = false;
-                i += 1;
-            }
             _ => {
                 rest.push(args[i].clone());
                 i += 1;
@@ -646,8 +615,6 @@ pub fn parse_args(args: &[String]) -> Result<Cli, CliError> {
         lambda_f,
         threads,
         route_cache,
-        delta_invalidation,
-        bucket_queue,
         obs,
         command,
     })
@@ -690,11 +657,76 @@ fn parse_u64(v: Option<&String>, flag: &str) -> Result<u64, CliError> {
         .map_err(|_| CliError::Bad(format!("{flag} needs a non-negative integer")))
 }
 
+/// The flags a command defines: `(flags that take a value, switches)`, or
+/// `None` for an unknown command.
+fn command_flags(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    const NONE: &[&str] = &[];
+    let values: &'static [&'static str] = match cmd {
+        "corpus" | "route" | "critical" | "corridors" | "ospf" | "failure" | "obs-summary" => NONE,
+        "backup" => &["-k"],
+        "provision" => &["-k", "--deadline-ms", "--max-work", "--checkpoint"],
+        "replay" => &["--stride", "--deadline-ms", "--max-work", "--checkpoint"],
+        "sweep" => &[
+            "--mode",
+            "--samples",
+            "--seed",
+            "--deadline-ms",
+            "--max-work",
+            "--checkpoint",
+        ],
+        "resume" => &["--deadline-ms", "--max-work", "--checkpoint"],
+        "ratio" => &["--sample", "--seed"],
+        "synth" => &["--seed", "--out"],
+        "export" => &["--format", "--out"],
+        "obs" => &["--out"],
+        "chaos" => &["--plans", "--seed"],
+        "serve" => &[
+            "--listen",
+            "--unix",
+            "--max-inflight",
+            "--max-connections",
+            "--frame-cap-bytes",
+            "--read-timeout-ms",
+            "--write-timeout-ms",
+            "--drain-ms",
+            "--deadline-ms",
+        ],
+        _ => return None,
+    };
+    let switches: &'static [&'static str] = if cmd == "replay" { &["--stream"] } else { NONE };
+    Some((values, switches))
+}
+
+/// Reject any `-`-prefixed argument the command does not define; a
+/// value-taking flag's value is skipped, so `--seed -3` reaches the value
+/// parser instead of failing here.
+fn check_flags(cmd: &str, args: &[String]) -> Result<(), CliError> {
+    if cmd.starts_with('-') {
+        return Err(CliError::Bad(format!("unknown flag {cmd}")));
+    }
+    let Some((values, switches)) = command_flags(cmd) else {
+        // Unknown commands are reported by `parse_command` itself.
+        return Ok(());
+    };
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
+        if !a.starts_with('-') || switches.contains(&a.as_str()) {
+            continue;
+        }
+        if !values.contains(&a.as_str()) {
+            return Err(CliError::Bad(format!("unknown flag {a} for {cmd}")));
+        }
+        args.next();
+    }
+    Ok(())
+}
+
 fn parse_command(rest: &[String]) -> Result<Command, CliError> {
     let bad = |m: String| CliError::Bad(m);
     let Some(cmd) = rest.first() else {
         return Err(CliError::Help(USAGE.to_string()));
     };
+    check_flags(cmd, &rest[1..])?;
     let positional: Vec<&String> = rest[1..]
         .iter()
         .take_while(|a| !a.starts_with('-'))
@@ -1275,14 +1307,74 @@ mod tests {
         assert!(!cli.route_cache, "valid after the command too");
     }
 
+    /// The usage error a rejected flag must produce: exit 2, naming it.
+    fn assert_rejects_flag(argv: &str, flag: &str) {
+        match parse_args(&args(argv)) {
+            Err(e @ CliError::Bad(_)) => {
+                assert_eq!(e.exit_code(), 2, "{argv}");
+                assert!(
+                    e.to_string().contains(flag),
+                    "{argv}: error must name {flag}"
+                );
+            }
+            other => panic!("{argv}: expected a usage error, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn delta_invalidation_flag_defaults_on_and_parses() {
-        let cli = parse_args(&args("corpus")).unwrap();
-        assert!(cli.delta_invalidation, "delta invalidation is on by default");
-        let cli = parse_args(&args("--no-delta-invalidation corpus")).unwrap();
-        assert!(!cli.delta_invalidation);
-        let cli = parse_args(&args("replay Telepak katrina --no-delta-invalidation")).unwrap();
-        assert!(!cli.delta_invalidation, "valid after the command too");
+    fn removed_engine_flags_are_usage_errors() {
+        for flag in ["--no-bucket-queue", "--no-delta-invalidation"] {
+            assert_rejects_flag(&format!("{flag} corpus"), flag);
+            assert_rejects_flag(&format!("{flag} ratio Sprint"), flag);
+            assert_rejects_flag(&format!("ratio Sprint {flag}"), flag);
+            assert_rejects_flag(&format!("replay Telepak katrina {flag}"), flag);
+        }
+    }
+
+    #[test]
+    fn unknown_subcommand_flags_are_usage_errors() {
+        for argv in [
+            "route Sprint 0 9 --bogus-flag",
+            "ratio Telepak --bogus",
+            "provision Telepak -k 1 --bogus",
+            "replay Telepak katrina --bogus",
+            "sweep Telepak --bogus",
+            "corpus --bogus",
+            "chaos --bogus",
+        ] {
+            assert_rejects_flag(argv, "--bogus");
+        }
+        // A flag another command defines is still foreign here.
+        assert_rejects_flag("route Sprint 0 9 --stride 2", "--stride");
+        assert_rejects_flag("ratio Sprint --stream", "--stream");
+    }
+
+    #[test]
+    fn every_documented_command_flag_parses() {
+        for argv in [
+            "backup Sprint 0 5 -k 2",
+            "provision Sprint -k 2 --deadline-ms 10 --max-work 3 --checkpoint p.snap",
+            "replay Telepak katrina --stride 2 --stream --deadline-ms 10 --max-work 3 \
+             --checkpoint r.snap",
+            "sweep Level3 --mode n2 --samples 4 --seed 7 --deadline-ms 10 --max-work 3 \
+             --checkpoint s.snap",
+            "resume s.snap --deadline-ms 10 --max-work 3 --checkpoint t.snap",
+            "ratio Sprint --sample 8 --seed 7",
+            "synth 100 --seed 7 --out n.graphml",
+            "export Sprint --format graphml --out n.graphml",
+            "obs trace t.jsonl --out t.json",
+            "chaos --plans 2 --seed 9",
+            "serve --listen 127.0.0.1:0 --unix s.sock --max-inflight 2 --max-connections 4 \
+             --frame-cap-bytes 4096 --read-timeout-ms 5 --write-timeout-ms 5 --drain-ms 5 \
+             --deadline-ms 5",
+            // Global flags stay valid after any command.
+            "route Sprint 0 5 --lambda-h 1e6 --lambda-f 0 --threads 2 --no-route-cache \
+             --metrics-out m.prom --trace-out t.jsonl --progress",
+        ] {
+            if let Err(e) = parse_args(&args(argv)) {
+                panic!("{argv}: {e}");
+            }
+        }
     }
 
     #[test]
@@ -1464,16 +1556,6 @@ mod tests {
     }
 
     #[test]
-    fn bucket_queue_flag_defaults_on_and_parses() {
-        let cli = parse_args(&args("corpus")).unwrap();
-        assert!(cli.bucket_queue, "bucket queue is on by default");
-        let cli = parse_args(&args("--no-bucket-queue corpus")).unwrap();
-        assert!(!cli.bucket_queue);
-        let cli = parse_args(&args("ratio Sprint --no-bucket-queue")).unwrap();
-        assert!(!cli.bucket_queue, "valid after the command too");
-    }
-
-    #[test]
     fn usage_documents_exit_codes_and_obs() {
         assert!(USAGE.contains("EXIT CODES"));
         assert!(USAGE.contains("9 budget exhausted"));
@@ -1482,8 +1564,8 @@ mod tests {
         assert!(USAGE.contains("ratio <net>"));
         assert!(USAGE.contains("--threads"));
         assert!(USAGE.contains("--no-route-cache"));
-        assert!(USAGE.contains("--no-delta-invalidation"));
-        assert!(USAGE.contains("--no-bucket-queue"));
+        assert!(!USAGE.contains("--no-delta-invalidation"));
+        assert!(!USAGE.contains("--no-bucket-queue"));
         assert!(USAGE.contains("synth <n>"));
         assert!(USAGE.contains("--stream"));
         assert!(USAGE.contains("--metrics-out"));

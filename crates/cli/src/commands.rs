@@ -436,8 +436,8 @@ fn replay_under_budget(
 /// `riskroute replay <net> <storm> --stream`: read NDJSON advisories from
 /// stdin and answer each with one NDJSON tick line computed against the warm
 /// engine. Unlike the recorded replay, the planner persists across ticks, so
-/// consecutive forecasts flow through the delta-aware cost stamps and only
-/// the affected route trees are repaired.
+/// a tick whose forecast leaves the costs bitwise unchanged is served from
+/// the warm route-tree cache.
 pub fn replay_stream(
     ctx: &CliContext,
     network: &str,
@@ -1885,7 +1885,7 @@ mod tests {
         );
         assert_eq!(summary.field("degraded_ticks").unwrap().as_usize().unwrap(), 0);
         // The streamed ratios are bit-identical to the recorded replay at the
-        // same stride: the warm engine's delta repairs change nothing.
+        // same stride: the warm engine's cached trees change nothing.
         let recorded = replay(
             &ctx,
             "Telepak",

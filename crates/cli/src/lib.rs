@@ -53,16 +53,6 @@ pub struct CliContext {
     /// Route-tree cache knob applied to every planner the context hands
     /// out (`--no-route-cache` clears it; byte-identical output either way).
     pub route_cache: bool,
-    /// Delta-invalidation knob applied to every planner the context hands
-    /// out (`--no-delta-invalidation` clears it; byte-identical output
-    /// either way). On by default: cost mutations record a changed-edge log
-    /// and cache misses repair parent-state trees incrementally.
-    pub delta_invalidation: bool,
-    /// Bucket-queue knob applied to every planner the context hands out
-    /// (`--no-bucket-queue` clears it; byte-identical output either way).
-    /// On by default: SSSP runs on the monotone bucket queue over
-    /// quantized costs instead of the binary heap.
-    pub bucket_queue: bool,
     /// Warm engine pool keyed by `(network, weights)`. One-shot commands
     /// build at most one entry; the `serve` daemon reuses entries across
     /// requests, which is its whole point.
@@ -91,8 +81,6 @@ impl CliContext {
             hazards: HistoricalRisk::standard(CLI_SEED, Some(CLI_EVENT_CAP)),
             parallelism: Parallelism::Sequential,
             route_cache: true,
-            delta_invalidation: true,
-            bucket_queue: true,
             pool: PlannerPool::new(),
         })
     }
@@ -132,8 +120,6 @@ impl CliContext {
             })
             .with_parallelism(self.parallelism)
             .with_route_cache(self.route_cache)
-            .with_delta_invalidation(self.delta_invalidation)
-            .with_bucket_queue(self.bucket_queue)
     }
 }
 
@@ -257,8 +243,6 @@ fn run_command(cli: &Cli) -> Result<String, CliError> {
     let mut ctx = CliContext::build(&cli.graphml)?;
     ctx.parallelism = cli.threads;
     ctx.route_cache = cli.route_cache;
-    ctx.delta_invalidation = cli.delta_invalidation;
-    ctx.bucket_queue = cli.bucket_queue;
     match &cli.command {
         Command::Corpus => Ok(commands::corpus(&ctx)),
         Command::Route { network, src, dst } => {

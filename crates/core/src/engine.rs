@@ -14,9 +14,10 @@
 //!    [`risk_sssp`](crate::routing::risk_sssp).
 //!
 //! 2. **Scratch-arena Dijkstra** ([`SsspArena`]): per-worker reusable
-//!    dist/pred/cost/heap buffers with generation-stamped lazy reset — a
-//!    run bumps one `u32` generation instead of clearing four arrays, and a
-//!    slot is live only when its stamp matches. Arenas are pooled through
+//!    dist/pred/cost buffers and a monotone [`BucketQueue`] frontier, with
+//!    generation-stamped lazy reset — a run bumps one `u32` generation
+//!    instead of clearing four arrays, and a slot is live only when its
+//!    stamp matches. Arenas are pooled through
 //!    [`riskroute_par::ScratchPool`] so scoped pool workers reuse them
 //!    across drains; steady-state runs allocate nothing but the output
 //!    tree.
@@ -43,7 +44,7 @@
 
 use crate::routing::{Adjacency, Entry, RiskTree, NO_PRED};
 use riskroute_graph::queue::{inv_quantum_for_mean, BucketQueue};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -175,14 +176,6 @@ impl CsrGraph {
         self.targets.len()
     }
 
-    /// Number of directed edges leaving `u`. The snapshot is symmetric
-    /// (every undirected link contributes both directions), so this is also
-    /// the number of directed edges *entering* `u` — the count the
-    /// `changed_edges` delta counter reports per changed-cost node.
-    pub(crate) fn out_degree(&self, u: usize) -> usize {
-        (self.offsets[u + 1] - self.offsets[u]) as usize
-    }
-
     #[inline]
     fn edge_range(&self, u: usize) -> std::ops::Range<usize> {
         self.offsets[u] as usize..self.offsets[u + 1] as usize
@@ -202,7 +195,6 @@ pub(crate) struct SsspArena {
     touched: Vec<u32>,
     settled: Vec<u32>,
     gen: u32,
-    heap: BinaryHeap<Entry>,
     bucket: BucketQueue,
 }
 
@@ -216,13 +208,12 @@ impl SsspArena {
             touched: Vec::new(),
             settled: Vec::new(),
             gen: 0,
-            heap: BinaryHeap::new(),
             bucket: BucketQueue::new(),
         }
     }
 
     /// Open a new run over `n` nodes: grow buffers if the graph outgrew the
-    /// arena, bump the generation (full clear on wrap), empty the heap.
+    /// arena, bump the generation (full clear on wrap).
     fn begin(&mut self, n: usize) {
         if self.touched.len() < n {
             self.dist.resize(n, f64::INFINITY);
@@ -238,7 +229,6 @@ impl SsspArena {
             self.gen = 0;
         }
         self.gen += 1;
-        self.heap.clear();
     }
 
     #[inline]
@@ -257,54 +247,12 @@ impl SsspArena {
 static ARENAS: riskroute_par::ScratchPool<SsspArena> =
     riskroute_par::ScratchPool::named("sssp_arena");
 
-/// A min-frontier the Dijkstra loop can drive generically: the classic
-/// binary heap or the monotone bucket queue. Both pop in the exact
-/// `(cost, node)` order (see [`BucketQueue`]), so the search below is
-/// bit-identical under either implementation — same settle order, same
-/// relaxations, same length peaks.
-trait Frontier {
-    fn push(&mut self, e: Entry);
-    fn pop(&mut self) -> Option<Entry>;
-    fn len(&self) -> usize;
-}
-
-impl Frontier for BinaryHeap<Entry> {
-    #[inline]
-    fn push(&mut self, e: Entry) {
-        BinaryHeap::push(self, e);
-    }
-    #[inline]
-    fn pop(&mut self) -> Option<Entry> {
-        BinaryHeap::pop(self)
-    }
-    #[inline]
-    fn len(&self) -> usize {
-        BinaryHeap::len(self)
-    }
-}
-
-impl Frontier for BucketQueue {
-    #[inline]
-    fn push(&mut self, e: Entry) {
-        BucketQueue::push(self, e);
-    }
-    #[inline]
-    fn pop(&mut self) -> Option<Entry> {
-        BucketQueue::pop(self)
-    }
-    #[inline]
-    fn len(&self) -> usize {
-        BucketQueue::len(self)
-    }
-}
-
 /// Per-run bucket-queue quantization factor. The frontier advances by
 /// edge weight *plus* the target's entry cost, so the quantum must come
 /// from the mean of that full step — quantizing on edge weights alone
 /// piles the whole frontier into a handful of buckets whenever entry
 /// costs dominate (λ-scaled risk makes them ~10× the edge miles on the
-/// paper's weights), and the per-pop bucket min-scan then loses to the
-/// binary heap. Entry costs of ∞ (sanitized unreachable markers) carry
+/// paper's weights), and the per-pop bucket min-scan degrades. Entry costs of ∞ (sanitized unreachable markers) carry
 /// no step information and are skipped. Pop order is byte-identical for
 /// any positive factor; this only tunes bucket occupancy.
 fn run_inv_quantum(csr: &CsrGraph, entry_costs: &[f64]) -> f64 {
@@ -319,9 +267,7 @@ fn run_inv_quantum(csr: &CsrGraph, entry_costs: &[f64]) -> f64 {
 }
 
 /// Hot-loop tallies of one search, published to the collector by the
-/// caller. Identical between the heap and bucket frontiers (the pop/push
-/// sequences coincide); the settle/skip channels additionally feed the
-/// bucket-path counters.
+/// caller.
 struct SearchStats {
     pops: u64,
     relaxations: u64,
@@ -335,27 +281,24 @@ struct SearchStats {
 /// β-scaled SSSP from `source` over the CSR snapshot, using a pooled
 /// scratch arena. Bit-for-bit equivalent to
 /// [`crate::routing::risk_sssp`] with entry cost
-/// `v ↦ β·ρ(v)` — same relaxation order, same heap tie-breaks, same
+/// `v ↦ β·ρ(v)` — same relaxation order, same tie-breaks (the bucket queue
+/// pops in the reference heap's exact `(cost, node)` order), same
 /// sanitization — and additionally records β-independent ρ-sums down the
 /// tree when `beta == 0` (one distance tree then serves every pair metric
 /// in O(1), see `Planner::sweep_source`).
 ///
-/// `use_bucket` selects the monotone bucket-queue frontier instead of the
-/// binary heap; the output is byte-identical either way (the bucket queue
-/// pops in the exact heap order), so the knob only trades wall-clock.
-///
 /// # Panics
 /// Panics when `source` is out of range.
-pub fn sssp(csr: &CsrGraph, source: usize, beta: f64, rho: &[f64], use_bucket: bool) -> RiskTree {
+pub fn sssp(csr: &CsrGraph, source: usize, beta: f64, rho: &[f64]) -> RiskTree {
     ARENAS.with(SsspArena::new, |arena| {
-        run(arena, csr, source, beta, rho, use_bucket, None)
+        run(arena, csr, source, beta, rho, None)
     })
 }
 
 /// [`sssp`] for a pair query: the run stops right after `target` settles
 /// and returns the settled prefix as a partial tree
 /// ([`RiskTree::is_complete`] is `false`). Pops happen in the same
-/// `(cost, node)` order as the full run on either frontier, and a node's
+/// `(cost, node)` order as the full run, and a node's
 /// dist/pred/ρ-sum are final once it settles, so every settled node —
 /// `target` and its whole tree path included — is bit-for-bit the full
 /// run's; touched-but-unsettled nodes read ∞ / no predecessor. When
@@ -364,17 +307,10 @@ pub fn sssp(csr: &CsrGraph, source: usize, beta: f64, rho: &[f64], use_bucket: b
 ///
 /// # Panics
 /// Panics when `source` or `target` is out of range.
-pub fn sssp_to(
-    csr: &CsrGraph,
-    source: usize,
-    beta: f64,
-    rho: &[f64],
-    use_bucket: bool,
-    target: usize,
-) -> RiskTree {
+pub fn sssp_to(csr: &CsrGraph, source: usize, beta: f64, rho: &[f64], target: usize) -> RiskTree {
     assert!(target < csr.node_count(), "target {target} out of range");
     ARENAS.with(SsspArena::new, |arena| {
-        run(arena, csr, source, beta, rho, use_bucket, Some(target))
+        run(arena, csr, source, beta, rho, Some(target))
     })
 }
 
@@ -384,7 +320,6 @@ fn run(
     source: usize,
     beta: f64,
     rho: &[f64],
-    use_bucket: bool,
     stop: Option<usize>,
 ) -> RiskTree {
     let n = csr.node_count();
@@ -406,27 +341,17 @@ fn run(
     arena.touched[source] = gen;
     arena.dist[source] = 0.0;
     arena.pred[source] = NO_PRED;
-    let seed = Entry {
+    // The frontier is moved out of the arena for the duration of the search
+    // so the loop can borrow the arena's flat buffers mutably alongside it
+    // (a plain field borrow would alias).
+    let mut q = std::mem::take(&mut arena.bucket);
+    q.reset(run_inv_quantum(csr, &arena.costs[..n]));
+    q.push(Entry {
         cost: 0.0,
         node: source,
-    };
-    // The frontier is moved out of the arena for the duration of the search
-    // so the generic loop can borrow the arena's flat buffers mutably
-    // alongside it (a plain field borrow would alias).
-    let stats = if use_bucket {
-        let mut q = std::mem::take(&mut arena.bucket);
-        q.reset(run_inv_quantum(csr, &arena.costs[..n]));
-        q.push(seed);
-        let stats = search(arena, csr, source, track_rho, rho, stop, &mut q);
-        arena.bucket = q;
-        stats
-    } else {
-        let mut q = std::mem::take(&mut arena.heap);
-        q.push(seed);
-        let stats = search(arena, csr, source, track_rho, rho, stop, &mut q);
-        arena.heap = q;
-        stats
-    };
+    });
+    let stats = search(arena, csr, source, track_rho, rho, stop, &mut q);
+    arena.bucket = q;
     if riskroute_obs::is_enabled() {
         riskroute_obs::counter_add("risk_sssp_runs", 1);
         riskroute_obs::counter_add("risk_sssp_pops", stats.pops);
@@ -435,10 +360,8 @@ fn run(
         if stats.stopped {
             riskroute_obs::counter_add("risk_sssp_early_exits", 1);
         }
-        if use_bucket {
-            riskroute_obs::counter_add("bucket_queue_settles", stats.settles);
-            riskroute_obs::counter_add("bucket_relaxations_skipped", stats.skipped);
-        }
+        riskroute_obs::counter_add("bucket_queue_settles", stats.settles);
+        riskroute_obs::counter_add("bucket_relaxations_skipped", stats.skipped);
     }
 
     // Extract the compact output tree from the settled nodes; every other
@@ -476,19 +399,18 @@ fn run(
     tree
 }
 
-/// The Dijkstra hot loop, generic over the frontier. Monomorphized per
-/// frontier type so neither path pays a dispatch branch; the loop body is
-/// byte-for-byte the arithmetic the engine has always run. With a `stop`
-/// node the loop breaks right after that node settles (before relaxing
-/// its edges): everything settled so far is final.
-fn search<Q: Frontier>(
+/// The Dijkstra hot loop; the body is byte-for-byte the arithmetic of the
+/// reference SSSP. With a `stop` node the loop breaks right after that
+/// node settles (before relaxing its edges): everything settled so far is
+/// final.
+fn search(
     arena: &mut SsspArena,
     csr: &CsrGraph,
     source: usize,
     track_rho: bool,
     rho: &[f64],
     stop: Option<usize>,
-    q: &mut Q,
+    q: &mut BucketQueue,
 ) -> SearchStats {
     let gen = arena.gen;
     let mut stats = SearchStats {
@@ -540,283 +462,6 @@ fn search<Q: Frontier>(
         }
     }
     stats
-}
-
-/// Outcome of carrying one cached route tree across a cost delta (a set of
-/// nodes whose λ-combined risk ρ changed bitwise while the topology stayed
-/// fixed). Every variant preserves the byte-identical contract: a carried
-/// tree is bit-for-bit the tree a from-scratch [`sssp`] run under the new
-/// costs would produce, or the caller is told to run that scratch pass.
-#[derive(Debug)]
-pub(crate) enum RepairOutcome {
-    /// The delta provably cannot touch this tree — dist, pred, *and* the
-    /// ρ-sum channel are bitwise unaffected, so the old tree is valid
-    /// as-is under the new cost state.
-    Survived,
-    /// The tree was repaired incrementally; the payload is bitwise equal
-    /// to a from-scratch run under the new costs.
-    Repaired(RiskTree),
-    /// The repair would be ambiguous (a cost tie whose winner depends on
-    /// relaxation order) or the affected cone is too large for repair to
-    /// beat a scratch run — recompute from scratch.
-    Fallback,
-}
-
-/// Per-node dirty state during [`repair_tree`]'s cone marking.
-const TAINT_UNKNOWN: u8 = 0;
-const TAINT_CLEAN: u8 = 1;
-const TAINT_DIRTY: u8 = 2;
-
-/// Recompute the β-independent ρ-sum channel of a β = 0 tree under a new ρ
-/// vector. Bitwise-identical to what a scratch run records at settle time:
-/// both evaluate the same recurrence `sum[v] = sum[pred[v]] + ρ(v)` (source
-/// 0, unreachable ∞), and each value depends only on its parent's, so the
-/// evaluation order cannot change a bit.
-fn recompute_rho_sums(tree: &RiskTree, rho: &[f64]) -> Vec<f64> {
-    let dist = tree.dist_slice();
-    let pred = tree.pred_slice();
-    let n = dist.len();
-    let source = tree.source();
-    let mut out = vec![0.0f64; n];
-    let mut done = vec![false; n];
-    done[source] = true;
-    let mut chain: Vec<usize> = Vec::new();
-    for v in 0..n {
-        if done[v] {
-            continue;
-        }
-        if !dist[v].is_finite() {
-            out[v] = f64::INFINITY;
-            done[v] = true;
-            continue;
-        }
-        let mut cur = v;
-        while !done[cur] {
-            chain.push(cur);
-            cur = pred[cur] as usize;
-        }
-        while let Some(y) = chain.pop() {
-            out[y] = out[pred[y] as usize] + rho[y];
-            done[y] = true;
-        }
-    }
-    out
-}
-
-/// Attempt to carry `tree` (computed over `csr` with metric β under
-/// `old_rho`) across a cost delta to `new_rho`, where `changed` lists every
-/// node whose ρ differs bitwise. The topology must be the one the tree was
-/// computed over — callers record deltas only across pure cost mutations.
-///
-/// The decision tree (see DESIGN.md "Incremental SSSP and edge-scoped
-/// stamps" for the full correctness argument):
-///
-/// * **β = 0** — dist/pred never read ρ (the engine uses a literal zero
-///   entry cost), so only the ρ-sum channel is at stake. If no changed node
-///   other than the source is reachable, nothing references a changed ρ and
-///   the tree [`Survived`](RepairOutcome::Survived); otherwise the ρ-sums
-///   are recomputed along the unchanged parent chains.
-///
-/// * **β ≠ 0** — a changed node matters only when its *sanitized β-scaled
-///   entry cost* changed bitwise (λ-shifts can cancel under the multiply,
-///   and ∞ is canonical). A cost change at `v ≠ source` is provably
-///   harmless when `v` is unreachable in the tree and its old cost was
-///   finite: unreachability was then topological (any reachable node with
-///   an edge into a finite-cost node would have relaxed it), and changing
-///   `c(v)` cannot open a path. Every other effective change seeds an
-///   incremental re-run: the seed nodes plus all their tree descendants
-///   (whose dists embed the ancestors' entry costs) form the dirty cone,
-///   which is reset and re-settled by a Dijkstra seeded from every
-///   clean→dirty edge. Relaxations use the engine's exact arithmetic and
-///   heap order; any *finite cost tie* observed along the way aborts to
-///   [`Fallback`](RepairOutcome::Fallback), because the winner of a tie is
-///   an artifact of scratch-run relaxation order that the repair cannot
-///   reproduce in general. Tie-free repairs are therefore bit-exact: every
-///   final (dist, pred) is the unique strict minimum over offers, the same
-///   optimum the scratch run settles on.
-pub(crate) fn repair_tree(
-    csr: &CsrGraph,
-    tree: &RiskTree,
-    beta: f64,
-    old_rho: &[f64],
-    new_rho: &[f64],
-    changed: &[u32],
-    use_bucket: bool,
-) -> RepairOutcome {
-    let n = csr.node_count();
-    let source = tree.source();
-    if beta == 0.0 {
-        let touched = changed
-            .iter()
-            .any(|&v| (v as usize) != source && tree.dist(v as usize).is_finite());
-        if !touched {
-            return RepairOutcome::Survived;
-        }
-        return RepairOutcome::Repaired(RiskTree::from_parts(
-            source,
-            tree.dist_slice().to_vec(),
-            tree.pred_slice().to_vec(),
-            recompute_rho_sums(tree, new_rho),
-        ));
-    }
-
-    // Effective changes: nodes whose sanitized β-scaled entry cost moved.
-    let mut seeds: Vec<usize> = Vec::new();
-    for &v in changed {
-        let v = v as usize;
-        if v == source {
-            // The source settles before any edge can relax into it, so its
-            // entry cost is never charged.
-            continue;
-        }
-        let old_c = sanitize_cost(beta * old_rho[v]);
-        let new_c = sanitize_cost(beta * new_rho[v]);
-        if old_c.to_bits() == new_c.to_bits() {
-            continue;
-        }
-        if tree.dist(v).is_finite() || old_c == f64::INFINITY {
-            // Reachable (its dist embeds the old cost), or a cost-blocked
-            // node that may now be routable.
-            seeds.push(v);
-        }
-        // Unreachable with a finite old cost: topologically cut off —
-        // changing its entry cost cannot create a path.
-    }
-    if seeds.is_empty() {
-        return RepairOutcome::Survived;
-    }
-
-    // Dirty cone: seeds plus every tree descendant of a seed (a descendant's
-    // dist embeds each ancestor's entry cost). Memoized pred-chain walk.
-    let dist_old = tree.dist_slice();
-    let pred_old = tree.pred_slice();
-    let mut taint = vec![TAINT_UNKNOWN; n];
-    taint[source] = TAINT_CLEAN;
-    let mut dirty_count = 0usize;
-    for &v in &seeds {
-        taint[v] = TAINT_DIRTY;
-        dirty_count += 1;
-    }
-    let mut chain: Vec<usize> = Vec::new();
-    for v in 0..n {
-        if taint[v] != TAINT_UNKNOWN {
-            continue;
-        }
-        if !dist_old[v].is_finite() {
-            taint[v] = TAINT_CLEAN;
-            continue;
-        }
-        let mut cur = v;
-        while taint[cur] == TAINT_UNKNOWN {
-            chain.push(cur);
-            cur = pred_old[cur] as usize;
-        }
-        let verdict = taint[cur];
-        while let Some(y) = chain.pop() {
-            taint[y] = verdict;
-            if verdict == TAINT_DIRTY {
-                dirty_count += 1;
-            }
-        }
-    }
-    if dirty_count * 2 > n {
-        return RepairOutcome::Fallback;
-    }
-
-    // Reset the cone and re-settle it with the engine's exact arithmetic and
-    // heap order. Clean nodes keep their old (dist, pred) — their old paths
-    // are all-clean, hence still optimal unless the repaired region opens a
-    // strictly better one, which the cascade relaxations below apply.
-    let costs: Vec<f64> = new_rho.iter().map(|&r| sanitize_cost(beta * r)).collect();
-    let mut dist = dist_old.to_vec();
-    let mut pred = pred_old.to_vec();
-    for v in 0..n {
-        if taint[v] == TAINT_DIRTY {
-            dist[v] = f64::INFINITY;
-            pred[v] = NO_PRED;
-        }
-    }
-    let repairs = if use_bucket {
-        let mut q = BucketQueue::new();
-        q.reset(run_inv_quantum(csr, &costs));
-        repair_cascade(csr, &costs, &taint, &mut dist, &mut pred, &mut q)
-    } else {
-        let mut q: BinaryHeap<Entry> = BinaryHeap::new();
-        repair_cascade(csr, &costs, &taint, &mut dist, &mut pred, &mut q)
-    };
-    let Some(repairs) = repairs else {
-        return RepairOutcome::Fallback;
-    };
-    if riskroute_obs::is_enabled() {
-        riskroute_obs::counter_add("risk_sssp_repair_settles", repairs);
-        if use_bucket {
-            riskroute_obs::counter_add("bucket_queue_settles", repairs);
-        }
-    }
-    RepairOutcome::Repaired(RiskTree::from_parts(source, dist, pred, Vec::new()))
-}
-
-/// Seed every clean→dirty edge and run the repair cascade over frontier
-/// `q`, applying only strict improvements. Returns the number of repair
-/// settles, or `None` when a finite cost tie makes the repair ambiguous
-/// (the winner of a tie is a scratch-run relaxation-order artifact).
-/// Seed order does not matter because only strict improvements are applied
-/// and any finite tie aborts.
-fn repair_cascade<Q: Frontier>(
-    csr: &CsrGraph,
-    costs: &[f64],
-    taint: &[u8],
-    dist: &mut [f64],
-    pred: &mut [u32],
-    q: &mut Q,
-) -> Option<u64> {
-    let n = csr.node_count();
-    for u in 0..n {
-        if taint[u] != TAINT_CLEAN || !dist[u].is_finite() {
-            continue;
-        }
-        for e in csr.edge_range(u) {
-            let v = csr.targets[e] as usize;
-            if taint[v] != TAINT_DIRTY {
-                continue;
-            }
-            let next = dist[u] + csr.weights[e] + costs[v];
-            if next < dist[v] {
-                dist[v] = next;
-                pred[v] = u as u32;
-                q.push(Entry { cost: next, node: v });
-            } else if next == dist[v] && next.is_finite() {
-                return None;
-            }
-        }
-    }
-    let mut settled = vec![false; n];
-    let mut repairs: u64 = 0;
-    while let Some(Entry { cost, node }) = q.pop() {
-        if settled[node] {
-            continue;
-        }
-        settled[node] = true;
-        repairs += 1;
-        for e in csr.edge_range(node) {
-            let v = csr.targets[e] as usize;
-            if settled[v] {
-                // An offer into a repair-settled node is ≥ its final dist;
-                // on equality the scratch run's strict `<` (or its
-                // settled-skip) rejects it too, so skipping loses nothing.
-                continue;
-            }
-            let next = cost + csr.weights[e] + costs[v];
-            if next < dist[v] {
-                dist[v] = next;
-                pred[v] = node as u32;
-                q.push(Entry { cost: next, node: v });
-            } else if next == dist[v] && next.is_finite() {
-                return None;
-            }
-        }
-    }
-    Some(repairs)
 }
 
 /// Key of one cached route tree: the SSSP root, the exact β bits (the cost
@@ -882,7 +527,7 @@ pub(crate) enum Lookup {
 /// Entries may be partial trees (the settled prefix of an early-exit pair
 /// query, see [`sssp_to`]). Pair lookups ([`Self::lookup`] with a target)
 /// accept one when the target settled before the run stopped; every
-/// full-tree reader — lookups without a target, [`Self::peek`], and
+/// full-tree reader — lookups without a target and
 /// [`Self::entries_with_stamp`] — treats partial trees as absent.
 pub(crate) struct RouteTreeCache {
     inner: Mutex<CacheInner>,
@@ -904,18 +549,6 @@ impl RouteTreeCache {
         // Nothing inside the critical sections can panic; recover from
         // poisoning defensively rather than propagating an unwrap.
         self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Look up a complete tree without touching the hit/miss counters —
-    /// the delta-repair path probes for *parent-stamp* trees this way, so
-    /// the pinned `route_cache_hits`/`route_cache_misses` series keep
-    /// counting only current-state lookups.
-    pub(crate) fn peek(&self, key: &TreeKey) -> Option<Arc<RiskTree>> {
-        self.lock()
-            .map
-            .get(key)
-            .filter(|t| t.is_complete())
-            .cloned()
     }
 
     /// Look up a tree that answers `target` (any complete tree when
@@ -1023,39 +656,6 @@ mod tests {
     use super::*;
     use crate::routing::risk_sssp;
 
-    /// Run both frontier implementations, assert they agree bit-for-bit,
-    /// return one. Shadows `super::sssp` so every engine test doubles as a
-    /// heap-vs-bucket equivalence check.
-    fn sssp(csr: &CsrGraph, source: usize, beta: f64, rho: &[f64]) -> RiskTree {
-        let heap = super::sssp(csr, source, beta, rho, false);
-        let bucket = super::sssp(csr, source, beta, rho, true);
-        assert_trees_bit_equal(&heap, &bucket);
-        heap
-    }
-
-    /// Same double-run discipline for the repair path: both frontiers must
-    /// reach the same outcome variant with bit-equal payloads.
-    fn repair_tree(
-        csr: &CsrGraph,
-        tree: &RiskTree,
-        beta: f64,
-        old_rho: &[f64],
-        new_rho: &[f64],
-        changed: &[u32],
-    ) -> RepairOutcome {
-        let heap = super::repair_tree(csr, tree, beta, old_rho, new_rho, changed, false);
-        let bucket = super::repair_tree(csr, tree, beta, old_rho, new_rho, changed, true);
-        match (&heap, &bucket) {
-            (RepairOutcome::Survived, RepairOutcome::Survived)
-            | (RepairOutcome::Fallback, RepairOutcome::Fallback) => {}
-            (RepairOutcome::Repaired(a), RepairOutcome::Repaired(b)) => {
-                assert_trees_bit_equal(a, b);
-            }
-            (a, b) => panic!("frontier outcomes diverge: heap {a:?} vs bucket {b:?}"),
-        }
-        heap
-    }
-
     fn square() -> Adjacency {
         Adjacency::from_links(
             4,
@@ -1117,8 +717,8 @@ mod tests {
         let rho = [1.0, 100.0, 7.0, 3.0];
         let csr = CsrGraph::from_adjacency(&adj);
         let tree = sssp(&csr, 0, 0.0, &rho);
-        // 0→2 ties (via 1 or via 3); heap tie-break settles the smaller
-        // node first, so the path goes via 1: ρ-sum = ρ(1) + ρ(2).
+        // 0→2 ties (via 1 or via 3); the (cost, node) tie-break settles the
+        // smaller node first, so the path goes via 1: ρ-sum = ρ(1) + ρ(2).
         let path = tree.path_to(2).unwrap();
         let expect: f64 = path.iter().skip(1).map(|&v| rho[v]).sum();
         assert_eq!(tree.path_rho_sum(2), expect);
@@ -1150,158 +750,6 @@ mod tests {
         Adjacency::from_links(8, (0..7).map(|u| (u, u + 1, 10.0)))
     }
 
-    fn assert_trees_bit_equal(a: &RiskTree, b: &RiskTree) {
-        assert_eq!(a.source(), b.source());
-        let n = a.dist_slice().len();
-        for t in 0..n {
-            assert_eq!(a.dist(t).to_bits(), b.dist(t).to_bits(), "dist[{t}]");
-            assert_eq!(a.pred_slice()[t], b.pred_slice()[t], "pred[{t}]");
-        }
-        assert_eq!(a.rho_sum_slice().len(), b.rho_sum_slice().len());
-        for t in 0..a.rho_sum_slice().len() {
-            assert_eq!(
-                a.rho_sum_slice()[t].to_bits(),
-                b.rho_sum_slice()[t].to_bits(),
-                "rho_sum[{t}]"
-            );
-        }
-    }
-
-    #[test]
-    fn repair_beta_zero_survives_source_and_unreachable_changes() {
-        let adj = Adjacency::from_links(4, vec![(0, 1, 5.0), (1, 2, 5.0)]);
-        let csr = CsrGraph::from_adjacency(&adj);
-        let old_rho = [1.0, 2.0, 3.0, 4.0];
-        let tree = sssp(&csr, 0, 0.0, &old_rho);
-        // Changing ρ at the source (never summed) and at the isolated node 3
-        // (unreachable → ρ-sum stays ∞) cannot touch the ρ-sum channel.
-        let new_rho = [9.0, 2.0, 3.0, 7.0];
-        match repair_tree(&csr, &tree, 0.0, &old_rho, &new_rho, &[0, 3]) {
-            RepairOutcome::Survived => {}
-            other => panic!("expected Survived, got {other:?}"),
-        }
-        assert_trees_bit_equal(&tree, &sssp(&csr, 0, 0.0, &new_rho));
-    }
-
-    #[test]
-    fn repair_beta_zero_recomputes_rho_sums_bit_for_bit() {
-        let adj = square();
-        let csr = CsrGraph::from_adjacency(&adj);
-        let old_rho = [1.0, 0.3, 7.0, 0.1];
-        let tree = sssp(&csr, 0, 0.0, &old_rho);
-        let new_rho = [1.0, 2.75, 7.0, 0.1];
-        match repair_tree(&csr, &tree, 0.0, &old_rho, &new_rho, &[1]) {
-            RepairOutcome::Repaired(fixed) => {
-                assert_trees_bit_equal(&fixed, &sssp(&csr, 0, 0.0, &new_rho));
-            }
-            other => panic!("expected Repaired, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn repair_beta_nonzero_matches_scratch_on_tie_free_graph() {
-        let adj = line8();
-        let csr = CsrGraph::from_adjacency(&adj);
-        let old_rho = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0];
-        for source in [0usize, 3] {
-            for beta in [1.0, 2.5] {
-                let tree = sssp(&csr, source, beta, &old_rho);
-                // Perturb a tail node: the dirty cone is its descendant
-                // chain, well under the n/2 fallback threshold.
-                let mut new_rho = old_rho;
-                new_rho[6] = 0.25;
-                match repair_tree(&csr, &tree, beta, &old_rho, &new_rho, &[6]) {
-                    RepairOutcome::Repaired(fixed) => {
-                        assert_trees_bit_equal(&fixed, &sssp(&csr, source, beta, &new_rho));
-                    }
-                    other => panic!("source {source} β {beta}: expected Repaired, got {other:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn repair_beta_nonzero_survives_ineffective_and_blocked_changes() {
-        let adj = Adjacency::from_links(4, vec![(0, 1, 5.0), (1, 2, 5.0)]);
-        let csr = CsrGraph::from_adjacency(&adj);
-        // Node 3 is topologically unreachable with a *finite* old cost, so
-        // its ρ change is provably harmless; node 2's ρ change keeps the
-        // sanitized cost at ∞ (negative either way), also harmless.
-        let old_rho = [0.0, 1.0, -1.0, 2.0];
-        let tree = sssp(&csr, 0, 1.0, &old_rho);
-        assert!(!tree.reachable(2) && !tree.reachable(3));
-        let new_rho = [0.0, 1.0, -5.0, 9.0];
-        match repair_tree(&csr, &tree, 1.0, &old_rho, &new_rho, &[2, 3]) {
-            RepairOutcome::Survived => {}
-            other => panic!("expected Survived, got {other:?}"),
-        }
-        assert_trees_bit_equal(&tree, &sssp(&csr, 0, 1.0, &new_rho));
-    }
-
-    #[test]
-    fn repair_reopens_cost_blocked_node() {
-        let adj = line8();
-        let csr = CsrGraph::from_adjacency(&adj);
-        // Node 7's negative ρ sanitizes to an ∞ entry cost: unroutable.
-        let old_rho = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -1.0];
-        let tree = sssp(&csr, 0, 1.0, &old_rho);
-        assert!(!tree.reachable(7));
-        let new_rho = [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.5];
-        match repair_tree(&csr, &tree, 1.0, &old_rho, &new_rho, &[7]) {
-            RepairOutcome::Repaired(fixed) => {
-                assert!(fixed.reachable(7));
-                assert_trees_bit_equal(&fixed, &sssp(&csr, 0, 1.0, &new_rho));
-            }
-            other => panic!("expected Repaired, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn repair_falls_back_on_cost_tie() {
-        // In the square, 0→2 ties via 1 and via 3: repairing a ρ change at
-        // node 2 sees two equal clean→dirty offers — the winner is a
-        // relaxation-order artifact, so the repair must refuse.
-        let adj = square();
-        let csr = CsrGraph::from_adjacency(&adj);
-        let old_rho = [0.0, 0.0, 1.0, 0.0];
-        let tree = sssp(&csr, 0, 1.0, &old_rho);
-        let new_rho = [0.0, 0.0, 0.5, 0.0];
-        match repair_tree(&csr, &tree, 1.0, &old_rho, &new_rho, &[2]) {
-            RepairOutcome::Fallback => {}
-            other => panic!("expected Fallback, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn repair_falls_back_when_cone_exceeds_half_the_graph() {
-        let adj = line8();
-        let csr = CsrGraph::from_adjacency(&adj);
-        let old_rho = [0.0; 8];
-        let tree = sssp(&csr, 0, 1.0, &old_rho);
-        // Dirtying node 1 taints its whole descendant chain (nodes 1..8).
-        let new_rho = [0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0];
-        match repair_tree(&csr, &tree, 1.0, &old_rho, &new_rho, &[1]) {
-            RepairOutcome::Fallback => {}
-            other => panic!("expected Fallback, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn cache_peek_does_not_count() {
-        let cache = RouteTreeCache::new();
-        let adj = square();
-        let csr = CsrGraph::from_adjacency(&adj);
-        let tree = Arc::new(sssp(&csr, 0, 0.0, &[0.0; 4]));
-        let key = TreeKey {
-            root: 0,
-            beta_bits: 0,
-            stamp: next_stamp(),
-        };
-        assert!(cache.peek(&key).is_none());
-        cache.insert(key, Arc::clone(&tree));
-        assert!(cache.peek(&key).is_some());
-    }
-
     #[test]
     fn cache_isolates_stamps_and_counts_hits() {
         let cache = RouteTreeCache::new();
@@ -1328,15 +776,6 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
-    /// Both frontiers' early-exit trees, asserted bit-equal; returns one.
-    fn sssp_to(csr: &CsrGraph, source: usize, beta: f64, rho: &[f64], target: usize) -> RiskTree {
-        let heap = super::sssp_to(csr, source, beta, rho, false, target);
-        let bucket = super::sssp_to(csr, source, beta, rho, true, target);
-        assert_trees_bit_equal(&heap, &bucket);
-        assert_eq!(heap.is_complete(), bucket.is_complete());
-        heap
-    }
-
     #[test]
     fn cache_serves_partial_trees_only_to_settled_targets() {
         let cache = RouteTreeCache::new();
@@ -1353,7 +792,6 @@ mod tests {
         assert!(matches!(cache.lookup(&key, Some(5)), Lookup::Partial));
         // Full-tree readers see nothing.
         assert!(matches!(cache.lookup(&key, None), Lookup::Partial));
-        assert!(cache.peek(&key).is_none());
         assert!(cache.entries_with_stamp(key.stamp).is_empty());
         // A partial insert never displaces a tree; a complete one replaces
         // a partial and is never displaced.
@@ -1362,9 +800,8 @@ mod tests {
         let full = Arc::new(sssp(&csr, 0, 1.0, &rho));
         cache.insert(key, Arc::clone(&full));
         assert!(matches!(cache.lookup(&key, Some(7)), Lookup::Hit(_)));
-        assert!(cache.peek(&key).is_some());
         cache.insert(key, Arc::new(sssp_to(&csr, 0, 1.0, &rho, 2)));
-        assert!(cache.peek(&key).is_some_and(|t| Arc::ptr_eq(&t, &full)));
+        assert!(matches!(cache.lookup(&key, None), Lookup::Hit(t) if Arc::ptr_eq(&t, &full)));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.bytes(), entry_bytes(&full));
     }
@@ -1378,7 +815,7 @@ mod tests {
         let n = 10_000;
         let adj = Adjacency::from_links(n, (1..n).map(|u| (u - 1, u, 1.0)));
         let csr = CsrGraph::from_adjacency(&adj);
-        let tree = Arc::new(super::sssp(&csr, 0, 0.0, &vec![0.5; n], true));
+        let tree = Arc::new(sssp(&csr, 0, 0.0, &vec![0.5; n]));
         assert_eq!(tree.rho_sum_slice().len(), n);
         let per_entry = entry_bytes(&tree);
         assert!(per_entry >= 20 * n + ENTRY_OVERHEAD_BYTES);

@@ -1,7 +1,7 @@
 //! Intradomain RiskRoute (§6.1): minimum bit-risk-mile routing within one
 //! provider and the aggregate trade-off against shortest-path routing.
 
-use crate::engine::{self, CsrGraph, Lookup, RepairOutcome, RouteTreeCache, TreeKey};
+use crate::engine::{self, CsrGraph, Lookup, RouteTreeCache, TreeKey};
 use crate::error::Error;
 use crate::metric::{ImpactModel, NodeRisk, RiskWeights};
 use crate::ratios::{PairOutcome, RatioReport};
@@ -39,19 +39,10 @@ fn compute_rho(risk: &NodeRisk, weights: RiskWeights) -> Vec<f64> {
     (0..risk.len()).map(|v| risk.scaled(v, weights)).collect()
 }
 
-/// The changed-edge log between two consecutive cost states of one
-/// topology: the stamp of the previous state, its ρ vector, and the
-/// ascending list of nodes whose ρ changed bitwise. Single-level by design
-/// — only trees computed under `parent_stamp` can be carried forward, so a
-/// second mutation retires the log along with the parent trees.
-#[derive(Debug, Clone)]
-struct CostDelta {
-    /// Stamp of the cost state the delta starts from.
-    parent_stamp: u64,
-    /// ρ under the parent state (shared with any clones holding the log).
-    old_rho: Arc<Vec<f64>>,
-    /// Nodes whose ρ changed bitwise, ascending.
-    changed: Arc<Vec<u32>>,
+/// Whether two vectors are equal bit for bit (so `-0.0 ≠ 0.0`): the test
+/// for "same cost state" wherever a stamp or a cached tree is kept.
+pub(crate) fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// The result of a degraded-mode pair sweep: the outcomes that routed plus
@@ -92,18 +83,8 @@ pub struct Planner {
     /// Cost-state stamp naming the (topology, ρ) state all cached trees
     /// were computed under (see [`engine::next_stamp`]).
     stamp: u64,
-    /// Changed-edge log from the previous cost state of this topology, when
-    /// delta invalidation is on and exactly one cost mutation separates the
-    /// states (see [`CostDelta`]).
-    delta: Option<CostDelta>,
-    /// A read-only parent cache to probe after the own cache misses
-    /// (forecast-override scenario forks adopt base trees through it, both
-    /// same-stamp and via delta repair). Never written to.
-    parent_cache: Option<Arc<RouteTreeCache>>,
     cache: Arc<RouteTreeCache>,
     route_cache: bool,
-    delta_invalidation: bool,
-    bucket_queue: bool,
 }
 
 impl Planner {
@@ -135,12 +116,8 @@ impl Planner {
             parallelism: Parallelism::Sequential,
             rho,
             stamp: engine::next_stamp(),
-            delta: None,
-            parent_cache: None,
             cache,
             route_cache: true,
-            delta_invalidation: true,
-            bucket_queue: true,
         }
     }
 
@@ -261,45 +238,6 @@ impl Planner {
         self.route_cache
     }
 
-    /// Enable or disable edge-delta-aware cache invalidation (the CLI's
-    /// `--no-delta-invalidation` debug flag). When on (the default), a cost
-    /// mutation records the changed-edge log between the old and new state
-    /// instead of only minting a fresh stamp, and cache misses first try to
-    /// carry the parent-state tree across the delta — reusing it outright
-    /// when provably untouched, repairing it incrementally otherwise (see
-    /// [`engine::repair_tree`]). Both paths are exact, so this knob — like
-    /// [`Self::with_route_cache`] — never changes any output bit, only how
-    /// often SSSP runs from scratch.
-    #[must_use]
-    pub fn with_delta_invalidation(mut self, enabled: bool) -> Self {
-        self.delta_invalidation = enabled;
-        if !enabled {
-            self.delta = None;
-        }
-        self
-    }
-
-    /// Whether delta-aware invalidation (and incremental SSSP repair) is on.
-    pub fn delta_invalidation(&self) -> bool {
-        self.delta_invalidation
-    }
-
-    /// Enable or disable the monotone bucket-queue SSSP frontier (the
-    /// CLI's `--no-bucket-queue` debug flag). The bucket queue pops in the
-    /// exact heap order (see `riskroute_graph::queue`), so this knob — like
-    /// [`Self::with_route_cache`] — never changes any output bit, only the
-    /// constant factor of every Dijkstra run.
-    #[must_use]
-    pub fn with_bucket_queue(mut self, enabled: bool) -> Self {
-        self.bucket_queue = enabled;
-        self
-    }
-
-    /// Whether SSSP runs on the bucket-queue frontier.
-    pub fn bucket_queue(&self) -> bool {
-        self.bucket_queue
-    }
-
     /// The precomputed λ-combined per-PoP risk vector ρ under the current
     /// cost state (provisioning's O(1) via-pricing reads it).
     pub(crate) fn rho(&self) -> &[f64] {
@@ -307,46 +245,16 @@ impl Planner {
     }
 
     /// Rebuild ρ after a risk or weight mutation and advance the cost
-    /// state.
-    ///
-    /// With delta invalidation on, the changed-node set is computed by
-    /// bitwise comparison of the old and new ρ vectors. An empty set means
-    /// the cost function is bitwise unchanged — the stamp (and any pending
-    /// delta) is kept and every cached tree stays valid as-is, so e.g. a
-    /// forecast change under `λ_f = 0` invalidates nothing. A non-empty set
-    /// mints a fresh stamp but records the changed-edge log, letting cache
-    /// misses under the new stamp repair parent-state trees incrementally
-    /// instead of rerunning Dijkstra from scratch. With the knob off, any
-    /// mutation falls back to blanket invalidation (fresh stamp, no log).
+    /// state. A new ρ bitwise equal to the old one keeps the stamp, so every
+    /// cached tree stays valid as-is (e.g. a forecast change under
+    /// `λ_f = 0` invalidates nothing); any other change mints a fresh stamp,
+    /// retiring every cached tree.
     fn refresh_cost_state(&mut self) {
-        let new_rho = Arc::new(compute_rho(&self.risk, self.weights));
-        if self.delta_invalidation {
-            let changed: Vec<u32> = self
-                .rho
-                .iter()
-                .zip(new_rho.iter())
-                .enumerate()
-                .filter(|(_, (a, b))| a.to_bits() != b.to_bits())
-                .map(|(v, _)| v as u32)
-                .collect();
-            if changed.is_empty() {
-                return;
-            }
-            if riskroute_obs::is_enabled() {
-                let edges: usize = changed
-                    .iter()
-                    .map(|&v| self.csr.out_degree(v as usize))
-                    .sum();
-                riskroute_obs::counter_add("changed_edges", edges as u64);
-            }
-            self.delta = Some(CostDelta {
-                parent_stamp: self.stamp,
-                old_rho: Arc::clone(&self.rho),
-                changed: Arc::new(changed),
-            });
+        let new_rho = compute_rho(&self.risk, self.weights);
+        if !same_bits(&self.rho, &new_rho) {
+            self.rho = Arc::new(new_rho);
+            self.stamp = engine::next_stamp();
         }
-        self.rho = new_rho;
-        self.stamp = engine::next_stamp();
     }
 
     /// Outage impact β(i,j) under the active [`ImpactModel`]
@@ -459,9 +367,8 @@ impl Planner {
     }
 
     /// [`risk_tree`](Self::risk_tree) (`target` `None`) and
-    /// [`pair_tree`](Self::pair_tree) in one lookup chain: own cache, then
-    /// complete trees carried over from the parent cache or across the
-    /// delta log, then a scratch run.
+    /// [`pair_tree`](Self::pair_tree) in one lookup chain: the cache, then
+    /// a scratch run.
     fn tree_for(&self, root: usize, beta: f64, target: Option<usize>) -> Arc<RiskTree> {
         let key = TreeKey {
             root: root as u32,
@@ -475,74 +382,15 @@ impl Planner {
                 Lookup::Partial => stop = None,
                 Lookup::Miss => {}
             }
-            if let Some(parent) = &self.parent_cache {
-                // Same stamp in the parent cache: interchangeable
-                // bit-for-bit (forecast forks whose override left ρ
-                // bitwise unchanged share the base stamp).
-                if let Some(tree) = parent.peek(&key) {
-                    self.cache.insert(key, Arc::clone(&tree));
-                    return tree;
-                }
-            }
-            if let Some(tree) = self.delta_repair(&key, root, beta) {
-                return tree;
-            }
         }
         let tree = Arc::new(match stop {
-            Some(t) => engine::sssp_to(&self.csr, root, beta, &self.rho, self.bucket_queue, t),
-            None => engine::sssp(&self.csr, root, beta, &self.rho, self.bucket_queue),
+            Some(t) => engine::sssp_to(&self.csr, root, beta, &self.rho, t),
+            None => engine::sssp(&self.csr, root, beta, &self.rho),
         });
         if self.route_cache {
             self.cache.insert(key, Arc::clone(&tree));
         }
         tree
-    }
-
-    /// Try to serve a cache miss by carrying the parent-state tree across
-    /// the recorded changed-edge log: reuse it outright when the delta
-    /// provably cannot touch it (counted as `trees_survived_delta`), repair
-    /// it incrementally otherwise (counted as `sssp_repairs`). `None` falls
-    /// through to a scratch SSSP run — either there is no log, no complete
-    /// parent tree to carry (partial trees are never repaired), or the
-    /// repair declined (cost tie or oversized cone).
-    fn delta_repair(&self, key: &TreeKey, root: usize, beta: f64) -> Option<Arc<RiskTree>> {
-        let delta = self.delta.as_ref()?;
-        let parent_key = TreeKey {
-            stamp: delta.parent_stamp,
-            ..*key
-        };
-        let parent = self.cache.peek(&parent_key).or_else(|| {
-            self.parent_cache
-                .as_ref()
-                .and_then(|cache| cache.peek(&parent_key))
-        })?;
-        debug_assert_eq!(parent.source(), root);
-        match engine::repair_tree(
-            &self.csr,
-            &parent,
-            beta,
-            &delta.old_rho,
-            &self.rho,
-            &delta.changed,
-            self.bucket_queue,
-        ) {
-            RepairOutcome::Survived => {
-                if riskroute_obs::is_enabled() {
-                    riskroute_obs::counter_add("trees_survived_delta", 1);
-                }
-                self.cache.insert(*key, Arc::clone(&parent));
-                Some(parent)
-            }
-            RepairOutcome::Repaired(tree) => {
-                if riskroute_obs::is_enabled() {
-                    riskroute_obs::counter_add("sssp_repairs", 1);
-                }
-                let tree = Arc::new(tree);
-                self.cache.insert(*key, Arc::clone(&tree));
-                Some(tree)
-            }
-            RepairOutcome::Fallback => None,
-        }
     }
 
     /// Pure bit-mile SSSP tree from `root` (the shortest-path baseline and
@@ -805,36 +653,9 @@ impl Planner {
             parallelism: self.parallelism,
             rho,
             stamp: engine::next_stamp(),
-            // The masked topology is a different graph: no delta log from
-            // the base state can be carried across it.
-            delta: None,
-            parent_cache: None,
             cache,
             route_cache: self.route_cache,
-            delta_invalidation: self.delta_invalidation,
-            bucket_queue: self.bucket_queue,
         }
-    }
-
-    /// Copy-on-write fork for a *forecast-only* scenario override: same
-    /// topology (the CSR snapshot stays shared), new forecast channel. The
-    /// fork gets a private insert cache — same eviction rationale as
-    /// [`Self::fork_masked`] — but keeps the base cache as a read-only
-    /// parent to probe, and applying the override through
-    /// [`Self::set_forecast`] records the changed-edge log against the base
-    /// stamp. A fork whose override leaves ρ bitwise unchanged therefore
-    /// shares the base stamp outright, and any other fork repairs base
-    /// trees incrementally instead of recomputing them from scratch.
-    ///
-    /// # Panics
-    /// Panics when the override has the wrong length or invalid values
-    /// (same contract as [`Self::set_forecast`]).
-    pub(crate) fn fork_forecast(&self, forecast: &[f64]) -> Planner {
-        let mut fork = self.clone();
-        fork.cache = Arc::new(RouteTreeCache::new());
-        fork.parent_cache = Some(Arc::clone(&self.cache));
-        fork.set_forecast(forecast.to_vec());
-        fork
     }
 
     /// The cached complete β = 0 distance tree rooted at `root` under the
@@ -872,8 +693,8 @@ impl Planner {
         );
     }
 
-    /// The current cost-state stamp (scenario forks assert empty-delta
-    /// forks share the base stamp).
+    /// The current cost-state stamp (scenario forks compare it to tell
+    /// whether a forecast override left ρ bitwise unchanged).
     pub(crate) fn cost_stamp(&self) -> u64 {
         self.stamp
     }
@@ -915,14 +736,7 @@ impl Planner {
             return;
         }
         let n = self.adjacency.node_count();
-        if n != prev.adjacency.node_count()
-            || self.rho.len() != prev.rho.len()
-            || !self
-                .rho
-                .iter()
-                .zip(prev.rho.iter())
-                .all(|(x, y)| x.to_bits() == y.to_bits())
-        {
+        if n != prev.adjacency.node_count() || !same_bits(&self.rho, &prev.rho) {
             return;
         }
         let identical = self.adjacency == prev.adjacency;
@@ -1236,7 +1050,10 @@ mod tests {
         };
         let partial = p.pair_tree(0, 0.5, 1);
         assert!(!partial.is_complete() && partial.answers(1) && !partial.answers(3));
-        assert!(p.cache.peek(&key(&p, 0.5)).is_none());
+        assert!(matches!(
+            p.cache.lookup(&key(&p, 0.5), None),
+            Lookup::Partial
+        ));
         p.pair_tree(0, 0.0, 1);
         assert!(p.cached_distance_tree(0).is_none());
 
@@ -1255,27 +1072,19 @@ mod tests {
         next.adopt_route_cache(&p, 1, 2);
         assert_eq!(next.cache.len(), 0);
 
-        // Delta repair never carries a partial parent.
-        let mut moved = p.clone();
-        moved.set_weights(RiskWeights::historical_only(2e5));
-        assert!(moved.delta_repair(&key(&moved, 0.5), 0, 0.5).is_none());
-
         // A full request replaces the partial tree; every reader sees it.
         let full = p.risk_tree(0, 0.5);
         assert!(full.is_complete() && full.answers(3));
-        assert!(p
-            .cache
-            .peek(&key(&p, 0.5))
-            .is_some_and(|t| Arc::ptr_eq(&t, &full)));
+        assert!(matches!(
+            p.cache.lookup(&key(&p, 0.5), None),
+            Lookup::Hit(t) if Arc::ptr_eq(&t, &full)
+        ));
         assert!(Arc::ptr_eq(&p.pair_tree(0, 0.5, 3), &full));
         p.risk_tree_distance(0);
         assert!(p.cached_distance_tree(0).is_some());
         let mut next = rebuild();
         next.adopt_route_cache(&p, 1, 2);
         assert_eq!(next.cache.len(), 2, "both complete trees survive the link");
-        let mut moved = p.clone();
-        moved.set_weights(RiskWeights::historical_only(2e5));
-        assert!(moved.delta_repair(&key(&moved, 0.5), 0, 0.5).is_some());
     }
 
     #[test]

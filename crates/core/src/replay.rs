@@ -375,11 +375,9 @@ pub fn replay_storm(
 /// Unlike the batch replays, a session has no advisory list up front: feed
 /// [`tick`](Self::tick) one [`RawAdvisory`] at a time and it returns the
 /// finished [`ReplayTick`]. The session owns a single planner clone and
-/// mutates its forecast in place, so consecutive advisories chain
-/// cost-state deltas — with delta invalidation on, each tick repairs the
-/// previous tick's route trees instead of recomputing them, and a tick
-/// whose forecast is bitwise-unchanged (or ρ-invisible) recomputes nothing
-/// at all. Ticks are evaluated exactly like the sequential batch loop, so
+/// mutates its forecast in place, so a tick whose forecast is
+/// bitwise-unchanged (or ρ-invisible) keeps the cost stamp and recomputes
+/// nothing at all. Ticks are evaluated exactly like the sequential batch loop, so
 /// streaming a recorded advisory series reproduces
 /// [`replay_raw_advisories`] byte for byte.
 #[derive(Debug)]

@@ -33,7 +33,7 @@
 
 use crate::budget::{Budgeted, StopReason, WorkBudget};
 use crate::error::{Error, Result};
-use crate::intradomain::Planner;
+use crate::intradomain::{same_bits, Planner};
 use crate::replay::CHECKPOINT_BATCH;
 use crate::routing::{RiskTree, NO_PRED};
 use riskroute_geo::distance::great_circle_miles;
@@ -219,17 +219,14 @@ impl ScenarioFork {
     /// the base forecast) returns a plain clone of the base planner —
     /// same CSR `Arc`, same cost-state stamp, same shared route-tree
     /// cache — so fork(∅) is byte-identical to the un-forked engine
-    /// including its cache hits. A *forecast-only* delta (no deactivations,
-    /// override differs bitwise) keeps the shared CSR snapshot and, when
-    /// the base has delta invalidation on, records the changed-edge log
-    /// against the base stamp instead of minting a blanket fresh one: base
-    /// trees are carried across the log lazily at query time — reused
-    /// outright when provably untouched, repaired incrementally otherwise
-    /// (see [`Planner::fork_forecast`]). Any structural delta masks the
-    /// snapshot and mints a fresh stamp plus a **private** cache: the stamp
-    /// guarantees no fork tree is ever returned to the base (or vice
-    /// versa), and the private cache keeps fork churn from evicting base
-    /// entries at capacity.
+    /// including its cache hits. A *forecast-only* delta is applied to a
+    /// clone of the base through [`Planner::set_forecast`]: when the new ρ
+    /// is bitwise unchanged (e.g. `λ_f = 0`) the stamp survives and the
+    /// fork shares the base stamp and cache like fork(∅). Every other
+    /// delta masks the snapshot and mints a fresh stamp plus a **private**
+    /// cache: the stamp guarantees no fork tree is ever returned to the
+    /// base (or vice versa), and the private cache keeps fork churn from
+    /// evicting base entries at capacity.
     ///
     /// **Tree adoption.** A base β = 0 tree rooted at `r` is adopted when
     /// every node in `r`'s surviving component keeps its base predecessor
@@ -260,47 +257,30 @@ impl ScenarioFork {
             None => false,
             Some(f) => {
                 assert_eq!(f.len(), n, "forecast override must cover every PoP");
-                f.iter()
-                    .zip(base.risk().forecast_slice())
-                    .any(|(a, b)| a.to_bits() != b.to_bits())
+                !same_bits(f, base.risk().forecast_slice())
             }
         };
         let structural = !delta.nodes.is_empty() || !delta.links.is_empty();
-        if !structural && !forecast_changed {
-            if riskroute_obs::is_enabled() {
-                riskroute_obs::counter_add("forks_created", 1);
-                riskroute_obs::counter_add("forks_reused_cache", 1);
+        if !structural {
+            // Empty or forecast-only delta: a clone of the base, which keeps
+            // the base stamp (and so the shared cache) whenever the override
+            // leaves ρ bitwise unchanged.
+            let mut planner = base.clone();
+            if let Some(f) = delta.forecast().filter(|_| forecast_changed) {
+                planner.set_forecast(f.to_vec());
             }
-            return ScenarioFork {
-                planner: base.clone(),
-                delta,
-                node_off: vec![false; n],
-                base_alias: true,
-            };
-        }
-
-        if let Some(forecast) = delta
-            .forecast()
-            .filter(|_| !structural && base.delta_invalidation())
-        {
-            // Forecast-only override with the changed-edge log available:
-            // the topology is untouched, so skip the masked-CSR copy and
-            // let the fork adopt base trees lazily across the recorded
-            // delta (probing the base cache read-only).
-            let planner = base.fork_forecast(forecast);
-            if riskroute_obs::is_enabled() {
-                riskroute_obs::counter_add("forks_created", 1);
-                riskroute_obs::counter_add("forks_forecast_delta", 1);
-                if base.route_cache() {
+            if planner.cost_stamp() == base.cost_stamp() {
+                if riskroute_obs::is_enabled() {
+                    riskroute_obs::counter_add("forks_created", 1);
                     riskroute_obs::counter_add("forks_reused_cache", 1);
                 }
+                return ScenarioFork {
+                    planner,
+                    delta,
+                    node_off: vec![false; n],
+                    base_alias: !forecast_changed,
+                };
             }
-            return ScenarioFork {
-                planner,
-                delta,
-                node_off: vec![false; n],
-                base_alias: false,
-            };
         }
 
         let mut node_off = vec![false; n];
@@ -312,11 +292,7 @@ impl ScenarioFork {
         let planner = base.fork_masked(&keep, forecast_override);
 
         let comp = components(&planner, &node_off);
-        let rho_changed = {
-            let (a, b) = (base.rho(), planner.rho());
-            a.len() != b.len()
-                || a.iter().zip(b.iter()).any(|(x, y)| x.to_bits() != y.to_bits())
-        };
+        let rho_changed = !same_bits(base.rho(), planner.rho());
         let mut adopted: u64 = 0;
         for (root, &off) in node_off.iter().enumerate() {
             if off {

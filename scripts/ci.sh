@@ -63,8 +63,8 @@ target/release/riskroute obs-summary "$OBS_TMP/trace.jsonl" | grep -q 'per-trace
 echo "== parallel: sequential/threaded equivalence suite =="
 cargo test --release -q --test parallel_equivalence --test pool_properties
 
-echo "== sssp engine: cache-on/cache-off equivalence suite =="
-cargo test --release -q --test route_cache_equivalence
+echo "== sssp engine: differential suite (kernel vs oracle, cache x workers) =="
+cargo test --release -q --test sssp_differential
 
 echo "== scenario forks: sweep equivalence suite =="
 cargo test --release -q --test scenario_equivalence
@@ -83,6 +83,12 @@ diff "$OBS_TMP/replay-t1.txt" "$OBS_TMP/replay-t4.txt"
 target/release/riskroute sweep Level3 --mode n1 --threads 1 > "$OBS_TMP/sweep-t1.txt"
 target/release/riskroute sweep Level3 --mode n1 --threads 4 > "$OBS_TMP/sweep-t4.txt"
 diff "$OBS_TMP/sweep-t1.txt" "$OBS_TMP/sweep-t4.txt"
+# The hazard ensemble is all forecast-only forks: a stamp-sharing clone
+# when the override leaves rho bitwise unchanged, a masked fork adopting
+# base distance trees otherwise.
+target/release/riskroute sweep Level3 --mode ensemble --samples 32 --seed 7 --threads 1 > "$OBS_TMP/ens-t1.txt"
+target/release/riskroute sweep Level3 --mode ensemble --samples 32 --seed 7 --threads 4 > "$OBS_TMP/ens-t4.txt"
+diff "$OBS_TMP/ens-t1.txt" "$OBS_TMP/ens-t4.txt"
 echo "threaded outputs are byte-identical"
 
 echo "== sssp engine: cache vs --no-route-cache byte-for-byte =="
@@ -96,39 +102,9 @@ target/release/riskroute replay Telepak katrina --stride 4 --threads 1 --no-rout
 diff "$OBS_TMP/replay-t1.txt" "$OBS_TMP/replay-nc1.txt"
 target/release/riskroute replay Telepak katrina --stride 4 --threads 4 --no-route-cache > "$OBS_TMP/replay-nc4.txt"
 diff "$OBS_TMP/replay-t4.txt" "$OBS_TMP/replay-nc4.txt"
+target/release/riskroute sweep Level3 --mode ensemble --samples 32 --seed 7 --no-route-cache > "$OBS_TMP/ens-nc.txt"
+diff "$OBS_TMP/ens-t1.txt" "$OBS_TMP/ens-nc.txt"
 echo "cache-off outputs are byte-identical"
-
-echo "== sssp engine: delta vs --no-delta-invalidation byte-for-byte =="
-# Edge-delta-aware stamps and incremental tree repair are exact: disabling
-# them must not change a single byte of replay output, at any worker count.
-target/release/riskroute replay Telepak katrina --stride 4 --threads 1 --no-delta-invalidation > "$OBS_TMP/replay-nd1.txt"
-diff "$OBS_TMP/replay-t1.txt" "$OBS_TMP/replay-nd1.txt"
-target/release/riskroute replay Telepak katrina --stride 4 --threads 4 --no-delta-invalidation > "$OBS_TMP/replay-nd4.txt"
-diff "$OBS_TMP/replay-t4.txt" "$OBS_TMP/replay-nd4.txt"
-echo "delta-off outputs are byte-identical"
-
-echo "== sssp engine: delta-on/delta-off equivalence suite =="
-cargo test --release -q --test delta_invalidation_equivalence --test incremental_sssp_properties
-
-echo "== sssp engine: bucket queue vs --no-bucket-queue byte-for-byte =="
-# The monotone bucket-queue frontier is exact: pops replay the binary
-# heap's (cost, node) order, so disabling it must not change a single
-# byte of output, at any worker count.
-target/release/riskroute provision Level3 -k 2 --threads 1 --no-bucket-queue > "$OBS_TMP/prov-nb1.txt"
-diff "$OBS_TMP/prov-t1.txt" "$OBS_TMP/prov-nb1.txt"
-target/release/riskroute provision Level3 -k 2 --threads 4 --no-bucket-queue > "$OBS_TMP/prov-nb4.txt"
-diff "$OBS_TMP/prov-t4.txt" "$OBS_TMP/prov-nb4.txt"
-target/release/riskroute replay Telepak katrina --stride 4 --threads 1 --no-bucket-queue > "$OBS_TMP/replay-nb1.txt"
-diff "$OBS_TMP/replay-t1.txt" "$OBS_TMP/replay-nb1.txt"
-target/release/riskroute replay Telepak katrina --stride 4 --threads 4 --no-bucket-queue > "$OBS_TMP/replay-nb4.txt"
-diff "$OBS_TMP/replay-t4.txt" "$OBS_TMP/replay-nb4.txt"
-echo "bucket-queue-off outputs are byte-identical"
-
-echo "== sssp engine: bucket-queue equivalence suite =="
-cargo test --release -p riskroute -q --test bucket_queue_equivalence
-
-echo "== sssp engine: early-exit equivalence suite =="
-cargo test --release -p riskroute -q --test early_exit_equivalence
 
 echo "== scale: seeded 10k-PoP synth smoke gate =="
 # Generate a 10k-PoP synthetic network, then route on it and evaluate a

@@ -2,6 +2,9 @@
 //! workspace stays dependency-light).
 
 use riskroute::{Parallelism, RiskWeights};
+use riskroute_json::Json;
+use riskroute_serve::{Request, ServeConfig};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A parsed invocation.
@@ -532,6 +535,9 @@ EXIT CODES:
 
 /// Parse a raw argument vector (without the program name).
 ///
+/// Global flags may appear anywhere; the rest is the command word and its
+/// fields, which `decode` reads through the argv `Fields` source.
+///
 /// # Errors
 /// [`CliError::Help`] for `-h`/`--help`, [`CliError::Bad`] otherwise.
 pub fn parse_args(args: &[String]) -> Result<Cli, CliError> {
@@ -542,73 +548,46 @@ pub fn parse_args(args: &[String]) -> Result<Cli, CliError> {
     let mut route_cache = true;
     let mut obs = ObsArgs::default();
     let mut rest: Vec<String> = Vec::new();
-    let mut i = 0;
-    let bad = |m: String| CliError::Bad(m);
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .ok_or_else(|| CliError::Bad(format!("{arg} needs a value")))
+        };
+        match arg.as_str() {
             "-h" | "--help" => return Err(CliError::Help(USAGE.to_string())),
-            "--metrics-out" => {
-                let path = args
-                    .get(i + 1)
-                    .ok_or_else(|| bad("--metrics-out needs a file path".into()))?;
-                obs.metrics_out = Some(path.clone());
-                i += 2;
-            }
-            "--trace-out" => {
-                let path = args
-                    .get(i + 1)
-                    .ok_or_else(|| bad("--trace-out needs a file path".into()))?;
-                obs.trace_out = Some(path.clone());
-                i += 2;
-            }
-            "--progress" => {
-                obs.progress = true;
-                i += 1;
-            }
+            "--metrics-out" => obs.metrics_out = Some(value()?.clone()),
+            "--trace-out" => obs.trace_out = Some(value()?.clone()),
+            "--progress" => obs.progress = true,
             "--graphml" => {
-                let path = args
-                    .get(i + 1)
-                    .ok_or_else(|| bad("--graphml needs a file path".into()))?
-                    .clone();
-                if args.get(i + 2).map(String::as_str) != Some("--name") {
-                    return Err(bad(
-                        "--graphml <file> must be followed by --name <name>".into()
+                let path = value()?.clone();
+                if value().map(String::as_str) != Ok("--name") {
+                    return Err(CliError::Bad(
+                        "--graphml <file> must be followed by --name <name>".into(),
                     ));
                 }
-                let name = args
-                    .get(i + 3)
-                    .ok_or_else(|| bad("--name needs a value".into()))?
-                    .clone();
-                graphml.push((path, name));
-                i += 4;
+                graphml.push((path, value()?.clone()));
             }
-            "--lambda-h" => {
-                lambda_h = parse_f64(args.get(i + 1), "--lambda-h")?;
-                i += 2;
-            }
-            "--lambda-f" => {
-                lambda_f = parse_f64(args.get(i + 1), "--lambda-f")?;
-                i += 2;
-            }
-            "--threads" => {
-                threads = parse_threads(args.get(i + 1))?;
-                i += 2;
-            }
-            "--no-route-cache" => {
-                route_cache = false;
-                i += 1;
-            }
-            _ => {
-                rest.push(args[i].clone());
-                i += 1;
-            }
+            "--lambda-h" => lambda_h = lambda(arg, Value::Arg(value()?.clone()))?,
+            "--lambda-f" => lambda_f = lambda(arg, Value::Arg(value()?.clone()))?,
+            "--threads" => threads = parse_threads(value()?)?,
+            "--no-route-cache" => route_cache = false,
+            _ => rest.push(arg.clone()),
         }
     }
-    if !(lambda_h >= 0.0 && lambda_h.is_finite() && lambda_f >= 0.0 && lambda_f.is_finite()) {
-        return Err(bad("lambda values must be finite and non-negative".into()));
+    let Some((cmd, tail)) = rest.split_first() else {
+        return Err(CliError::Help(USAGE.to_string()));
+    };
+    if cmd.starts_with('-') {
+        return Err(CliError::Bad(format!("unknown flag {cmd}")));
     }
-
-    let command = parse_command(&rest)?;
+    let mut argv = Argv {
+        args: tail,
+        used: vec![false; tail.len()],
+        positionals: 0,
+    };
+    let command = decode(cmd, &mut argv)?;
+    argv.finish(cmd)?;
     Ok(Cli {
         graphml,
         lambda_h,
@@ -620,386 +599,425 @@ pub fn parse_args(args: &[String]) -> Result<Cli, CliError> {
     })
 }
 
-fn parse_threads(v: Option<&String>) -> Result<Parallelism, CliError> {
-    let v = v.ok_or_else(|| CliError::Bad("--threads needs a count or \"auto\"".into()))?;
+fn parse_threads(v: &str) -> Result<Parallelism, CliError> {
     if v == "auto" {
         return Ok(Parallelism::Auto);
     }
-    let n = v
-        .parse::<usize>()
-        .map_err(|_| CliError::Bad("--threads needs a positive integer or \"auto\"".into()))?;
-    if n == 0 {
-        return Err(CliError::Bad("--threads must be at least 1".into()));
+    match v.parse::<usize>() {
+        Ok(n) if n > 0 => Ok(Parallelism::from_worker_count(n)),
+        _ => Err(CliError::Bad(
+            "--threads needs a positive integer or \"auto\"".into(),
+        )),
     }
-    Ok(Parallelism::from_worker_count(n))
 }
 
-fn parse_f64(v: Option<&String>, flag: &str) -> Result<f64, CliError> {
-    v.ok_or_else(|| CliError::Bad(format!("{flag} needs a value")))?
-        .parse::<f64>()
-        .map_err(|_| CliError::Bad(format!("{flag} needs a number")))
-}
-
-fn parse_usize(v: Option<&String>, flag: &str) -> Result<usize, CliError> {
-    let n = v
-        .ok_or_else(|| CliError::Bad(format!("{flag} needs a value")))?
-        .parse::<usize>()
-        .map_err(|_| CliError::Bad(format!("{flag} needs a positive integer")))?;
-    if n == 0 {
-        return Err(CliError::Bad(format!("{flag} must be positive")));
-    }
-    Ok(n)
-}
-
-fn parse_u64(v: Option<&String>, flag: &str) -> Result<u64, CliError> {
-    v.ok_or_else(|| CliError::Bad(format!("{flag} needs a value")))?
-        .parse::<u64>()
-        .map_err(|_| CliError::Bad(format!("{flag} needs a non-negative integer")))
-}
-
-/// The flags a command defines: `(flags that take a value, switches)`, or
-/// `None` for an unknown command.
-fn command_flags(cmd: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
-    const NONE: &[&str] = &[];
-    let values: &'static [&'static str] = match cmd {
-        "corpus" | "route" | "critical" | "corridors" | "ospf" | "failure" | "obs-summary" => NONE,
-        "backup" => &["-k"],
-        "provision" => &["-k", "--deadline-ms", "--max-work", "--checkpoint"],
-        "replay" => &["--stride", "--deadline-ms", "--max-work", "--checkpoint"],
-        "sweep" => &[
-            "--mode",
-            "--samples",
-            "--seed",
-            "--deadline-ms",
-            "--max-work",
-            "--checkpoint",
-        ],
-        "resume" => &["--deadline-ms", "--max-work", "--checkpoint"],
-        "ratio" => &["--sample", "--seed"],
-        "synth" => &["--seed", "--out"],
-        "export" => &["--format", "--out"],
-        "obs" => &["--out"],
-        "chaos" => &["--plans", "--seed"],
-        "serve" => &[
-            "--listen",
-            "--unix",
-            "--max-inflight",
-            "--max-connections",
-            "--frame-cap-bytes",
-            "--read-timeout-ms",
-            "--write-timeout-ms",
-            "--drain-ms",
-            "--deadline-ms",
-        ],
-        _ => return None,
+/// Decode a serve request: its op's command and the request's λ overrides
+/// of `base`, with every body field accounted for.
+///
+/// # Errors
+/// [`CliError::Bad`] for a missing, malformed or unknown field.
+pub(crate) fn decode_request(
+    request: &Request,
+    base: RiskWeights,
+) -> Result<(Command, RiskWeights), CliError> {
+    let fields = request
+        .body
+        .as_obj()
+        .map_err(|e| CliError::Bad(e.to_string()))?;
+    let mut body = Body {
+        fields,
+        // Room for every name one decode asks, so asking never reallocates.
+        asked: Vec::with_capacity(16),
     };
-    let switches: &'static [&'static str] = if cmd == "replay" { &["--stream"] } else { NONE };
-    Some((values, switches))
+    let command = decode(&request.op, &mut body)?;
+    let mut weight = |name: &'static str, default: f64| match body.value(name)? {
+        Some(v) => lambda(&body.token(name), v),
+        None => Ok(default),
+    };
+    let weights = RiskWeights::new(
+        weight("lambda_h", base.lambda_h)?,
+        weight("lambda_f", base.lambda_f)?,
+    );
+    body.finish(&request.op)?;
+    Ok((command, weights))
 }
 
-/// Reject any `-`-prefixed argument the command does not define; a
-/// value-taking flag's value is skipped, so `--seed -3` reaches the value
-/// parser instead of failing here.
-fn check_flags(cmd: &str, args: &[String]) -> Result<(), CliError> {
-    if cmd.starts_with('-') {
-        return Err(CliError::Bad(format!("unknown flag {cmd}")));
-    }
-    let Some((values, switches)) = command_flags(cmd) else {
-        // Unknown commands are reported by `parse_command` itself.
-        return Ok(());
-    };
-    let mut args = args.iter();
-    while let Some(a) = args.next() {
-        if !a.starts_with('-') || switches.contains(&a.as_str()) {
-            continue;
+/// One field value, as its source holds it.
+pub(crate) enum Value {
+    /// An argv token.
+    Arg(String),
+    /// A serve request field.
+    Json(Json),
+}
+
+impl Value {
+    fn text(self) -> Option<String> {
+        match self {
+            Value::Arg(s) | Value::Json(Json::Str(s)) => Some(s),
+            Value::Json(_) => None,
         }
-        if !values.contains(&a.as_str()) {
-            return Err(CliError::Bad(format!("unknown flag {a} for {cmd}")));
-        }
-        args.next();
     }
-    Ok(())
+
+    fn uint(self) -> Option<u64> {
+        match self {
+            Value::Arg(s) => s.parse().ok(),
+            Value::Json(j) => j.as_usize().ok().map(|n| n as u64),
+        }
+    }
 }
 
-fn parse_command(rest: &[String]) -> Result<Command, CliError> {
-    let bad = |m: String| CliError::Bad(m);
-    let Some(cmd) = rest.first() else {
-        return Err(CliError::Help(USAGE.to_string()));
-    };
-    check_flags(cmd, &rest[1..])?;
-    let positional: Vec<&String> = rest[1..]
-        .iter()
-        .take_while(|a| !a.starts_with('-'))
-        .collect();
-    let flag_of = |name: &str| -> Option<&String> {
-        rest.iter()
-            .position(|a| a == name)
-            .and_then(|p| rest.get(p + 1))
-    };
-    let budget_flags = || -> Result<BudgetArgs, CliError> {
-        Ok(BudgetArgs {
-            deadline_ms: match flag_of("--deadline-ms") {
-                Some(v) => Some(parse_u64(Some(v), "--deadline-ms")?),
-                None => None,
-            },
-            max_work: match flag_of("--max-work") {
-                Some(v) => Some(parse_u64(Some(v), "--max-work")?),
-                None => None,
-            },
-            checkpoint: flag_of("--checkpoint").cloned(),
-            cancel: None,
+/// The λ check shared by the `--lambda-h`/`--lambda-f` globals and the
+/// per-request `lambda_h`/`lambda_f` fields.
+fn lambda(token: &str, v: Value) -> Result<f64, CliError> {
+    match v {
+        Value::Arg(s) => s.parse().ok(),
+        Value::Json(j) => j.as_f64().ok(),
+    }
+    .filter(|x: &f64| x.is_finite() && *x >= 0.0)
+    .ok_or_else(|| CliError::Bad(format!("{token} needs a finite non-negative number")))
+}
+
+/// Where a command's fields come from: an argv tail or a serve request
+/// body. [`decode`] asks for every field by its wire name (`network`, `k`,
+/// `deadline_ms`, …); [`Fields::finish`] then rejects whatever it never
+/// asked for, so the decoder alone defines each command's fields.
+pub(crate) trait Fields {
+    /// The next positional field, called `name` in the usage text.
+    fn positional(&mut self, name: &'static str) -> Option<Value>;
+    /// The value of option `name`, if given.
+    ///
+    /// # Errors
+    /// [`CliError::Bad`] when the source holds it malformed.
+    fn value(&mut self, name: &'static str) -> Result<Option<Value>, CliError>;
+    /// Whether switch `name` is set.
+    ///
+    /// # Errors
+    /// [`CliError::Bad`] when the source holds it malformed.
+    fn switch(&mut self, name: &'static str) -> Result<bool, CliError>;
+    /// `name` as this source spells it in messages.
+    fn token(&self, name: &str) -> String;
+    /// Reject whatever decoding `cmd` never asked for.
+    ///
+    /// # Errors
+    /// [`CliError::Bad`] naming the first unasked token.
+    fn finish(&self, cmd: &str) -> Result<(), CliError>;
+}
+
+/// The argv source: positionals first, in order, then flags anywhere. A
+/// field's flag is its name with `_` → `-`: `--deadline-ms`, or `-k` for a
+/// one-letter name. Each flag may be given once.
+struct Argv<'a> {
+    args: &'a [String],
+    used: Vec<bool>,
+    positionals: usize,
+}
+
+impl Argv<'_> {
+    /// Claim `name`'s flag and the `values` tokens after it.
+    fn claim(&mut self, name: &str, values: usize) -> Result<Option<usize>, CliError> {
+        let flag = self.token(name);
+        let mut hits = (0..self.args.len()).filter(|&i| self.args[i] == flag);
+        let Some(at) = hits.next() else {
+            return Ok(None);
+        };
+        if hits.next().is_some() {
+            return Err(CliError::Bad(format!("{flag} is given more than once")));
+        }
+        if at + values >= self.args.len() {
+            return Err(CliError::Bad(format!("{flag} needs a value")));
+        }
+        self.used[at..=at + values].fill(true);
+        Ok(Some(at))
+    }
+}
+
+impl Fields for Argv<'_> {
+    fn positional(&mut self, _name: &'static str) -> Option<Value> {
+        let at = self.positionals;
+        let arg = self.args.get(at).filter(|a| !a.starts_with('-'))?;
+        self.used[at] = true;
+        self.positionals += 1;
+        Some(Value::Arg(arg.clone()))
+    }
+
+    fn value(&mut self, name: &'static str) -> Result<Option<Value>, CliError> {
+        Ok(self
+            .claim(name, 1)?
+            .map(|at| Value::Arg(self.args[at + 1].clone())))
+    }
+
+    fn switch(&mut self, name: &'static str) -> Result<bool, CliError> {
+        Ok(self.claim(name, 0)?.is_some())
+    }
+
+    fn token(&self, name: &str) -> String {
+        if name.len() == 1 {
+            format!("-{name}")
+        } else {
+            format!("--{}", name.replace('_', "-"))
+        }
+    }
+
+    fn finish(&self, cmd: &str) -> Result<(), CliError> {
+        match self.args.iter().zip(&self.used).find(|(_, used)| !**used) {
+            None => Ok(()),
+            Some((a, _)) if a.starts_with('-') => {
+                Err(CliError::Bad(format!("unknown flag {a} for {cmd}")))
+            }
+            Some((a, _)) => Err(CliError::Bad(format!(
+                "unexpected argument {a:?} for {cmd}"
+            ))),
+        }
+    }
+}
+
+/// The serve source: a request body's fields, named like the CLI flags
+/// with `-` → `_` and like the usage text's positionals. `op` and `id`
+/// belong to the envelope. `checkpoint` and `stream` act on the daemon's
+/// own files and stdin, so a body never offers them: they stay unasked
+/// and `finish` rejects them like any unknown field.
+struct Body<'a> {
+    fields: &'a BTreeMap<String, Json>,
+    asked: Vec<&'static str>,
+}
+
+impl Fields for Body<'_> {
+    fn positional(&mut self, name: &'static str) -> Option<Value> {
+        self.asked.push(name);
+        self.fields.get(name).cloned().map(Value::Json)
+    }
+
+    fn value(&mut self, name: &'static str) -> Result<Option<Value>, CliError> {
+        Ok(match name {
+            "checkpoint" => None,
+            _ => self.positional(name),
         })
-    };
-    match cmd.as_str() {
-        "corpus" => Ok(Command::Corpus),
-        "route" | "backup" => {
-            let [network, src, dst] = positional.as_slice() else {
-                return Err(bad(format!("{cmd} needs <network> <src> <dst>")));
-            };
-            if cmd == "route" {
-                Ok(Command::Route {
-                    network: (*network).clone(),
-                    src: (*src).clone(),
-                    dst: (*dst).clone(),
-                })
-            } else {
-                Ok(Command::Backup {
-                    network: (*network).clone(),
-                    src: (*src).clone(),
-                    dst: (*dst).clone(),
-                    k: match flag_of("-k") {
-                        Some(v) => parse_usize(Some(v), "-k")?,
-                        None => 3,
-                    },
-                })
+    }
+
+    fn switch(&mut self, _name: &'static str) -> Result<bool, CliError> {
+        Ok(false)
+    }
+
+    fn token(&self, name: &str) -> String {
+        format!("field {name:?}")
+    }
+
+    fn finish(&self, cmd: &str) -> Result<(), CliError> {
+        let unasked =
+            |k: &&String| !matches!(k.as_str(), "op" | "id") && !self.asked.contains(&k.as_str());
+        match self.fields.keys().find(unasked) {
+            Some(k) => Err(CliError::Bad(format!("unknown field {k:?} for op {cmd:?}"))),
+            None => Ok(()),
+        }
+    }
+}
+
+/// Option `name` converted by `parse`, or a usage error naming the token
+/// and `what` a valid value looks like.
+fn field<T>(
+    f: &mut dyn Fields,
+    name: &'static str,
+    what: &str,
+    parse: impl FnOnce(Value) -> Option<T>,
+) -> Result<Option<T>, CliError> {
+    f.value(name)?
+        .map(|v| parse(v).ok_or_else(|| CliError::Bad(format!("{} needs {what}", f.token(name)))))
+        .transpose()
+}
+
+fn text(f: &mut dyn Fields, name: &'static str) -> Result<Option<String>, CliError> {
+    field(f, name, "a string", Value::text)
+}
+
+fn uint(f: &mut dyn Fields, name: &'static str) -> Result<Option<u64>, CliError> {
+    field(f, name, "a non-negative integer", Value::uint)
+}
+
+/// A count: a positive integer.
+fn count(f: &mut dyn Fields, name: &'static str) -> Result<Option<usize>, CliError> {
+    field(f, name, "a positive integer", |v| {
+        v.uint().filter(|&n| n > 0).map(|n| n as usize)
+    })
+}
+
+/// The positional fields `names` of `cmd`, all required, as strings.
+fn required<const N: usize>(
+    f: &mut dyn Fields,
+    cmd: &str,
+    names: [&'static str; N],
+) -> Result<[String; N], CliError> {
+    let mut values: [String; N] = std::array::from_fn(|_| String::new());
+    for (slot, name) in values.iter_mut().zip(names) {
+        *slot = match f.positional(name) {
+            Some(v) => v
+                .text()
+                .ok_or_else(|| CliError::Bad(format!("{} needs a string", f.token(name))))?,
+            None => {
+                let usage: Vec<String> = names.iter().map(|n| format!("<{n}>")).collect();
+                return Err(CliError::Bad(format!("{cmd} needs {}", usage.join(" "))));
+            }
+        };
+    }
+    Ok(values)
+}
+
+fn budget(f: &mut dyn Fields) -> Result<BudgetArgs, CliError> {
+    Ok(BudgetArgs {
+        deadline_ms: uint(f, "deadline_ms")?,
+        max_work: uint(f, "max_work")?,
+        checkpoint: text(f, "checkpoint")?,
+        cancel: None,
+    })
+}
+
+fn seed(f: &mut dyn Fields) -> Result<u64, CliError> {
+    Ok(uint(f, "seed")?.unwrap_or(crate::CLI_SEED))
+}
+
+/// Decode command `cmd` from `f`: the one place each command's fields,
+/// defaults and range checks are written, for argv and serve alike.
+///
+/// # Errors
+/// [`CliError::Bad`] for an unknown command or a missing or malformed
+/// field.
+pub(crate) fn decode(cmd: &str, f: &mut dyn Fields) -> Result<Command, CliError> {
+    Ok(match cmd {
+        "corpus" => Command::Corpus,
+        "route" => {
+            let [network, src, dst] = required(f, cmd, ["network", "src", "dst"])?;
+            Command::Route { network, src, dst }
+        }
+        "backup" => {
+            let [network, src, dst] = required(f, cmd, ["network", "src", "dst"])?;
+            Command::Backup {
+                network,
+                src,
+                dst,
+                k: count(f, "k")?.unwrap_or(3),
             }
         }
         "provision" => {
-            let [network] = positional.as_slice() else {
-                return Err(bad("provision needs <network>".into()));
-            };
-            Ok(Command::Provision {
-                network: (*network).clone(),
-                k: match flag_of("-k") {
-                    Some(v) => parse_usize(Some(v), "-k")?,
-                    None => 5,
-                },
-                budget: budget_flags()?,
-            })
+            let [network] = required(f, cmd, ["network"])?;
+            Command::Provision {
+                network,
+                k: count(f, "k")?.unwrap_or(5),
+                budget: budget(f)?,
+            }
         }
         "replay" => {
-            let [network, storm] = positional.as_slice() else {
-                return Err(bad("replay needs <network> <storm>".into()));
-            };
-            Ok(Command::Replay {
-                network: (*network).clone(),
-                storm: (*storm).clone(),
-                stride: match flag_of("--stride") {
-                    Some(v) => parse_usize(Some(v), "--stride")?,
-                    None => 8,
-                },
-                stream: rest.iter().any(|a| a == "--stream"),
-                budget: budget_flags()?,
-            })
+            let [network, storm] = required(f, cmd, ["network", "storm"])?;
+            Command::Replay {
+                network,
+                storm,
+                stride: count(f, "stride")?.unwrap_or(8),
+                stream: f.switch("stream")?,
+                budget: budget(f)?,
+            }
         }
         "sweep" => {
-            let [network] = positional.as_slice() else {
-                return Err(bad("sweep needs <network>".into()));
-            };
-            let mode = flag_of("--mode").cloned().unwrap_or_else(|| "n1".into());
+            let [network] = required(f, cmd, ["network"])?;
+            let mode = text(f, "mode")?.unwrap_or_else(|| "n1".into());
             if !matches!(mode.as_str(), "n1" | "n2" | "ensemble") {
-                return Err(bad(format!(
+                return Err(CliError::Bad(format!(
                     "unknown sweep mode {mode:?} (expected n1, n2, or ensemble)"
                 )));
             }
-            Ok(Command::Sweep {
-                network: (*network).clone(),
+            Command::Sweep {
+                network,
                 mode,
-                samples: match flag_of("--samples") {
-                    Some(v) => parse_usize(Some(v), "--samples")?,
-                    None => 64,
-                },
-                seed: match flag_of("--seed") {
-                    Some(v) => parse_u64(Some(v), "--seed")?,
-                    None => crate::CLI_SEED,
-                },
-                budget: budget_flags()?,
-            })
+                samples: count(f, "samples")?.unwrap_or(64),
+                seed: seed(f)?,
+                budget: budget(f)?,
+            }
         }
         "resume" => {
-            let [snapshot] = positional.as_slice() else {
-                return Err(bad("resume needs <snapshot>".into()));
-            };
-            Ok(Command::Resume {
-                snapshot: (*snapshot).clone(),
-                budget: budget_flags()?,
-            })
+            let [snapshot] = required(f, cmd, ["snapshot"])?;
+            Command::Resume {
+                snapshot,
+                budget: budget(f)?,
+            }
         }
-        "critical" => {
-            let [network] = positional.as_slice() else {
-                return Err(bad("critical needs <network>".into()));
-            };
-            Ok(Command::Critical {
-                network: (*network).clone(),
-            })
-        }
-        "corridors" => {
-            let [network] = positional.as_slice() else {
-                return Err(bad("corridors needs <network>".into()));
-            };
-            Ok(Command::Corridors {
-                network: (*network).clone(),
-            })
+        "critical" | "corridors" | "ospf" => {
+            let [network] = required(f, cmd, ["network"])?;
+            match cmd {
+                "critical" => Command::Critical { network },
+                "corridors" => Command::Corridors { network },
+                _ => Command::Ospf { network },
+            }
         }
         "ratio" => {
-            let [network] = positional.as_slice() else {
-                return Err(bad("ratio needs <network>".into()));
-            };
-            Ok(Command::Ratio {
-                network: (*network).clone(),
-                sample: match flag_of("--sample") {
-                    Some(v) => Some(parse_usize(Some(v), "--sample")?),
-                    None => None,
-                },
-                seed: match flag_of("--seed") {
-                    Some(v) => parse_u64(Some(v), "--seed")?,
-                    None => crate::CLI_SEED,
-                },
-            })
+            let [network] = required(f, cmd, ["network"])?;
+            Command::Ratio {
+                network,
+                sample: count(f, "sample")?,
+                seed: seed(f)?,
+            }
         }
         "synth" => {
-            let [n] = positional.as_slice() else {
-                return Err(bad("synth needs <n> (PoP count)".into()));
-            };
-            Ok(Command::Synth {
-                n: parse_usize(Some(n), "synth <n>")?,
-                seed: match flag_of("--seed") {
-                    Some(v) => parse_u64(Some(v), "--seed")?,
-                    None => crate::CLI_SEED,
-                },
-                out: flag_of("--out").cloned(),
-            })
-        }
-        "ospf" => {
-            let [network] = positional.as_slice() else {
-                return Err(bad("ospf needs <network>".into()));
-            };
-            Ok(Command::Ospf {
-                network: (*network).clone(),
-            })
+            let [n] = required(f, cmd, ["n"])?;
+            Command::Synth {
+                n: n.parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| CliError::Bad("synth <n> needs a positive integer".into()))?,
+                seed: seed(f)?,
+                out: text(f, "out")?,
+            }
         }
         "serve" => {
-            if !positional.is_empty() {
-                return Err(bad("serve takes only flags (see usage)".into()));
+            let limits = ServeConfig::default();
+            Command::Serve {
+                listen: text(f, "listen")?.unwrap_or_else(|| "127.0.0.1:4167".into()),
+                unix: text(f, "unix")?,
+                max_inflight: count(f, "max_inflight")?.unwrap_or(limits.max_inflight),
+                max_connections: count(f, "max_connections")?.unwrap_or(limits.max_connections),
+                frame_cap_bytes: count(f, "frame_cap_bytes")?.unwrap_or(limits.frame_cap_bytes),
+                read_timeout_ms: uint(f, "read_timeout_ms")?.unwrap_or(limits.read_timeout_ms),
+                write_timeout_ms: uint(f, "write_timeout_ms")?.unwrap_or(limits.write_timeout_ms),
+                drain_ms: uint(f, "drain_ms")?.unwrap_or(limits.drain_ms),
+                deadline_ms: uint(f, "deadline_ms")?,
             }
-            let max_inflight = match flag_of("--max-inflight") {
-                Some(v) => parse_usize(Some(v), "--max-inflight")?,
-                None => 8,
-            };
-            let max_connections = match flag_of("--max-connections") {
-                Some(v) => parse_usize(Some(v), "--max-connections")?,
-                None => 64,
-            };
-            if max_inflight == 0 || max_connections == 0 {
-                return Err(bad(
-                    "serve needs --max-inflight and --max-connections of at least 1".into(),
-                ));
-            }
-            Ok(Command::Serve {
-                listen: flag_of("--listen")
-                    .cloned()
-                    .unwrap_or_else(|| "127.0.0.1:4167".into()),
-                unix: flag_of("--unix").cloned(),
-                max_inflight,
-                max_connections,
-                frame_cap_bytes: match flag_of("--frame-cap-bytes") {
-                    Some(v) => parse_usize(Some(v), "--frame-cap-bytes")?,
-                    None => 1 << 20,
-                },
-                read_timeout_ms: match flag_of("--read-timeout-ms") {
-                    Some(v) => parse_u64(Some(v), "--read-timeout-ms")?,
-                    None => 10_000,
-                },
-                write_timeout_ms: match flag_of("--write-timeout-ms") {
-                    Some(v) => parse_u64(Some(v), "--write-timeout-ms")?,
-                    None => 5_000,
-                },
-                drain_ms: match flag_of("--drain-ms") {
-                    Some(v) => parse_u64(Some(v), "--drain-ms")?,
-                    None => 2_000,
-                },
-                deadline_ms: match flag_of("--deadline-ms") {
-                    Some(v) => Some(parse_u64(Some(v), "--deadline-ms")?),
-                    None => None,
-                },
-            })
         }
         "failure" => {
-            let [network, storm] = positional.as_slice() else {
-                return Err(bad("failure needs <network> <storm>".into()));
-            };
-            Ok(Command::Failure {
-                network: (*network).clone(),
-                storm: (*storm).clone(),
-            })
+            let [network, storm] = required(f, cmd, ["network", "storm"])?;
+            Command::Failure { network, storm }
         }
         "export" => {
-            let [network] = positional.as_slice() else {
-                return Err(bad("export needs <network>".into()));
-            };
-            let format = flag_of("--format")
-                .cloned()
-                .unwrap_or_else(|| "json".into());
+            let [network] = required(f, cmd, ["network"])?;
+            let format = text(f, "format")?.unwrap_or_else(|| "json".into());
             if format != "json" && format != "graphml" {
-                return Err(bad(format!("unknown export format {format:?}")));
+                return Err(CliError::Bad(format!("unknown export format {format:?}")));
             }
-            Ok(Command::Export {
-                network: (*network).clone(),
+            Command::Export {
+                network,
                 format,
-                out: flag_of("--out").cloned(),
-            })
+                out: text(f, "out")?,
+            }
         }
         "obs-summary" => {
-            let [path] = positional.as_slice() else {
-                return Err(bad("obs-summary needs <trace.jsonl>".into()));
-            };
-            Ok(Command::ObsSummary {
-                path: (*path).clone(),
-            })
+            let [path] = required(f, cmd, ["trace.jsonl"])?;
+            Command::ObsSummary { path }
         }
-        "obs" => match positional.as_slice() {
-            [sub, path] if sub.as_str() == "trace" => Ok(Command::ObsTrace {
-                path: (*path).clone(),
-                out: flag_of("--out")
-                    .cloned()
-                    .unwrap_or_else(|| "trace.json".into()),
-            }),
-            [sub, path] if sub.as_str() == "lint" => Ok(Command::ObsLint {
-                path: (*path).clone(),
-            }),
-            _ => Err(bad(
-                "obs needs a subcommand: trace <trace.jsonl> [--out <path>] \
-                 or lint <metrics.prom>"
-                    .into(),
-            )),
-        },
-        "chaos" => {
-            if !positional.is_empty() {
-                return Err(bad("chaos takes only --plans and --seed flags".into()));
+        "obs" => match required(f, cmd, ["trace|lint", "path"]) {
+            Ok([sub, path]) if sub == "trace" => Command::ObsTrace {
+                path,
+                out: text(f, "out")?.unwrap_or_else(|| "trace.json".into()),
+            },
+            Ok([sub, path]) if sub == "lint" => Command::ObsLint { path },
+            _ => {
+                return Err(CliError::Bad(
+                    "obs needs a subcommand: trace <trace.jsonl> [--out <path>] \
+                     or lint <metrics.prom>"
+                        .into(),
+                ))
             }
-            Ok(Command::Chaos {
-                plans: match flag_of("--plans") {
-                    Some(v) => parse_usize(Some(v), "--plans")?,
-                    None => 8,
-                },
-                seed: match flag_of("--seed") {
-                    Some(v) => parse_u64(Some(v), "--seed")?,
-                    None => crate::CLI_SEED,
-                },
-            })
-        }
-        other => Err(bad(format!("unknown command {other:?}"))),
-    }
+        },
+        "chaos" => Command::Chaos {
+            plans: count(f, "plans")?.unwrap_or(8),
+            seed: seed(f)?,
+        },
+        other => return Err(CliError::Bad(format!("unknown command {other:?}"))),
+    })
 }
 
 #[cfg(test)]
@@ -1347,6 +1365,14 @@ mod tests {
         // A flag another command defines is still foreign here.
         assert_rejects_flag("route Sprint 0 9 --stride 2", "--stride");
         assert_rejects_flag("ratio Sprint --stream", "--stream");
+        // A value-taking flag needs its value; it is not defaulted.
+        assert_rejects_flag("provision Telepak -k", "-k");
+        assert_rejects_flag("ratio Telepak --seed", "--seed");
+        // Every positional and every flag is read, and each only once.
+        assert_rejects_flag("ratio Sprint --seed 7 extra", "extra");
+        assert_rejects_flag("route Sprint 0 9 10", "10");
+        assert_rejects_flag("ratio Sprint --seed 1 --seed 2", "--seed");
+        assert_rejects_flag("replay Telepak katrina --stream --stream", "--stream");
     }
 
     #[test]

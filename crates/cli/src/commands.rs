@@ -1,6 +1,6 @@
 //! Subcommand implementations: pure functions to output strings.
 
-use crate::args::BudgetArgs;
+use crate::args::{decode_request, BudgetArgs, Command};
 use crate::{resolve_pop, resolve_storm, CliContext, CliError};
 use riskroute::backup::backup_paths;
 use riskroute::checkpoint::{self, LoadOutcome, Snapshot, SnapshotJob, SnapshotProgress};
@@ -930,30 +930,6 @@ pub fn ratio(
     Ok(out)
 }
 
-/// Options for `riskroute serve`, mirrored from
-/// [`Command::Serve`](crate::Command::Serve).
-#[derive(Debug, Clone)]
-pub struct ServeOptions {
-    /// TCP listen address (ignored when `unix` is set).
-    pub listen: String,
-    /// Unix-domain socket path, when serving over a Unix socket.
-    pub unix: Option<String>,
-    /// Maximum queries executing at once.
-    pub max_inflight: usize,
-    /// Maximum concurrently open connections.
-    pub max_connections: usize,
-    /// Per-frame byte cap.
-    pub frame_cap_bytes: usize,
-    /// Mid-frame stall timeout.
-    pub read_timeout_ms: u64,
-    /// Response-write stall timeout.
-    pub write_timeout_ms: u64,
-    /// Drain window (finish, then shed) at shutdown.
-    pub drain_ms: u64,
-    /// Default per-request wall-clock deadline (requests may override).
-    pub deadline_ms: Option<u64>,
-}
-
 /// The daemon's [`QueryHandler`]: answers queries with the same pure
 /// command functions as one-shot invocations, over one warm context, which
 /// is what makes serve responses byte-identical to the CLI.
@@ -961,41 +937,6 @@ pub struct ServeHandler {
     ctx: CliContext,
     weights: RiskWeights,
     default_deadline_ms: Option<u64>,
-}
-
-fn opt_field<'a>(request: &'a Request, name: &str) -> Option<&'a riskroute_json::Json> {
-    request.body.as_obj().ok().and_then(|m| m.get(name))
-}
-
-fn req_str<'a>(request: &'a Request, name: &str) -> Result<&'a str, CliError> {
-    let v = opt_field(request, name).ok_or_else(|| {
-        CliError::Bad(format!("op {:?} needs a {name:?} field", request.op))
-    })?;
-    v.as_str()
-        .map_err(|_| CliError::Bad(format!("field {name:?} must be a string")))
-}
-
-fn opt_usize(request: &Request, name: &str) -> Result<Option<usize>, CliError> {
-    opt_field(request, name)
-        .map(|v| {
-            v.as_usize().map_err(|_| {
-                CliError::Bad(format!("field {name:?} must be a non-negative integer"))
-            })
-        })
-        .transpose()
-}
-
-fn opt_u64(request: &Request, name: &str) -> Result<Option<u64>, CliError> {
-    Ok(opt_usize(request, name)?.map(|v| v as u64))
-}
-
-fn opt_f64(request: &Request, name: &str) -> Result<Option<f64>, CliError> {
-    opt_field(request, name)
-        .map(|v| {
-            v.as_f64()
-                .map_err(|_| CliError::Bad(format!("field {name:?} must be a number")))
-        })
-        .transpose()
 }
 
 /// The stable kebab-case `kind` a [`CliError`] maps to on the wire.
@@ -1023,98 +964,31 @@ impl ServeHandler {
         }
     }
 
-    /// Per-request λ overrides fall back to the daemon's global weights.
-    fn weights_for(&self, request: &Request) -> Result<RiskWeights, CliError> {
-        let lh = opt_f64(request, "lambda_h")?;
-        let lf = opt_f64(request, "lambda_f")?;
-        if lh.is_none() && lf.is_none() {
-            return Ok(self.weights);
-        }
-        Ok(RiskWeights::new(
-            lh.unwrap_or(self.weights.lambda_h),
-            lf.unwrap_or(self.weights.lambda_f),
-        ))
-    }
-
-    /// Per-request budget: request fields override the daemon default
-    /// deadline; every budget is wired to the daemon's shed flag so a
-    /// drain past its deadline stops in-flight work at the next stage
-    /// boundary as a typed partial. No checkpointing in serve.
-    fn budget_for(&self, request: &Request, cx: &QueryCx) -> Result<BudgetArgs, CliError> {
-        Ok(BudgetArgs {
-            deadline_ms: opt_u64(request, "deadline_ms")?.or(self.default_deadline_ms),
-            max_work: opt_u64(request, "max_work")?,
-            checkpoint: None,
-            cancel: Some(std::sync::Arc::clone(&cx.cancel)),
-        })
-    }
-
-    /// Defaults for optional fields match the CLI flag defaults, so a
-    /// field-free request answers exactly like the flag-free command.
+    /// Decode the request through the CLI's own decoder and run it
+    /// through the CLI's dispatch, so a field-free request answers exactly
+    /// like the flag-free command.
     fn answer(&self, request: &Request, cx: &QueryCx) -> Result<String, CliError> {
-        let weights = self.weights_for(request)?;
-        match request.op.as_str() {
-            "corpus" => Ok(corpus(&self.ctx)),
-            "route" => route(
-                &self.ctx,
-                req_str(request, "network")?,
-                req_str(request, "src")?,
-                req_str(request, "dst")?,
-                weights,
-            ),
-            "ratio" => ratio(
-                &self.ctx,
-                req_str(request, "network")?,
-                weights,
-                opt_usize(request, "sample")?,
-                opt_u64(request, "seed")?.unwrap_or(crate::CLI_SEED),
-            ),
-            "provision" => {
-                let budget = self.budget_for(request, cx)?;
-                provision(
-                    &self.ctx,
-                    req_str(request, "network")?,
-                    opt_usize(request, "k")?.unwrap_or(5),
-                    weights,
-                    &budget,
-                    false,
-                )
-            }
-            "replay" => {
-                let budget = self.budget_for(request, cx)?;
-                replay(
-                    &self.ctx,
-                    req_str(request, "network")?,
-                    req_str(request, "storm")?,
-                    opt_usize(request, "stride")?.unwrap_or(8),
-                    weights,
-                    &budget,
-                    false,
-                )
-            }
-            "sweep" => {
-                let budget = self.budget_for(request, cx)?;
-                sweep(
-                    &self.ctx,
-                    req_str(request, "network")?,
-                    opt_field(request, "mode")
-                        .map(|v| v.as_str().map(str::to_string))
-                        .transpose()
-                        .map_err(|_| CliError::Bad("field \"mode\" must be a string".into()))?
-                        .as_deref()
-                        .unwrap_or("n1"),
-                    opt_usize(request, "samples")?.unwrap_or(64),
-                    opt_u64(request, "seed")?.unwrap_or(crate::CLI_SEED),
-                    weights,
-                    &budget,
-                    false,
-                )
-            }
-            other => Err(CliError::Bad(format!(
-                "unknown op {other:?} (expected ping, route, ratio, provision, \
-                 replay, sweep, corpus, or shutdown)"
-            ))),
+        const OPS: [&str; 6] = ["corpus", "route", "ratio", "provision", "replay", "sweep"];
+        if !OPS.contains(&request.op.as_str()) {
+            return Err(CliError::Bad(format!(
+                "unknown op {:?} (expected ping, route, ratio, provision, \
+                 replay, sweep, corpus, or shutdown)",
+                request.op
+            )));
         }
+        let (mut command, weights) = decode_request(request, self.weights)?;
+        // Requests override the daemon's default deadline; every budget is
+        // wired to the daemon's shed flag so a drain past its deadline
+        // stops in-flight work at the next stage boundary as a typed
+        // partial.
+        if let Command::Provision { budget, .. }
+        | Command::Replay { budget, .. }
+        | Command::Sweep { budget, .. } = &mut command
+        {
+            budget.deadline_ms = budget.deadline_ms.or(self.default_deadline_ms);
+            budget.cancel = Some(std::sync::Arc::clone(&cx.cancel));
+        }
+        execute(&self.ctx, &command, weights, false)
     }
 }
 
@@ -1129,7 +1003,11 @@ impl QueryHandler for ServeHandler {
             Err(err) => Reply::Err {
                 kind: error_kind(&err).to_string(),
                 exit_code: i64::from(err.exit_code()),
-                message: err.to_string(),
+                // The CLI usage text documents flags, not wire fields.
+                message: match &err {
+                    CliError::Bad(m) => format!("error: {m}"),
+                    _ => err.to_string(),
+                },
             },
         }
     }
@@ -1164,37 +1042,45 @@ fn bind_unix_server(
 /// the resolved endpoint on stdout, and runs the accept loop until a
 /// protocol `shutdown` request drains it. A clean drain returns a summary;
 /// a forced drain (in-flight work outlived both drain windows) surfaces as
-/// [`CliError::Drain`] and exit code 10.
-pub fn serve(
-    ctx: CliContext,
-    opts: ServeOptions,
-    weights: RiskWeights,
-) -> Result<String, CliError> {
+/// [`CliError::Drain`] and exit code 10. `command` is the decoded
+/// [`Command::Serve`]; any other command is a usage error.
+pub fn serve(ctx: CliContext, command: &Command, weights: RiskWeights) -> Result<String, CliError> {
+    let Command::Serve {
+        listen,
+        unix,
+        max_inflight,
+        max_connections,
+        frame_cap_bytes,
+        read_timeout_ms,
+        write_timeout_ms,
+        drain_ms,
+        deadline_ms,
+    } = command
+    else {
+        return Err(CliError::Bad(format!("{} is not serve", command.name())));
+    };
     // The scrape endpoint must have live counters whether or not
     // --metrics-out asked for a file export.
     riskroute_obs::enable();
     let config = ServeConfig {
-        max_connections: opts.max_connections,
-        max_inflight: opts.max_inflight,
-        frame_cap_bytes: opts.frame_cap_bytes,
-        read_timeout_ms: opts.read_timeout_ms,
-        write_timeout_ms: opts.write_timeout_ms,
-        drain_ms: opts.drain_ms,
+        max_connections: *max_connections,
+        max_inflight: *max_inflight,
+        frame_cap_bytes: *frame_cap_bytes,
+        read_timeout_ms: *read_timeout_ms,
+        write_timeout_ms: *write_timeout_ms,
+        drain_ms: *drain_ms,
         ..ServeConfig::default()
     };
-    let handler: std::sync::Arc<dyn QueryHandler> = std::sync::Arc::new(ServeHandler {
-        ctx,
-        weights,
-        default_deadline_ms: opts.deadline_ms,
-    });
-    let (server, endpoint) = match &opts.unix {
+    let handler: std::sync::Arc<dyn QueryHandler> =
+        std::sync::Arc::new(ServeHandler::new(ctx, weights, *deadline_ms));
+    let (server, endpoint) = match unix {
         Some(path) => bind_unix_server(path, handler, config)?,
         None => {
-            let server = Server::bind_tcp(&opts.listen, handler, config)
-                .map_err(|e| CliError::Io(format!("cannot bind {}: {e}", opts.listen)))?;
+            let server = Server::bind_tcp(listen, handler, config)
+                .map_err(|e| CliError::Io(format!("cannot bind {listen}: {e}")))?;
             let endpoint = server
                 .local_addr()
-                .map_or_else(|| opts.listen.clone(), |a| a.to_string());
+                .map_or_else(|| listen.clone(), |a| a.to_string());
             (server, endpoint)
         }
     };
@@ -1220,6 +1106,78 @@ pub fn serve(
             ""
         }
     ))
+}
+
+/// Run a decoded command over a built context: the one dispatch behind
+/// both the one-shot CLI and the serve daemon.
+///
+/// # Errors
+/// The command's own [`CliError`]. `serve`, `chaos` and the `obs`
+/// commands do not run over a shared context and are usage errors here.
+pub fn execute(
+    ctx: &CliContext,
+    command: &Command,
+    weights: RiskWeights,
+    progress: bool,
+) -> Result<String, CliError> {
+    match command {
+        Command::Corpus => Ok(corpus(ctx)),
+        Command::Route { network, src, dst } => route(ctx, network, src, dst, weights),
+        Command::Backup {
+            network,
+            src,
+            dst,
+            k,
+        } => backup(ctx, network, src, dst, *k, weights),
+        Command::Provision { network, k, budget } => {
+            provision(ctx, network, *k, weights, budget, progress)
+        }
+        Command::Replay {
+            network,
+            stream: true,
+            ..
+        } => replay_stream(ctx, network, weights),
+        Command::Replay {
+            network,
+            storm,
+            stride,
+            budget,
+            ..
+        } => replay(ctx, network, storm, *stride, weights, budget, progress),
+        Command::Sweep {
+            network,
+            mode,
+            samples,
+            seed,
+            budget,
+        } => sweep(
+            ctx, network, mode, *samples, *seed, weights, budget, progress,
+        ),
+        Command::Resume { snapshot, budget } => resume(ctx, snapshot, budget, progress),
+        Command::Ratio {
+            network,
+            sample,
+            seed,
+        } => ratio(ctx, network, weights, *sample, *seed),
+        Command::Synth { n, seed, out } => synth(*n, *seed, out.as_deref()),
+        Command::Critical { network } => critical(ctx, network),
+        Command::Corridors { network } => corridors(ctx, network),
+        Command::Ospf { network } => ospf(ctx, network, weights),
+        Command::Failure { network, storm } => failure(ctx, network, storm),
+        Command::Export {
+            network,
+            format,
+            out,
+        } => export(ctx, network, format, out.as_deref()),
+        Command::Serve { .. }
+        | Command::Chaos { .. }
+        | Command::ObsSummary { .. }
+        | Command::ObsTrace { .. }
+        | Command::ObsLint { .. } => Err(CliError::Bad(format!(
+            "{} does not run over a shared context",
+            command.name()
+        ))),
+    }
 }
 
 /// `riskroute critical <net>`

@@ -226,123 +226,22 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
 
 fn run_command(cli: &Cli) -> Result<String, CliError> {
     // The chaos harness builds its own faulted substrates per plan; it does
-    // not need (and must not share) the CLI context. obs-summary only reads
-    // a trace file.
-    if let Command::Chaos { plans, seed } = &cli.command {
-        return commands::chaos(*plans, *seed);
-    }
-    if let Command::ObsSummary { path } = &cli.command {
-        return commands::obs_summary(path);
-    }
-    if let Command::ObsTrace { path, out } = &cli.command {
-        return commands::obs_trace(path, out);
-    }
-    if let Command::ObsLint { path } = &cli.command {
-        return commands::obs_lint(path);
+    // not need (and must not share) the CLI context. The obs commands only
+    // read files.
+    match &cli.command {
+        Command::Chaos { plans, seed } => return commands::chaos(*plans, *seed),
+        Command::ObsSummary { path } => return commands::obs_summary(path),
+        Command::ObsTrace { path, out } => return commands::obs_trace(path, out),
+        Command::ObsLint { path } => return commands::obs_lint(path),
+        _ => {}
     }
     let mut ctx = CliContext::build(&cli.graphml)?;
     ctx.parallelism = cli.threads;
     ctx.route_cache = cli.route_cache;
     match &cli.command {
-        Command::Corpus => Ok(commands::corpus(&ctx)),
-        Command::Route { network, src, dst } => {
-            commands::route(&ctx, network, src, dst, cli.weights())
-        }
-        Command::Backup {
-            network,
-            src,
-            dst,
-            k,
-        } => commands::backup(&ctx, network, src, dst, *k, cli.weights()),
-        Command::Provision { network, k, budget } => {
-            commands::provision(&ctx, network, *k, cli.weights(), budget, cli.obs.progress)
-        }
-        Command::Replay {
-            network,
-            storm,
-            stride,
-            stream,
-            budget,
-        } => {
-            if *stream {
-                commands::replay_stream(&ctx, network, cli.weights())
-            } else {
-                commands::replay(
-                    &ctx,
-                    network,
-                    storm,
-                    *stride,
-                    cli.weights(),
-                    budget,
-                    cli.obs.progress,
-                )
-            }
-        }
-        Command::Sweep {
-            network,
-            mode,
-            samples,
-            seed,
-            budget,
-        } => commands::sweep(
-            &ctx,
-            network,
-            mode,
-            *samples,
-            *seed,
-            cli.weights(),
-            budget,
-            cli.obs.progress,
-        ),
-        Command::Resume { snapshot, budget } => {
-            commands::resume(&ctx, snapshot, budget, cli.obs.progress)
-        }
-        Command::Ratio {
-            network,
-            sample,
-            seed,
-        } => commands::ratio(&ctx, network, cli.weights(), *sample, *seed),
-        Command::Synth { n, seed, out } => commands::synth(*n, *seed, out.as_deref()),
-        Command::Serve {
-            listen,
-            unix,
-            max_inflight,
-            max_connections,
-            frame_cap_bytes,
-            read_timeout_ms,
-            write_timeout_ms,
-            drain_ms,
-            deadline_ms,
-        } => commands::serve(
-            ctx,
-            commands::ServeOptions {
-                listen: listen.clone(),
-                unix: unix.clone(),
-                max_inflight: *max_inflight,
-                max_connections: *max_connections,
-                frame_cap_bytes: *frame_cap_bytes,
-                read_timeout_ms: *read_timeout_ms,
-                write_timeout_ms: *write_timeout_ms,
-                drain_ms: *drain_ms,
-                deadline_ms: *deadline_ms,
-            },
-            cli.weights(),
-        ),
-        Command::Critical { network } => commands::critical(&ctx, network),
-        Command::Corridors { network } => commands::corridors(&ctx, network),
-        Command::Ospf { network } => commands::ospf(&ctx, network, cli.weights()),
-        Command::Failure { network, storm } => commands::failure(&ctx, network, storm),
-        Command::Export {
-            network,
-            format,
-            out,
-        } => commands::export(&ctx, network, format, out.as_deref()),
-        Command::Chaos { .. }
-        | Command::ObsSummary { .. }
-        | Command::ObsTrace { .. }
-        | Command::ObsLint { .. } => {
-            unreachable!("dispatched before context build")
-        }
+        // The daemon keeps the context for its whole life.
+        Command::Serve { .. } => commands::serve(ctx, &cli.command, cli.weights()),
+        command => commands::execute(&ctx, command, cli.weights(), cli.obs.progress),
     }
 }
 

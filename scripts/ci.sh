@@ -188,6 +188,15 @@ cargo run --release -p riskroute-cli -- chaos --plans 8 --seed 42
 echo "== chaos: kill/resume crash-consistency (seeds 0..4 via test) =="
 cargo test --release -p riskroute -q chaos::tests::kill_resume -- --nocapture
 
+echo "== cli: usage-error exit codes =="
+# A value-taking flag with no value is a usage error, not a silent default.
+usage_exit=0
+target/release/riskroute provision Telepak -k >/dev/null 2>&1 || usage_exit=$?
+if [ "$usage_exit" -ne 2 ]; then
+  echo "FAIL: provision Telepak -k exited $usage_exit instead of 2"
+  exit 1
+fi
+
 echo "== serve: warm-daemon smoke gate =="
 # Spawn the daemon on an ephemeral port with a tiny connection cap (so the
 # overload path is deterministically reachable below). It announces the
@@ -224,6 +233,18 @@ serve_query '{"id":1,"op":"ratio","network":"Telepak"}' | grep -q '"status":"ok"
 serve_query '{"op":"route","network":"Sprint","src":"0","dst":"5"}' | grep -q '"status":"ok"'
 serve_query '{ not json'                           | grep -q '"kind":"malformed-frame"'
 serve_query '{"op":"no-such-op"}'                  | grep -q '"kind":"bad-request"'
+# argv and serve share one decoder: a negative lambda and an unknown field
+# are bad requests (exit 2), and a bad-request reply carries no CLI usage
+# text, so it stays one short line.
+serve_query '{"op":"route","network":"Sprint","src":"0","dst":"5","lambda_h":-5}' \
+  | grep -q '"kind":"bad-request"'
+serve_query '{"op":"route","network":"Sprint","src":"0","dst":"5","bogus":1}' \
+  | grep -q '"kind":"bad-request"'
+bad_reply_bytes=$(serve_query '{"op":"no-such-op"}' | wc -c)
+if [ "$bad_reply_bytes" -ge 1024 ]; then
+  echo "FAIL: bad-request reply is $bad_reply_bytes bytes (limit 1024)"
+  exit 1
+fi
 # Overload: two held connections fill --max-connections 2 (the answered
 # pings prove both slots are admitted); the third connect is refused with
 # an overloaded line and a retry hint, not a hang or a dropped socket.

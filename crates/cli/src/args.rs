@@ -17,7 +17,7 @@ pub struct Cli {
     /// λ_f override (default 1e3).
     pub lambda_f: f64,
     /// `--threads <N|auto>`: worker count for the parallel sweeps
-    /// (default sequential). Every setting produces byte-identical output;
+    /// (default one worker). Every setting produces byte-identical output;
     /// the knob only trades wall-clock for cores.
     pub threads: Parallelism,
     /// `--no-route-cache` clears this (default `true`): disable the exact
@@ -505,11 +505,11 @@ GLOBALS:
   --lambda-h <x>                     historical risk weight (default 1e5)
   --lambda-f <x>                     forecast risk weight (default 1e3)
   --threads <N|auto>                 worker threads for the pair sweeps,
-                                     candidate scoring, and replay ticks
-                                     (default 1 = sequential; auto = one per
-                                     core). Output is byte-identical at any
-                                     setting — parallel sweeps reduce in the
-                                     sequential order
+                                     candidate scoring, replay ticks and
+                                     sweep scenarios (default 1; auto = one
+                                     per core). Output is byte-identical at
+                                     any setting — every worker count runs
+                                     the same units and merges them in order
   --no-route-cache                   disable the exact route-tree cache
                                      (debugging; output is byte-identical,
                                      runs just recompute every tree)
@@ -525,6 +525,7 @@ OBSERVABILITY (any command):
 
 PoP selectors are indices or unique case-insensitive name substrings.
 Storms: katrina, irene, sandy. Everything is deterministic (seed 42).
+-k, --sample and --samples accept at most 1048576.
 
 EXIT CODES:
   0 ok/help   2 usage   3 unknown name   4 I/O   5 parse/import/snapshot
@@ -840,6 +841,22 @@ fn count(f: &mut dyn Fields, name: &'static str) -> Result<Option<usize>, CliErr
     })
 }
 
+/// The largest `k`, `sample` or `samples` a command accepts. Each count
+/// sizes work that is laid out up front (sampled pairs, scenario specs,
+/// greedy rounds), and an allocation failure aborts the process instead of
+/// unwinding, so one oversized request could take down the serve daemon.
+pub(crate) const MAX_WORK_COUNT: usize = 1 << 20;
+
+/// A count that sizes up-front work: a positive integer up to
+/// [`MAX_WORK_COUNT`].
+fn work_count(f: &mut dyn Fields, name: &'static str) -> Result<Option<usize>, CliError> {
+    field(f, name, "a positive integer up to 1048576", |v| {
+        v.uint()
+            .filter(|&n| n > 0 && n <= MAX_WORK_COUNT as u64)
+            .map(|n| n as usize)
+    })
+}
+
 /// The positional fields `names` of `cmd`, all required, as strings.
 fn required<const N: usize>(
     f: &mut dyn Fields,
@@ -893,14 +910,14 @@ pub(crate) fn decode(cmd: &str, f: &mut dyn Fields) -> Result<Command, CliError>
                 network,
                 src,
                 dst,
-                k: count(f, "k")?.unwrap_or(3),
+                k: work_count(f, "k")?.unwrap_or(3),
             }
         }
         "provision" => {
             let [network] = required(f, cmd, ["network"])?;
             Command::Provision {
                 network,
-                k: count(f, "k")?.unwrap_or(5),
+                k: work_count(f, "k")?.unwrap_or(5),
                 budget: budget(f)?,
             }
         }
@@ -925,7 +942,7 @@ pub(crate) fn decode(cmd: &str, f: &mut dyn Fields) -> Result<Command, CliError>
             Command::Sweep {
                 network,
                 mode,
-                samples: count(f, "samples")?.unwrap_or(64),
+                samples: work_count(f, "samples")?.unwrap_or(64),
                 seed: seed(f)?,
                 budget: budget(f)?,
             }
@@ -949,7 +966,7 @@ pub(crate) fn decode(cmd: &str, f: &mut dyn Fields) -> Result<Command, CliError>
             let [network] = required(f, cmd, ["network"])?;
             Command::Ratio {
                 network,
-                sample: count(f, "sample")?,
+                sample: work_count(f, "sample")?,
                 seed: seed(f)?,
             }
         }
@@ -1548,6 +1565,24 @@ mod tests {
             parse_args(&args("ratio Sprint --sample 0")),
             Err(CliError::Bad(_))
         ));
+    }
+
+    #[test]
+    fn work_counts_are_capped() {
+        for cmd in [
+            "ratio Sprint --sample",
+            "sweep Sprint --mode ensemble --samples",
+            "provision Sprint -k",
+            "backup Sprint 0 9 -k",
+        ] {
+            let max = MAX_WORK_COUNT;
+            assert!(parse_args(&args(&format!("{cmd} {max}"))).is_ok(), "{cmd}");
+            let Err(CliError::Bad(msg)) = parse_args(&args(&format!("{cmd} {}", max + 1))) else {
+                panic!("{cmd} above the cap must be a usage error");
+            };
+            assert!(msg.contains(&format!("up to {max}")), "{msg}");
+        }
+        assert!(USAGE.contains(&format!("at most {MAX_WORK_COUNT}")));
     }
 
     #[test]

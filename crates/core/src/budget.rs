@@ -28,6 +28,9 @@
 //! limited only by the work counter report identical [`StopReason`]s on
 //! every machine.
 
+use crate::error::Result;
+use crate::replay::CHECKPOINT_BATCH;
+use riskroute_par::Parallelism;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -188,11 +191,11 @@ impl WorkBudget {
 
     /// Work units left before the cap trips, or `None` when uncapped.
     ///
-    /// Parallel sweeps size their dispatch waves by this *before* handing
+    /// The budgeted wave driver sizes its waves by this *before* handing
     /// work to the pool, so a deterministic (max-work) cut lands on the
-    /// same stage boundary regardless of thread count — exactly where the
-    /// sequential loop, which checks [`exhausted`](Self::exhausted) before
-    /// every unit, would have stopped.
+    /// same stage boundary regardless of thread count — exactly where a
+    /// one-worker run, which checks [`exhausted`](Self::exhausted) before
+    /// every unit, stops.
     pub fn work_remaining(&self) -> Option<u64> {
         self.max_work.map(|max| max.saturating_sub(self.work_done()))
     }
@@ -224,6 +227,64 @@ impl WorkBudget {
         }
         None
     }
+}
+
+/// The one budgeted wave driver behind the replay and scenario sweeps.
+///
+/// Runs `unit(index, item)` over `items[records(done).len()..]`, appending
+/// each result to `records(done)` in item order. Each wave checks `budget`,
+/// maps `min(checkpoint-batch remainder, work remaining, par.workers())`
+/// items with [`riskroute_par::try_par_map_collect`], charges one unit per
+/// item, and fires `on_batch(done, next index)` when a [`CHECKPOINT_BATCH`]
+/// of new records closes. So with one worker the budget is checked before
+/// every unit; at any worker count a `--max-work` cut and every `on_batch`
+/// lands on the same item; and the items running at once have distinct
+/// `index % par.workers()`.
+///
+/// Returns `None` when every item ran, or the index of the first item not
+/// run and why the budget stopped it.
+///
+/// # Errors
+/// [`crate::Error::WorkerPanic`] when a unit panicked, at any worker count.
+pub(crate) fn budgeted_waves<T, R, A>(
+    par: Parallelism,
+    items: &[T],
+    done: &mut A,
+    records: impl Fn(&mut A) -> &mut Vec<R>,
+    budget: &WorkBudget,
+    unit: impl Fn(usize, &T) -> R + Sync,
+    mut on_batch: impl FnMut(&A, usize),
+) -> Result<Option<(usize, StopReason)>>
+where
+    T: Sync,
+    R: Send,
+{
+    let mut i = records(done).len();
+    let mut since_batch = 0usize;
+    while i < items.len() {
+        if let Some(stopped) = budget.exhausted() {
+            return Ok(Some((i, stopped)));
+        }
+        // ≥ 1: since_batch < CHECKPOINT_BATCH, i < len, and an unexhausted
+        // work cap has at least one unit left.
+        let mut take = (CHECKPOINT_BATCH - since_batch)
+            .min(items.len() - i)
+            .min(par.workers());
+        if let Some(left) = budget.work_remaining() {
+            take = take.min(usize::try_from(left).unwrap_or(usize::MAX));
+        }
+        let wave = &items[i..i + take];
+        let results = riskroute_par::try_par_map_collect(par, wave, |k, item| unit(i + k, item))?;
+        records(done).extend(results);
+        budget.charge(take as u64);
+        i += take;
+        since_batch += take;
+        if since_batch == CHECKPOINT_BATCH {
+            since_batch = 0;
+            on_batch(done, i);
+        }
+    }
+    Ok(None)
 }
 
 #[cfg(test)]
@@ -293,5 +354,36 @@ mod tests {
         assert!(StopReason::Cancelled.to_string().contains("cancel"));
         assert!(StopReason::WorkExhausted.to_string().contains("work"));
         assert!(StopReason::DeadlineExceeded.to_string().contains("deadline"));
+    }
+
+    const WORKERS: [Parallelism; 3] = [
+        Parallelism::Sequential,
+        Parallelism::Threads(2),
+        Parallelism::Threads(8),
+    ];
+
+    #[test]
+    fn budgeted_waves_type_a_panicking_unit_at_any_worker_count() {
+        let items: Vec<usize> = (0..20).collect();
+        for par in WORKERS {
+            let mut done: Vec<usize> = Vec::new();
+            let err = budgeted_waves(
+                par,
+                &items,
+                &mut done,
+                |d| d,
+                &WorkBudget::unlimited(),
+                |_, &x| {
+                    assert_ne!(x, 11, "deliberate test panic");
+                    x
+                },
+                |_, _| {},
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, crate::Error::WorkerPanic { panicked } if panicked >= 1),
+                "{par}: {err:?}"
+            );
+        }
     }
 }

@@ -516,8 +516,8 @@ pub fn run_chaos_at(plan: &FaultPlan, parallelism: Parallelism) -> Result<ChaosR
     Ok(chaos_report)
 }
 
-/// Worker counts the suites exercise for the *threads* dimension: the exact
-/// sequential path plus a small pool (2 workers keeps chunk hand-offs and
+/// Worker counts the suites exercise for the *threads* dimension: one
+/// worker plus a small pool (2 workers keeps chunk hand-offs and
 /// steals in play without starving CI machines).
 pub const CHAOS_THREAD_MATRIX: &[Parallelism] =
     &[Parallelism::Sequential, Parallelism::Threads(2)];

@@ -12,15 +12,8 @@ use riskroute_population::{PopShares, PopulationModel};
 use riskroute_topology::Network;
 use std::sync::Arc;
 
-/// How many unordered PoP pairs a parallel sweep dispatches per wave.
-/// Purely a memory bound on the in-flight per-pair contribution vectors —
-/// the reduction folds in pair order regardless of wave size or thread
-/// count, so this constant never affects results.
-pub(crate) const PAIR_WAVE: usize = 256;
-
 /// The `i < j` pair list in lexicographic order — the canonical reduction
-/// order every parallel sweep must replay to stay bit-identical to the
-/// sequential nested loops.
+/// order of every pair-sum sweep, at any worker count.
 pub(crate) fn unordered_pairs(n: usize) -> Vec<(usize, usize)> {
     let mut pairs = Vec::with_capacity(n.saturating_mul(n.saturating_sub(1)) / 2);
     for i in 0..n {
@@ -53,6 +46,15 @@ pub struct PairSweep {
     pub outcomes: Vec<PairOutcome>,
     /// Pairs with no connecting path (cross-component under a partition).
     pub stranded: Vec<(usize, usize)>,
+}
+
+impl PairSweep {
+    /// Append `later`'s outcomes and stranded pairs after this sweep's —
+    /// the in-order merge of a pooled fold's per-item parts.
+    fn append(&mut self, later: PairSweep) {
+        self.outcomes.extend(later.outcomes);
+        self.stranded.extend(later.stranded);
+    }
 }
 
 /// The intradomain routing engine for one network.
@@ -125,9 +127,9 @@ impl Planner {
     /// ([`pair_sweep`](Self::pair_sweep), [`aggregate_bit_risk`](Self::aggregate_bit_risk),
     /// and the provisioning scorer); returns the planner for chaining.
     ///
-    /// Every setting produces **bit-identical** results — parallel sweeps
-    /// reduce in the sequential order (see `riskroute-par`) — so the knob
-    /// only trades wall-clock for cores.
+    /// Every setting produces **bit-identical** results — every worker
+    /// count folds in input order (see `riskroute-par`) — so the knob only
+    /// trades wall-clock for cores.
     #[must_use]
     pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
@@ -401,20 +403,14 @@ impl Planner {
     }
 
     /// Route one source against every destination, appending routed pairs
-    /// to `outcomes` and unroutable ones to `stranded` — the per-source unit
-    /// of work shared verbatim by the sequential and parallel sweeps.
+    /// to `out.outcomes` and unroutable ones to `out.stranded` — the
+    /// per-source unit of [`Self::pair_sweep`].
     ///
     /// The shortest-path leg is O(1) per destination: path miles and the
     /// ρ-sum are β-independent, so both were accumulated down the distance
     /// tree once for the whole source. The RiskRoute leg's β differs per
     /// destination, so it reads an early-exit pair tree.
-    fn sweep_source(
-        &self,
-        i: usize,
-        dests: &[usize],
-        outcomes: &mut Vec<PairOutcome>,
-        stranded: &mut Vec<(usize, usize)>,
-    ) {
+    fn sweep_source(&self, i: usize, dests: &[usize], out: &mut PairSweep) {
         let dist_tree = self.risk_tree_distance(i);
         for &j in dests {
             if i == j {
@@ -422,14 +418,14 @@ impl Planner {
             }
             let beta = self.impact(i, j);
             let Some(shortest) = self.routed_from_distance_tree(&dist_tree, j, beta) else {
-                stranded.push((i, j));
+                out.stranded.push((i, j));
                 continue;
             };
             let Some(risk_route) = self.pair_risk_route(i, j) else {
-                stranded.push((i, j));
+                out.stranded.push((i, j));
                 continue;
             };
-            outcomes.push(PairOutcome {
+            out.outcomes.push(PairOutcome {
                 src: i,
                 dst: j,
                 risk_route,
@@ -444,40 +440,28 @@ impl Planner {
     /// the cross-component pairs are surfaced as `stranded` instead of
     /// aborting the aggregation.
     pub fn pair_sweep(&self, sources: &[usize], dests: &[usize]) -> PairSweep {
-        let span = riskroute_obs::span!("pair_sweep");
-        let mut outcomes = Vec::with_capacity(sources.len() * dests.len());
-        let mut stranded = Vec::new();
-        match self.parallelism {
-            Parallelism::Sequential => {
-                for &i in sources {
-                    self.sweep_source(i, dests, &mut outcomes, &mut stranded);
-                }
-            }
-            par => {
-                // One task per source; concatenating the per-source lists in
-                // source order reproduces the sequential push order exactly.
-                let per_source = riskroute_par::par_map_collect(par, sources, |_, &i| {
-                    let mut outcomes = Vec::with_capacity(dests.len());
-                    let mut stranded = Vec::new();
-                    self.sweep_source(i, dests, &mut outcomes, &mut stranded);
-                    (outcomes, stranded)
-                });
-                for (o, s) in per_source {
-                    outcomes.extend(o);
-                    stranded.extend(s);
-                }
-            }
-        }
-        let mut span = span;
+        let mut span = riskroute_obs::span!("pair_sweep");
+        let mut sweep = PairSweep {
+            outcomes: Vec::with_capacity(sources.len() * dests.len()),
+            stranded: Vec::new(),
+        };
+        riskroute_par::par_fold(
+            self.parallelism,
+            sources,
+            &mut sweep,
+            PairSweep::default,
+            |&i, out| self.sweep_source(i, dests, out),
+            PairSweep::append,
+        );
         if span.is_active() {
-            span.field("pairs_routed", outcomes.len());
-            span.field("pairs_stranded", stranded.len());
-            riskroute_obs::counter_add("pairs_routed", outcomes.len() as u64);
-            riskroute_obs::counter_add("pairs_stranded", stranded.len() as u64);
-            let bit_risk: f64 = outcomes.iter().map(|o| o.risk_route.bit_risk_miles).sum();
+            span.field("pairs_routed", sweep.outcomes.len());
+            span.field("pairs_stranded", sweep.stranded.len());
+            riskroute_obs::counter_add("pairs_routed", sweep.outcomes.len() as u64);
+            riskroute_obs::counter_add("pairs_stranded", sweep.stranded.len() as u64);
+            let bit_risk: f64 = sweep.outcomes.iter().map(|o| o.risk_route.bit_risk_miles).sum();
             riskroute_obs::gauge_set("pair_sweep_bit_risk_miles", bit_risk);
         }
-        PairSweep { outcomes, stranded }
+        sweep
     }
 
     /// Route one explicit (i, j) pair: the shortest-path and RiskRoute legs
@@ -502,48 +486,38 @@ impl Planner {
     /// n² pairs of a continental-scale network would be prohibitive.
     ///
     /// Outcomes and stranded pairs come back in pair-list order regardless
-    /// of the parallelism knob (per-pair results are folded in list order,
-    /// exactly like [`Self::pair_sweep`]'s per-source concatenation), so
-    /// results are bit-identical at any worker count. Pairs with
+    /// of the parallelism knob (the fold merges per-pair parts in list
+    /// order), so results are bit-identical at any worker count. Pairs with
     /// `src == dst` are skipped.
     pub fn pair_list_sweep(&self, pairs: &[(usize, usize)]) -> PairSweep {
-        let span = riskroute_obs::span!("pair_list_sweep");
-        let mut outcomes = Vec::with_capacity(pairs.len());
-        let mut stranded = Vec::new();
-        match self.parallelism {
-            Parallelism::Sequential => {
-                for &(i, j) in pairs {
-                    if i == j {
-                        continue;
-                    }
-                    match self.route_pair(i, j) {
-                        Some(o) => outcomes.push(o),
-                        None => stranded.push((i, j)),
-                    }
+        let mut span = riskroute_obs::span!("pair_list_sweep");
+        let mut sweep = PairSweep {
+            outcomes: Vec::with_capacity(pairs.len()),
+            stranded: Vec::new(),
+        };
+        riskroute_par::par_fold(
+            self.parallelism,
+            pairs,
+            &mut sweep,
+            PairSweep::default,
+            |&(i, j), out| {
+                if i == j {
+                    return;
                 }
-            }
-            par => {
-                for wave in pairs.chunks(PAIR_WAVE) {
-                    let vals = riskroute_par::par_map_collect(par, wave, |_, &(i, j)| {
-                        (i != j).then(|| self.route_pair(i, j).ok_or((i, j)))
-                    });
-                    for v in vals.into_iter().flatten() {
-                        match v {
-                            Ok(o) => outcomes.push(o),
-                            Err(p) => stranded.push(p),
-                        }
-                    }
+                match self.route_pair(i, j) {
+                    Some(o) => out.outcomes.push(o),
+                    None => out.stranded.push((i, j)),
                 }
-            }
-        }
-        let mut span = span;
+            },
+            PairSweep::append,
+        );
         if span.is_active() {
-            span.field("pairs_routed", outcomes.len());
-            span.field("pairs_stranded", stranded.len());
-            riskroute_obs::counter_add("pairs_routed", outcomes.len() as u64);
-            riskroute_obs::counter_add("pairs_stranded", stranded.len() as u64);
+            span.field("pairs_routed", sweep.outcomes.len());
+            span.field("pairs_stranded", sweep.stranded.len());
+            riskroute_obs::counter_add("pairs_routed", sweep.outcomes.len() as u64);
+            riskroute_obs::counter_add("pairs_stranded", sweep.stranded.len() as u64);
         }
-        PairSweep { outcomes, stranded }
+        sweep
     }
 
     /// Pair outcomes for an explicit source × destination sweep (src ≠ dst,
@@ -574,35 +548,23 @@ impl Planner {
     /// Total aggregated bit-risk miles `Σ_{i<j} min_p r_{i,j}(p)` — the
     /// objective of the provisioning analysis (Eq. 4).
     pub fn aggregate_bit_risk(&self) -> f64 {
-        let span = riskroute_obs::span!("aggregate_bit_risk");
-        let n = self.pop_count();
+        let mut span = riskroute_obs::span!("aggregate_bit_risk");
+        // Float addition is non-associative, so the fold adds in
+        // lexicographic pair order at any worker count; `-0.0` is the
+        // exact identity a pooled per-pair part starts from.
         let mut total = 0.0;
-        match self.parallelism {
-            Parallelism::Sequential => {
-                for i in 0..n {
-                    for j in (i + 1)..n {
-                        if let Some(p) = self.risk_route(i, j) {
-                            total += p.bit_risk_miles;
-                        }
-                    }
+        riskroute_par::par_fold(
+            self.parallelism,
+            &unordered_pairs(self.pop_count()),
+            &mut total,
+            || -0.0,
+            |&(i, j), acc: &mut f64| {
+                if let Some(p) = self.risk_route(i, j) {
+                    *acc += p.bit_risk_miles;
                 }
-            }
-            par => {
-                // Per-pair contributions computed in parallel, folded
-                // strictly in lexicographic pair order: float addition is
-                // non-associative, so only replaying the sequential order
-                // keeps the sum bit-identical.
-                for wave in unordered_pairs(n).chunks(PAIR_WAVE) {
-                    let vals = riskroute_par::par_map_collect(par, wave, |_, &(i, j)| {
-                        self.risk_route(i, j).map(|p| p.bit_risk_miles)
-                    });
-                    for v in vals.into_iter().flatten() {
-                        total += v;
-                    }
-                }
-            }
-        }
-        let mut span = span;
+            },
+            |acc, part| *acc += part,
+        );
         if span.is_active() {
             span.field("total_bit_risk_miles", total);
             riskroute_obs::counter_add("aggregate_bit_risk_runs", 1);

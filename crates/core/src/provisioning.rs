@@ -15,9 +15,8 @@
 //! price *every* candidate in O(1) each.
 
 use crate::budget::{Budgeted, WorkBudget};
-use crate::intradomain::{unordered_pairs, Planner, PAIR_WAVE};
+use crate::intradomain::{unordered_pairs, Planner};
 use riskroute_geo::distance::great_circle_miles;
-use riskroute_par::Parallelism;
 use riskroute_topology::{Network, PopId};
 
 /// The paper's footnote-3 shortcut threshold: a candidate link must cut the
@@ -90,37 +89,32 @@ pub fn candidate_links_with_threshold(
         "threshold must be in (0, 1)"
     );
     let n = network.pop_count();
-    let per_source = |i: usize| {
-        // Pure-distance tree from i (β = 0 ⇒ entry costs vanish).
-        let tree = planner.risk_tree_distance(i);
-        let mut out = Vec::new();
-        for j in (i + 1)..n {
-            if network.has_link(i, j) {
-                continue;
+    let sources: Vec<usize> = (0..n).collect();
+    let mut out = Vec::new();
+    riskroute_par::par_fold(
+        planner.parallelism(),
+        &sources,
+        &mut out,
+        Vec::new,
+        |&i, out: &mut Vec<(PopId, PopId, f64)>| {
+            // Pure-distance tree from i (β = 0 ⇒ entry costs vanish).
+            let tree = planner.risk_tree_distance(i);
+            for j in (i + 1)..n {
+                if network.has_link(i, j) {
+                    continue;
+                }
+                let direct = great_circle_miles(network.location(i), network.location(j));
+                let current = tree.dist(j);
+                // Disconnected pairs always qualify: any new link is an
+                // infinite improvement.
+                if !current.is_finite() || direct < (1.0 - threshold) * current {
+                    out.push((i, j, direct));
+                }
             }
-            let direct = great_circle_miles(network.location(i), network.location(j));
-            let current = tree.dist(j);
-            // Disconnected pairs always qualify: any new link is an infinite
-            // improvement.
-            if !current.is_finite() || direct < (1.0 - threshold) * current {
-                out.push((i, j, direct));
-            }
-        }
-        out
-    };
-    match planner.parallelism() {
-        Parallelism::Sequential => (0..n).flat_map(per_source).collect(),
-        par => {
-            // One SSSP tree per source in parallel; concatenating the
-            // per-source lists in source order reproduces the sequential
-            // push order exactly (pure filtering, no float accumulation).
-            let sources: Vec<usize> = (0..n).collect();
-            riskroute_par::par_map_collect(par, &sources, |_, &i| per_source(i))
-                .into_iter()
-                .flatten()
-                .collect()
-        }
-    }
+        },
+        Vec::extend,
+    );
+    out
 }
 
 /// Candidates at the strictest rung of [`THRESHOLD_LADDER`] that admits
@@ -164,60 +158,40 @@ pub fn score_candidates_budgeted(
     let _obs = budget.scope().enter();
     budget.charge(candidates.len() as u64);
     riskroute_obs::counter_add("provision_candidates_scored", candidates.len() as u64);
-    let n = network.pop_count();
     let rho = planner.rho();
+    // Totals accumulate pair-major in lexicographic pair order at any
+    // worker count, because float addition is non-associative and the
+    // totals feed a total-ordered argmax; `-0.0` is the exact identity a
+    // pooled per-pair part starts from.
     let mut totals = vec![0.0_f64; candidates.len()];
-
-    match planner.parallelism() {
-        Parallelism::Sequential => {
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    let beta = planner.impact(i, j);
-                    let tree_i = planner.risk_tree(i, beta);
-                    let tree_j = planner.risk_tree(j, beta);
-                    let pricer = ViaPricer::new(&tree_i, &tree_j, rho, beta, j);
-                    let old = tree_i.dist(j);
-                    for (c, &(a, b, miles)) in candidates.iter().enumerate() {
-                        let new = old.min(pricer.best_via(a, b, miles));
-                        // Unreachable pairs stay unreachable only if the
-                        // candidate does not bridge them; skip still-infinite
-                        // contributions so totals remain comparable (all
-                        // candidates see the same pair set).
-                        if new.is_finite() {
-                            totals[c] += new;
-                        }
-                    }
+    riskroute_par::par_fold(
+        planner.parallelism(),
+        &unordered_pairs(network.pop_count()),
+        &mut totals,
+        || vec![-0.0; candidates.len()],
+        |&(i, j), totals: &mut Vec<f64>| {
+            let beta = planner.impact(i, j);
+            let tree_i = planner.risk_tree(i, beta);
+            let tree_j = planner.risk_tree(j, beta);
+            let pricer = ViaPricer::new(&tree_i, &tree_j, rho, beta, j);
+            let old = tree_i.dist(j);
+            for (total, &(a, b, miles)) in totals.iter_mut().zip(candidates) {
+                let new = old.min(pricer.best_via(a, b, miles));
+                // Unreachable pairs stay unreachable only if the candidate
+                // does not bridge them; skip still-infinite contributions
+                // so totals remain comparable (all candidates see the same
+                // pair set).
+                if new.is_finite() {
+                    *total += new;
                 }
             }
-        }
-        par => {
-            // Each pair's two SSSP trees are priced in parallel; the
-            // per-candidate `old.min(via)` vectors are then folded
-            // sequentially in pair-major order — the exact nesting of the
-            // sequential loop above — because float addition is
-            // non-associative and the totals feed a total-ordered argmax.
-            for wave in unordered_pairs(n).chunks(PAIR_WAVE) {
-                let contribs = riskroute_par::par_map_collect(par, wave, |_, &(i, j)| {
-                    let beta = planner.impact(i, j);
-                    let tree_i = planner.risk_tree(i, beta);
-                    let tree_j = planner.risk_tree(j, beta);
-                    let pricer = ViaPricer::new(&tree_i, &tree_j, rho, beta, j);
-                    let old = tree_i.dist(j);
-                    candidates
-                        .iter()
-                        .map(|&(a, b, miles)| old.min(pricer.best_via(a, b, miles)))
-                        .collect::<Vec<f64>>()
-                });
-                for per_pair in contribs {
-                    for (c, new) in per_pair.into_iter().enumerate() {
-                        if new.is_finite() {
-                            totals[c] += new;
-                        }
-                    }
-                }
+        },
+        |totals, part| {
+            for (total, p) in totals.iter_mut().zip(part) {
+                *total += p;
             }
-        }
-    }
+        },
+    );
 
     let mut scored: Vec<CandidateLink> = candidates
         .iter()
@@ -515,6 +489,7 @@ pub fn with_extra_link(network: &Network, a: PopId, b: PopId) -> Network {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use riskroute_par::Parallelism;
     use crate::metric::{NodeRisk, RiskWeights};
     use riskroute_geo::GeoPoint;
     use riskroute_population::PopShares;

@@ -15,7 +15,7 @@
 //! therefore identical to the clean run's; only the flagged ticks' ratios
 //! revert to the historical-only baseline.
 
-use crate::budget::{Budgeted, WorkBudget};
+use crate::budget::{budgeted_waves, Budgeted, WorkBudget};
 use crate::error::{Error, Result};
 use crate::intradomain::Planner;
 use crate::ratios::RatioReport;
@@ -23,6 +23,7 @@ use riskroute_forecast::{advisories_for, ForecastRisk, Storm};
 use riskroute_geo::GeoPoint;
 use riskroute_par::Parallelism;
 use riskroute_topology::Network;
+use std::sync::{Mutex, PoisonError};
 
 /// How many replay ticks are computed between checkpoint callbacks in
 /// [`replay_raw_advisories_budgeted`] — small enough that an interrupted
@@ -222,9 +223,10 @@ pub fn replay_raw_advisories(
 /// results: pass the partial replay's `ticks` back as `prior_ticks` and the
 /// loop picks up at `prior_ticks.len()`.
 ///
-/// The budget is checked before each tick and charged one work unit per
-/// tick computed. `on_batch` fires with the replay-so-far and the next
-/// tick index after every [`CHECKPOINT_BATCH`] newly computed ticks —
+/// Ticks run on per-worker clones of `base`. The budget is checked before
+/// each wave of ticks (every tick with one worker) and charged one work
+/// unit per tick computed. `on_batch` fires with the replay-so-far and the
+/// next tick index after every [`CHECKPOINT_BATCH`] newly computed ticks —
 /// the hook the CLI uses to write crash-safe snapshots
 /// (see [`crate::checkpoint::Snapshot::replay`]).
 ///
@@ -242,7 +244,7 @@ pub fn replay_raw_advisories_budgeted(
     dests: &[usize],
     prior_ticks: Vec<ReplayTick>,
     budget: &WorkBudget,
-    mut on_batch: impl FnMut(&DisasterReplay, usize),
+    on_batch: impl FnMut(&DisasterReplay, usize),
 ) -> Result<Budgeted<DisasterReplay, ReplayResume>> {
     // Attribute the whole replay to the budget owner's trace.
     let _obs = budget.scope().enter();
@@ -257,99 +259,44 @@ pub fn replay_raw_advisories_budgeted(
             ),
         });
     }
-    let start = prior_ticks.len();
-    let mut planner = base.clone();
     let mut replay = DisasterReplay {
         storm: storm_name.to_string(),
         network: network_name.to_string(),
         ticks: prior_ticks,
     };
-    let mut since_batch = 0usize;
-    match base.parallelism() {
-        Parallelism::Sequential => {
-            for (i, raw) in raws.iter().enumerate().skip(start) {
-                if let Some(stopped) = budget.exhausted() {
-                    return Ok(Budgeted::Partial {
-                        completed: replay,
-                        resume_state: ReplayResume { next_index: i },
-                        stopped,
-                    });
-                }
-                let mut tick_span = riskroute_obs::span!("replay_tick");
-                let tick = tick_for_raw(&mut planner, raw, locations, sources, dests);
-                if tick_span.is_active() {
-                    tick_span.field("advisory", tick.advisory);
-                    tick_span.field("degraded", u64::from(tick.degraded));
-                    riskroute_obs::counter_add("replay_ticks", 1);
-                    if tick.degraded {
-                        riskroute_obs::counter_add("replay_degraded_ticks", 1);
-                    }
-                }
-                drop(tick_span);
-                replay.ticks.push(tick);
-                budget.charge(1);
-                since_batch += 1;
-                if since_batch == CHECKPOINT_BATCH {
-                    since_batch = 0;
-                    on_batch(&replay, i + 1);
-                }
-            }
-        }
-        par => {
-            // Ticks are dispatched in waves sized by the distance to the
-            // next checkpoint boundary AND the remaining work budget, so a
-            // deterministic (max-work) cut lands on exactly the tick index
-            // where the sequential loop would have stopped, and `on_batch`
-            // fires on exactly the sequential boundaries. Wall-clock limits
-            // (deadline, cancel) are observed between waves — a clean batch
-            // boundary; their cut point is timing-dependent either way.
-            let mut i = start;
-            while i < raws.len() {
-                if let Some(stopped) = budget.exhausted() {
-                    return Ok(Budgeted::Partial {
-                        completed: replay,
-                        resume_state: ReplayResume { next_index: i },
-                        stopped,
-                    });
-                }
-                // ≥ 1: since_batch < CHECKPOINT_BATCH, i < len, and an
-                // unexhausted work cap has at least one unit left.
-                let mut take = (CHECKPOINT_BATCH - since_batch).min(raws.len() - i);
-                if let Some(left) = budget.work_remaining() {
-                    take = take.min(usize::try_from(left).unwrap_or(usize::MAX));
-                }
-                let wave = &raws[i..i + take];
-                let ticks = riskroute_par::try_par_map_collect(par, wave, |_, raw| {
-                    // Each tick is an independent function of the base
-                    // planner and one advisory; within-tick sweeps run
-                    // sequentially since the fan-out is already tick-level.
-                    let mut p = base.clone();
-                    p.set_parallelism(Parallelism::Sequential);
-                    let mut tick_span = riskroute_obs::span!("replay_tick");
-                    let tick = tick_for_raw(&mut p, raw, locations, sources, dests);
-                    if tick_span.is_active() {
-                        tick_span.field("advisory", tick.advisory);
-                        tick_span.field("degraded", u64::from(tick.degraded));
-                        riskroute_obs::counter_add("replay_ticks", 1);
-                        if tick.degraded {
-                            riskroute_obs::counter_add("replay_degraded_ticks", 1);
-                        }
-                    }
-                    budget.charge(1);
-                    tick
-                })
-                .map_err(Error::from)?;
-                replay.ticks.extend(ticks);
-                i += take;
-                since_batch += take;
-                if since_batch == CHECKPOINT_BATCH {
-                    since_batch = 0;
-                    on_batch(&replay, i);
-                }
-            }
-        }
-    }
-    Ok(Budgeted::Complete(replay))
+    // One planner per worker slot, each carrying its forecast from tick to
+    // tick: a tick whose ρ matches its slot's previous tick keeps the cost
+    // stamp and reuses that tick's trees. Items running at once never share
+    // a slot, and the route-tree cache is exact, so ticks are bit-identical
+    // whichever planner runs them. Within-tick sweeps run on one worker
+    // since the fan-out is already tick-level.
+    let slots: Vec<Mutex<Planner>> = (0..base.parallelism().workers().min(raws.len()))
+        .map(|_| Mutex::new(base.clone().with_parallelism(Parallelism::Sequential)))
+        .collect();
+    let stop = budgeted_waves(
+        base.parallelism(),
+        raws,
+        &mut replay,
+        |r| &mut r.ticks,
+        budget,
+        |i, raw| {
+            // A poisoned slot only means an earlier tick panicked, which
+            // already fails the whole replay.
+            let mut planner = slots[i % slots.len()]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            replay_tick(&mut planner, raw, locations, sources, dests)
+        },
+        on_batch,
+    )?;
+    Ok(match stop {
+        Some((next_index, stopped)) => Budgeted::Partial {
+            completed: replay,
+            resume_state: ReplayResume { next_index },
+            stopped,
+        },
+        None => Budgeted::Complete(replay),
+    })
 }
 
 /// Replay a storm over one network, all PoP pairs (the Figure-12
@@ -377,9 +324,9 @@ pub fn replay_storm(
 /// finished [`ReplayTick`]. The session owns a single planner clone and
 /// mutates its forecast in place, so a tick whose forecast is
 /// bitwise-unchanged (or ρ-invisible) keeps the cost stamp and recomputes
-/// nothing at all. Ticks are evaluated exactly like the sequential batch loop, so
-/// streaming a recorded advisory series reproduces
-/// [`replay_raw_advisories`] byte for byte.
+/// nothing at all. Ticks run through the same tick function as the batch
+/// replay, and the route-tree cache is exact, so streaming a recorded
+/// advisory series reproduces [`replay_raw_advisories`] byte for byte.
 #[derive(Debug)]
 pub struct ReplaySession {
     planner: Planner,
@@ -411,22 +358,13 @@ impl ReplaySession {
 
     /// Evaluate one advisory against the warm engine and return the tick.
     pub fn tick(&mut self, raw: &RawAdvisory) -> ReplayTick {
-        let mut tick_span = riskroute_obs::span!("replay_tick");
-        let tick = tick_for_raw(
+        let tick = replay_tick(
             &mut self.planner,
             raw,
             &self.locations,
             &self.sources,
             &self.dests,
         );
-        if tick_span.is_active() {
-            tick_span.field("advisory", tick.advisory);
-            tick_span.field("degraded", u64::from(tick.degraded));
-            riskroute_obs::counter_add("replay_ticks", 1);
-            if tick.degraded {
-                riskroute_obs::counter_add("replay_degraded_ticks", 1);
-            }
-        }
         self.ticks += 1;
         if tick.degraded {
             self.degraded += 1;
@@ -445,13 +383,17 @@ impl ReplaySession {
     }
 }
 
-fn tick_for_raw(
+/// One replay tick, shared by the batch driver and [`ReplaySession`]: set
+/// `planner`'s forecast from the advisory text and sweep the pairs, inside
+/// a `replay_tick` span that also counts the tick.
+fn replay_tick(
     planner: &mut Planner,
     raw: &RawAdvisory,
     locations: &[GeoPoint],
     sources: &[usize],
     dests: &[usize],
 ) -> ReplayTick {
+    let mut span = riskroute_obs::span!("replay_tick");
     // §4.4: risk is derived from the advisory *text*. A parse failure drops
     // the forecast term for this tick (degraded mode) rather than aborting
     // the replay.
@@ -472,6 +414,14 @@ fn tick_for_raw(
     let sweep = planner.pair_sweep(sources, dests);
     let report =
         RatioReport::aggregate_with_stranded(sweep.outcomes.iter(), sweep.stranded.len());
+    if span.is_active() {
+        span.field("advisory", raw.number);
+        span.field("degraded", u64::from(degraded));
+        riskroute_obs::counter_add("replay_ticks", 1);
+        if degraded {
+            riskroute_obs::counter_add("replay_degraded_ticks", 1);
+        }
+    }
     ReplayTick {
         advisory: raw.number,
         label: raw.label.clone(),

@@ -31,15 +31,13 @@
 //! erroring — the same degraded-mode accounting as
 //! [`Planner::pair_sweep`].
 
-use crate::budget::{Budgeted, StopReason, WorkBudget};
+use crate::budget::{budgeted_waves, Budgeted, WorkBudget};
 use crate::error::{Error, Result};
 use crate::intradomain::{same_bits, Planner};
-use crate::replay::CHECKPOINT_BATCH;
 use crate::routing::{RiskTree, NO_PRED};
 use riskroute_geo::distance::great_circle_miles;
 use riskroute_hazard::events::sample_member_events;
 use riskroute_hazard::EventKind;
-use riskroute_par::Parallelism;
 use riskroute_topology::Network;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -850,10 +848,12 @@ pub fn run_sweep(base: &Planner, network: &Network, mode: SweepMode) -> Result<S
 ///
 /// The baseline exposure is computed first (when no prior carries it) —
 /// it both anchors the Δ metrics and warms the base route-tree cache the
-/// forks adopt from. The budget is checked before each scenario and
-/// charged one unit per scenario evaluated (the baseline is free);
+/// forks adopt from. The budget is checked before each wave of scenarios
+/// (every scenario with one worker) and charged one unit per scenario
+/// evaluated (the baseline is free);
 /// `on_batch` fires with the outcome-so-far and the next scenario index
-/// after every [`CHECKPOINT_BATCH`] newly evaluated scenarios.
+/// after every [`crate::replay::CHECKPOINT_BATCH`] newly evaluated
+/// scenarios.
 ///
 /// # Errors
 /// [`Error::InvalidArgument`] when `network` does not match the
@@ -865,7 +865,7 @@ pub fn run_sweep_budgeted(
     mode: SweepMode,
     prior: Option<SweepPrior>,
     budget: &WorkBudget,
-    mut on_batch: impl FnMut(&SweepOutcome, usize),
+    on_batch: impl FnMut(&SweepOutcome, usize),
 ) -> Result<Budgeted<SweepOutcome, SweepResume>> {
     // Attribute the whole sweep to the budget owner's trace.
     let _obs = budget.scope().enter();
@@ -908,75 +908,31 @@ pub fn run_sweep_budgeted(
         baseline,
         records: prior_records,
     };
-    let start = outcome.records.len();
-    let mut since_batch = 0usize;
-    match base.parallelism() {
-        Parallelism::Sequential => {
-            for (i, spec) in specs.iter().enumerate().skip(start) {
-                if let Some(stopped) = budget.exhausted() {
-                    return Ok(partial(outcome, i, stopped));
-                }
-                let rec = evaluate_spec(base, network, spec);
-                outcome.records.push(rec);
-                budget.charge(1);
-                since_batch += 1;
-                if since_batch == CHECKPOINT_BATCH {
-                    since_batch = 0;
-                    on_batch(&outcome, i + 1);
-                }
-            }
-        }
-        par => {
-            // Scenarios are dispatched in waves sized by the distance to
-            // the next checkpoint boundary AND the remaining work budget,
-            // so a deterministic (max-work) cut lands on exactly the
-            // scenario index where the sequential loop would have
-            // stopped, and `on_batch` fires on the sequential boundaries.
-            let mut i = start;
-            while i < specs.len() {
-                if let Some(stopped) = budget.exhausted() {
-                    return Ok(partial(outcome, i, stopped));
-                }
-                let mut take = (CHECKPOINT_BATCH - since_batch).min(specs.len() - i);
-                if let Some(left) = budget.work_remaining() {
-                    take = take.min(usize::try_from(left).unwrap_or(usize::MAX));
-                }
-                let wave = &specs[i..i + take];
-                let recs = riskroute_par::try_par_map_collect(par, wave, |_, spec| {
-                    let rec = evaluate_spec(base, network, spec);
-                    budget.charge(1);
-                    rec
-                })
-                .map_err(Error::from)?;
-                outcome.records.extend(recs);
-                i += take;
-                since_batch += take;
-                if since_batch == CHECKPOINT_BATCH {
-                    since_batch = 0;
-                    on_batch(&outcome, i);
-                }
-            }
-        }
-    }
-    Ok(Budgeted::Complete(outcome))
-}
-
-fn partial(
-    outcome: SweepOutcome,
-    next_index: usize,
-    stopped: StopReason,
-) -> Budgeted<SweepOutcome, SweepResume> {
-    Budgeted::Partial {
-        completed: outcome,
-        resume_state: SweepResume { next_index },
-        stopped,
-    }
+    let stop = budgeted_waves(
+        base.parallelism(),
+        &specs,
+        &mut outcome,
+        |o| &mut o.records,
+        budget,
+        |_, spec| evaluate_spec(base, network, spec),
+        on_batch,
+    )?;
+    Ok(match stop {
+        Some((next_index, stopped)) => Budgeted::Partial {
+            completed: outcome,
+            resume_state: SweepResume { next_index },
+            stopped,
+        },
+        None => Budgeted::Complete(outcome),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
+    use crate::budget::StopReason;
+    use riskroute_par::Parallelism;
     use crate::metric::{NodeRisk, RiskWeights};
     use riskroute_geo::GeoPoint;
     use riskroute_population::PopShares;

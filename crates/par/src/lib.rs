@@ -3,13 +3,17 @@
 //!
 //! # Determinism contract
 //!
-//! The pool exists to make parallel runs **bit-identical** to sequential
-//! ones, so its one reduction primitive is *ordered*:
-//! [`par_map_collect`] returns `f(0, &items[0]), f(1, &items[1]), …` in
+//! This crate is the one place that picks a schedule from the worker
+//! count: with one worker each primitive runs the caller's per-item closure
+//! inline, in input order; with N workers it runs the same closure on a
+//! pool. The pool exists to make parallel runs **bit-identical** to
+//! one-worker ones, so both primitives are *ordered*:
+//! [`try_par_map_collect`] returns `f(0, &items[0]), f(1, &items[1]), …` in
 //! input order no matter which worker computed which element or in what
-//! order they finished. Callers that fold floating-point sums therefore
-//! replay the exact sequential addition order, and downstream sorts and
-//! greedy argmax tie-breaks see the same element order either way.
+//! order they finished, and [`try_par_fold`] merges per-item parts in
+//! input order. Callers that fold floating-point sums therefore replay the
+//! exact one-worker addition order, and downstream sorts and greedy argmax
+//! tie-breaks see the same element order either way.
 //!
 //! # Scheduling
 //!
@@ -20,19 +24,21 @@
 //!
 //! # Budget check-in
 //!
-//! Budget-aware callers (the replay sweep) drive the pool in fixed-size
-//! waves and consult their `WorkBudget` between waves; inside a wave the
-//! pool never outruns the items it was handed. A deterministic (max-work)
-//! cut therefore lands on the same stage boundary regardless of thread
-//! count — the caller computes the wave quota from the budget *before*
-//! dispatch rather than racing workers against the counter.
+//! Budget-aware callers (the replay and scenario sweeps) drive the pool in
+//! waves of at most [`Parallelism::workers`] items and consult their
+//! `WorkBudget` between waves; inside a wave the pool never outruns the
+//! items it was handed. A deterministic (max-work) cut therefore lands on
+//! the same stage boundary regardless of thread count — the caller computes
+//! the wave quota from the budget *before* dispatch rather than racing
+//! workers against the counter.
 //!
 //! # Panic poisoning
 //!
-//! A panicking task poisons the pool: the panic is caught on the worker,
-//! remaining chunks are abandoned, every worker drains, and the call
-//! returns a typed [`PoolError`] instead of aborting the process (callers
-//! in `riskroute` convert it to their own error taxonomy).
+//! A panicking task poisons the pool: the panic is caught on the worker
+//! (on the calling thread with one worker), remaining chunks are
+//! abandoned, every worker drains, and the call returns a typed
+//! [`PoolError`] instead of aborting the process (callers in `riskroute`
+//! convert it to their own error taxonomy).
 //!
 //! # Observability
 //!
@@ -62,12 +68,12 @@ const CHUNKS_PER_WORKER: usize = 4;
 /// The parallelism knob threaded from the CLI's global `--threads` flag
 /// down to every hot path.
 ///
-/// `Sequential` is not "one worker": callers keep their original
-/// single-threaded code path untouched, so it is also the bit-exact
+/// `Sequential` means one worker: the same per-item unit every schedule
+/// runs, inline on the calling thread, in input order. It is the
 /// reference the equivalence suite compares parallel runs against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
-    /// Run the caller's original sequential code path (the default).
+    /// One worker: each unit runs inline, in input order (the default).
     #[default]
     Sequential,
     /// Spawn exactly this many workers (clamped to `1..=`[`MAX_WORKERS`]).
@@ -89,13 +95,13 @@ impl Parallelism {
         }
     }
 
-    /// Whether this is the sequential reference path.
+    /// Whether this is the one-worker reference knob.
     pub fn is_sequential(self) -> bool {
         matches!(self, Parallelism::Sequential)
     }
 
-    /// Map a `--threads N` count to a knob: `0` and `1` mean the sequential
-    /// reference path, anything larger a pool of `n` workers.
+    /// Map a `--threads N` count to a knob: `0` and `1` mean the one-worker
+    /// reference knob, anything larger a pool of `n` workers.
     pub fn from_worker_count(n: usize) -> Self {
         if n <= 1 {
             Parallelism::Sequential
@@ -180,21 +186,84 @@ where
     run_pool(workers, items, &f)
 }
 
-/// [`try_par_map_collect`] for infallible pipelines: a poisoned pool
-/// re-raises as a panic on the caller's thread (exactly what the same task
-/// panic would have done sequentially).
+/// How many items one pooled [`try_par_fold`] dispatch covers before its
+/// parts are merged. Purely a memory bound on the in-flight parts: the
+/// merge runs in input order whatever the wave size or worker count, so
+/// this constant never affects results.
+pub const FOLD_WAVE: usize = 256;
+
+/// Fold `items` into `acc` in input order with the given parallelism.
 ///
-/// # Panics
-/// Panics when any task panicked.
-pub fn par_map_collect<T, R, F>(par: Parallelism, items: &[T], f: F) -> Vec<R>
+/// With one worker (or at most one item) `unit(item, acc)` writes straight
+/// into `acc`, item by item, with no per-item part. With N workers each
+/// item runs `unit(item, &mut part)` on its own `fresh()` part, in waves
+/// of [`FOLD_WAVE`] items, and `merge(acc, part)` folds the parts on the
+/// calling thread in input order. `fresh()` must be an identity of
+/// `merge` — an empty collection, or `-0.0` for a float sum (`-0.0 + x`
+/// is `x` bit for bit, `+0.0 + -0.0` is not) — so both schedules leave
+/// `acc` bit-identical.
+///
+/// # Errors
+/// [`PoolError`] when any unit panicked, at every worker count; `acc` then
+/// holds an unspecified prefix and should be discarded.
+pub fn try_par_fold<T, A, F, U, M>(
+    par: Parallelism,
+    items: &[T],
+    acc: &mut A,
+    fresh: F,
+    unit: U,
+    mut merge: M,
+) -> Result<(), PoolError>
 where
     T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
+    A: Send,
+    F: Fn() -> A + Sync,
+    U: Fn(&T, &mut A) + Sync,
+    M: FnMut(&mut A, A),
 {
-    match try_par_map_collect(par, items, f) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
+    if par.workers().min(items.len()) <= 1 {
+        return catch_unwind(AssertUnwindSafe(|| {
+            for item in items {
+                unit(item, acc);
+            }
+        }))
+        .map_err(|_| PoolError::WorkerPanicked { panicked: 1 });
+    }
+    for wave in items.chunks(FOLD_WAVE) {
+        let parts = try_par_map_collect(par, wave, |_, item| {
+            let mut part = fresh();
+            unit(item, &mut part);
+            part
+        })?;
+        for part in parts {
+            merge(acc, part);
+        }
+    }
+    Ok(())
+}
+
+/// [`try_par_fold`] for infallible pipelines: a poisoned fold re-raises as
+/// a panic on the caller's thread (what the unit's own panic would have
+/// done had it not been caught).
+///
+/// # Panics
+/// Panics when any unit panicked.
+pub fn par_fold<T, A, F, U, M>(
+    par: Parallelism,
+    items: &[T],
+    acc: &mut A,
+    fresh: F,
+    unit: U,
+    merge: M,
+) where
+    T: Sync,
+    A: Send,
+    F: Fn() -> A + Sync,
+    U: Fn(&T, &mut A) + Sync,
+    M: FnMut(&mut A, A),
+{
+    if let Err(e) = try_par_fold(par, items, acc, fresh, unit, merge) {
+        panic!("{e}");
     }
 }
 
@@ -387,6 +456,14 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
 
+    fn par_map_collect<T: Sync, R: Send>(
+        par: Parallelism,
+        items: &[T],
+        f: impl Fn(usize, &T) -> R + Sync,
+    ) -> Vec<R> {
+        try_par_map_collect(par, items, f).unwrap()
+    }
+
     #[test]
     fn sequential_knob_resolves_to_one_worker() {
         assert_eq!(Parallelism::Sequential.workers(), 1);
@@ -484,10 +561,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "poisoned")]
     fn infallible_wrapper_reraises_poison() {
-        let _ = par_map_collect(Parallelism::Threads(2), &[0, 1], |_, &x: &i32| {
-            assert!(x != 1);
-            x
-        });
+        let mut sum = 0;
+        par_fold(
+            Parallelism::Threads(2),
+            &[0, 1],
+            &mut sum,
+            || 0,
+            |&x: &i32, acc| {
+                assert!(x != 1);
+                *acc += x;
+            },
+            |acc, part| *acc += part,
+        );
     }
 
     #[test]

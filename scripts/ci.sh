@@ -89,6 +89,22 @@ diff "$OBS_TMP/sweep-t1.txt" "$OBS_TMP/sweep-t4.txt"
 target/release/riskroute sweep Level3 --mode ensemble --samples 32 --seed 7 --threads 1 > "$OBS_TMP/ens-t1.txt"
 target/release/riskroute sweep Level3 --mode ensemble --samples 32 --seed 7 --threads 4 > "$OBS_TMP/ens-t4.txt"
 diff "$OBS_TMP/ens-t1.txt" "$OBS_TMP/ens-t4.txt"
+# Sampled N-2 double failures: two chained forks per scenario.
+target/release/riskroute sweep Level3 --mode n2 --samples 16 --seed 3 --threads 1 > "$OBS_TMP/n2-t1.txt"
+target/release/riskroute sweep Level3 --mode n2 --samples 16 --seed 3 --threads 4 > "$OBS_TMP/n2-t4.txt"
+diff "$OBS_TMP/n2-t1.txt" "$OBS_TMP/n2-t4.txt"
+# A --max-work cut lands on the same tick at any worker count: both runs
+# stop with exit 9 and print the same partial replay.
+for t in 1 4; do
+  cut_exit=0
+  target/release/riskroute replay Telepak katrina --stride 4 --max-work 5 --threads "$t" \
+    > "$OBS_TMP/replay-cut-t$t.txt" 2>/dev/null || cut_exit=$?
+  if [ "$cut_exit" -ne 9 ]; then
+    echo "FAIL: replay --max-work 5 --threads $t exited $cut_exit instead of 9"
+    exit 1
+  fi
+done
+diff "$OBS_TMP/replay-cut-t1.txt" "$OBS_TMP/replay-cut-t4.txt"
 echo "threaded outputs are byte-identical"
 
 echo "== sssp engine: cache vs --no-route-cache byte-for-byte =="
@@ -240,6 +256,12 @@ serve_query '{"op":"route","network":"Sprint","src":"0","dst":"5","lambda_h":-5}
   | grep -q '"kind":"bad-request"'
 serve_query '{"op":"route","network":"Sprint","src":"0","dst":"5","bogus":1}' \
   | grep -q '"kind":"bad-request"'
+# A count that sizes up-front work is capped by the decoder: a 10^12-pair
+# sample is a bad request, not an allocation abort, and the daemon keeps
+# serving.
+serve_query '{"op":"ratio","network":"Sprint","sample":1000000000000}' \
+  | grep -q '"kind":"bad-request"'
+serve_query '{"op":"ping"}' | grep -q '"output":"pong"'
 bad_reply_bytes=$(serve_query '{"op":"no-such-op"}' | wc -c)
 if [ "$bad_reply_bytes" -ge 1024 ]; then
   echo "FAIL: bad-request reply is $bad_reply_bytes bytes (limit 1024)"

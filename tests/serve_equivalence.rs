@@ -171,6 +171,23 @@ const CASES: &[(&str, &str, i32)] = &[
         r#"{"op":"replay","network":"Telepak","storm":"katrina","stride":0}"#,
         2,
     ),
+    // Counts that size up-front work are capped: without the cap these
+    // asked for terabytes and aborted the process (the daemon with it).
+    (
+        "ratio Sprint --sample 1000000000000",
+        r#"{"op":"ratio","network":"Sprint","sample":1000000000000}"#,
+        2,
+    ),
+    (
+        "sweep Sprint --mode ensemble --samples 1000000000000",
+        r#"{"op":"sweep","network":"Sprint","mode":"ensemble","samples":1000000000000}"#,
+        2,
+    ),
+    (
+        "provision Telepak -k 1048577",
+        r#"{"op":"provision","network":"Telepak","k":1048577}"#,
+        2,
+    ),
 ];
 
 /// Assert that a serve reply answers exactly like the one-shot run: the

@@ -23,7 +23,7 @@ pub fn run(ctx: &ExperimentContext) {
         let planner = ctx.planner_for(net, RiskWeights::historical_only(1e5));
         let exact = planner.ratio_report();
         let weights = risk_aware_weights(net, &planner, mean_impact(&planner));
-        let eval = evaluate_ospf(net, &planner, &weights);
+        let eval = evaluate_ospf(net, &planner, &weights).expect("Tier-1 networks are connected");
         let captured = if exact.risk_reduction_ratio > 1e-9 {
             eval.report.risk_reduction_ratio / exact.risk_reduction_ratio
         } else {

@@ -152,15 +152,24 @@ fn render_provision(net: &Network, result: &GreedyLinks) -> String {
         out.push_str("no candidate links at any shortcut threshold\n");
     }
     for (i, link) in result.added.iter().enumerate() {
+        // With no connected pair the original total is 0 and a share of it
+        // is meaningless; report the new total itself.
+        let total = if result.original_bit_risk > 0.0 {
+            format!(
+                "falls to {:.2}% of original",
+                100.0 * link.total_bit_risk / result.original_bit_risk
+            )
+        } else {
+            format!("is {:.3e}", link.total_bit_risk)
+        };
         let _ = writeln!(
             out,
-            "{}. {} <-> {} ({:.0} mi, filter >{:.0}%): total falls to {:.2}% of original",
+            "{}. {} <-> {} ({:.0} mi, filter >{:.0}%): total {total}",
             i + 1,
             net.pops()[link.a].name,
             net.pops()[link.b].name,
             link.miles,
             100.0 * link.shortcut_threshold,
-            100.0 * link.total_bit_risk / result.original_bit_risk
         );
     }
     out
@@ -1275,7 +1284,7 @@ pub fn ospf(ctx: &CliContext, network: &str, weights: RiskWeights) -> Result<Str
     let planner = ctx.planner(net, weights);
     let beta = riskroute::ospf::mean_impact(&planner);
     let link_weights = riskroute::ospf::risk_aware_weights(net, &planner, beta);
-    let eval = riskroute::ospf::evaluate_ospf(net, &planner, &link_weights);
+    let eval = riskroute::ospf::evaluate_ospf(net, &planner, &link_weights)?;
     let exact = planner.ratio_report();
     let mut out = format!(
         "{}: risk-aware OSPF link weights (beta_ref = mean impact {:.4})\n\n",
@@ -2199,6 +2208,36 @@ mod tests {
         let out = ospf(&ctx(), "Sprint", RiskWeights::historical_only(1e5)).unwrap();
         assert!(out.contains("OSPF weight"));
         assert!(out.contains("risk reduction captured"));
+    }
+
+    #[test]
+    fn disconnected_import_reports_no_pairs_and_an_absolute_total() {
+        // Two PoPs and no links: the importer accepts it, but no pair is
+        // connected, so the original total bit-risk is 0.
+        let pop = |name: &str, lat: f64, lon: f64| riskroute_topology::Pop {
+            name: name.into(),
+            location: riskroute_geo::GeoPoint::new(lat, lon).unwrap(),
+        };
+        let net = Network::new(
+            "Two",
+            NetworkKind::Regional,
+            vec![pop("A", 32.78, -96.80), pop("B", 30.27, -97.74)],
+            vec![],
+        )
+        .unwrap();
+        let dir = tmp_dir("riskroute-cli-two-pops");
+        let path = dir.join("two.graphml");
+        std::fs::write(&path, riskroute_topology::import::network_to_graphml(&net)).unwrap();
+        let ctx = CliContext::build(&[(path.display().to_string(), "Two".into())]).unwrap();
+        let err = ospf(&ctx, "Two", RiskWeights::PAPER).unwrap_err();
+        assert_eq!(err.exit_code(), 6, "{err}");
+        let out = provision(&ctx, "Two", 1, RiskWeights::PAPER, &BudgetArgs::default(), false)
+            .unwrap();
+        assert!(out.contains("original total bit-risk 0.000e0"), "{out}");
+        assert!(out.contains("1. A <-> B"), "{out}");
+        assert!(out.contains("): total is "), "{out}");
+        assert!(!out.contains("of original"), "{out}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -39,6 +39,7 @@
 
 use crate::budget::{Budgeted, WorkBudget};
 use crate::checkpoint::{self, LoadOutcome, Snapshot, SnapshotProgress};
+use crate::engine::{self, CsrGraph};
 use crate::error::Error;
 use crate::intradomain::Planner;
 use crate::metric::{NodeRisk, RiskWeights};
@@ -46,7 +47,6 @@ use crate::provisioning::{greedy_links, greedy_links_budgeted, greedy_links_resu
 use crate::replay::{
     raw_advisories, replay_raw_advisories, replay_raw_advisories_budgeted, RawAdvisory,
 };
-use crate::routing::risk_sssp;
 use crate::scenario::{
     base_exposure, run_sweep, run_sweep_budgeted, scenario_specs, ScenarioDelta, ScenarioFork,
     SweepMode, SweepPrior,
@@ -403,19 +403,17 @@ pub fn run_chaos_at(plan: &FaultPlan, parallelism: Parallelism) -> Result<ChaosR
 
     // --- Fault: poison entry costs (non-finite weights) -------------------
     let poisoned = pick_indices(&mut rng, network.pop_count(), plan.poison_cost_fraction);
-    let adjacency = planner.adjacency();
     let source = all
         .iter()
         .copied()
         .find(|s| !poisoned.contains(s))
         .unwrap_or(0);
-    let tree = risk_sssp(adjacency, source, |v| {
-        if poisoned.contains(&v) {
-            f64::NAN
-        } else {
-            0.0
-        }
-    });
+    let mut rho = vec![0.0; network.pop_count()];
+    for &p in &poisoned {
+        rho[p] = f64::NAN;
+    }
+    let csr = CsrGraph::from_adjacency(planner.adjacency());
+    let tree = engine::sssp(&csr, source, 1.0, &rho);
     let isolated_pops = all.iter().filter(|&&v| !tree.reachable(v)).count();
     for &p in &poisoned {
         assert!(

@@ -654,7 +654,6 @@ impl std::fmt::Debug for RouteTreeCache {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use crate::routing::risk_sssp;
 
     fn square() -> Adjacency {
         Adjacency::from_links(
@@ -674,23 +673,6 @@ mod tests {
             .map(|e| (csr.targets[e], csr.weights[e]))
             .collect();
         assert_eq!(edges, vec![(1, 5.0), (2, 7.0), (1, 3.0)]);
-    }
-
-    #[test]
-    fn engine_matches_reference_sssp_bit_for_bit() {
-        let adj = square();
-        let rho = [0.0, 100.0, 0.0, 0.25];
-        let csr = CsrGraph::from_adjacency(&adj);
-        for source in 0..4 {
-            for beta in [0.0, 1.0, 2.5] {
-                let fast = sssp(&csr, source, beta, &rho);
-                let slow = risk_sssp(&adj, source, |v| beta * rho[v]);
-                for t in 0..4 {
-                    assert_eq!(fast.dist(t).to_bits(), slow.dist(t).to_bits());
-                    assert_eq!(fast.path_to(t), slow.path_to(t));
-                }
-            }
-        }
     }
 
     #[test]

@@ -236,11 +236,6 @@ impl InterdomainAnalysis {
         &self.planner
     }
 
-    /// Mutable planner access (replay updates forecast risk).
-    pub fn planner_mut(&mut self) -> &mut Planner {
-        &mut self.planner
-    }
-
     /// §6.2 bounds for a merged pair: `(upper, lower)` where upper is the
     /// shortest path's bit-risk and lower is the RiskRoute path's. `None`
     /// when unreachable.

@@ -3,7 +3,7 @@
 
 use crate::engine::{self, CsrGraph, Lookup, RouteTreeCache, TreeKey};
 use crate::error::Error;
-use crate::metric::{ImpactModel, NodeRisk, RiskWeights};
+use crate::metric::{NodeRisk, RiskWeights};
 use crate::ratios::{PairOutcome, RatioReport};
 use crate::routing::{evaluate_path, Adjacency, RiskTree, RoutedPath};
 use riskroute_hazard::HistoricalRisk;
@@ -76,7 +76,6 @@ pub struct Planner {
     risk: NodeRisk,
     shares: PopShares,
     weights: RiskWeights,
-    impact_model: ImpactModel,
     parallelism: Parallelism,
     /// Precomputed λ-combined per-PoP risk `ρ(v) = risk.scaled(v, weights)`
     /// under the current cost state (shared with clones; rebuilt on any
@@ -114,7 +113,6 @@ impl Planner {
             risk,
             shares,
             weights,
-            impact_model: ImpactModel::default(),
             parallelism: Parallelism::Sequential,
             rho,
             stamp: engine::next_stamp(),
@@ -136,26 +134,9 @@ impl Planner {
         self
     }
 
-    /// Set the parallelism knob in place.
-    pub fn set_parallelism(&mut self, parallelism: Parallelism) {
-        self.parallelism = parallelism;
-    }
-
     /// The active parallelism knob.
     pub fn parallelism(&self) -> Parallelism {
         self.parallelism
-    }
-
-    /// Switch the impact model (§5's traffic-flow alternative); returns the
-    /// planner for chaining.
-    pub fn with_impact_model(mut self, model: ImpactModel) -> Self {
-        self.impact_model = model;
-        self
-    }
-
-    /// The active impact model.
-    pub fn impact_model(&self) -> ImpactModel {
-        self.impact_model
     }
 
     /// Build a planner with the standard §5 instantiation: population
@@ -259,11 +240,9 @@ impl Planner {
         }
     }
 
-    /// Outage impact β(i,j) under the active [`ImpactModel`]
-    /// (§5.1's c_i + c_j by default).
+    /// Outage impact β(i,j) = c_i + c_j (§5.1).
     pub fn impact(&self, i: usize, j: usize) -> f64 {
-        self.impact_model
-            .beta(self.shares.share(i), self.shares.share(j))
+        self.shares.share(i) + self.shares.share(j)
     }
 
     /// The λ- and β-scaled risk charged for entering PoP `v` on an (i, j)
@@ -611,7 +590,6 @@ impl Planner {
             risk,
             shares: self.shares.clone(),
             weights: self.weights,
-            impact_model: self.impact_model,
             parallelism: self.parallelism,
             rho,
             stamp: engine::next_stamp(),

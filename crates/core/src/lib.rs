@@ -31,11 +31,7 @@
 //!   link's line-of-sight fiber path and group links into shared-risk link
 //!   groups.
 //! - **Deployment paths** (§3.1): risk-aware OSPF link weights with a
-//!   fidelity evaluation against the exact optimum ([`ospf`]), and
-//!   MRC-style precomputed backup configurations ([`mrc`]).
-//! - **Extensions** the paper sketches: composite SLA objectives
-//!   ([`composite`], §6.4) and shared-risk analysis between providers
-//!   ([`sharedrisk`], §8).
+//!   fidelity evaluation against the exact optimum ([`ospf`]).
 //! - **Scenario forks & resilience sweeps** ([`scenario`]): copy-on-write
 //!   failure forks of a planner (deactivated PoPs/links, forecast
 //!   overrides) that compose for N-2, plus deterministic N-1/N-2 sweep
@@ -74,7 +70,6 @@ pub mod backup;
 pub mod budget;
 pub mod chaos;
 pub mod checkpoint;
-pub mod composite;
 pub mod corridor;
 pub mod engine;
 pub mod error;
@@ -82,7 +77,6 @@ pub mod failure;
 pub mod interdomain;
 pub mod intradomain;
 pub mod metric;
-pub mod mrc;
 pub mod ospf;
 pub mod peering;
 pub mod provisioning;
@@ -90,7 +84,6 @@ pub mod ratios;
 pub mod replay;
 pub mod routing;
 pub mod scenario;
-pub mod sharedrisk;
 
 pub use budget::{Budgeted, StopReason, WorkBudget};
 pub use error::{render_chain, Error, Result};

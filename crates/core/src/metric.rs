@@ -21,39 +21,6 @@ use riskroute_geo::GeoPoint;
 use riskroute_hazard::HistoricalRisk;
 use riskroute_topology::Network;
 
-/// How the outage impact β(i, j) is derived from population shares.
-///
-/// §5.1 defines β = c_i + c_j; §5 notes "the impact of an outage could also
-/// be influenced by traffic flows between two PoPs" — the gravity model is
-/// the classical traffic-matrix estimate (flow ∝ c_i·c_j).
-#[derive(Debug, Clone, Copy, PartialEq)]
-#[derive(Default)]
-pub enum ImpactModel {
-    /// The paper's §5.1 model: β = c_i + c_j.
-    #[default]
-    PopulationSum,
-    /// Gravity traffic model: β = scale · c_i · c_j — outage impact tracks
-    /// the traffic the PoP pair exchanges rather than the population it
-    /// serves. Choose `scale` so β lands in the operator's preferred range
-    /// (`scale = 2N` makes an average pair in an N-PoP network match the
-    /// [`ImpactModel::PopulationSum`] average of 2/N).
-    Gravity {
-        /// Multiplier applied to `c_i · c_j`.
-        scale: f64,
-    },
-}
-
-impl ImpactModel {
-    /// β(i, j) for shares `c_i`, `c_j`.
-    pub fn beta(&self, ci: f64, cj: f64) -> f64 {
-        match self {
-            ImpactModel::PopulationSum => ci + cj,
-            ImpactModel::Gravity { scale } => scale * ci * cj,
-        }
-    }
-}
-
-
 /// The λ tuning parameters of Eq. 1.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RiskWeights {
@@ -196,21 +163,6 @@ impl NodeRisk {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-
-    #[test]
-    fn impact_models_compute_beta() {
-        assert_eq!(ImpactModel::PopulationSum.beta(0.3, 0.2), 0.5);
-        assert!((ImpactModel::Gravity { scale: 10.0 }.beta(0.3, 0.2) - 0.6).abs() < 1e-12);
-        assert_eq!(ImpactModel::default(), ImpactModel::PopulationSum);
-        // Gravity punishes metro pairs relative to the additive model.
-        let g = ImpactModel::Gravity { scale: 4.0 };
-        let metro_pair = g.beta(0.4, 0.4);
-        let edge_pair = g.beta(0.4, 0.01);
-        assert!(
-            metro_pair / edge_pair > (0.8 / 0.41),
-            "sharper concentration"
-        );
-    }
 
     #[test]
     fn paper_weights() {

@@ -13,9 +13,11 @@
 //! its endpoints — and quantifies what that deployable compromise costs
 //! against the exact per-pair optimum.
 
+use crate::engine::{self, CsrGraph};
+use crate::error::Error;
 use crate::intradomain::Planner;
 use crate::ratios::RatioReport;
-use crate::routing::{risk_sssp, Adjacency};
+use crate::routing::Adjacency;
 use riskroute_topology::Network;
 
 /// One static weight per link: `miles + β_ref · (ρ(a) + ρ(b)) / 2`, where
@@ -43,9 +45,8 @@ pub fn risk_aware_weights(network: &Network, planner: &Planner, beta_ref: f64) -
         .collect()
 }
 
-/// The network's mean pair impact under the planner's model — the natural
-/// `β_ref` (for §5.1's additive model it equals `2/N` exactly when shares
-/// sum to 1).
+/// The network's mean pair impact — the natural `β_ref` (§5.1's additive
+/// β makes it `2/N` exactly when shares sum to 1).
 pub fn mean_impact(planner: &Planner) -> f64 {
     let n = planner.pop_count();
     if n < 2 {
@@ -81,31 +82,40 @@ pub struct OspfEvaluation {
 /// Route every pair over the static `link_weights` (plain SPF, as an OSPF
 /// domain would) and score the result against exact RiskRoute.
 ///
+/// # Errors
+/// [`Error::NoInformativePairs`] when no pair is routable (e.g. a network
+/// without links).
+///
 /// # Panics
 /// Panics when `link_weights` does not match the network's link count or
 /// contains an invalid weight.
-pub fn evaluate_ospf(network: &Network, planner: &Planner, link_weights: &[f64]) -> OspfEvaluation {
+pub fn evaluate_ospf(
+    network: &Network,
+    planner: &Planner,
+    link_weights: &[f64],
+) -> Result<OspfEvaluation, Error> {
     assert_eq!(
         link_weights.len(),
         network.link_count(),
         "one weight per link required"
     );
-    let ospf_adj = Adjacency::from_links(
-        network.pop_count(),
+    let n = network.pop_count();
+    let ospf_csr = CsrGraph::from_adjacency(&Adjacency::from_links(
+        n,
         network
             .links()
             .iter()
             .zip(link_weights)
             .map(|(l, &w)| (l.a, l.b, w)),
-    );
-    let n = network.pop_count();
+    ));
+    let zeros = vec![0.0; n];
     let mut identical = 0usize;
     let mut excess_sum = 0.0;
     let mut pairs = 0usize;
     let mut outcomes = Vec::new();
     for i in 0..n {
         // One SPF per source, as a router would compute.
-        let spf = risk_sssp(&ospf_adj, i, |_| 0.0);
+        let spf = engine::sssp(&ospf_csr, i, 0.0, &zeros);
         for j in 0..n {
             if i == j {
                 continue;
@@ -137,13 +147,15 @@ pub fn evaluate_ospf(network: &Network, planner: &Planner, link_weights: &[f64])
             });
         }
     }
-    assert!(pairs > 0, "network has no routable pairs");
-    OspfEvaluation {
+    if pairs == 0 {
+        return Err(Error::NoInformativePairs);
+    }
+    Ok(OspfEvaluation {
         path_fidelity: identical as f64 / pairs as f64,
         mean_excess_bit_risk: excess_sum / pairs as f64,
         report: RatioReport::aggregate(outcomes.iter()),
         pairs,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -194,7 +206,7 @@ mod tests {
         let beta = mean_impact(&planner);
         assert!((beta - 0.5).abs() < 1e-12, "uniform shares: β = 0.5");
         let weights = risk_aware_weights(&net, &planner, beta);
-        let eval = evaluate_ospf(&net, &planner, &weights);
+        let eval = evaluate_ospf(&net, &planner, &weights).unwrap();
         assert!((eval.path_fidelity - 1.0).abs() < 1e-12, "{eval:?}");
         assert!(eval.mean_excess_bit_risk.abs() < 1e-9);
         assert_eq!(eval.pairs, 12);
@@ -217,7 +229,7 @@ mod tests {
             RiskWeights::historical_only(1e5),
         );
         let weights = risk_aware_weights(&net, &planner, mean_impact(&planner));
-        let eval = evaluate_ospf(&net, &planner, &weights);
+        let eval = evaluate_ospf(&net, &planner, &weights).unwrap();
         // OSPF can never beat the exact per-pair optimum…
         assert!(eval.mean_excess_bit_risk >= -1e-12);
         let exact = planner.ratio_report();
@@ -239,7 +251,7 @@ mod tests {
         for (w, l) in weights.iter().zip(net.links()) {
             assert!((w - l.miles).abs() < 1e-12);
         }
-        let eval = evaluate_ospf(&net, &planner, &weights);
+        let eval = evaluate_ospf(&net, &planner, &weights).unwrap();
         // Pure-distance OSPF equals the shortest-path baseline: zero risk
         // reduction.
         assert!(eval.report.risk_reduction_ratio.abs() < 1e-12);
@@ -253,6 +265,29 @@ mod tests {
         for (a, b) in lo.iter().zip(&hi) {
             assert!(b >= a);
         }
+    }
+
+    #[test]
+    fn no_links_is_a_typed_error_not_a_panic() {
+        let net = Network::new(
+            "two",
+            NetworkKind::Regional,
+            vec![pop("A", 32.78, -96.80), pop("B", 30.27, -97.74)],
+            vec![],
+        )
+        .unwrap();
+        let planner = Planner::new(
+            &net,
+            NodeRisk::new(vec![0.0; 2], vec![0.0; 2]),
+            PopShares::from_shares(vec![0.5; 2]),
+            RiskWeights::PAPER,
+        );
+        let weights = risk_aware_weights(&net, &planner, mean_impact(&planner));
+        assert!(weights.is_empty());
+        assert_eq!(
+            evaluate_ospf(&net, &planner, &weights),
+            Err(Error::NoInformativePairs)
+        );
     }
 
     #[test]

@@ -217,6 +217,10 @@ pub(crate) use riskroute_graph::queue::CostEntry as Entry;
 /// Dijkstra from `source` with edge weight
 /// `w(u→v) = miles(u,v) + entry_cost(v)`.
 ///
+/// This is the reference oracle: production SSSP runs through
+/// [`crate::engine::sssp`], and the differential suite checks that kernel
+/// against this plain binary-heap search bit for bit. It emits no metrics.
+///
 /// `entry_cost(v)` is the β-scaled risk charged for entering PoP v.
 /// Degraded-mode contract: a node whose entry cost is non-finite or
 /// negative is treated as *unroutable* — no path may enter it, so queries
@@ -248,13 +252,7 @@ pub fn risk_sssp(adj: &Adjacency, source: usize, entry_cost: impl Fn(usize) -> f
         cost: 0.0,
         node: source,
     });
-    // Hot loop: count into plain locals, publish once at the end — the
-    // disabled-mode overhead stays a single branch.
-    let mut pops: u64 = 0;
-    let mut relaxations: u64 = 0;
-    let mut heap_peak: usize = heap.len();
     while let Some(Entry { cost, node }) = heap.pop() {
-        pops += 1;
         if settled[node] {
             continue;
         }
@@ -267,20 +265,12 @@ pub fn risk_sssp(adj: &Adjacency, source: usize, entry_cost: impl Fn(usize) -> f
             if next < dist[v] {
                 dist[v] = next;
                 pred[v] = node as u32;
-                relaxations += 1;
                 heap.push(Entry {
                     cost: next,
                     node: v,
                 });
-                heap_peak = heap_peak.max(heap.len());
             }
         }
-    }
-    if riskroute_obs::is_enabled() {
-        riskroute_obs::counter_add("risk_sssp_runs", 1);
-        riskroute_obs::counter_add("risk_sssp_pops", pops);
-        riskroute_obs::counter_add("risk_sssp_relaxations", relaxations);
-        riskroute_obs::gauge_max("risk_sssp_heap_peak", heap_peak as f64);
     }
     RiskTree::from_parts(source, dist, pred, Vec::new())
 }

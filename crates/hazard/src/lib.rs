@@ -17,21 +17,17 @@
 //! - [`events`] — event kinds, paper counts, and the seeded samplers.
 //! - [`training`] — the Table-1 bandwidth training pipeline.
 //! - [`surface`] — per-kind risk surfaces and the aggregate historical risk.
-//! - [`seasonal`] — month-conditioned risk (the seasonal-correlation
-//!   extension §5.2 defers).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod events;
-pub mod seasonal;
 pub mod surface;
 pub mod training;
 
 pub use events::{
     sample_ensemble, sample_member_events, DisasterEvent, EventKind, ALL_EVENT_KINDS,
 };
-pub use seasonal::{seasonal_weight, SeasonalRisk};
 pub use surface::{HistoricalRisk, RiskSurface};
 pub use training::{train_bandwidth, TrainedBandwidth};

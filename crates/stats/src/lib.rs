@@ -8,14 +8,13 @@
 //!
 //! - [`kde`] — geodesic Gaussian kernel density estimation over
 //!   latitude/longitude event sets, with grid evaluation.
+//! - [`binned`] — spatially-binned, truncated-kernel KDE scoring that makes
+//!   full-corpus bandwidth training tractable.
 //! - [`crossval`] — k-fold cross-validated bandwidth selection; the held-out
 //!   score is average negative log-likelihood, which selects the same
 //!   bandwidth as minimizing KL divergence from the true density (the
 //!   entropy term is bandwidth-independent).
-//! - [`kl`] — KL divergence, entropy, and cross-entropy over discrete
-//!   distributions (used to compare density surfaces directly).
 //! - [`regression`] — simple linear regression and R² (Table 3).
-//! - [`describe`] — descriptive statistics used by the experiment harness.
 //! - [`rng`] — deterministic seeding helpers so every experiment regenerates
 //!   bit-identically.
 
@@ -25,9 +24,7 @@
 
 pub mod binned;
 pub mod crossval;
-pub mod describe;
 pub mod kde;
-pub mod kl;
 pub mod regression;
 pub mod rng;
 

@@ -213,6 +213,39 @@ if [ "$usage_exit" -ne 2 ]; then
   exit 1
 fi
 
+echo "== sssp engine: the reference oracle is test-only =="
+# routing::risk_sssp is the differential oracle; every production SSSP runs
+# through engine::sssp. No crate source outside routing.rs may call it.
+oracle_callers=$(grep -rl 'risk_sssp(' crates/*/src | grep -vx 'crates/core/src/routing.rs' || true)
+if [ -n "$oracle_callers" ]; then
+  echo "FAIL: risk_sssp( called outside crates/core/src/routing.rs:"
+  echo "$oracle_callers"
+  exit 1
+fi
+
+echo "== cli: degenerate import exit codes =="
+# A two-PoP map with no links imports fine but has no connected pair:
+# ospf must report that as exit 6 (no informative pairs), not panic (101).
+cat > "$OBS_TMP/two.graphml" <<'GRAPHML'
+<?xml version="1.0" encoding="UTF-8"?>
+<graphml xmlns="http://graphml.graphdrawing.org/xmlns">
+  <key id="lat" for="node" attr.name="Latitude" attr.type="double"/>
+  <key id="lon" for="node" attr.name="Longitude" attr.type="double"/>
+  <key id="lab" for="node" attr.name="label" attr.type="string"/>
+  <graph edgedefault="undirected">
+    <node id="0"><data key="lab">A</data><data key="lat">32.78</data><data key="lon">-96.80</data></node>
+    <node id="1"><data key="lab">B</data><data key="lat">30.27</data><data key="lon">-97.74</data></node>
+  </graph>
+</graphml>
+GRAPHML
+two_exit=0
+target/release/riskroute --graphml "$OBS_TMP/two.graphml" --name Two ospf Two \
+  >/dev/null 2>&1 || two_exit=$?
+if [ "$two_exit" -ne 6 ]; then
+  echo "FAIL: ospf on a two-PoP, zero-link import exited $two_exit instead of 6"
+  exit 1
+fi
+
 echo "== serve: warm-daemon smoke gate =="
 # Spawn the daemon on an ephemeral port with a tiny connection cap (so the
 # overload path is deterministically reachable below). It announces the

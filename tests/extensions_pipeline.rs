@@ -1,6 +1,6 @@
 //! Cross-crate integration tests for the beyond-the-paper extensions:
-//! backup routing, failure injection, corridor risk, seasonal hazard, and
-//! forecast projection — all driven over the synthesized corpus.
+//! backup routing, failure injection, corridor risk, and forecast
+//! projection — all driven over the synthesized corpus.
 
 use riskroute::backup::{backup_paths, lfa_next_hops};
 use riskroute::corridor::corridor_risks;
@@ -9,7 +9,7 @@ use riskroute::prelude::*;
 use riskroute::replay::{replay_storm, replay_storm_proactive};
 use riskroute::NodeRisk;
 use riskroute_forecast::{advisories_for, earliest_warning, ForecastRisk, StormSwath};
-use riskroute_hazard::{HistoricalRisk, SeasonalRisk};
+use riskroute_hazard::HistoricalRisk;
 use riskroute_population::PopShares;
 
 fn substrate() -> (Corpus, PopulationModel, HistoricalRisk) {
@@ -166,43 +166,6 @@ fn corridor_risk_is_consistent_with_the_hazard_surface() {
     for w in risks.windows(2) {
         assert!(w[0].risk_miles >= w[1].risk_miles - 1e-12);
     }
-}
-
-#[test]
-fn seasonal_risk_reshapes_routing_by_month() {
-    let (corpus, population, hazards) = substrate();
-    let net = corpus.network("USA Network").unwrap(); // southeast regional
-    let pts: Vec<riskroute_geo::GeoPoint> = net.pops().iter().map(|p| p.location).collect();
-    let september = SeasonalRisk::new(&hazards, 9).risk_at_all(&pts);
-    let january = SeasonalRisk::new(&hazards, 1).risk_at_all(&pts);
-    // Hurricane country: September risk strictly dominates January.
-    let sep_total: f64 = september.iter().sum();
-    let jan_total: f64 = january.iter().sum();
-    assert!(
-        sep_total > 1.5 * jan_total,
-        "sep {sep_total} vs jan {jan_total}"
-    );
-    // The seasonal vectors slot straight into the planner.
-    let shares = PopShares::assign(&population, net, None);
-    let n = net.pop_count();
-    let planner_sep = Planner::new(
-        net,
-        NodeRisk::new(september, vec![0.0; n]),
-        PopShares::from_shares(shares.shares().to_vec()),
-        RiskWeights::historical_only(1e5),
-    );
-    let planner_jan = Planner::new(
-        net,
-        NodeRisk::new(january, vec![0.0; n]),
-        PopShares::from_shares(shares.shares().to_vec()),
-        RiskWeights::historical_only(1e5),
-    );
-    let sep_report = planner_sep.ratio_report();
-    let jan_report = planner_jan.ratio_report();
-    assert!(
-        sep_report.risk_reduction_ratio >= jan_report.risk_reduction_ratio - 1e-9,
-        "hurricane season should reward risk-aware routing at least as much"
-    );
 }
 
 #[test]

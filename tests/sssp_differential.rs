@@ -4,8 +4,9 @@
 //! 1. **Engine.** `engine::sssp` and the pair-query early exit
 //!    `engine::sssp_to` are checked against the heap-based
 //!    `routing::risk_sssp` oracle on adversarial random graphs (weights 0,
-//!    ε, exact ties and 4000, isolated PoPs) at β = 0, finite β, and a β
-//!    large enough that β·ρ overflows to the ∞-sanitized cost: dist bits,
+//!    ε, exact ties and 4000, isolated PoPs; ρ with negative, NaN and ∞
+//!    entries) and one fixed square, at β = 0, finite β, and a β large
+//!    enough that β·ρ overflows to the ∞-sanitized cost: dist bits,
 //!    predecessors and paths, plus the ρ-sum channel of β = 0 trees.
 //! 2. **Planner table.** Every planner workload is a row rendered to bytes
 //!    (the `Debug` rendering, which round-trips every f64 bit-for-bit) and
@@ -79,17 +80,30 @@ fn random_adjacency(rng: &mut StdRng) -> Adjacency {
 }
 
 /// ρ with zeros and exact ties (entry costs collapse into shared cost
-/// classes), a spread of magnitudes, and the occasional negative value the
-/// sanitizer turns into an unroutable node.
+/// classes), a spread of magnitudes, and the occasional negative, NaN or
+/// infinite value the sanitizer turns into an unroutable node (chaos
+/// poisons PoPs with NaN this way).
 fn random_rho(rng: &mut StdRng, n: usize) -> Vec<f64> {
     (0..n)
-        .map(|_| match rng.next_u64() % 5 {
+        .map(|_| match rng.next_u64() % 7 {
             0 => 0.0,
             1 => 0.5,
             2 => -1.0,
+            3 => f64::NAN,
+            4 => f64::INFINITY,
             _ => rng.gen_f64() * 4.0,
         })
         .collect()
+}
+
+/// The fixed case: a square whose corner 1 is far riskier than a detour
+/// through corner 3, so every finite β > 0 reroutes around it.
+fn square_case() -> (Adjacency, Vec<f64>) {
+    let adj = Adjacency::from_links(
+        4,
+        vec![(0, 1, 10.0), (1, 2, 10.0), (2, 3, 10.0), (3, 0, 10.0)],
+    );
+    (adj, vec![0.0, 100.0, 0.0, 0.25])
 }
 
 /// The ρ-sum a β = 0 tree must record for `v`: ρ accumulated down the
@@ -100,19 +114,27 @@ fn path_rho_sum(oracle: &RiskTree, rho: &[f64], v: usize) -> f64 {
     })
 }
 
-/// Every random case: graph, CSR snapshot, ρ, β, and the oracle tree per
-/// source.
+/// Every case — the random graphs plus [`square_case`]: graph, CSR
+/// snapshot, ρ, β, and the oracle tree per source. At β = 0 the oracle
+/// charges a literal zero entry cost, the distance tree the kernel
+/// computes without reading ρ (so a NaN ρ leaves it routable).
 fn engine_cases(seed: u64, mut check: impl FnMut(&str, &CsrGraph, &[f64], f64, &[RiskTree])) {
     let mut rng = StdRng::seed_from_u64(seed);
-    for case in 0..GRAPH_CASES {
-        let adj = random_adjacency(&mut rng);
-        let csr = CsrGraph::from_adjacency(&adj);
-        let rho = random_rho(&mut rng, adj.node_count());
+    let mut cases: Vec<(Adjacency, Vec<f64>)> = (0..GRAPH_CASES)
+        .map(|_| {
+            let adj = random_adjacency(&mut rng);
+            let rho = random_rho(&mut rng, adj.node_count());
+            (adj, rho)
+        })
+        .collect();
+    cases.push(square_case());
+    for (case, (adj, rho)) in cases.iter().enumerate() {
+        let csr = CsrGraph::from_adjacency(adj);
         for beta in BETAS {
             let oracle: Vec<RiskTree> = (0..adj.node_count())
-                .map(|s| risk_sssp(&adj, s, |v| beta * rho[v]))
+                .map(|s| risk_sssp(adj, s, |v| if beta == 0.0 { 0.0 } else { beta * rho[v] }))
                 .collect();
-            check(&format!("case {case} β {beta}"), &csr, &rho, beta, &oracle);
+            check(&format!("case {case} β {beta}"), &csr, rho, beta, &oracle);
         }
     }
 }

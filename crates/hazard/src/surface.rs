@@ -271,6 +271,19 @@ mod tests {
     }
 
     #[test]
+    fn outage_probability_far_from_every_event_is_positive_zero() {
+        let events = sample_events(EventKind::NoaaWind, 500, 42);
+        let s = RiskSurface::fit(EventKind::NoaaWind, &events, 3.59);
+        let mid_pacific = pt(20.0, -160.0);
+        let nearest = events
+            .iter()
+            .map(|e| riskroute_geo::distance::great_circle_miles(e.location, mid_pacific))
+            .fold(f64::INFINITY, f64::min);
+        assert!(nearest > 1_000.0, "nearest event {nearest} mi away");
+        assert_eq!(s.outage_probability(mid_pacific).to_bits(), 0);
+    }
+
+    #[test]
     fn risk_at_all_matches_pointwise() {
         let agg = HistoricalRisk::standard(42, Some(100));
         let pts = vec![pt(29.9, -90.1), pt(40.0, -105.0)];

@@ -13,9 +13,8 @@
 //! approximation (the same one the paper's kernel heat maps imply).
 
 use crate::binned::TRUNCATION_SIGMAS;
-use riskroute_geo::distance::great_circle_miles;
 use riskroute_geo::{GeoGrid, GeoPoint, EARTH_RADIUS_MILES};
-use std::f64::consts::TAU;
+use std::f64::consts::{FRAC_PI_2, TAU};
 
 /// Miles per degree of latitude on the model sphere (`2πR/360`), so the
 /// binned fast path and the haversine agree in the small-distance limit.
@@ -25,10 +24,19 @@ const MILES_PER_DEG_LAT: f64 = TAU * EARTH_RADIUS_MILES / 360.0;
 /// longitude kernel, so grid margins that poke past the poles stay finite.
 const MAX_KERNEL_LAT_DEG: f64 = 89.0;
 
+/// Distance, in bandwidths, from which an event's Gaussian kernel is exactly
+/// `+0.0`. `exp(−½·z²)` underflows to zero for z > ≈38.6; the margin up to
+/// 40 absorbs any rounding in the haversine, so [`GeoKde::density`] skips
+/// such events without moving a bit of its sum.
+pub const EXACT_ZERO_SIGMAS: f64 = 40.0;
+
 /// A fitted 2-D Gaussian kernel density estimate over geographic events.
 #[derive(Debug, Clone)]
 pub struct GeoKde {
     events: Vec<GeoPoint>,
+    /// `cos(latitude)` of each event, in event order: the event side of
+    /// every haversine, computed once here instead of once per query.
+    cos_lat: Vec<f64>,
     bandwidth_miles: f64,
 }
 
@@ -47,8 +55,10 @@ impl GeoKde {
             bandwidth_miles.is_finite() && bandwidth_miles > 0.0,
             "bandwidth must be positive and finite, got {bandwidth_miles}"
         );
+        let cos_lat = events.iter().map(|e| e.lat_rad().cos()).collect();
         GeoKde {
             events,
+            cos_lat,
             bandwidth_miles,
         }
     }
@@ -64,17 +74,42 @@ impl GeoKde {
     }
 
     /// Density estimate `p̂(y)` in events per square mile.
+    ///
+    /// Exact, with events that cannot contribute skipped: an event at least
+    /// [`EXACT_ZERO_SIGMAS`]·σ from `y` has a kernel of exactly `+0.0`, and
+    /// adding `+0.0` to the non-negative running sum leaves its bits
+    /// unchanged. Every kept event is summed in fit order with the
+    /// operations of `great_circle_miles(event, y)`, so the result is bit
+    /// for bit the plain sum over all events. Two tests prove the skip: the
+    /// half latitude difference alone (the meridian lower bound, no trig),
+    /// then the haversine `h` against the cut's `sin²` (`asin∘sqrt` is
+    /// monotone). Past a half-angle of π/2 `sin²` stops rising, so the `h`
+    /// test is switched off (`h_cut = +∞`).
     pub fn density(&self, y: GeoPoint) -> f64 {
         let s = self.bandwidth_miles;
         let norm = 1.0 / (TAU * s * s * self.events.len() as f64);
-        let sum: f64 = self
-            .events
-            .iter()
-            .map(|&x| {
-                let z = great_circle_miles(x, y) / s;
-                (-0.5 * z * z).exp()
-            })
-            .sum();
+        let half_cut = EXACT_ZERO_SIGMAS * s / (2.0 * EARTH_RADIUS_MILES);
+        let h_cut = if half_cut >= FRAC_PI_2 {
+            f64::INFINITY
+        } else {
+            half_cut.sin().powi(2)
+        };
+        let q = Query::new(y);
+        // A literal `+0.0`: an empty `f64` sum is `-0.0`, but a query that
+        // skips every event must still return `+0.0`, as the plain sum did.
+        let mut sum = 0.0_f64;
+        for (&x, &x_cos) in self.events.iter().zip(&self.cos_lat) {
+            let dlat = q.half_dlat(x);
+            if dlat.abs() >= half_cut {
+                continue;
+            }
+            let h = q.haversine(dlat, x, x_cos);
+            if h >= h_cut {
+                continue;
+            }
+            let z = haversine_miles(h) / s;
+            sum += (-0.5 * z * z).exp();
+        }
         norm * sum
     }
 
@@ -82,14 +117,17 @@ impl GeoKde {
     ///
     /// Uses the log-sum-exp trick so the result is finite even when every
     /// event is many bandwidths away (where `density` underflows to zero,
-    /// `log_density` still returns the correct large-negative value).
+    /// `log_density` still returns the correct large-negative value). No
+    /// event is skipped here: the shift `m` needs every exponent.
     pub fn log_density(&self, y: GeoPoint) -> f64 {
         let s = self.bandwidth_miles;
+        let q = Query::new(y);
         let exponents: Vec<f64> = self
             .events
             .iter()
-            .map(|&x| {
-                let z = great_circle_miles(x, y) / s;
+            .zip(&self.cos_lat)
+            .map(|(&x, &x_cos)| {
+                let z = haversine_miles(q.haversine(q.half_dlat(x), x, x_cos)) / s;
                 -0.5 * z * z
             })
             .collect();
@@ -241,6 +279,46 @@ impl GeoKde {
     }
 }
 
+/// The query side of `great_circle_miles(event, y)`, hoisted out of the
+/// per-event loops. Each step keeps that function's operation order, so a
+/// distance built from these pieces is bit-identical to the haversine's.
+struct Query {
+    lat_rad: f64,
+    lon_rad: f64,
+    cos_lat: f64,
+}
+
+impl Query {
+    fn new(y: GeoPoint) -> Self {
+        Query {
+            lat_rad: y.lat_rad(),
+            lon_rad: y.lon_rad(),
+            cos_lat: y.lat_rad().cos(),
+        }
+    }
+
+    /// Half the latitude difference from event `x` to the query, radians.
+    #[inline]
+    fn half_dlat(&self, x: GeoPoint) -> f64 {
+        (self.lat_rad - x.lat_rad()) / 2.0
+    }
+
+    /// The haversine `h` from event `x` (whose cosine of latitude is `x_cos`)
+    /// to the query, given `dlat = self.half_dlat(x)`.
+    #[inline]
+    fn haversine(&self, dlat: f64, x: GeoPoint, x_cos: f64) -> f64 {
+        let dlon = (self.lon_rad - x.lon_rad()) / 2.0;
+        dlat.sin().powi(2) + x_cos * self.cos_lat * dlon.sin().powi(2)
+    }
+}
+
+/// Great-circle miles for the haversine `h`: the last step of
+/// `great_circle_miles`.
+#[inline]
+fn haversine_miles(h: f64) -> f64 {
+    2.0 * EARTH_RADIUS_MILES * h.sqrt().min(1.0).asin()
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -302,7 +380,11 @@ mod tests {
     fn log_density_survives_underflow() {
         let kde = GeoKde::fit(vec![pt(25.0, -80.0)], 1.0);
         let antipode_ish = pt(49.0, -124.0);
-        assert_eq!(kde.density(antipode_ish), 0.0, "density underflows");
+        assert_eq!(
+            kde.density(antipode_ish).to_bits(),
+            0,
+            "density underflows to +0.0"
+        );
         let ld = kde.log_density(antipode_ish);
         assert!(ld.is_finite() && ld < -1000.0, "got {ld}");
     }

@@ -7,7 +7,8 @@
 //! determination (Table 3). This crate implements all of that machinery:
 //!
 //! - [`kde`] — geodesic Gaussian kernel density estimation over
-//!   latitude/longitude event sets, with grid evaluation.
+//!   latitude/longitude event sets, with grid evaluation. The exact density
+//!   skips events whose kernel underflows to `+0.0`, bit-identically.
 //! - [`binned`] — spatially-binned, truncated-kernel KDE scoring that makes
 //!   full-corpus bandwidth training tractable.
 //! - [`crossval`] — k-fold cross-validated bandwidth selection; the held-out

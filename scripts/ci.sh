@@ -66,6 +66,9 @@ cargo test --release -q --test parallel_equivalence --test pool_properties
 echo "== sssp engine: differential suite (kernel vs oracle, cache x workers) =="
 cargo test --release -q --test sssp_differential
 
+echo "== hazard kernel: differential suite (pruned vs oracle) =="
+cargo test --release -q --test hazard_kernel_differential
+
 echo "== scenario forks: sweep equivalence suite =="
 cargo test --release -q --test scenario_equivalence
 

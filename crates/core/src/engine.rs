@@ -19,14 +19,21 @@
 //!    instead of clearing four arrays, and a slot is live only when its
 //!    stamp matches. Arenas are pooled through
 //!    [`riskroute_par::ScratchPool`] so scoped pool workers reuse them
-//!    across drains; steady-state runs allocate nothing but the output
-//!    tree.
+//!    across drains; steady-state runs allocate nothing but their output.
+//!    One kernel serves both query shapes: a run is set up, searched, and
+//!    then read by one of two extractors — the whole tree ([`sssp`]) or,
+//!    for a pair query that stops once its target settles ([`sssp_to`]),
+//!    just the target's path, distance and ρ-sum ([`PairAnswer`]), in
+//!    O(path length) instead of O(n).
 //!
-//! 3. **Exact route-tree cache** ([`RouteTreeCache`]): trees keyed by
-//!    `(root, β.to_bits(), stamp)` where the stamp names one
+//! 3. **Exact route cache** ([`RouteTreeCache`]): complete trees keyed by
+//!    `(root, β.to_bits(), stamp)` and pair answers keyed by
+//!    `(root, β.to_bits(), stamp, target)`, where the stamp names one
 //!    immutable (topology, cost-function) state — any risk/weight mutation
 //!    mints a fresh stamp, so a stale entry can never be *returned*, only
-//!    evicted. After greedy provisioning adds a link `(a, b)` the planner
+//!    evicted. A pair lookup is answered by its own entry or by a complete
+//!    tree under its `(root, β, stamp)`; full-tree readers see trees only.
+//!    After greedy provisioning adds a link `(a, b)` the planner
 //!    re-keys still-valid trees into the new state via a strict
 //!    edge-addition test (`Planner::adopt_route_cache`): a tree rooted at
 //!    `r` survives when
@@ -37,12 +44,8 @@
 //!    run could route through the new link and flip the printed path even
 //!    though the distance is unchanged. The cache is exact, never
 //!    approximate: outputs are byte-identical with it on or off.
-//!
-//! Pair queries that read one path run [`sssp_to`], which stops as soon as
-//! the target settles; the cache holds those partial trees too, and only
-//! pair lookups whose target settled in them may read them.
 
-use crate::routing::{Adjacency, Entry, RiskTree, NO_PRED};
+use crate::routing::{Adjacency, Entry, PairAnswer, RiskTree, NO_PRED};
 use riskroute_graph::queue::{inv_quantum_for_mean, BucketQueue};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -239,6 +242,64 @@ impl SsspArena {
             f64::INFINITY
         }
     }
+
+    /// The whole tree of a drained run over `n` nodes. A drained run
+    /// settles every node it touched (touched ⇒ finite dist ⇒ pushed ⇒
+    /// popped), so the settled nodes are exactly the reachable ones; every
+    /// other slot reads as unreachable.
+    fn tree(&self, source: usize, n: usize, track_rho: bool) -> RiskTree {
+        let gen = self.gen;
+        let mut dist = Vec::with_capacity(n);
+        let mut pred = Vec::with_capacity(n);
+        for v in 0..n {
+            if self.settled[v] == gen {
+                dist.push(self.dist[v]);
+                pred.push(self.pred[v]);
+            } else {
+                dist.push(f64::INFINITY);
+                pred.push(NO_PRED);
+            }
+        }
+        let rho_sum = if track_rho {
+            (0..n)
+                .map(|v| {
+                    if self.settled[v] == gen {
+                        self.rho_sum[v]
+                    } else {
+                        f64::INFINITY
+                    }
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
+        RiskTree::from_parts(source, dist, pred, rho_sum)
+    }
+
+    /// The answer for `target` of a run that stopped once it settled (or
+    /// drained without reaching it): the settled predecessor chain walked
+    /// back to the source, whose nodes all settled before the target.
+    fn pair_answer(&self, target: usize, track_rho: bool) -> Option<PairAnswer> {
+        if self.settled[target] != self.gen {
+            return None;
+        }
+        let mut path = vec![target];
+        let mut cur = target;
+        while self.pred[cur] != NO_PRED {
+            cur = self.pred[cur] as usize;
+            path.push(cur);
+        }
+        path.reverse();
+        Some(PairAnswer {
+            path,
+            dist: self.dist[target],
+            rho_sum: if track_rho {
+                self.rho_sum[target]
+            } else {
+                f64::NAN
+            },
+        })
+    }
 }
 
 /// The process-wide arena pool: scoped pool workers (and the sequential
@@ -291,29 +352,38 @@ struct SearchStats {
 /// Panics when `source` is out of range.
 pub fn sssp(csr: &CsrGraph, source: usize, beta: f64, rho: &[f64]) -> RiskTree {
     ARENAS.with(SsspArena::new, |arena| {
-        run(arena, csr, source, beta, rho, None)
+        run(arena, csr, source, beta, rho, None);
+        arena.tree(source, csr.node_count(), beta == 0.0)
     })
 }
 
 /// [`sssp`] for a pair query: the run stops right after `target` settles
-/// and returns the settled prefix as a partial tree
-/// ([`RiskTree::is_complete`] is `false`). Pops happen in the same
-/// `(cost, node)` order as the full run, and a node's
-/// dist/pred/ρ-sum are final once it settles, so every settled node —
-/// `target` and its whole tree path included — is bit-for-bit the full
-/// run's; touched-but-unsettled nodes read ∞ / no predecessor. When
-/// `target` is unreachable the frontier drains first and the tree comes
-/// back complete.
+/// and returns the target's [`PairAnswer`], read straight off the arena in
+/// O(path length) — `None` when `target` is unreachable (the frontier
+/// drained first). Pops happen in the same `(cost, node)` order as the
+/// full run, and a node's dist/pred/ρ-sum are final once it settles, so
+/// the answer — the target and its whole tree path — is bit-for-bit the
+/// full run's.
 ///
 /// # Panics
 /// Panics when `source` or `target` is out of range.
-pub fn sssp_to(csr: &CsrGraph, source: usize, beta: f64, rho: &[f64], target: usize) -> RiskTree {
+pub fn sssp_to(
+    csr: &CsrGraph,
+    source: usize,
+    beta: f64,
+    rho: &[f64],
+    target: usize,
+) -> Option<PairAnswer> {
     assert!(target < csr.node_count(), "target {target} out of range");
     ARENAS.with(SsspArena::new, |arena| {
-        run(arena, csr, source, beta, rho, Some(target))
+        run(arena, csr, source, beta, rho, Some(target));
+        arena.pair_answer(target, beta == 0.0)
     })
 }
 
+/// Set the arena up for one run from `source` and search it to
+/// completion, or until `stop` settles; publishes the run's counters. The
+/// result stays in the arena for an extractor to read.
 fn run(
     arena: &mut SsspArena,
     csr: &CsrGraph,
@@ -321,7 +391,7 @@ fn run(
     beta: f64,
     rho: &[f64],
     stop: Option<usize>,
-) -> RiskTree {
+) {
     let n = csr.node_count();
     assert!(source < n, "source {source} out of range ({n} nodes)");
     arena.begin(n);
@@ -363,40 +433,6 @@ fn run(
         riskroute_obs::counter_add("bucket_queue_settles", stats.settles);
         riskroute_obs::counter_add("bucket_relaxations_skipped", stats.skipped);
     }
-
-    // Extract the compact output tree from the settled nodes; every other
-    // slot reads as unreachable. A drained run settles every node it
-    // touched (touched ⇒ finite dist ⇒ pushed ⇒ popped), so this is the
-    // whole tree; a stopped run drops its touched-but-unsettled frontier.
-    let mut dist = Vec::with_capacity(n);
-    let mut pred = Vec::with_capacity(n);
-    for v in 0..n {
-        if arena.settled[v] == gen {
-            dist.push(arena.dist[v]);
-            pred.push(arena.pred[v]);
-        } else {
-            dist.push(f64::INFINITY);
-            pred.push(NO_PRED);
-        }
-    }
-    let rho_sum = if track_rho {
-        (0..n)
-            .map(|v| {
-                if arena.settled[v] == gen {
-                    arena.rho_sum[v]
-                } else {
-                    f64::INFINITY
-                }
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    let mut tree = RiskTree::from_parts(source, dist, pred, rho_sum);
-    if stats.stopped {
-        tree.mark_partial();
-    }
-    tree
 }
 
 /// The Dijkstra hot loop; the body is byte-for-byte the arithmetic of the
@@ -477,68 +513,152 @@ pub(crate) struct TreeKey {
     pub(crate) stamp: u64,
 }
 
+/// Key of one cached pair answer: the key its run's whole tree would have,
+/// plus the target.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct PairKey {
+    tree: TreeKey,
+    target: u32,
+}
+
+/// A cached pair answer: `None` records an unreachable target.
+type CachedAnswer = Option<Arc<PairAnswer>>;
+
 /// How much memory the cache may pin before it starts refusing inserts.
-/// Every entry is charged [`entry_bytes`] when it is inserted.
+/// Every entry is charged [`tree_bytes`] or [`pair_bytes`] when it is
+/// inserted.
 pub(crate) const CACHE_BUDGET_BYTES: usize = 256 << 20;
 
-/// Entry-count cap on top of the byte budget, bounding the map itself on
-/// tiny graphs whose trees cost only a few hundred bytes.
+/// Entry-count cap on top of the byte budget, bounding the maps themselves
+/// on tiny graphs whose entries cost only a few hundred bytes.
 const CACHE_MAX_ENTRIES: usize = 1 << 20;
 
-/// Fixed per-entry overhead: the map slot, the tree header, and the `Arc`
+/// Fixed per-tree overhead: the map slot, the tree header, and the `Arc`
 /// reference counts.
-const ENTRY_OVERHEAD_BYTES: usize = std::mem::size_of::<(TreeKey, Arc<RiskTree>)>()
+const TREE_OVERHEAD_BYTES: usize = std::mem::size_of::<(TreeKey, Arc<RiskTree>)>()
     + std::mem::size_of::<RiskTree>()
+    + 2 * std::mem::size_of::<usize>();
+
+/// Fixed per-answer overhead: the map slot, the answer header, and the
+/// `Arc` reference counts.
+const PAIR_OVERHEAD_BYTES: usize = std::mem::size_of::<(PairKey, CachedAnswer)>()
+    + std::mem::size_of::<PairAnswer>()
     + 2 * std::mem::size_of::<usize>();
 
 /// What one cached tree is charged against [`CACHE_BUDGET_BYTES`]: the
 /// bytes its vectors hold (the ρ-sum channel of a β = 0 tree included)
 /// plus the fixed overhead. A tree shared by several keys is charged once
 /// per key.
-fn entry_bytes(tree: &RiskTree) -> usize {
-    ENTRY_OVERHEAD_BYTES + tree.heap_bytes()
+fn tree_bytes(tree: &RiskTree) -> usize {
+    TREE_OVERHEAD_BYTES + tree.heap_bytes()
+}
+
+/// What one cached pair answer is charged: its path plus the fixed
+/// overhead — O(path length), never O(n).
+fn pair_bytes(answer: &CachedAnswer) -> usize {
+    PAIR_OVERHEAD_BYTES + answer.as_ref().map_or(0, |a| a.heap_bytes())
+}
+
+/// Entries and bytes held by every live cache in the process.
+static TOTALS: Mutex<(usize, usize)> = Mutex::new((0, 0));
+
+/// Move one cache's share of [`TOTALS`] from its old `(entries, bytes)` to
+/// its new ones; returns the new totals.
+fn retally(before: (usize, usize), after: (usize, usize)) -> (usize, usize) {
+    let mut totals = TOTALS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    totals.0 = totals.0 - before.0 + after.0;
+    totals.1 = totals.1 - before.1 + after.1;
+    *totals
+}
+
+/// Publish the process-wide totals as the `route_cache_entries` and
+/// `route_cache_bytes` gauges. Inserts and purges publish; dropping a
+/// cache takes its share out of the totals without publishing, so a
+/// finished run's metrics still show the size its caches reached.
+fn publish((entries, bytes): (usize, usize)) {
+    if riskroute_obs::is_enabled() {
+        riskroute_obs::gauge_set("route_cache_entries", entries as f64);
+        riskroute_obs::gauge_set("route_cache_bytes", bytes as f64);
+    }
 }
 
 struct CacheInner {
-    map: HashMap<TreeKey, Arc<RiskTree>>,
-    /// Sum of [`entry_bytes`] over `map`.
+    trees: HashMap<TreeKey, Arc<RiskTree>>,
+    pairs: HashMap<PairKey, CachedAnswer>,
+    /// Sum of [`tree_bytes`] and [`pair_bytes`] over both maps.
     bytes: usize,
     /// Stamp for which the cache already proved full after purging stale
     /// generations — inserts under it are skipped without rescanning.
     full_stamp: u64,
 }
 
-/// What a cache lookup for one pair query found (see
-/// [`RouteTreeCache::lookup`]).
-pub(crate) enum Lookup {
-    /// A tree that answers the query.
-    Hit(Arc<RiskTree>),
-    /// Only a partial tree whose settle horizon stops short of the query —
-    /// the caller replaces it with a complete run.
-    Partial,
-    /// No tree under the key.
-    Miss,
+impl CacheInner {
+    fn len(&self) -> usize {
+        self.trees.len() + self.pairs.len()
+    }
+
+    /// Make room for one entry of `cost` bytes under `stamp` and charge
+    /// it, or refuse. When the entry would overrun the byte budget, stale
+    /// stamps are purged once per stamp transition; if the current stamp
+    /// alone fills the cache, further inserts under it are refused
+    /// (counted as `route_cache_insert_skips`) — correctness is
+    /// unaffected, those answers are simply recomputed on demand.
+    fn admit(&mut self, stamp: u64, cost: usize) -> bool {
+        let before = (self.len(), self.bytes);
+        let fits = |inner: &CacheInner| {
+            inner.bytes + cost <= CACHE_BUDGET_BYTES && inner.len() < CACHE_MAX_ENTRIES
+        };
+        if !fits(self) {
+            if self.full_stamp != stamp {
+                self.trees.retain(|k, _| k.stamp == stamp);
+                self.pairs.retain(|k, _| k.tree.stamp == stamp);
+                self.bytes = self.trees.values().map(|t| tree_bytes(t)).sum::<usize>()
+                    + self.pairs.values().map(pair_bytes).sum::<usize>();
+            }
+            if !fits(self) {
+                self.full_stamp = stamp;
+                publish(retally(before, (self.len(), self.bytes)));
+                riskroute_obs::counter_add("route_cache_insert_skips", 1);
+                return false;
+            }
+        }
+        self.bytes += cost;
+        publish(retally(before, (self.len() + 1, self.bytes)));
+        true
+    }
 }
 
-/// Exact, shared route-tree cache (see the module docs). Clones of a
-/// planner share one cache through an `Arc`; the per-entry stamp keeps
-/// divergent clones from ever observing each other's trees.
+/// Count one cache lookup as a hit or a miss.
+fn count_lookup(hit: bool) {
+    if riskroute_obs::is_enabled() {
+        let counter = if hit {
+            "route_cache_hits"
+        } else {
+            "route_cache_misses"
+        };
+        riskroute_obs::counter_add(counter, 1);
+    }
+}
+
+/// Exact, shared route cache (see the module docs). Clones of a planner
+/// share one cache through an `Arc`; the per-entry stamp keeps divergent
+/// clones from ever observing each other's entries.
 ///
-/// Entries may be partial trees (the settled prefix of an early-exit pair
-/// query, see [`sssp_to`]). Pair lookups ([`Self::lookup`] with a target)
-/// accept one when the target settled before the run stopped; every
-/// full-tree reader — lookups without a target and
-/// [`Self::entries_with_stamp`] — treats partial trees as absent.
+/// It holds two kinds of entry: complete trees under `(root, β, stamp)`,
+/// and pair answers under `(root, β, stamp, target)`. A pair lookup
+/// ([`Self::pair`]) is answered by either; every full-tree reader —
+/// [`Self::tree`] and [`Self::trees_with_stamp`] — sees trees only.
 pub(crate) struct RouteTreeCache {
     inner: Mutex<CacheInner>,
 }
 
 impl RouteTreeCache {
-    /// An empty cache holding at most [`CACHE_BUDGET_BYTES`] of trees.
+    /// An empty cache holding at most [`CACHE_BUDGET_BYTES`] of entries.
     pub(crate) fn new() -> Self {
         RouteTreeCache {
             inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
+                trees: HashMap::new(),
+                pairs: HashMap::new(),
                 bytes: 0,
                 full_stamp: 0,
             }),
@@ -551,93 +671,85 @@ impl RouteTreeCache {
         self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Look up a tree that answers `target` (any complete tree when
-    /// `target` is `None`), counting a hit only when one is returned: a
-    /// partial tree that stops short of the target counts as a miss.
-    pub(crate) fn lookup(&self, key: &TreeKey, target: Option<usize>) -> Lookup {
-        let found = match self.lock().map.get(key) {
-            None => Lookup::Miss,
-            Some(tree) => {
-                let answers = match target {
-                    Some(t) => tree.answers(t),
-                    None => tree.is_complete(),
-                };
-                if answers {
-                    Lookup::Hit(Arc::clone(tree))
-                } else {
-                    Lookup::Partial
-                }
-            }
-        };
-        if riskroute_obs::is_enabled() {
-            let counter = if matches!(found, Lookup::Hit(_)) {
-                "route_cache_hits"
-            } else {
-                "route_cache_misses"
-            };
-            riskroute_obs::counter_add(counter, 1);
-        }
+    /// Look up the complete tree under `key`, counting one hit or miss.
+    pub(crate) fn tree(&self, key: &TreeKey) -> Option<Arc<RiskTree>> {
+        let found = self.lock().trees.get(key).map(Arc::clone);
+        count_lookup(found.is_some());
         found
     }
 
-    /// Insert a freshly computed (or revalidated) tree. An occupied key
-    /// keeps its tree — concurrent duplicate computes are identical by
-    /// construction — unless a complete tree replaces a partial one (never
-    /// the reverse). When the entry would overrun the byte budget, stale
-    /// stamps are purged once per stamp transition; if the current stamp
-    /// alone fills the cache, further inserts under it are skipped
-    /// (counted as `route_cache_insert_skips`) — correctness is
-    /// unaffected, those trees are simply recomputed on demand.
-    pub(crate) fn insert(&self, key: TreeKey, tree: Arc<RiskTree>) {
-        let cost = entry_bytes(&tree);
-        let mut inner = self.lock();
-        let freed = match inner.map.get(&key) {
-            Some(old) if old.is_complete() || !tree.is_complete() => return,
-            Some(old) => entry_bytes(old),
-            None => 0,
+    /// Look up the answer to a pair query for `target` (`Some(None)`: the
+    /// target is unreachable): its own pair entry, else read off the
+    /// complete tree under `key` once the lock is released. Counts one hit
+    /// or miss.
+    pub(crate) fn pair(&self, key: &TreeKey, target: usize) -> Option<CachedAnswer> {
+        let pair_key = PairKey {
+            tree: *key,
+            target: target as u32,
         };
-        let fits = |inner: &CacheInner| {
-            inner.bytes - freed + cost <= CACHE_BUDGET_BYTES
-                && (freed > 0 || inner.map.len() < CACHE_MAX_ENTRIES)
+        let (answer, tree) = {
+            let inner = self.lock();
+            (inner.pairs.get(&pair_key).cloned(), inner.trees.get(key).cloned())
         };
-        if !fits(&inner) {
-            if inner.full_stamp == key.stamp {
-                drop(inner);
-                riskroute_obs::counter_add("route_cache_insert_skips", 1);
-                return;
-            }
-            inner.map.retain(|k, _| k.stamp == key.stamp);
-            inner.bytes = inner.map.values().map(|t| entry_bytes(t)).sum();
-            if !fits(&inner) {
-                inner.full_stamp = key.stamp;
-                drop(inner);
-                riskroute_obs::counter_add("route_cache_insert_skips", 1);
-                return;
-            }
-        }
-        inner.bytes = inner.bytes - freed + cost;
-        inner.map.insert(key, tree);
+        let found = answer.or_else(|| tree.map(|t| t.pair_answer(target).map(Arc::new)));
+        count_lookup(found.is_some());
+        found
     }
 
-    /// Snapshot every complete entry computed under `stamp` (the adoption
+    /// Insert a freshly computed (or revalidated) complete tree. An
+    /// occupied key keeps its tree — concurrent duplicate computes are
+    /// identical by construction.
+    pub(crate) fn insert_tree(&self, key: TreeKey, tree: Arc<RiskTree>) {
+        let cost = tree_bytes(&tree);
+        let mut inner = self.lock();
+        if !inner.trees.contains_key(&key) && inner.admit(key.stamp, cost) {
+            inner.trees.insert(key, tree);
+        }
+    }
+
+    /// Insert the answer of a pair query for `target` under `key`'s
+    /// `(root, β, stamp)`. An occupied key keeps its answer.
+    pub(crate) fn insert_pair(&self, key: TreeKey, target: usize, answer: CachedAnswer) {
+        let key = PairKey {
+            tree: key,
+            target: target as u32,
+        };
+        let cost = pair_bytes(&answer);
+        let mut inner = self.lock();
+        if !inner.pairs.contains_key(&key) && inner.admit(key.tree.stamp, cost) {
+            inner.pairs.insert(key, answer);
+        }
+    }
+
+    /// Snapshot every complete tree computed under `stamp` (the adoption
     /// walk after greedy adds a link).
-    pub(crate) fn entries_with_stamp(&self, stamp: u64) -> Vec<(TreeKey, Arc<RiskTree>)> {
+    pub(crate) fn trees_with_stamp(&self, stamp: u64) -> Vec<(TreeKey, Arc<RiskTree>)> {
         self.lock()
-            .map
+            .trees
             .iter()
-            .filter(|(k, t)| k.stamp == stamp && t.is_complete())
+            .filter(|(k, _)| k.stamp == stamp)
             .map(|(k, t)| (*k, Arc::clone(t)))
             .collect()
     }
 
-    /// Number of cached trees (all stamps).
+    /// Number of cached trees and pair answers (all stamps).
     pub(crate) fn len(&self) -> usize {
-        self.lock().map.len()
+        self.lock().len()
     }
 
-    /// Bytes charged for the cached trees (all stamps).
+    /// Bytes charged for the cached entries (all stamps).
     pub(crate) fn bytes(&self) -> usize {
         self.lock().bytes
+    }
+}
+
+impl Drop for RouteTreeCache {
+    fn drop(&mut self) {
+        let inner = self
+            .inner
+            .get_mut()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        retally((inner.len(), inner.bytes), (0, 0));
     }
 }
 
@@ -727,9 +839,18 @@ mod tests {
         }
     }
 
-    /// Line 0-1-2-…-7, 10 miles per hop: unique paths, so no cost ties.
-    fn line8() -> Adjacency {
-        Adjacency::from_links(8, (0..7).map(|u| (u, u + 1, 10.0)))
+    /// Run `f` under a fresh trace scope; its result and the route-cache
+    /// hits and misses attributed to that trace alone.
+    fn lookups<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+        riskroute_obs::enable();
+        let scope = riskroute_obs::ObsScope::begin("engine-cache");
+        let out = {
+            let _guard = scope.enter();
+            f()
+        };
+        let counters = riskroute_obs::trace_counters(scope.trace_id());
+        let get = |name: &str| counters.get(name).copied().unwrap_or(0);
+        (out, get("route_cache_hits"), get("route_cache_misses"))
     }
 
     #[test]
@@ -743,77 +864,115 @@ mod tests {
             beta_bits: 0,
             stamp: next_stamp(),
         };
-        assert!(matches!(cache.lookup(&key, None), Lookup::Miss));
-        cache.insert(key, Arc::clone(&tree));
-        assert!(matches!(cache.lookup(&key, None), Lookup::Hit(_)));
         let other_stamp = TreeKey {
             stamp: next_stamp(),
             ..key
         };
-        assert!(
-            matches!(cache.lookup(&other_stamp, None), Lookup::Miss),
-            "stamps never alias"
-        );
-        assert_eq!(cache.entries_with_stamp(key.stamp).len(), 1);
+        let (_, hits, misses) = lookups(|| {
+            assert!(cache.tree(&key).is_none());
+            cache.insert_tree(key, Arc::clone(&tree));
+            assert!(cache.tree(&key).is_some());
+            assert!(cache.tree(&other_stamp).is_none(), "stamps never alias");
+            assert!(cache.pair(&other_stamp, 2).is_none(), "stamps never alias");
+        });
+        assert_eq!((hits, misses), (1, 3));
+        assert_eq!(cache.trees_with_stamp(key.stamp).len(), 1);
         assert_eq!(cache.len(), 1);
     }
 
     #[test]
-    fn cache_serves_partial_trees_only_to_settled_targets() {
+    fn pair_entries_answer_their_own_target_and_trees_answer_any() {
+        // Line 0-…-7 plus an isolated PoP 8.
+        let adj = Adjacency::from_links(9, (0..7).map(|u| (u, u + 1, 10.0)));
+        let csr = CsrGraph::from_adjacency(&adj);
+        let rho = [0.0; 9];
         let cache = RouteTreeCache::new();
-        let csr = CsrGraph::from_adjacency(&line8());
-        let rho = [0.0; 8];
         let key = TreeKey {
             root: 0,
             beta_bits: 1.0f64.to_bits(),
             stamp: next_stamp(),
         };
-        cache.insert(key, Arc::new(sssp_to(&csr, 0, 1.0, &rho, 2)));
-        assert!(matches!(cache.lookup(&key, Some(2)), Lookup::Hit(_)));
-        assert!(matches!(cache.lookup(&key, Some(1)), Lookup::Hit(_)));
-        assert!(matches!(cache.lookup(&key, Some(5)), Lookup::Partial));
-        // Full-tree readers see nothing.
-        assert!(matches!(cache.lookup(&key, None), Lookup::Partial));
-        assert!(cache.entries_with_stamp(key.stamp).is_empty());
-        // A partial insert never displaces a tree; a complete one replaces
-        // a partial and is never displaced.
-        cache.insert(key, Arc::new(sssp_to(&csr, 0, 1.0, &rho, 6)));
-        assert!(matches!(cache.lookup(&key, Some(5)), Lookup::Partial));
         let full = Arc::new(sssp(&csr, 0, 1.0, &rho));
-        cache.insert(key, Arc::clone(&full));
-        assert!(matches!(cache.lookup(&key, Some(7)), Lookup::Hit(_)));
-        cache.insert(key, Arc::new(sssp_to(&csr, 0, 1.0, &rho, 2)));
-        assert!(matches!(cache.lookup(&key, None), Lookup::Hit(t) if Arc::ptr_eq(&t, &full)));
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.bytes(), entry_bytes(&full));
+        let (_, hits, misses) = lookups(|| {
+            assert!(cache.pair(&key, 5).is_none());
+            cache.insert_pair(key, 5, sssp_to(&csr, 0, 1.0, &rho, 5).map(Arc::new));
+            assert!(matches!(
+                cache.pair(&key, 5),
+                Some(Some(a)) if a.path == [0, 1, 2, 3, 4, 5] && a.dist == 50.0
+            ));
+            // Node 2 settled in that run, but the entry answers 5 only.
+            assert!(cache.pair(&key, 2).is_none());
+            assert!(cache.pair(&key, 7).is_none());
+            // Full-tree readers never see a pair entry.
+            assert!(cache.tree(&key).is_none());
+            // An unreachable target is cached as such.
+            let none = sssp_to(&csr, 0, 1.0, &rho, 8).map(Arc::new);
+            assert!(none.is_none());
+            cache.insert_pair(key, 8, none);
+            assert!(matches!(cache.pair(&key, 8), Some(None)));
+            // A complete tree answers every target.
+            cache.insert_tree(key, Arc::clone(&full));
+            for t in 0..9 {
+                let answer = cache.pair(&key, t).expect("a complete tree answers");
+                let expect = full.pair_answer(t).map(|a| a.path);
+                assert_eq!(answer.map(|a| a.path.clone()), expect, "target {t}");
+            }
+            assert!(cache.tree(&key).is_some());
+        });
+        // One hit or one miss per lookup: 16 lookups.
+        assert_eq!((hits, misses), (12, 4));
+        assert!(cache.trees_with_stamp(key.stamp).len() == 1);
+        assert_eq!(cache.len(), 3);
     }
 
     #[test]
-    fn cache_budget_charges_the_rho_sum_channel() {
-        // One real β = 0 tree of a 10k-node line, inserted under many keys:
-        // each entry is charged its dist + pred + ρ-sum vectors (20 bytes a
-        // node, not the 12 a β ≠ 0 tree holds) plus the fixed overhead,
-        // and the running total never crosses the budget.
+    fn cache_charges_pair_answers_by_path_length_and_trees_by_n() {
+        // A 10k-node line at β = 0: a tree is charged its dist + pred +
+        // ρ-sum vectors (20 bytes a node), a pair answer its path only.
         let n = 10_000;
         let adj = Adjacency::from_links(n, (1..n).map(|u| (u - 1, u, 1.0)));
         let csr = CsrGraph::from_adjacency(&adj);
-        let tree = Arc::new(sssp(&csr, 0, 0.0, &vec![0.5; n]));
-        assert_eq!(tree.rho_sum_slice().len(), n);
-        let per_entry = entry_bytes(&tree);
-        assert!(per_entry >= 20 * n + ENTRY_OVERHEAD_BYTES);
+        let rho = vec![0.5; n];
+        let tree = Arc::new(sssp(&csr, 0, 0.0, &rho));
+        let per_tree = tree_bytes(&tree);
+        assert!(per_tree >= 20 * n + TREE_OVERHEAD_BYTES);
         let cache = RouteTreeCache::new();
         let stamp = next_stamp();
-        let fit = CACHE_BUDGET_BYTES / per_entry;
+        let key = |root| TreeKey {
+            root,
+            beta_bits: 0,
+            stamp,
+        };
+        for (target, hops) in [(3, 4), (99, 100)] {
+            let answer = sssp_to(&csr, 0, 0.0, &rho, target).map(Arc::new);
+            let a = answer.as_ref().unwrap();
+            assert_eq!(a.path.len(), hops);
+            assert_eq!(a.rho_sum, 0.5 * (hops - 1) as f64);
+            assert_eq!(pair_bytes(&answer), PAIR_OVERHEAD_BYTES + 8 * a.path.capacity());
+            assert!(a.path.capacity() < 2 * hops);
+            let before = cache.bytes();
+            cache.insert_pair(key(0), target, answer.clone());
+            assert_eq!(cache.bytes() - before, pair_bytes(&answer));
+        }
+        assert!(cache.bytes() < 4096, "pair entries never cost O(n)");
+        assert_eq!(pair_bytes(&None), PAIR_OVERHEAD_BYTES);
+        // Trees fill the budget and the running total never crosses it. A
+        // pair answer that does not fit is refused; one that fits is not.
+        let cache = RouteTreeCache::new();
+        let fit = CACHE_BUDGET_BYTES / per_tree;
         for root in 0..(fit as u32 + 16) {
-            let key = TreeKey {
-                root,
-                beta_bits: 0,
-                stamp,
-            };
-            cache.insert(key, Arc::clone(&tree));
+            cache.insert_tree(key(root), Arc::clone(&tree));
             assert!(cache.bytes() <= CACHE_BUDGET_BYTES);
         }
         assert_eq!(cache.len(), fit);
-        assert_eq!(cache.bytes(), fit * per_entry);
+        let room = CACHE_BUDGET_BYTES - cache.bytes();
+        let far = sssp_to(&csr, 0, 0.0, &rho, n - 1).map(Arc::new);
+        assert!(pair_bytes(&far) > room);
+        cache.insert_pair(key(0), n - 1, far);
+        assert_eq!(cache.len(), fit);
+        let near = sssp_to(&csr, 0, 0.0, &rho, 3).map(Arc::new);
+        cache.insert_pair(key(0), 3, near.clone());
+        assert_eq!(cache.len(), fit + 1);
+        assert_eq!(cache.bytes(), fit * per_tree + pair_bytes(&near));
     }
 }

@@ -1,11 +1,11 @@
 //! Intradomain RiskRoute (§6.1): minimum bit-risk-mile routing within one
 //! provider and the aggregate trade-off against shortest-path routing.
 
-use crate::engine::{self, CsrGraph, Lookup, RouteTreeCache, TreeKey};
+use crate::engine::{self, CsrGraph, RouteTreeCache, TreeKey};
 use crate::error::Error;
 use crate::metric::{NodeRisk, RiskWeights};
 use crate::ratios::{PairOutcome, RatioReport};
-use crate::routing::{evaluate_path, Adjacency, RiskTree, RoutedPath};
+use crate::routing::{evaluate_path, Adjacency, PairAnswer, RiskTree, RoutedPath};
 use riskroute_hazard::HistoricalRisk;
 use riskroute_par::Parallelism;
 use riskroute_population::{PopShares, PopulationModel};
@@ -273,10 +273,12 @@ impl Planner {
     }
 
     /// [`risk_route`](Self::risk_route) for the pair sweeps, which read
-    /// one path per tree: served by an early-exit [`pair_tree`](Self::pair_tree).
+    /// one path per (root, β): served by a [`pair_answer`](Self::pair_answer).
     fn pair_risk_route(&self, i: usize, j: usize) -> Option<RoutedPath> {
         let beta = self.impact(i, j);
-        self.routed_on(&self.pair_tree(i, beta, j), j, beta)
+        let answer = self.pair_answer(i, beta, j)?;
+        // Answer paths traverse real links by construction.
+        evaluate_path(&self.adjacency, &answer.path, self.entry_cost(beta)).ok()
     }
 
     /// Evaluate the tree path to `j` under metric β.
@@ -301,77 +303,54 @@ impl Planner {
     /// bit-risk metric* of the (i, j) pair so it is directly comparable to
     /// [`risk_route`](Self::risk_route). `None` when unreachable.
     pub fn shortest_route(&self, i: usize, j: usize) -> Option<RoutedPath> {
-        let tree = self.risk_tree_distance(i);
-        let beta = self.impact(i, j);
-        self.routed_from_distance_tree(&tree, j, beta)
-    }
-
-    /// Assemble the shortest-path [`RoutedPath`] for destination `j`
-    /// straight from a distance tree: `dist(j)` *is* the path's bit-miles
-    /// (each hop added `miles + 0.0` in path order), and the β-independent
-    /// ρ-sum recorded at settle time turns the pair's risk-miles into one
-    /// multiply — no per-destination path re-walk.
-    fn routed_from_distance_tree(
-        &self,
-        tree: &RiskTree,
-        j: usize,
-        beta: f64,
-    ) -> Option<RoutedPath> {
-        let nodes = tree.path_to(j)?;
-        let bit_miles = tree.dist(j);
-        let risk_miles = beta * tree.path_rho_sum(j);
-        Some(RoutedPath {
-            nodes,
-            bit_miles,
-            risk_miles,
-            bit_risk_miles: bit_miles + risk_miles,
-        })
+        let answer = self.risk_tree_distance(i).pair_answer(j)?;
+        Some(shortest_from(answer, self.impact(i, j)))
     }
 
     /// Full SSSP under the (i, j) pair's bit-risk weighting, rooted at `root`
-    /// (used by the provisioning sweep). Served from the route-tree cache
-    /// when enabled; computed trees are shared behind an `Arc` with every
-    /// clone of this planner in the same cost state. Always complete: a
-    /// cached partial tree counts as absent and is replaced.
+    /// (used by the provisioning sweep). Served from the route cache's
+    /// complete trees when enabled; computed trees are shared behind an
+    /// `Arc` with every clone of this planner in the same cost state.
     pub(crate) fn risk_tree(&self, root: usize, beta: f64) -> Arc<RiskTree> {
-        self.tree_for(root, beta, None)
+        let key = self.tree_key(root, beta);
+        if self.route_cache {
+            if let Some(tree) = self.cache.tree(&key) {
+                return tree;
+            }
+        }
+        let tree = Arc::new(engine::sssp(&self.csr, root, beta, &self.rho));
+        if self.route_cache {
+            self.cache.insert_tree(key, Arc::clone(&tree));
+        }
+        tree
     }
 
-    /// A tree rooted at `root` under metric β that answers a pair query for
-    /// `target` (see [`RiskTree::answers`]): any cached tree in which the
-    /// target settled, else an early-exit run that stops once it settles.
-    /// A cached partial tree that stops short of `target` is replaced by a
-    /// complete run, so each key costs at most one partial plus one full
-    /// run per cost state.
-    fn pair_tree(&self, root: usize, beta: f64, target: usize) -> Arc<RiskTree> {
-        self.tree_for(root, beta, Some(target))
+    /// The answer to a pair query from `root` to `target` under metric β
+    /// (`None` when unreachable): the cached answer for this very pair, else
+    /// read off a cached complete tree under `(root, β)`, else an early-exit
+    /// run that stops once `target` settles, whose answer is cached.
+    fn pair_answer(&self, root: usize, beta: f64, target: usize) -> Option<Arc<PairAnswer>> {
+        let key = self.tree_key(root, beta);
+        if self.route_cache {
+            if let Some(answer) = self.cache.pair(&key, target) {
+                return answer;
+            }
+        }
+        let answer = engine::sssp_to(&self.csr, root, beta, &self.rho, target).map(Arc::new);
+        if self.route_cache {
+            self.cache.insert_pair(key, target, answer.clone());
+        }
+        answer
     }
 
-    /// [`risk_tree`](Self::risk_tree) (`target` `None`) and
-    /// [`pair_tree`](Self::pair_tree) in one lookup chain: the cache, then
-    /// a scratch run.
-    fn tree_for(&self, root: usize, beta: f64, target: Option<usize>) -> Arc<RiskTree> {
-        let key = TreeKey {
+    /// The cache key of the tree rooted at `root` under metric β in the
+    /// current cost state.
+    fn tree_key(&self, root: usize, beta: f64) -> TreeKey {
+        TreeKey {
             root: root as u32,
             beta_bits: beta.to_bits(),
             stamp: self.stamp,
-        };
-        let mut stop = target;
-        if self.route_cache {
-            match self.cache.lookup(&key, target) {
-                Lookup::Hit(tree) => return tree,
-                Lookup::Partial => stop = None,
-                Lookup::Miss => {}
-            }
         }
-        let tree = Arc::new(match stop {
-            Some(t) => engine::sssp_to(&self.csr, root, beta, &self.rho, t),
-            None => engine::sssp(&self.csr, root, beta, &self.rho),
-        });
-        if self.route_cache {
-            self.cache.insert(key, Arc::clone(&tree));
-        }
-        tree
     }
 
     /// Pure bit-mile SSSP tree from `root` (the shortest-path baseline and
@@ -388,7 +367,7 @@ impl Planner {
     /// The shortest-path leg is O(1) per destination: path miles and the
     /// ρ-sum are β-independent, so both were accumulated down the distance
     /// tree once for the whole source. The RiskRoute leg's β differs per
-    /// destination, so it reads an early-exit pair tree.
+    /// destination, so it reads a pair answer.
     fn sweep_source(&self, i: usize, dests: &[usize], out: &mut PairSweep) {
         let dist_tree = self.risk_tree_distance(i);
         for &j in dests {
@@ -396,10 +375,11 @@ impl Planner {
                 continue;
             }
             let beta = self.impact(i, j);
-            let Some(shortest) = self.routed_from_distance_tree(&dist_tree, j, beta) else {
+            let Some(answer) = dist_tree.pair_answer(j) else {
                 out.stranded.push((i, j));
                 continue;
             };
+            let shortest = shortest_from(answer, beta);
             let Some(risk_route) = self.pair_risk_route(i, j) else {
                 out.stranded.push((i, j));
                 continue;
@@ -445,12 +425,11 @@ impl Planner {
 
     /// Route one explicit (i, j) pair: the shortest-path and RiskRoute legs
     /// of a [`PairOutcome`], or `None` when the pair is stranded. No tree
-    /// is shared across a pair list's sources, so both legs read
-    /// early-exit pair trees.
+    /// is shared across a pair list's sources, so both legs read pair
+    /// answers.
     fn route_pair(&self, i: usize, j: usize) -> Option<PairOutcome> {
-        let dist_tree = self.pair_tree(i, 0.0, j);
-        let beta = self.impact(i, j);
-        let shortest = self.routed_from_distance_tree(&dist_tree, j, beta)?;
+        let distance = self.pair_answer(i, 0.0, j)?;
+        let shortest = shortest_from(Arc::unwrap_or_clone(distance), self.impact(i, j));
         let risk_route = self.pair_risk_route(i, j)?;
         Some(PairOutcome {
             src: i,
@@ -559,8 +538,9 @@ impl Planner {
     /// mints a **fresh** cost-state stamp plus a **private** route-tree
     /// cache.
     ///
-    /// The private cache matters: at capacity [`RouteTreeCache::insert`]
-    /// purges every entry whose stamp differs from the inserting key's, so
+    /// The private cache matters: at capacity an insert into a
+    /// [`RouteTreeCache`] purges every entry whose stamp differs from the
+    /// inserting key's, so
     /// a fork writing into the *base's* shared cache could evict the base
     /// trees mid-sweep. Keys alone already guarantee no fork tree is ever
     /// *returned* to the base; the private cache also keeps fork churn from
@@ -598,22 +578,14 @@ impl Planner {
         }
     }
 
-    /// The cached complete β = 0 distance tree rooted at `root` under the
-    /// current cost state, if any (scenario forks probe the base cache for
-    /// trees to adopt; a partial tree cannot be projected).
+    /// The cached β = 0 distance tree rooted at `root` under the current
+    /// cost state, if any (scenario forks probe the base cache for trees to
+    /// adopt; a pair answer cannot be projected).
     pub(crate) fn cached_distance_tree(&self, root: usize) -> Option<Arc<RiskTree>> {
         if !self.route_cache {
             return None;
         }
-        let key = TreeKey {
-            root: root as u32,
-            beta_bits: 0.0f64.to_bits(),
-            stamp: self.stamp,
-        };
-        match self.cache.lookup(&key, None) {
-            Lookup::Hit(tree) => Some(tree),
-            Lookup::Partial | Lookup::Miss => None,
-        }
+        self.cache.tree(&self.tree_key(root, 0.0))
     }
 
     /// Seed a β = 0 tree into this planner's cache under its current stamp
@@ -623,14 +595,7 @@ impl Planner {
         if !self.route_cache {
             return;
         }
-        self.cache.insert(
-            TreeKey {
-                root: root as u32,
-                beta_bits: 0.0f64.to_bits(),
-                stamp: self.stamp,
-            },
-            tree,
-        );
+        self.cache.insert_tree(self.tree_key(root, 0.0), tree);
     }
 
     /// The current cost-state stamp (scenario forks compare it to tell
@@ -663,8 +628,8 @@ impl Planner {
     /// unreachable from `r` also survives: it cannot create any new path
     /// from `r`.
     ///
-    /// Only complete trees are carried; partial pair-query trees stay
-    /// behind (the test reads distances a partial tree may not hold).
+    /// Only trees are carried; pair answers stay behind (the test reads
+    /// distances a pair answer does not hold).
     ///
     /// Adoption is skipped entirely (correct, just slower) unless `prev`
     /// has bitwise-identical ρ and an adjacency equal to this one minus
@@ -706,7 +671,7 @@ impl Planner {
         }
         let mut kept: u64 = 0;
         let mut dropped: u64 = 0;
-        for (key, tree) in prev.cache.entries_with_stamp(prev.stamp) {
+        for (key, tree) in prev.cache.trees_with_stamp(prev.stamp) {
             let survives = if identical {
                 true
             } else {
@@ -725,7 +690,7 @@ impl Planner {
                     || (da + new_miles + cb > db && db + new_miles + ca > da)
             };
             if survives {
-                self.cache.insert(
+                self.cache.insert_tree(
                     TreeKey {
                         stamp: self.stamp,
                         ..key
@@ -741,6 +706,20 @@ impl Planner {
             riskroute_obs::counter_add("route_cache_revalidated", kept);
             riskroute_obs::counter_add("route_cache_invalidated", dropped);
         }
+    }
+}
+
+/// The shortest-path [`RoutedPath`] read off a β = 0 pair answer: its
+/// `dist` *is* the path's bit-miles (each hop added `miles + 0.0` in path
+/// order), and the β-independent ρ-sum recorded at settle time turns the
+/// pair's risk-miles into one multiply — no path re-walk.
+fn shortest_from(answer: PairAnswer, beta: f64) -> RoutedPath {
+    let risk_miles = beta * answer.rho_sum;
+    RoutedPath {
+        nodes: answer.path,
+        bit_miles: answer.dist,
+        risk_miles,
+        bit_risk_miles: answer.dist + risk_miles,
     }
 }
 
@@ -978,26 +957,17 @@ mod tests {
     }
 
     #[test]
-    fn partial_pair_trees_stay_out_of_full_tree_readers() {
+    fn pair_answers_stay_out_of_full_tree_readers() {
         // Uniform shares: β = 0.5 for every pair. From West (0) the safe
         // North PoP (1) settles first, so a pair query to it stops before
         // South (2) and East (3) settle.
         let p = planner(1e5);
-        let key = |p: &Planner, beta: f64| TreeKey {
-            root: 0,
-            beta_bits: f64::to_bits(beta),
-            stamp: p.stamp,
-        };
-        let partial = p.pair_tree(0, 0.5, 1);
-        assert!(!partial.is_complete() && partial.answers(1) && !partial.answers(3));
-        assert!(matches!(
-            p.cache.lookup(&key(&p, 0.5), None),
-            Lookup::Partial
-        ));
-        p.pair_tree(0, 0.0, 1);
+        assert_eq!(p.pair_answer(0, 0.5, 1).unwrap().path, vec![0, 1]);
+        assert_eq!(p.pair_answer(0, 0.0, 1).unwrap().path, vec![0, 1]);
+        assert_eq!(p.cache.len(), 2);
         assert!(p.cached_distance_tree(0).is_none());
 
-        // Greedy adoption leaves partial trees behind.
+        // Greedy adoption leaves pair answers behind.
         let (net, risk, shares) = diamond();
         let augmented = crate::provisioning::with_extra_link(&net, 1, 2);
         let rebuild = || {
@@ -1012,19 +982,18 @@ mod tests {
         next.adopt_route_cache(&p, 1, 2);
         assert_eq!(next.cache.len(), 0);
 
-        // A full request replaces the partial tree; every reader sees it.
+        // A full request runs a whole tree beside the pair answer, and the
+        // tree then serves pair queries for every other target.
         let full = p.risk_tree(0, 0.5);
-        assert!(full.is_complete() && full.answers(3));
-        assert!(matches!(
-            p.cache.lookup(&key(&p, 0.5), None),
-            Lookup::Hit(t) if Arc::ptr_eq(&t, &full)
-        ));
-        assert!(Arc::ptr_eq(&p.pair_tree(0, 0.5, 3), &full));
+        assert_eq!(full.path_to(3), Some(vec![0, 1, 3]));
+        assert_eq!(p.cache.len(), 3);
+        assert_eq!(p.pair_answer(0, 0.5, 3).unwrap().path, vec![0, 1, 3]);
+        assert_eq!(p.cache.len(), 3, "a tree hit stores no pair answer");
         p.risk_tree_distance(0);
         assert!(p.cached_distance_tree(0).is_some());
         let mut next = rebuild();
         next.adopt_route_cache(&p, 1, 2);
-        assert_eq!(next.cache.len(), 2, "both complete trees survive the link");
+        assert_eq!(next.cache.len(), 2, "both trees survive the link");
     }
 
     #[test]

@@ -84,14 +84,9 @@ pub(crate) const NO_PRED: u32 = u32::MAX;
 /// A single-source shortest-path tree under a directed node-entry weight.
 ///
 /// Predecessors are packed as `u32` (with [`NO_PRED`] as the sentinel) so a
-/// cached tree costs 12 bytes per node instead of 24 — the route-tree cache
-/// in [`crate::engine`] holds tens of thousands of these.
-///
-/// A tree is either *complete* (every reachable node settled) or *partial*:
-/// the engine stopped the run right after a pair query's target settled
-/// (see [`crate::engine::sssp_to`]). A partial tree holds exactly the
-/// settled prefix — bit-for-bit the complete tree's values on those nodes —
-/// and reads every other node as unreachable.
+/// cached tree costs 12 bytes per node instead of 24. A tree is always
+/// complete: every reachable node settled. Pair queries that read one path
+/// get a [`PairAnswer`] instead (see [`crate::engine::sssp_to`]).
 #[derive(Debug, Clone)]
 pub struct RiskTree {
     source: usize,
@@ -101,11 +96,10 @@ pub struct RiskTree {
     /// path source→t, source excluded). Only populated for β = 0 trees,
     /// where one distance tree serves every pair metric; empty otherwise.
     rho_sum: Vec<f64>,
-    complete: bool,
 }
 
 impl RiskTree {
-    /// Assemble a complete tree from raw engine output.
+    /// Assemble a tree from raw engine output.
     pub(crate) fn from_parts(
         source: usize,
         dist: Vec<f64>,
@@ -117,26 +111,7 @@ impl RiskTree {
             dist,
             pred,
             rho_sum,
-            complete: true,
         }
-    }
-
-    /// Mark this tree as the settled prefix of a stopped run.
-    pub(crate) fn mark_partial(&mut self) {
-        self.complete = false;
-    }
-
-    /// Whether every reachable node is settled (`false` for the settled
-    /// prefix of an early-exit run).
-    pub fn is_complete(&self) -> bool {
-        self.complete
-    }
-
-    /// Whether this tree answers a query for `t`: complete, or `t` settled
-    /// before the run stopped (a partial tree's finite distances are
-    /// exactly its settled nodes).
-    pub fn answers(&self, t: usize) -> bool {
-        self.complete || self.dist[t].is_finite()
     }
 
     /// Bytes held by the tree's vectors (allocated capacity, not length) —
@@ -205,6 +180,38 @@ impl RiskTree {
         }
         path.reverse();
         Some(path)
+    }
+
+    /// The [`PairAnswer`] for target `t`, or `None` when unreachable: what a
+    /// pair query reads when a whole tree is at hand.
+    pub fn pair_answer(&self, t: usize) -> Option<PairAnswer> {
+        Some(PairAnswer {
+            path: self.path_to(t)?,
+            dist: self.dist[t],
+            rho_sum: self.rho_sum.get(t).copied().unwrap_or(f64::NAN),
+        })
+    }
+}
+
+/// The answer to one pair query: the node path source→target, its
+/// bit-risk distance, and (for a β = 0 query) its ρ-sum — bit-for-bit what
+/// the complete tree holds for that target, at O(path length) memory.
+#[derive(Debug, Clone)]
+pub struct PairAnswer {
+    /// PoP sequence from source to target.
+    pub path: Vec<usize>,
+    /// Bit-risk distance to the target.
+    pub dist: f64,
+    /// Σ ρ(v) along the path (source excluded) for a β = 0 query; NaN for
+    /// any other β, whose runs do not record ρ-sums.
+    pub rho_sum: f64,
+}
+
+impl PairAnswer {
+    /// Bytes held by the path (allocated capacity) — what a cache entry
+    /// charges against its budget on top of the fixed per-entry overhead.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.path.capacity() * std::mem::size_of::<usize>()
     }
 }
 

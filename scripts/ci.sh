@@ -147,7 +147,7 @@ fi
 
 echo "== sssp engine: pair-query early exit, cache vs --no-route-cache byte-for-byte =="
 # Pair sweeps stop each risk-tree run once its target settles and cache the
-# settled prefix; the answers must not move a byte with the cache off, at
+# pair's answer; the answers must not move a byte with the cache off, at
 # any worker count, on the paper topology or the 10k synth.
 for t in 1 4; do
   target/release/riskroute ratio Level3 --threads "$t" > "$OBS_TMP/ratio-t$t.txt"
@@ -165,14 +165,27 @@ echo "early-exit ratio outputs are byte-identical"
 
 echo "== sssp engine: settles-must-shrink guard =="
 # ratio Level3 is deterministic, so its settle count is exact;
-# scripts/settles_baseline.txt records it as of the target-settle early
-# exit. A higher count means pair queries build more tree than they read.
+# scripts/settles_baseline.txt records it as of cached pair answers (every
+# pair query stops once its target settles). A higher count means pair
+# queries build more tree than they read.
 target/release/riskroute ratio Level3 --metrics-out "$OBS_TMP/settles.prom" >/dev/null
 settles=$(awk '$1 == "riskroute_risk_sssp_pops" { print $2 }' "$OBS_TMP/settles.prom")
 settles_baseline=$(cat scripts/settles_baseline.txt)
 echo "risk_sssp_pops ${settles} (baseline ${settles_baseline})"
 if [ -z "$settles" ] || [ "$settles" -gt "$settles_baseline" ]; then
   echo "FAIL: risk_sssp_pops ${settles:-<missing>} exceeds baseline ${settles_baseline}"
+  exit 1
+fi
+
+echo "== sssp engine: route-cache-bytes guard =="
+# The same run's cache holds one pair answer per query, charged by path
+# length; scripts/cache_bytes_baseline.txt records its size. A higher value
+# means n-length trees came back into pair entries.
+cache_bytes=$(awk '$1 == "riskroute_route_cache_bytes" { print $2 }' "$OBS_TMP/settles.prom")
+cache_bytes_baseline=$(cat scripts/cache_bytes_baseline.txt)
+echo "route_cache_bytes ${cache_bytes} (baseline ${cache_bytes_baseline})"
+if [ -z "$cache_bytes" ] || [ "$cache_bytes" -gt "$cache_bytes_baseline" ]; then
+  echo "FAIL: route_cache_bytes ${cache_bytes:-<missing>} exceeds baseline ${cache_bytes_baseline}"
   exit 1
 fi
 
@@ -332,6 +345,8 @@ exec 9<&- 9>&-
 grep -q 'riskroute_serve_requests_total' "$OBS_TMP/serve-metrics.txt"
 grep -q 'riskroute_serve_frames_malformed' "$OBS_TMP/serve-metrics.txt"
 grep -q 'riskroute_serve_connections_rejected' "$OBS_TMP/serve-metrics.txt"
+grep -q 'riskroute_route_cache_bytes' "$OBS_TMP/serve-metrics.txt"
+grep -q 'riskroute_route_cache_entries' "$OBS_TMP/serve-metrics.txt"
 # Protocol shutdown: acknowledged with a draining line, then the process
 # must drain cleanly (exit 0; a forced drain exits 10 and fails the gate).
 serve_query '{"op":"shutdown"}' | grep -q '"status":"draining"'

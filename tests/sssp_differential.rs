@@ -2,7 +2,8 @@
 //! oracle, one table.
 //!
 //! 1. **Engine.** `engine::sssp` and the pair-query early exit
-//!    `engine::sssp_to` are checked against the heap-based
+//!    `engine::sssp_to` (which returns one target's answer) are checked
+//!    against the heap-based
 //!    `routing::risk_sssp` oracle on adversarial random graphs (weights 0,
 //!    ε, exact ties and 4000, isolated PoPs; ρ with negative, NaN and ∞
 //!    entries) and one fixed square, at β = 0, finite β, and a β large
@@ -17,9 +18,9 @@
 //!    where the row names one: full-tree `risk_route`/`shortest_route`
 //!    answers, a planner built fresh at the evolved state or at each
 //!    replay tick, or a fresh planner given the fork's forecast.
-//! 3. **Cache and fork rules** that only show in counters: partial
-//!    pair-query trees never reach a full-tree reader and a full request
-//!    replaces them; forecast-only forks share the base stamp when ρ is
+//! 3. **Cache and fork rules** that only show in counters: cached pair
+//!    answers never reach a full-tree reader, and a complete tree answers
+//!    every pair query; forecast-only forks share the base stamp when ρ is
 //!    bitwise unchanged and adopt base distance trees otherwise.
 
 use riskroute::engine::{sssp, sssp_to, CsrGraph};
@@ -39,8 +40,6 @@ use riskroute_topology::Pop;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 use std::sync::OnceLock;
-
-const NO_PRED: u32 = u32::MAX;
 
 // ---------------------------------------------------------------------------
 // Engine kernel against the oracle
@@ -144,7 +143,6 @@ fn engine_sssp_matches_the_oracle() {
     engine_cases(0x5ca1e, |at, csr, rho, beta, oracle| {
         for (source, expect) in oracle.iter().enumerate() {
             let tree = sssp(csr, source, beta, rho);
-            assert!(tree.is_complete(), "{at} {source}: full run is complete");
             for v in 0..csr.node_count() {
                 let at = format!("{at} {source}→{v}");
                 assert_eq!(
@@ -167,51 +165,52 @@ fn engine_sssp_matches_the_oracle() {
 }
 
 #[test]
-fn sssp_to_matches_the_oracle_on_its_settled_prefix() {
-    let mut stopped_short = 0usize;
-    engine_cases(0xea51, |at, csr, rho, beta, oracle| {
-        for (source, expect) in oracle.iter().enumerate() {
-            for target in 0..csr.node_count() {
-                let part = sssp_to(csr, source, beta, rho, target);
-                let at = format!("{at} {source}→{target}");
-                assert!(part.answers(target), "{at}: target not answered");
-                assert_eq!(part.path_to(target), expect.path_to(target), "{at}: path");
-                if !part.is_complete() {
-                    stopped_short += 1;
-                }
-                for v in 0..csr.node_count() {
-                    if part.dist(v).is_finite() {
+fn pair_answer_matches_the_oracle() {
+    let ((), c) = counted(|| {
+        engine_cases(0xea51, |at, csr, rho, beta, oracle| {
+            for (source, expect) in oracle.iter().enumerate() {
+                let tree = sssp(csr, source, beta, rho);
+                for target in 0..csr.node_count() {
+                    let at = format!("{at} {source}→{target}");
+                    let answer = sssp_to(csr, source, beta, rho, target);
+                    let Some(answer) = answer else {
+                        assert!(!expect.reachable(target), "{at}: reachable target lost");
+                        assert!(tree.pair_answer(target).is_none(), "{at}: whole-tree read");
+                        continue;
+                    };
+                    assert_eq!(
+                        Some(&answer.path),
+                        expect.path_to(target).as_ref(),
+                        "{at}: path"
+                    );
+                    assert_eq!(
+                        answer.dist.to_bits(),
+                        expect.dist(target).to_bits(),
+                        "{at}: dist"
+                    );
+                    if beta == 0.0 {
                         assert_eq!(
-                            part.dist(v).to_bits(),
-                            expect.dist(v).to_bits(),
-                            "{at}: dist[{v}]"
+                            answer.rho_sum.to_bits(),
+                            path_rho_sum(expect, rho, target).to_bits(),
+                            "{at}: rho_sum"
                         );
-                        assert_eq!(
-                            part.pred_slice()[v],
-                            expect.pred_slice()[v],
-                            "{at}: pred[{v}]"
-                        );
-                        if beta == 0.0 {
-                            assert_eq!(
-                                part.rho_sum_slice()[v].to_bits(),
-                                path_rho_sum(expect, rho, v).to_bits(),
-                                "{at}: rho_sum[{v}]"
-                            );
-                        }
                     } else {
-                        assert_eq!(part.pred_slice()[v], NO_PRED, "{at}: pred[{v}]");
-                        // Everything strictly closer than the target popped
-                        // before it, so unsettled nodes lie at or beyond it.
-                        assert!(
-                            expect.dist(v) >= expect.dist(target),
-                            "{at}: node {v} inside the horizon left unsettled"
-                        );
+                        assert!(answer.rho_sum.is_nan(), "{at}: rho_sum off β = 0");
                     }
+                    // The whole tree's read of the same target is the same
+                    // answer, bit for bit.
+                    let whole = tree.pair_answer(target).expect("reachable in the tree");
+                    assert_eq!(answer.path, whole.path, "{at}: whole-tree path");
+                    assert_eq!(answer.dist.to_bits(), whole.dist.to_bits(), "{at}");
+                    assert_eq!(answer.rho_sum.to_bits(), whole.rho_sum.to_bits(), "{at}");
                 }
             }
-        }
+        });
     });
-    assert!(stopped_short > 1000, "early exit never cut a run short");
+    assert!(
+        get(&c, "risk_sssp_early_exits") > 1000,
+        "early exit never cut a run short"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -560,7 +559,7 @@ fn random_planner(
     )
 }
 
-/// List sweep (partial trees for both legs), full sweep over the same
+/// List sweep (pair answers for both legs), full sweep over the same
 /// cache, then the list again warm.
 fn pair_sweeps(config: Config) -> String {
     let mut out = String::new();
@@ -753,21 +752,21 @@ fn chain_planner(network: &Network, cache: bool) -> Planner {
 }
 
 #[test]
-fn partial_trees_never_reach_full_tree_readers() {
+fn pair_answers_never_reach_full_tree_readers() {
     let (network, _) = chain();
     let oracle = chain_planner(&network, false);
     let all: Vec<usize> = (0..8).collect();
 
-    // A pair query to the nearest neighbour leaves partial trees (β and
-    // β = 0) rooted at 0 that stop short of PoP 7.
+    // A pair query to the nearest neighbour caches two pair answers (β and
+    // β = 0) rooted at 0, and no tree.
     let planner = chain_planner(&network, true);
     let (_, c) = counted(|| planner.pair_list_sweep(&[(0, 1)]));
     assert_eq!(get(&c, "risk_sssp_runs"), 2);
     assert_eq!(get(&c, "risk_sssp_early_exits"), 2);
     assert_eq!(get(&c, "route_cache_misses"), 2);
 
-    // risk_route's tree: the partial counts as a miss and a full run
-    // replaces it.
+    // risk_route's tree: the pair answer counts as a miss and a full run
+    // builds the tree.
     let (route, c) = counted(|| planner.risk_route(0, 7));
     assert!(route.is_some());
     assert_eq!(route, oracle.risk_route(0, 7));
@@ -776,20 +775,23 @@ fn partial_trees_never_reach_full_tree_readers() {
     assert_eq!(get(&c, "risk_sssp_runs"), 1);
     assert_eq!(get(&c, "risk_sssp_early_exits"), 0);
 
-    // A pair query beyond the partial β = 0 tree's horizon runs one full
-    // distance tree; the RiskRoute leg hits the complete tree just built.
+    // A pair query to a new target runs one early-exit distance query;
+    // the RiskRoute leg hits the complete tree just built.
     let (sweep, c) = counted(|| planner.pair_list_sweep(&[(0, 7)]));
     assert_eq!(sweep.outcomes, oracle.pair_list_sweep(&[(0, 7)]).outcomes);
     assert_eq!(get(&c, "route_cache_misses"), 1);
     assert_eq!(get(&c, "route_cache_hits"), 1);
     assert_eq!(get(&c, "risk_sssp_runs"), 1);
+    assert_eq!(get(&c, "risk_sssp_early_exits"), 1);
 
-    // Both trees are complete now: any target hits.
-    let (_, c) = counted(|| planner.pair_list_sweep(&[(0, 4), (0, 6)]));
-    assert_eq!(get(&c, "route_cache_hits"), 4);
-    assert_eq!(get(&c, "risk_sssp_runs"), 0);
+    // The complete β tree answers any target; each β = 0 leg is answered
+    // by its own pair answer only, so new targets run.
+    let (_, c) = counted(|| planner.pair_list_sweep(&[(0, 4), (0, 6), (0, 1), (0, 7)]));
+    assert_eq!(get(&c, "route_cache_hits"), 6);
+    assert_eq!(get(&c, "route_cache_misses"), 2);
+    assert_eq!(get(&c, "risk_sssp_runs"), 2);
 
-    // Scenario-fork adoption takes complete distance trees only.
+    // Scenario-fork adoption takes distance trees only.
     let delta = ScenarioDelta::new().deactivate_link(6, 7);
     let partial_base = chain_planner(&network, true);
     partial_base.pair_list_sweep(&[(0, 1)]);
@@ -816,7 +818,7 @@ fn partial_trees_never_reach_full_tree_readers() {
     );
 
     // Greedy provisioning adopts trees across each added link: a cache full
-    // of partial trees must not move its picks.
+    // of pair answers must not move its picks.
     let warm = chain_planner(&network, true);
     warm.pair_sweep(&all, &all);
     warm.pair_list_sweep(&[(0, 1), (3, 4), (7, 6)]);

@@ -100,11 +100,25 @@ pub fn route(
     out.push_str(&describe_route(net, "RiskRoute    ", &rr));
     let _ = writeln!(
         out,
-        "\nrisk reduction {:.1}% for {:.1}% extra distance",
-        100.0 * (1.0 - rr.bit_risk_miles / sp.bit_risk_miles),
-        100.0 * (rr.bit_miles / sp.bit_miles - 1.0)
+        "\nrisk reduction {} for {} extra distance",
+        percent(
+            100.0 * (1.0 - rr.bit_risk_miles / sp.bit_risk_miles),
+            sp.bit_risk_miles
+        ),
+        percent(100.0 * (rr.bit_miles / sp.bit_miles - 1.0), sp.bit_miles)
     );
     Ok(out)
+}
+
+/// `value` as a one-decimal percentage, or `n/a` when the shortest-path
+/// total it is a share of is 0 (a zero-length path), where it would be
+/// `NaN` or infinite.
+fn percent(value: f64, of: f64) -> String {
+    if of > 0.0 {
+        format!("{value:.1}%")
+    } else {
+        "n/a".to_string()
+    }
 }
 
 /// `riskroute backup <net> <src> <dst> -k N`
@@ -1596,6 +1610,16 @@ mod tests {
         assert!(out.contains("shortest path"));
         assert!(out.contains("RiskRoute"));
         assert!(out.contains("risk reduction"));
+    }
+
+    #[test]
+    fn zero_length_route_prints_no_nan() {
+        let out = route(&ctx(), "Level3", "3", "3", RiskWeights::PAPER).unwrap();
+        assert!(
+            out.ends_with("\nrisk reduction n/a for n/a extra distance\n"),
+            "{out}"
+        );
+        assert!(!out.contains("NaN") && !out.contains("inf"), "{out}");
     }
 
     #[test]

@@ -98,6 +98,11 @@ impl NodeRisk {
     /// Evaluate the historical model at every PoP of `network`, with zero
     /// forecast risk (the Table-2 configuration).
     pub fn from_historical(network: &Network, hazards: &HistoricalRisk) -> Self {
+        let _span = riskroute_obs::span!(
+            "node_risk",
+            pops = network.pop_count(),
+            events = hazards.event_count()
+        );
         let pts: Vec<GeoPoint> = network.pops().iter().map(|p| p.location).collect();
         let historical = hazards.risk_at_all(&pts);
         let forecast = vec![0.0; historical.len()];

@@ -153,6 +153,12 @@ impl HistoricalRisk {
         &self.surfaces
     }
 
+    /// Events fitted across every surface: the kernel terms per location
+    /// before any is skipped.
+    pub fn event_count(&self) -> usize {
+        self.surfaces.iter().map(|s| s.kde.events().len()).sum()
+    }
+
     /// Aggregate risk `o_h(y)`: the weighted sum of per-kind outage
     /// probabilities (§5.2: "the aggregate risk … is defined as the sum of
     /// all outage probabilities").

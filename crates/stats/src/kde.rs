@@ -14,7 +14,7 @@
 
 use crate::binned::TRUNCATION_SIGMAS;
 use riskroute_geo::{GeoGrid, GeoPoint, EARTH_RADIUS_MILES};
-use std::f64::consts::{FRAC_PI_2, TAU};
+use std::f64::consts::{FRAC_PI_2, LN_2, PI, TAU};
 
 /// Miles per degree of latitude on the model sphere (`2πR/360`), so the
 /// binned fast path and the haversine agree in the small-distance limit.
@@ -27,8 +27,16 @@ const MAX_KERNEL_LAT_DEG: f64 = 89.0;
 /// Distance, in bandwidths, from which an event's Gaussian kernel is exactly
 /// `+0.0`. `exp(−½·z²)` underflows to zero for z > ≈38.6; the margin up to
 /// 40 absorbs any rounding in the haversine, so [`GeoKde::density`] skips
-/// such events without moving a bit of its sum.
+/// such events without moving a bit of its sum. It is the cut while the
+/// running sum is `+0.0` or subnormal, and the cap on the tighter cut that
+/// follows the sum's exponent.
 pub const EXACT_ZERO_SIGMAS: f64 = 40.0;
+
+/// Once the running sum has reached `2^e`, [`GeoKde::density`] skips terms
+/// at most `2^(e − SUM_CUT_BITS)`. Adding anything below half an ulp,
+/// `2^(e−53)`, rounds back to the sum; the three bits between 53 and 56
+/// are a factor-8 margin for rounding in the haversine and `exp`.
+const SUM_CUT_BITS: i32 = 56;
 
 /// A fitted 2-D Gaussian kernel density estimate over geographic events.
 #[derive(Debug, Clone)]
@@ -75,40 +83,65 @@ impl GeoKde {
 
     /// Density estimate `p̂(y)` in events per square mile.
     ///
-    /// Exact, with events that cannot contribute skipped: an event at least
-    /// [`EXACT_ZERO_SIGMAS`]·σ from `y` has a kernel of exactly `+0.0`, and
-    /// adding `+0.0` to the non-negative running sum leaves its bits
-    /// unchanged. Every kept event is summed in fit order with the
-    /// operations of `great_circle_miles(event, y)`, so the result is bit
-    /// for bit the plain sum over all events. Two tests prove the skip: the
-    /// half latitude difference alone (the meridian lower bound, no trig),
-    /// then the haversine `h` against the cut's `sin²` (`asin∘sqrt` is
-    /// monotone). Past a half-angle of π/2 `sin²` stops rising, so the `h`
-    /// test is switched off (`h_cut = +∞`).
+    /// Exact, with every event skipped whose term provably leaves the
+    /// running sum's bits unchanged. Events are visited in fit order and
+    /// every kept term is computed with the operations of
+    /// `great_circle_miles(event, y)`, so the result is bit for bit the
+    /// plain sum over all events.
+    ///
+    /// The cut distance follows the running sum `S`. While `S` is `+0.0` or
+    /// subnormal it is [`EXACT_ZERO_SIGMAS`], where every kernel is exactly
+    /// `+0.0`. Once `S ≥ 2^e`, a term below half an ulp of `S` rounds away,
+    /// so events with `exp(−½z²) ≤ 2^(e−56)` are skipped:
+    /// `z_cut = √(2·ln2·(56−e))`, capped at 40. `S` never falls, so the cut
+    /// only shrinks; it is recomputed when `S` enters a new power of two.
+    ///
+    /// Three tests prove a skip, cheapest first. The half latitude gap
+    /// against the half cut angle (the meridian lower bound, no trig). Then
+    /// a trig-free lower bound `h_lb ≤ h` on the haversine, with each sine
+    /// replaced by `t − t³/6`; it is compared against the cut widened by
+    /// `1e-9` relative and `1e-15` absolute, which exceeds its rounding, so
+    /// it only skips events the exact test skips. Last the haversine `h`
+    /// against the cut's `sin²` (`asin∘sqrt` is monotone). Past a
+    /// half-angle of π/2 `sin²` stops rising, so the two `h` tests are
+    /// switched off (`h_cut = +∞`).
     pub fn density(&self, y: GeoPoint) -> f64 {
         let s = self.bandwidth_miles;
         let norm = 1.0 / (TAU * s * s * self.events.len() as f64);
-        let half_cut = EXACT_ZERO_SIGMAS * s / (2.0 * EARTH_RADIUS_MILES);
-        let h_cut = if half_cut >= FRAC_PI_2 {
-            f64::INFINITY
-        } else {
-            half_cut.sin().powi(2)
-        };
         let q = Query::new(y);
+        let mut cut = Cut::at_sigmas(EXACT_ZERO_SIGMAS, s);
+        // The biased exponent of `sum`: 0 while it is `+0.0` or subnormal.
+        let mut binade = 0;
+        let (mut pretested, mut evaluated) = (0_u64, 0_u64);
         // A literal `+0.0`: an empty `f64` sum is `-0.0`, but a query that
         // skips every event must still return `+0.0`, as the plain sum did.
         let mut sum = 0.0_f64;
         for (&x, &x_cos) in self.events.iter().zip(&self.cos_lat) {
             let dlat = q.half_dlat(x);
-            if dlat.abs() >= half_cut {
+            if dlat.abs() >= cut.half {
                 continue;
             }
-            let h = q.haversine(dlat, x, x_cos);
-            if h >= h_cut {
+            pretested += 1;
+            let dlon = q.half_dlon(x);
+            if q.haversine_lower_bound(dlat, dlon, x_cos) >= cut.h_lb {
                 continue;
             }
+            let h = q.haversine(dlat, dlon, x_cos);
+            if h >= cut.h {
+                continue;
+            }
+            evaluated += 1;
             let z = haversine_miles(h) / s;
             sum += (-0.5 * z * z).exp();
+            let b = sum.to_bits() >> 52;
+            if b != binade {
+                binade = b;
+                cut = Cut::for_binade(b, s);
+            }
+        }
+        if riskroute_obs::is_enabled() {
+            riskroute_obs::counter_add("kde_terms_pretested", pretested);
+            riskroute_obs::counter_add("kde_terms_evaluated", evaluated);
         }
         norm * sum
     }
@@ -127,7 +160,8 @@ impl GeoKde {
             .iter()
             .zip(&self.cos_lat)
             .map(|(&x, &x_cos)| {
-                let z = haversine_miles(q.haversine(q.half_dlat(x), x, x_cos)) / s;
+                let h = q.haversine(q.half_dlat(x), q.half_dlon(x), x_cos);
+                let z = haversine_miles(h) / s;
                 -0.5 * z * z
             })
             .collect();
@@ -279,6 +313,44 @@ impl GeoKde {
     }
 }
 
+/// The skip thresholds [`GeoKde::density`] applies at one cut distance.
+struct Cut {
+    /// Half the cut's central angle; a half latitude gap at least this
+    /// skips.
+    half: f64,
+    /// `sin²(half)`, or `+∞` past a half-angle of π/2; a haversine at
+    /// least this skips.
+    h: f64,
+    /// `h` widened past the rounding of the haversine's lower bound; a
+    /// lower bound at least this skips.
+    h_lb: f64,
+}
+
+impl Cut {
+    fn at_sigmas(sigmas: f64, s: f64) -> Cut {
+        let half = sigmas * s / (2.0 * EARTH_RADIUS_MILES);
+        let h = if half >= FRAC_PI_2 {
+            f64::INFINITY
+        } else {
+            half.sin().powi(2)
+        };
+        Cut {
+            half,
+            h,
+            h_lb: h * (1.0 + 1e-9) + 1e-15,
+        }
+    }
+
+    /// The cut once the running sum's biased exponent is `binade` (not 0):
+    /// `exp(−½z²) = 2^(e−56)` at `z = √(2·ln2·(56−e))`, capped at
+    /// [`EXACT_ZERO_SIGMAS`].
+    fn for_binade(binade: u64, s: f64) -> Cut {
+        let e = binade as i32 - 1023;
+        let z = (2.0 * LN_2 * f64::from(SUM_CUT_BITS - e)).max(0.0).sqrt();
+        Cut::at_sigmas(z.min(EXACT_ZERO_SIGMAS), s)
+    }
+}
+
 /// The query side of `great_circle_miles(event, y)`, hoisted out of the
 /// per-event loops. Each step keeps that function's operation order, so a
 /// distance built from these pieces is bit-identical to the haversine's.
@@ -303,12 +375,33 @@ impl Query {
         (self.lat_rad - x.lat_rad()) / 2.0
     }
 
-    /// The haversine `h` from event `x` (whose cosine of latitude is `x_cos`)
-    /// to the query, given `dlat = self.half_dlat(x)`.
+    /// Half the longitude difference from event `x` to the query, radians.
     #[inline]
-    fn haversine(&self, dlat: f64, x: GeoPoint, x_cos: f64) -> f64 {
-        let dlon = (self.lon_rad - x.lon_rad()) / 2.0;
+    fn half_dlon(&self, x: GeoPoint) -> f64 {
+        (self.lon_rad - x.lon_rad()) / 2.0
+    }
+
+    /// The haversine `h` to the query from an event whose cosine of
+    /// latitude is `x_cos`, given `dlat = self.half_dlat(x)` and
+    /// `dlon = self.half_dlon(x)`.
+    #[inline]
+    fn haversine(&self, dlat: f64, dlon: f64, x_cos: f64) -> f64 {
         dlat.sin().powi(2) + x_cos * self.cos_lat * dlon.sin().powi(2)
+    }
+
+    /// A lower bound on [`haversine`](Self::haversine) with no trig call:
+    /// each sine is replaced by `t − t³/6 ≤ sin t`, which holds and is
+    /// non-negative for `t ∈ [0, π/2]`. `|dlat|` is at most π/2, half the
+    /// span of latitudes. `dlon` lies in `[−π, π]`, and `sin²` is the same
+    /// at `|dlon|` and `π − |dlon|`, so the bound takes whichever is at
+    /// most π/2. Exact up to rounding, which [`Cut::h_lb`] absorbs.
+    #[inline]
+    fn haversine_lower_bound(&self, dlat: f64, dlon: f64, x_cos: f64) -> f64 {
+        let below_sin = |t: f64| t - t * t * t * (1.0 / 6.0);
+        let a = dlat.abs();
+        let b = dlon.abs().min(PI - dlon.abs());
+        let (sa, sb) = (below_sin(a), below_sin(b));
+        sa * sa + x_cos * self.cos_lat * (sb * sb)
     }
 }
 

@@ -189,6 +189,21 @@ if [ -z "$cache_bytes" ] || [ "$cache_bytes" -gt "$cache_bytes_baseline" ]; then
   exit 1
 fi
 
+echo "== hazard kernel: terms-evaluated guard =="
+# Building the planner sums Eq. 2's kernel over every (PoP, event) pair the
+# cutoff keeps; route Level3 builds it once, deterministically, so the
+# count is exact. scripts/kde_terms_baseline.txt records it as of the cut
+# that follows the running sum's exponent. A higher count means the kernel
+# evaluates terms that cannot move o_h.
+target/release/riskroute route Level3 0 1 --metrics-out "$OBS_TMP/kde.prom" >/dev/null
+kde_terms=$(awk '$1 == "riskroute_kde_terms_evaluated" { print $2 }' "$OBS_TMP/kde.prom")
+kde_terms_baseline=$(cat scripts/kde_terms_baseline.txt)
+echo "kde_terms_evaluated ${kde_terms} (baseline ${kde_terms_baseline})"
+if [ -z "$kde_terms" ] || [ "$kde_terms" -gt "$kde_terms_baseline" ]; then
+  echo "FAIL: kde_terms_evaluated ${kde_terms:-<missing>} exceeds baseline ${kde_terms_baseline}"
+  exit 1
+fi
+
 echo "== obs: tracing-on vs tracing-off byte-for-byte =="
 # Request-scoped tracing must not move a byte of output, including under
 # the parallel pool (worker threads inherit the dispatching scope).

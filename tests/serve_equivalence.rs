@@ -75,6 +75,12 @@ const CASES: &[(&str, &str, i32)] = &[
         r#"{"op":"route","network":"Sprint","src":"0","dst":"5","lambda_h":1e6,"lambda_f":1e2}"#,
         0,
     ),
+    // A zero-length path: both surfaces print `n/a`, not NaN percentages.
+    (
+        "route Level3 3 3",
+        r#"{"op":"route","network":"Level3","src":"3","dst":"3"}"#,
+        0,
+    ),
     ("ratio Telepak", r#"{"op":"ratio","network":"Telepak"}"#, 0),
     (
         "--lambda-h 1e6 --lambda-f 1e2 ratio Telepak --sample 32 --seed 7",

@@ -39,11 +39,6 @@ ids:
   ablation3   shortcut-threshold ablation
   ablation4   forecast lead-time ablation (proactive vs reactive)
   ablation5   risk-aware OSPF weights vs exact RiskRoute
-  threadscale thread-scaling curve for the all-pairs routing sweep
-  ssspscale   SSSP-engine cache/arena scaling (sweep + 5-round greedy)
-  forkscale   scenario-fork N-1 sweep vs naive per-scenario rebuild
-  obsscale    enabled-tracing overhead on the fig11 sweep + serve path
-  scale       continental-scale curve: synth topologies, 10k-PoP sweep, binned KDE
   tables      table1 table2 table3
   figures     fig1..fig13
   ablations   ablation1..ablation5
@@ -93,11 +88,6 @@ fn main() {
                 "ablation3",
                 "ablation4",
                 "ablation5",
-                "threadscale",
-                "ssspscale",
-                "forkscale",
-                "obsscale",
-                "scale",
             ]),
             other => ids.push(other),
         }
@@ -127,13 +117,6 @@ fn main() {
         "replay_ticks",
     ]);
     let mut total_us = context_us;
-    // The scaling experiments return their curves so they can ride along
-    // in results/timings.txt next to the per-experiment rows.
-    let mut scaling_curve: Option<String> = None;
-    let mut sssp_curve: Option<String> = None;
-    let mut fork_curve: Option<String> = None;
-    let mut obs_curve: Option<String> = None;
-    let mut scale_curve: Option<String> = None;
     for id in ids {
         // A fresh registry per experiment makes every row a self-contained
         // delta; the experiment id names the enclosing span.
@@ -161,11 +144,6 @@ fn main() {
             "ablation3" => ablations::run_filter_threshold(&ctx),
             "ablation4" => ablation_leadtime::run(&ctx),
             "ablation5" => ablation_ospf::run(&ctx),
-            "threadscale" => scaling_curve = Some(thread_scaling::run(&ctx)),
-            "ssspscale" => sssp_curve = Some(ssspscale::run(&ctx)),
-            "forkscale" => fork_curve = Some(forkscale::run(&ctx)),
-            "obsscale" => obs_curve = Some(obsscale::run(&ctx)),
-            "scale" => scale_curve = Some(scale::run(&ctx)),
             unknown => {
                 eprintln!("unknown experiment id {unknown:?}\n{USAGE}");
                 std::process::exit(2);
@@ -194,34 +172,12 @@ fn main() {
         ]);
         eprintln!("[{id}] finished in {:.1} ms", wall_us as f64 / 1e3);
     }
-    let mut timings_out = timings.render();
-    if let Some(curve) = scaling_curve {
-        timings_out.push_str("\nthread scaling\n");
-        timings_out.push_str(&curve);
-    }
-    if let Some(curve) = sssp_curve {
-        timings_out.push_str("\nsssp scaling\n");
-        timings_out.push_str(&curve);
-    }
-    if let Some(curve) = fork_curve {
-        timings_out.push_str("\nfork scaling\n");
-        timings_out.push_str(&curve);
-    }
-    if let Some(curve) = obs_curve {
-        timings_out.push_str("\ntracing overhead\n");
-        timings_out.push_str(&curve);
-    }
-    if let Some(curve) = scale_curve {
-        timings_out.push_str("\nscale curve\n");
-        timings_out.push_str(&curve);
-    }
     // Merge instead of clobber: partial runs (`experiments fig7`) update
-    // their own rows and leave every other experiment's row and section
-    // intact.
+    // their own rows and leave every other experiment's row intact.
     let previous = std::fs::read_to_string(
         std::path::Path::new(riskroute_bench::RESULTS_DIR).join("timings.txt"),
     )
     .unwrap_or_default();
-    emit("timings", &riskroute_bench::merge_timings(&previous, &timings_out));
+    emit("timings", &riskroute_bench::merge_timings(&previous, &timings.render()));
     eprintln!("total: {:.1} ms", total_us as f64 / 1e3);
 }

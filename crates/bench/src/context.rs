@@ -30,15 +30,6 @@ impl ExperimentContext {
         }
     }
 
-    /// A reduced-scale context for smoke tests and benches.
-    pub fn reduced() -> Self {
-        ExperimentContext {
-            corpus: Corpus::standard(MASTER_SEED),
-            population: PopulationModel::synthesize(MASTER_SEED, 5_000),
-            hazards: HistoricalRisk::standard(MASTER_SEED, Some(1_000)),
-        }
-    }
-
     /// Intradomain planner for a corpus network under `weights`.
     pub fn planner_for(&self, network: &Network, weights: RiskWeights) -> Planner {
         Planner::for_network(network, &self.population, &self.hazards, weights)

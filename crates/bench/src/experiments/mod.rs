@@ -13,11 +13,6 @@ pub mod fig13_regional_replay;
 pub mod figs_forecast;
 pub mod figs_maps;
 pub mod figs_provisioning;
-pub mod forkscale;
-pub mod obsscale;
-pub mod scale;
-pub mod ssspscale;
 pub mod table1_bandwidths;
-pub mod thread_scaling;
 pub mod table2_tier1;
 pub mod table3_regression;

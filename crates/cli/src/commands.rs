@@ -2276,6 +2276,18 @@ mod tests {
         let out = failure(&ctx(), "Telepak", "katrina").unwrap();
         assert!(out.contains("failed PoPs"));
         assert!(out.contains("population share affected"));
+        // No survivor is cut off, so the isolated share is an empty sum.
+        assert!(out.contains(" 0.0% isolated)"), "{out}");
+    }
+
+    #[test]
+    fn failure_with_no_failed_pop_prints_positive_zero_shares() {
+        let out = failure(&ctx(), "Telepak", "sandy").unwrap();
+        assert!(out.contains("failed PoPs: 0 of"), "{out}");
+        assert!(
+            out.contains("population share affected: 0.0% (0.0% on failed PoPs, 0.0% isolated)"),
+            "{out}"
+        );
     }
 
     #[test]

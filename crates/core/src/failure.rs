@@ -92,15 +92,16 @@ pub fn storm_failure(network: &Network, shares: &PopShares, swath: &StormSwath) 
         let connected: usize = comps.iter().map(|c| c.len() * (c.len() - 1)).sum();
         total - connected
     };
-    let failed_population_share: f64 = failed.iter().map(|&p| shares.share(p)).sum();
+    // Both sums start from +0.0: an empty `f64` sum is -0.0, which would
+    // print as "-0.0%" when no PoP fails or none is cut off.
+    let failed_population_share = failed.iter().fold(0.0, |acc, &p| acc + shares.share(p));
     let isolated_population_share = if let Some(largest) = comps.iter().max_by_key(|c| c.len()) {
         let in_largest: std::collections::HashSet<usize> = largest.iter().copied().collect();
         survivors
             .iter()
             .enumerate()
             .filter(|(i, _)| !in_largest.contains(i))
-            .map(|(_, &p)| shares.share(p))
-            .sum()
+            .fold(0.0, |acc, (_, &p)| acc + shares.share(p))
     } else {
         0.0
     };

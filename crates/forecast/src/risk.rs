@@ -58,26 +58,6 @@ impl ForecastRisk {
         }
     }
 
-    /// Override the ρ values (operator knob).
-    ///
-    /// # Panics
-    /// Panics unless `0 <= rho_tropical <= rho_hurricane` and both finite
-    /// (the §5.3 constraint ρ_h > ρ_t, relaxed to allow equality and zero
-    /// for ablations).
-    pub fn with_rho(mut self, rho_tropical: f64, rho_hurricane: f64) -> Self {
-        assert!(
-            rho_tropical.is_finite() && rho_hurricane.is_finite(),
-            "rho values must be finite"
-        );
-        assert!(
-            0.0 <= rho_tropical && rho_tropical <= rho_hurricane,
-            "need 0 <= rho_t <= rho_h"
-        );
-        self.rho_tropical = rho_tropical;
-        self.rho_hurricane = rho_hurricane;
-        self
-    }
-
     /// Forecasted risk `o_f(y)`: ρ_h inside hurricane-force winds, ρ_t
     /// inside tropical-storm-force winds, 0 outside.
     pub fn risk(&self, y: GeoPoint) -> f64 {
@@ -188,20 +168,6 @@ mod tests {
         assert_eq!(f.rho_hurricane, RHO_HURRICANE);
         let structured = ForecastRisk::from_advisory(&adv);
         assert!((f.hurricane_radius_mi - structured.hurricane_radius_mi).abs() < 0.5);
-    }
-
-    #[test]
-    fn with_rho_overrides() {
-        let f = field().with_rho(10.0, 20.0);
-        assert_eq!(f.risk(f.center), 20.0);
-        let disabled = field().with_rho(0.0, 0.0);
-        assert_eq!(disabled.risk(disabled.center), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "0 <= rho_t <= rho_h")]
-    fn inverted_rho_panics() {
-        let _ = field().with_rho(100.0, 50.0);
     }
 
     #[test]

@@ -127,22 +127,6 @@ impl BoundingBox {
             east: (self.east + degrees).min(180.0),
         }
     }
-
-    /// Geographic footprint diagonal in miles: the great-circle distance
-    /// between the south-west and north-east corners. The paper's Table 3
-    /// characterizes networks by "geographic footprint", taken as the largest
-    /// distance between two PoPs; the diagonal of the enclosing box is the
-    /// cheap upper proxy used for sanity checks.
-    pub fn diagonal_miles(&self) -> f64 {
-        // The constructor validated both corners.
-        let (Ok(sw), Ok(ne)) = (
-            GeoPoint::new(self.south, self.west),
-            GeoPoint::new(self.north, self.east),
-        ) else {
-            unreachable!("box corners are valid");
-        };
-        crate::distance::great_circle_miles(sw, ne)
-    }
 }
 
 #[cfg(test)]
@@ -218,11 +202,5 @@ mod tests {
     fn center_is_inside() {
         let bb = CONUS;
         assert!(bb.contains(bb.center()));
-    }
-
-    #[test]
-    fn conus_diagonal_is_cross_country_scale() {
-        let d = CONUS.diagonal_miles();
-        assert!(d > 2500.0 && d < 4000.0, "got {d}");
     }
 }

@@ -22,11 +22,6 @@ pub fn great_circle_miles(a: GeoPoint, b: GeoPoint) -> f64 {
     2.0 * EARTH_RADIUS_MILES * h.sqrt().min(1.0).asin()
 }
 
-/// Great-circle distance in kilometres.
-pub fn great_circle_km(a: GeoPoint, b: GeoPoint) -> f64 {
-    crate::miles_to_km(great_circle_miles(a, b))
-}
-
 /// Initial bearing (forward azimuth) from `a` to `b`, in degrees clockwise
 /// from true north, normalized to `[0, 360)`.
 pub fn initial_bearing_deg(a: GeoPoint, b: GeoPoint) -> f64 {
@@ -55,45 +50,6 @@ pub fn destination(start: GeoPoint, bearing_deg: f64, distance_miles: f64) -> Ge
     // finite inputs; a non-finite bearing/distance degrades to the start
     // point instead of aborting the caller.
     GeoPoint::new(lat2.to_degrees().clamp(-90.0, 90.0), lon_deg).unwrap_or(start)
-}
-
-/// Cross-track distance in miles: how far point `p` lies from the great
-/// circle through `a` and `b` (positive magnitude).
-///
-/// Useful for asking whether infrastructure sits near a link's line-of-sight
-/// corridor.
-pub fn cross_track_miles(p: GeoPoint, a: GeoPoint, b: GeoPoint) -> f64 {
-    let d13 = great_circle_miles(a, p) / EARTH_RADIUS_MILES;
-    let theta13 = initial_bearing_deg(a, p).to_radians();
-    let theta12 = initial_bearing_deg(a, b).to_radians();
-    (d13.sin() * (theta13 - theta12).sin()).asin().abs() * EARTH_RADIUS_MILES
-}
-
-/// Distance from `p` to the great-circle *segment* `a`–`b` in miles.
-///
-/// Unlike [`cross_track_miles`], this clamps to the segment: if the
-/// perpendicular foot falls outside `[a, b]`, the distance to the nearer
-/// endpoint is returned.
-pub fn segment_distance_miles(p: GeoPoint, a: GeoPoint, b: GeoPoint) -> f64 {
-    let dab = great_circle_miles(a, b);
-    if dab < 1e-9 {
-        return great_circle_miles(p, a);
-    }
-    // Along-track distance of the perpendicular foot from a.
-    let d13 = great_circle_miles(a, p) / EARTH_RADIUS_MILES;
-    let theta13 = initial_bearing_deg(a, p).to_radians();
-    let theta12 = initial_bearing_deg(a, b).to_radians();
-    let dxt = (d13.sin() * (theta13 - theta12).sin()).asin();
-    let dat = (d13.cos() / dxt.cos()).clamp(-1.0, 1.0).acos() * EARTH_RADIUS_MILES;
-    // Sign of along-track: negative when the foot is behind a.
-    let behind = (theta13 - theta12).cos() < 0.0;
-    if behind {
-        great_circle_miles(p, a)
-    } else if dat > dab {
-        great_circle_miles(p, b)
-    } else {
-        dxt.abs() * EARTH_RADIUS_MILES
-    }
 }
 
 /// Sample `n >= 2` points evenly along the great circle from `a` to `b`,
@@ -238,47 +194,6 @@ mod tests {
         let a = pt(35.0, -90.0);
         let b = destination(a, 123.0, 0.0);
         assert!(great_circle_miles(a, b) < 1e-9);
-    }
-
-    #[test]
-    fn cross_track_of_point_on_path_is_zero() {
-        let a = pt(0.0, 0.0);
-        let b = pt(0.0, 10.0);
-        let on_path = pt(0.0, 5.0);
-        assert!(cross_track_miles(on_path, a, b) < 1e-6);
-    }
-
-    #[test]
-    fn cross_track_perpendicular_offset() {
-        let a = pt(0.0, 0.0);
-        let b = pt(0.0, 10.0);
-        let off = pt(1.0, 5.0); // 1 degree of latitude ≈ 69.1 miles
-        let d = cross_track_miles(off, a, b);
-        assert!((d - 69.09).abs() < 0.2, "got {d}");
-    }
-
-    #[test]
-    fn segment_distance_clamps_to_endpoints() {
-        let a = pt(0.0, 0.0);
-        let b = pt(0.0, 10.0);
-        // Beyond b along the path: nearest point is b itself.
-        let past = pt(0.0, 12.0);
-        let d = segment_distance_miles(past, a, b);
-        let expect = great_circle_miles(past, b);
-        assert!((d - expect).abs() < 1e-6);
-        // Behind a: nearest point is a.
-        let before = pt(0.0, -3.0);
-        let d = segment_distance_miles(before, a, b);
-        let expect = great_circle_miles(before, a);
-        assert!((d - expect).abs() < 1e-6);
-    }
-
-    #[test]
-    fn segment_distance_degenerate_segment() {
-        let a = pt(40.0, -100.0);
-        let p = pt(41.0, -100.0);
-        let d = segment_distance_miles(p, a, a);
-        assert!((d - great_circle_miles(p, a)).abs() < 1e-9);
     }
 
     #[test]

@@ -9,13 +9,11 @@
 //!
 //! - [`GeoPoint`] — a validated latitude/longitude coordinate.
 //! - [`distance`] — spherical geodesy: great-circle distance (haversine),
-//!   bearings, destination points, cross-track distance.
+//!   bearings, destination points, great-circle sampling.
 //! - [`bbox`] — axis-aligned latitude/longitude bounding boxes, including the
 //!   [`bbox::CONUS`] extent used throughout the evaluation.
 //! - [`grid`] — uniform lat/lon evaluation grids for density surfaces and
 //!   heat maps (Figures 3–6 of the paper).
-//! - [`polyline`] — paths over the sphere and their cumulative lengths
-//!   (the "bit-miles" of a routing path).
 //!
 //! All distances are in **miles** to match the paper's bit-*mile* metric.
 //! Conversions to kilometres are provided where useful.
@@ -39,12 +37,10 @@ pub mod bbox;
 pub mod distance;
 pub mod grid;
 pub mod point;
-pub mod polyline;
 
 pub use bbox::BoundingBox;
 pub use grid::GeoGrid;
 pub use point::{GeoError, GeoPoint};
-pub use polyline::Polyline;
 
 /// Mean Earth radius in miles (IUGG mean radius R1, 6371.0088 km).
 pub const EARTH_RADIUS_MILES: f64 = 3958.7613;

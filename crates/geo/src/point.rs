@@ -92,25 +92,6 @@ impl GeoPoint {
     pub fn lon_rad(&self) -> f64 {
         self.lon.to_radians()
     }
-
-    /// Midpoint between `self` and `other` along the great circle.
-    pub fn midpoint(&self, other: &GeoPoint) -> GeoPoint {
-        let (lat1, lon1) = (self.lat_rad(), self.lon_rad());
-        let (lat2, lon2) = (other.lat_rad(), other.lon_rad());
-        let dlon = lon2 - lon1;
-        let bx = lat2.cos() * dlon.cos();
-        let by = lat2.cos() * dlon.sin();
-        let lat3 = (lat1.sin() + lat2.sin()).atan2(((lat1.cos() + bx).powi(2) + by * by).sqrt());
-        let lon3 = lon1 + by.atan2(lat1.cos() + bx);
-        // Normalize longitude back into [-180, 180] and clamp latitude
-        // against float drift at the poles; both coordinates are finite by
-        // construction, so the direct struct build is safe.
-        let lon_deg = (lon3.to_degrees() + 540.0).rem_euclid(360.0) - 180.0;
-        GeoPoint {
-            lat: lat3.to_degrees().clamp(-90.0, 90.0),
-            lon: lon_deg.clamp(-180.0, 180.0),
-        }
-    }
 }
 
 impl riskroute_json::ToJson for GeoPoint {
@@ -180,23 +161,6 @@ mod tests {
         assert!(GeoPoint::new(f64::NAN, 0.0).is_err());
         assert!(GeoPoint::new(0.0, f64::INFINITY).is_err());
         assert!(GeoPoint::new(f64::NEG_INFINITY, 0.0).is_err());
-    }
-
-    #[test]
-    fn midpoint_of_identical_points_is_identity() {
-        let p = GeoPoint::new(40.0, -100.0).unwrap();
-        let m = p.midpoint(&p);
-        assert!((m.lat() - 40.0).abs() < 1e-9);
-        assert!((m.lon() + 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn midpoint_on_equator() {
-        let a = GeoPoint::new(0.0, 0.0).unwrap();
-        let b = GeoPoint::new(0.0, 90.0).unwrap();
-        let m = a.midpoint(&b);
-        assert!(m.lat().abs() < 1e-9);
-        assert!((m.lon() - 45.0).abs() < 1e-9);
     }
 
     #[test]

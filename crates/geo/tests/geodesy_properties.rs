@@ -2,8 +2,7 @@
 //! workspace's deterministic PRNG.
 
 use riskroute_geo::distance::{
-    destination, great_circle_miles, initial_bearing_deg, sample_great_circle,
-    segment_distance_miles, slerp,
+    destination, great_circle_miles, initial_bearing_deg, sample_great_circle, slerp,
 };
 use riskroute_geo::{BoundingBox, GeoPoint, EARTH_RADIUS_MILES};
 use riskroute_rng::StdRng;
@@ -89,23 +88,6 @@ fn slerp_stays_on_great_circle() {
 }
 
 #[test]
-fn segment_distance_at_most_endpoint_distance() {
-    let mut rng = StdRng::seed_from_u64(6);
-    for _ in 0..CASES {
-        let (p, a, b) = (
-            conus_point(&mut rng),
-            conus_point(&mut rng),
-            conus_point(&mut rng),
-        );
-        let d = segment_distance_miles(p, a, b);
-        let to_a = great_circle_miles(p, a);
-        let to_b = great_circle_miles(p, b);
-        assert!(d <= to_a.min(to_b) + 1e-6);
-        assert!(d >= 0.0);
-    }
-}
-
-#[test]
 fn sampled_path_length_matches_direct() {
     let mut rng = StdRng::seed_from_u64(7);
     for _ in 0..CASES {
@@ -131,17 +113,5 @@ fn enclosing_box_contains_inputs() {
         for p in &pts {
             assert!(bb.contains(*p));
         }
-    }
-}
-
-#[test]
-fn midpoint_is_equidistant() {
-    let mut rng = StdRng::seed_from_u64(9);
-    for _ in 0..CASES {
-        let (a, b) = (conus_point(&mut rng), conus_point(&mut rng));
-        let m = a.midpoint(&b);
-        let da = great_circle_miles(m, a);
-        let db = great_circle_miles(m, b);
-        assert!((da - db).abs() < 1e-3);
     }
 }

@@ -20,19 +20,9 @@ pub struct ShortestPathTree {
 }
 
 impl ShortestPathTree {
-    /// The source node this tree was grown from.
-    pub fn source(&self) -> NodeId {
-        self.source
-    }
-
     /// Cost of the best path to `t` (`f64::INFINITY` when unreachable).
     pub fn dist(&self, t: NodeId) -> f64 {
         self.dist[t]
-    }
-
-    /// All distances, indexed by node.
-    pub fn distances(&self) -> &[f64] {
-        &self.dist
     }
 
     /// Whether `t` is reachable from the source.
@@ -77,12 +67,6 @@ pub fn shortest_path(g: &Graph, s: NodeId, t: NodeId) -> Option<(f64, Vec<NodeId
     let tree = sssp_with_target(g, s, Some(t));
     let path = tree.path_to(t)?;
     Some((tree.dist(t), path))
-}
-
-/// Shortest-path cost from `s` to `t` without path reconstruction.
-pub fn shortest_path_cost(g: &Graph, s: NodeId, t: NodeId) -> Option<f64> {
-    let tree = sssp_with_target(g, s, Some(t));
-    tree.reachable(t).then(|| tree.dist(t))
 }
 
 fn sssp_with_target(g: &Graph, source: NodeId, target: Option<NodeId>) -> ShortestPathTree {
@@ -144,18 +128,6 @@ fn sssp_with_target(g: &Graph, source: NodeId, target: Option<NodeId>) -> Shorte
     ShortestPathTree { source, dist, pred }
 }
 
-/// All-pairs shortest-path distances as a dense `n × n` matrix
-/// (`result[s][t]`, `f64::INFINITY` for unreachable pairs).
-///
-/// Runs one Dijkstra per node; for the ≤233-PoP networks of the paper this is
-/// a few milliseconds. For repeated calls with changing weights prefer the
-/// caching in `riskroute::intradomain`.
-pub fn all_pairs(g: &Graph) -> Vec<Vec<f64>> {
-    (0..g.node_count())
-        .map(|s| sssp(g, s).distances().to_vec())
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -200,7 +172,6 @@ mod tests {
         let mut g = diamond();
         let island = g.add_node();
         assert_eq!(shortest_path(&g, 0, island), None);
-        assert_eq!(shortest_path_cost(&g, 0, island), None);
         let tree = sssp(&g, 0);
         assert!(!tree.reachable(island));
         assert_eq!(tree.dist(island), f64::INFINITY);
@@ -212,9 +183,8 @@ mod tests {
         let g = diamond();
         let tree = sssp(&g, 0);
         for t in 0..g.node_count() {
-            assert_eq!(Some(tree.dist(t)), shortest_path_cost(&g, 0, t));
+            assert_eq!(Some(tree.dist(t)), shortest_path(&g, 0, t).map(|(c, _)| c));
         }
-        assert_eq!(tree.source(), 0);
     }
 
     #[test]
@@ -248,19 +218,6 @@ mod tests {
         for _ in 0..5 {
             assert_eq!(shortest_path(&g, 0, 3).unwrap(), first);
         }
-    }
-
-    #[test]
-    fn all_pairs_symmetric_for_undirected() {
-        let g = diamond();
-        let d = all_pairs(&g);
-        for s in 0..4 {
-            assert_eq!(d[s][s], 0.0);
-            for t in 0..4 {
-                assert!((d[s][t] - d[t][s]).abs() < 1e-12);
-            }
-        }
-        assert_eq!(d[0][3], 3.0);
     }
 
     #[test]

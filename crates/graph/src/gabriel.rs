@@ -49,46 +49,11 @@ pub fn gabriel_graph(n: usize, dist: impl Fn(usize, usize) -> f64) -> Graph {
     g
 }
 
-/// Build the relative neighborhood graph (RNG) over `n` points.
-///
-/// Edge `(i, j)` is included iff no third point `k` is strictly closer to
-/// *both* endpoints than they are to each other:
-/// `max(d(i,k), d(j,k)) >= d(i,j)` for all k. The RNG is a subgraph of the
-/// Gabriel graph and a supergraph of the MST (hence connected), with
-/// noticeably higher stretch — matching the sparser of the real ISP maps.
-#[allow(clippy::needless_range_loop)] // symmetric matrix fill reads clearest indexed
-pub fn relative_neighborhood_graph(n: usize, dist: impl Fn(usize, usize) -> f64) -> Graph {
-    let mut g = Graph::with_nodes(n);
-    let mut d = vec![vec![0.0; n]; n];
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let v = dist(i, j);
-            assert!(
-                v.is_finite() && v >= 0.0,
-                "metric must be finite and non-negative (d({i},{j}) = {v})"
-            );
-            d[i][j] = v;
-            d[j][i] = v;
-        }
-    }
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let dij = d[i][j];
-            let blocked = (0..n).any(|k| k != i && k != j && d[i][k].max(d[j][k]) < dij - 1e-9);
-            if !blocked && g.add_edge(i, j, dij).is_err() {
-                debug_assert!(false, "validated weight rejected by add_edge");
-            }
-        }
-    }
-    g
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::components::is_connected;
-    use crate::mst::minimum_spanning_forest;
 
     fn euclid(points: &[(f64, f64)]) -> impl Fn(usize, usize) -> f64 + '_ {
         move |i, j| {
@@ -180,47 +145,5 @@ mod tests {
     #[should_panic(expected = "metric must be finite")]
     fn rejects_nan_metric() {
         let _ = gabriel_graph(2, |_, _| f64::NAN);
-    }
-
-    #[test]
-    fn rng_is_subgraph_of_gabriel_and_contains_mst() {
-        let pts = [
-            (0.0, 0.0),
-            (2.0, 0.3),
-            (4.1, 1.0),
-            (1.0, 2.2),
-            (3.0, 3.1),
-            (5.2, 2.9),
-            (0.4, 4.0),
-            (2.6, 4.8),
-        ];
-        let gg = gabriel_graph(pts.len(), euclid(&pts));
-        let rng = relative_neighborhood_graph(pts.len(), euclid(&pts));
-        assert!(rng.edge_count() <= gg.edge_count());
-        for (_, a, b, _) in rng.edges() {
-            assert!(gg.has_edge(a, b), "RNG edge ({a},{b}) missing from Gabriel");
-        }
-        // RNG ⊇ MST ⇒ connected.
-        assert!(is_connected(&rng));
-        // Every MST edge of the complete metric graph appears in the RNG.
-        let mut complete = Graph::with_nodes(pts.len());
-        for i in 0..pts.len() {
-            for j in (i + 1)..pts.len() {
-                complete.add_edge(i, j, euclid(&pts)(i, j)).unwrap();
-            }
-        }
-        for e in minimum_spanning_forest(&complete) {
-            let (a, b) = complete.edge_endpoints(e);
-            assert!(rng.has_edge(a, b), "MST edge ({a},{b}) missing from RNG");
-        }
-    }
-
-    #[test]
-    fn rng_collinear_chain() {
-        let pts = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)];
-        let g = relative_neighborhood_graph(3, euclid(&pts));
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(1, 2));
-        assert!(!g.has_edge(0, 2));
     }
 }

@@ -127,18 +127,6 @@ impl Graph {
         self.edges[e].weight
     }
 
-    /// Replace the weight of edge `e`.
-    ///
-    /// # Errors
-    /// Rejects invalid weights. Panics when `e` is out of range.
-    pub fn set_edge_weight(&mut self, e: EdgeId, w: f64) -> Result<(), GraphError> {
-        if !w.is_finite() || w < 0.0 {
-            return Err(GraphError::InvalidWeight(w));
-        }
-        self.edges[e].weight = w;
-        Ok(())
-    }
-
     /// Iterate `(neighbor, weight, edge id)` over the edges incident to `n`.
     ///
     /// # Panics
@@ -313,17 +301,6 @@ mod tests {
         assert_ne!(g.find_edge(0, 1), Some(heavy));
         assert_eq!(g.find_edge(2, 0), None);
         assert_eq!(g.find_edge(99, 0), None);
-    }
-
-    #[test]
-    fn set_edge_weight_updates_neighbors_view() {
-        let mut g = Graph::with_nodes(2);
-        let e = g.add_edge(0, 1, 1.0).unwrap();
-        g.set_edge_weight(e, 4.0).unwrap();
-        let (_, w, _) = g.neighbors(0).next().unwrap();
-        assert_eq!(w, 4.0);
-        assert!(g.set_edge_weight(e, f64::NAN).is_err());
-        assert_eq!(g.edge_weight(e), 4.0, "failed update must not corrupt");
     }
 
     #[test]

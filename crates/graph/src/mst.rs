@@ -32,14 +32,6 @@ pub fn minimum_spanning_forest(g: &Graph) -> Vec<EdgeId> {
     chosen
 }
 
-/// Total weight of the minimum spanning forest.
-pub fn mst_weight(g: &Graph) -> f64 {
-    minimum_spanning_forest(g)
-        .iter()
-        .map(|&e| g.edge_weight(e))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -63,7 +55,7 @@ mod tests {
         let g = square_with_diagonals();
         let mst = minimum_spanning_forest(&g);
         assert_eq!(mst.len(), 3);
-        assert_eq!(mst_weight(&g), 3.0);
+        assert_eq!(mst.iter().map(|&e| g.edge_weight(e)).sum::<f64>(), 3.0);
     }
 
     #[test]

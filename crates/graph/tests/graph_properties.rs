@@ -4,12 +4,20 @@
 //! self-loops — and asserts the algorithmic invariants hold on all of them.
 
 use riskroute_graph::components::{connected_components, is_connected};
-use riskroute_graph::mst::{minimum_spanning_forest, mst_weight};
+use riskroute_graph::mst::minimum_spanning_forest;
 use riskroute_graph::yen::k_shortest_paths;
 use riskroute_graph::{dijkstra, Graph};
 use riskroute_rng::StdRng;
 
 const CASES: usize = 96;
+
+/// Total weight of the minimum spanning forest.
+fn msf_weight(g: &Graph) -> f64 {
+    minimum_spanning_forest(g)
+        .iter()
+        .map(|&e| g.edge_weight(e))
+        .sum()
+}
 
 /// A random graph with `2..24` nodes and up to `3n` random weighted edges.
 /// Self-loop draws are attempted and must be rejected, not panic.
@@ -96,8 +104,13 @@ fn all_pairs_matrix_is_symmetric_and_metric() {
     let mut rng = StdRng::seed_from_u64(0x33);
     for _ in 0..32 {
         let g = random_connected_graph(&mut rng);
-        let d = dijkstra::all_pairs(&g);
         let n = g.node_count();
+        let d: Vec<Vec<f64>> = (0..n)
+            .map(|s| {
+                let tree = dijkstra::sssp(&g, s);
+                (0..n).map(|t| tree.dist(t)).collect()
+            })
+            .collect();
         for s in 0..n {
             assert_eq!(d[s][s], 0.0);
             for t in 0..n {
@@ -180,12 +193,12 @@ fn mst_spans_components_with_minimal_edge_count() {
         let comps = connected_components(&g);
         let mst = minimum_spanning_forest(&g);
         assert_eq!(mst.len(), g.node_count() - comps.len());
-        assert!(mst_weight(&g) <= g.total_weight() + 1e-9);
+        assert!(msf_weight(&g) <= g.total_weight() + 1e-9);
     }
 }
 
 #[test]
-fn mst_weight_invariant_under_edge_order() {
+fn msf_weight_invariant_under_edge_order() {
     let mut rng = StdRng::seed_from_u64(0x77);
     for _ in 0..CASES {
         let g = random_connected_graph(&mut rng);
@@ -196,7 +209,7 @@ fn mst_weight_invariant_under_edge_order() {
         for &(_, a, b, w) in edges.iter().rev() {
             rev.add_edge(a, b, w).expect("valid edge");
         }
-        assert!((mst_weight(&g) - mst_weight(&rev)).abs() < 1e-6);
+        assert!((msf_weight(&g) - msf_weight(&rev)).abs() < 1e-6);
     }
 }
 

@@ -309,14 +309,6 @@ pub fn sample_ensemble(
         .collect()
 }
 
-/// Sample every corpus at the paper's exact counts (§4.3).
-pub fn sample_paper_corpora(master_seed: u64) -> Vec<Vec<DisasterEvent>> {
-    ALL_EVENT_KINDS
-        .iter()
-        .map(|&k| sample_events(k, k.paper_count(), master_seed))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]

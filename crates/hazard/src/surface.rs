@@ -16,13 +16,11 @@
 //!
 //! §5.2: "we consider the aggregated historical risk to be the sum of all
 //! five outage probabilities" — [`HistoricalRisk`] sums the five per-kind
-//! surfaces, with optional user-defined per-kind weights (the extension the
-//! paper explicitly leaves to operators).
+//! surfaces' outage probabilities.
 
 use crate::events::{sample_events, DisasterEvent, EventKind, ALL_EVENT_KINDS};
 use riskroute_geo::{GeoGrid, GeoPoint};
 use riskroute_stats::GeoKde;
-use std::collections::HashMap;
 use std::f64::consts::PI;
 
 // Per-kind damage radii live on `EventKind::damage_radius_miles`; an event
@@ -103,18 +101,17 @@ impl RiskSurface {
     }
 }
 
-/// The aggregate historical outage risk: `o_h(y) = Σ_kinds w_k · p̂_k(y)`.
+/// The aggregate historical outage risk: `o_h(y) = Σ_kinds P_k(y)`, the
+/// sum of the per-kind outage probabilities.
 #[derive(Debug, Clone)]
 pub struct HistoricalRisk {
     surfaces: Vec<RiskSurface>,
-    weights: HashMap<EventKind, f64>,
 }
 
 impl HistoricalRisk {
-    /// Aggregate the given surfaces with unit weights (the paper's default).
+    /// Aggregate the given surfaces.
     pub fn new(surfaces: Vec<RiskSurface>) -> Self {
-        let weights = surfaces.iter().map(|s| (s.kind(), 1.0)).collect();
-        HistoricalRisk { surfaces, weights }
+        HistoricalRisk { surfaces }
     }
 
     /// Build the standard five-corpus risk model: paper event counts
@@ -135,19 +132,6 @@ impl HistoricalRisk {
         HistoricalRisk::new(surfaces)
     }
 
-    /// Override the weight of one kind (§5.2's operator extension, e.g.
-    /// emphasizing flooding-prone event types).
-    ///
-    /// # Panics
-    /// Panics on negative or non-finite weights.
-    pub fn set_weight(&mut self, kind: EventKind, weight: f64) {
-        assert!(
-            weight.is_finite() && weight >= 0.0,
-            "weights must be finite and non-negative"
-        );
-        self.weights.insert(kind, weight);
-    }
-
     /// The per-kind surfaces.
     pub fn surfaces(&self) -> &[RiskSurface] {
         &self.surfaces
@@ -159,14 +143,11 @@ impl HistoricalRisk {
         self.surfaces.iter().map(|s| s.kde.events().len()).sum()
     }
 
-    /// Aggregate risk `o_h(y)`: the weighted sum of per-kind outage
-    /// probabilities (§5.2: "the aggregate risk … is defined as the sum of
-    /// all outage probabilities").
+    /// Aggregate risk `o_h(y)`: the sum of per-kind outage probabilities
+    /// (§5.2: "the aggregate risk … is defined as the sum of all outage
+    /// probabilities").
     pub fn risk(&self, y: GeoPoint) -> f64 {
-        self.surfaces
-            .iter()
-            .map(|s| self.weights.get(&s.kind()).copied().unwrap_or(1.0) * s.outage_probability(y))
-            .sum()
+        self.surfaces.iter().map(|s| s.outage_probability(y)).sum()
     }
 
     /// Aggregate risk at every location of `points`, in order.
@@ -231,26 +212,6 @@ mod tests {
         let expect = h.outage_probability(y) + e.outage_probability(y);
         let agg = HistoricalRisk::new(vec![h, e]);
         assert!((agg.risk(y) - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weights_scale_contributions() {
-        let h = small_surface(EventKind::FemaHurricane, 300);
-        let y = pt(29.9, -90.1);
-        let base = h.outage_probability(y);
-        let mut agg = HistoricalRisk::new(vec![h]);
-        agg.set_weight(EventKind::FemaHurricane, 3.0);
-        assert!((agg.risk(y) - 3.0 * base).abs() < 1e-12);
-        agg.set_weight(EventKind::FemaHurricane, 0.0);
-        assert_eq!(agg.risk(y), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "weights must be finite")]
-    fn negative_weight_panics() {
-        let h = small_surface(EventKind::FemaHurricane, 50);
-        let mut agg = HistoricalRisk::new(vec![h]);
-        agg.set_weight(EventKind::FemaHurricane, -1.0);
     }
 
     #[test]

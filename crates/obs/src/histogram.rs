@@ -46,11 +46,6 @@ impl Histogram {
         Histogram::log_spaced(1e-6, 2.0, 22)
     }
 
-    /// Default byte-size buckets: powers of four from 256 B to ~1 GiB.
-    pub fn bytes_default() -> Histogram {
-        Histogram::log_spaced(256.0, 4.0, 12)
-    }
-
     /// Latency buckets for values recorded in **microseconds** rather than
     /// seconds: powers of two from 1 µs to ~8 s.
     pub fn micros_default() -> Histogram {
@@ -180,8 +175,6 @@ mod tests {
         let lat = Histogram::latency_default();
         assert!(lat.bounds().first().copied().unwrap() <= 1e-6);
         assert!(lat.bounds().last().copied().unwrap() >= 1.0);
-        let bytes = Histogram::bytes_default();
-        assert!(bytes.bounds().last().copied().unwrap() >= 1e9);
         let micros = Histogram::micros_default();
         assert!(micros.bounds().first().copied().unwrap() <= 1.0);
         assert!(micros.bounds().last().copied().unwrap() >= 1e6);

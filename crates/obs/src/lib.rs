@@ -270,11 +270,6 @@ pub fn gauge_max(name: &str, v: f64) {
     }
 }
 
-/// Current value of the named gauge.
-pub fn gauge_value(name: &str) -> Option<f64> {
-    lock(&GAUGES).get(name).copied()
-}
-
 /// Record `v` into the named histogram, creating it with
 /// [`Histogram::latency_default`] buckets on first use. NaN observations
 /// are ignored.

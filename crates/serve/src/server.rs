@@ -167,11 +167,6 @@ impl ShutdownHandle {
     pub fn drain(&self) {
         self.state.draining.store(true, Ordering::SeqCst);
     }
-
-    /// Whether drain has been requested.
-    pub fn is_draining(&self) -> bool {
-        self.state.draining.load(Ordering::SeqCst)
-    }
 }
 
 enum Listener {

@@ -520,8 +520,21 @@ mod tests {
             // Fine enough that cell/σ ≤ ~0.25 for the narrowest bandwidth:
             // the linear-binning error is O((cell/σ)²), so the tolerances
             // below are meaningful only when the raster resolves the kernel.
+            let start = std::time::Instant::now();
             let binned = kde.evaluate_grid(GeoGrid::new(CONUS, 160, 320).unwrap());
+            let binned_time = start.elapsed();
+            let start = std::time::Instant::now();
             let exact = kde.evaluate_grid_exact(GeoGrid::new(CONUS, 160, 320).unwrap());
+            let exact_time = start.elapsed();
+            // The binned path exists to be fast: on the 500-event corpus it
+            // must beat the exact sum by at least 2x (the small corpora are
+            // too cheap for a stable ratio).
+            if n == 500 {
+                assert!(
+                    binned_time * 2 < exact_time,
+                    "binned KDE ({binned_time:?}) must beat exact ({exact_time:?}) by at least 2x"
+                );
+            }
             let peak = exact
                 .iter_cells()
                 .map(|(_, _, _, v)| v)

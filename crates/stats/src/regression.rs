@@ -62,95 +62,12 @@ impl LinearFit {
             n: x.len(),
         }
     }
-
-    /// Predicted `y` at `x`.
-    pub fn predict(&self, x: f64) -> f64 {
-        self.slope * x + self.intercept
-    }
-}
-
-/// Pearson correlation coefficient between `x` and `y`.
-///
-/// # Panics
-/// Same contract as [`LinearFit::fit`]. Returns 0 when either input has zero
-/// variance.
-pub fn pearson(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "x and y must have equal length");
-    assert!(x.len() >= 2, "need at least two points");
-    let n = x.len() as f64;
-    let mx = x.iter().sum::<f64>() / n;
-    let my = y.iter().sum::<f64>() / n;
-    let sxx: f64 = x.iter().map(|&v| (v - mx) * (v - mx)).sum();
-    let syy: f64 = y.iter().map(|&v| (v - my) * (v - my)).sum();
-    if sxx == 0.0 || syy == 0.0 {
-        return 0.0;
-    }
-    let sxy: f64 = x.iter().zip(y).map(|(&a, &b)| (a - mx) * (b - my)).sum();
-    sxy / (sxx.sqrt() * syy.sqrt())
-}
-
-/// Spearman rank correlation between `x` and `y` (Pearson over average
-/// ranks, so ties are handled).
-///
-/// R² measures *linear* association; several of Table 3's relationships
-/// (e.g. β ∝ 1/N) are monotone but curved, where rank correlation is the
-/// fairer summary.
-///
-/// # Panics
-/// Same contract as [`pearson`].
-pub fn spearman(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "x and y must have equal length");
-    assert!(x.len() >= 2, "need at least two points");
-    pearson(&ranks(x), &ranks(y))
-}
-
-/// Average ranks (1-based; ties share the mean of their rank span).
-fn ranks(v: &[f64]) -> Vec<f64> {
-    let mut idx: Vec<usize> = (0..v.len()).collect();
-    idx.sort_by(|&a, &b| v[a].total_cmp(&v[b]));
-    let mut out = vec![0.0; v.len()];
-    let mut i = 0;
-    while i < idx.len() {
-        let mut j = i;
-        while j + 1 < idx.len() && v[idx[j + 1]] == v[idx[i]] {
-            j += 1;
-        }
-        let avg_rank = (i + j) as f64 / 2.0 + 1.0;
-        for &k in &idx[i..=j] {
-            out[k] = avg_rank;
-        }
-        i = j + 1;
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-
-    #[test]
-    fn spearman_detects_monotone_nonlinear_relations() {
-        // y = 1/x is perfectly monotone (decreasing) but far from linear.
-        let x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let y: Vec<f64> = x.iter().map(|v| 1.0 / v).collect();
-        assert!((spearman(&x, &y) + 1.0).abs() < 1e-12, "rank corr = −1");
-        let r2 = LinearFit::fit(&x, &y).r_squared;
-        assert!(r2 < 0.85, "linear fit misses the curvature: {r2}");
-    }
-
-    #[test]
-    fn spearman_handles_ties() {
-        let x = [1.0, 2.0, 2.0, 3.0];
-        let y = [10.0, 20.0, 20.0, 30.0];
-        assert!((spearman(&x, &y) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ranks_are_average_ranks() {
-        assert_eq!(ranks(&[10.0, 30.0, 20.0]), vec![1.0, 3.0, 2.0]);
-        assert_eq!(ranks(&[5.0, 5.0, 1.0]), vec![2.5, 2.5, 1.0]);
-    }
 
     #[test]
     fn perfect_line_recovers_parameters() {
@@ -161,12 +78,6 @@ mod tests {
         assert!((fit.intercept + 1.0).abs() < 1e-12);
         assert!((fit.r_squared - 1.0).abs() < 1e-12);
         assert_eq!(fit.n, 4);
-    }
-
-    #[test]
-    fn predict_interpolates() {
-        let fit = LinearFit::fit(&[0.0, 1.0], &[1.0, 3.0]);
-        assert!((fit.predict(0.5) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -198,23 +109,6 @@ mod tests {
         let fit = LinearFit::fit(&[1.0, 2.0, 3.0], &[5.0, 5.0, 5.0]);
         assert_eq!(fit.r_squared, 1.0);
         assert_eq!(fit.slope, 0.0);
-    }
-
-    #[test]
-    fn r_squared_equals_squared_pearson() {
-        let x = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let y = [2.1, 3.9, 6.2, 8.1, 9.8];
-        let fit = LinearFit::fit(&x, &y);
-        let r = pearson(&x, &y);
-        assert!((fit.r_squared - r * r).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_sign_tracks_direction() {
-        let x = [1.0, 2.0, 3.0];
-        assert!(pearson(&x, &[1.0, 2.0, 3.0]) > 0.99);
-        assert!(pearson(&x, &[3.0, 2.0, 1.0]) < -0.99);
-        assert_eq!(pearson(&x, &[7.0, 7.0, 7.0]), 0.0);
     }
 
     #[test]

@@ -69,16 +69,6 @@ pub struct Link {
     pub miles: f64,
 }
 
-/// Result of building a weighted graph in degraded mode: the graph plus the
-/// link indices whose weights were invalid and therefore dropped.
-#[derive(Debug, Clone)]
-pub struct WeightedGraphOutcome {
-    /// The graph with all valid-weight links attached.
-    pub graph: Graph,
-    /// Indices (into [`Network::links`]) of links dropped for invalid weight.
-    pub dropped_links: Vec<usize>,
-}
-
 /// A single provider's physical infrastructure: PoPs plus line-of-sight
 /// links (§4.1 of the paper).
 #[derive(Debug, Clone)]
@@ -190,58 +180,6 @@ impl Network {
             }
         }
         g
-    }
-
-    /// Build a graph with caller-supplied weights per link, in link order.
-    ///
-    /// Used by the core crate to attach bit-risk-mile weights to the same
-    /// topology without cloning PoP data.
-    ///
-    /// # Panics
-    /// Panics when `weights.len() != link_count()` or any weight is invalid.
-    pub fn weighted_graph(&self, weights: &[f64]) -> Graph {
-        assert_eq!(
-            weights.len(),
-            self.links.len(),
-            "one weight per link required"
-        );
-        let outcome = self.weighted_graph_sanitized(weights);
-        assert!(
-            outcome.dropped_links.is_empty(),
-            "invalid weight on link {:?}",
-            outcome.dropped_links
-        );
-        outcome.graph
-    }
-
-    /// Build a weighted graph, *dropping* any link whose supplied weight is
-    /// non-finite or negative instead of panicking. The dropped link indices
-    /// are reported so callers can surface the degradation.
-    ///
-    /// This is the degraded-mode counterpart of [`Network::weighted_graph`]:
-    /// a NaN-tainted risk weight disables the link (as a real outage would)
-    /// rather than aborting the pipeline.
-    ///
-    /// # Panics
-    /// Panics when `weights.len() != link_count()` — a structural bug, not a
-    /// data fault.
-    pub fn weighted_graph_sanitized(&self, weights: &[f64]) -> WeightedGraphOutcome {
-        assert_eq!(
-            weights.len(),
-            self.links.len(),
-            "one weight per link required"
-        );
-        let mut g = Graph::with_nodes(self.pops.len());
-        let mut dropped = Vec::new();
-        for (i, (l, &w)) in self.links.iter().zip(weights).enumerate() {
-            if g.add_edge(l.a, l.b, w).is_err() {
-                dropped.push(i);
-            }
-        }
-        WeightedGraphOutcome {
-            graph: g,
-            dropped_links: dropped,
-        }
     }
 
     /// The PoP nearest to `p`, with its distance in miles. `None` for an
@@ -452,21 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_graph_uses_custom_weights() {
-        let net = triangle();
-        let g = net.weighted_graph(&[1.0, 2.0, 3.0]);
-        assert_eq!(g.edge_weight(0), 1.0);
-        assert_eq!(g.edge_weight(2), 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "one weight per link")]
-    fn weighted_graph_length_mismatch_panics() {
-        let net = triangle();
-        let _ = net.weighted_graph(&[1.0]);
-    }
-
-    #[test]
     fn nearest_pop_finds_closest() {
         let net = triangle();
         // San Antonio is nearest to Austin (PoP 2).
@@ -535,16 +458,5 @@ mod tests {
         assert_eq!(back.name(), "tri");
         assert_eq!(back.pop_count(), 3);
         assert_eq!(back.link_count(), 3);
-    }
-
-    #[test]
-    fn sanitized_weighted_graph_drops_invalid_links() {
-        let net = triangle();
-        let outcome = net.weighted_graph_sanitized(&[1.0, f64::NAN, f64::INFINITY]);
-        assert_eq!(outcome.graph.edge_count(), 1);
-        assert_eq!(outcome.dropped_links, vec![1, 2]);
-        let clean = net.weighted_graph_sanitized(&[1.0, 2.0, 3.0]);
-        assert!(clean.dropped_links.is_empty());
-        assert_eq!(clean.graph.edge_count(), 3);
     }
 }

@@ -94,7 +94,7 @@ fn candidates_are_genuine_shortcuts() {
     let g = net.distance_graph();
     for (a, b, direct) in candidate_links(net, &planner) {
         assert!(!net.has_link(a, b), "candidates must be non-edges");
-        if let Some(current) = riskroute_graph::dijkstra::shortest_path_cost(&g, a, b) {
+        if let Some((current, _)) = riskroute_graph::dijkstra::shortest_path(&g, a, b) {
             assert!(
                 direct < 0.5 * current,
                 "({a},{b}): direct {direct} must cut the {current}-mile path by >50%"

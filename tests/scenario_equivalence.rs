@@ -5,7 +5,10 @@
 
 use riskroute::prelude::*;
 use riskroute::scenario::{run_sweep_budgeted, scenario_specs, SweepPrior};
-use riskroute::{FailElement, NodeRisk, ScenarioSpec, WorkBudget};
+use riskroute::{
+    base_exposure, ExposureReport, FailElement, NodeRisk, ScenarioDelta, ScenarioFork,
+    ScenarioSpec, WorkBudget,
+};
 use riskroute_geo::GeoPoint;
 use riskroute_hazard::HistoricalRisk;
 use riskroute_population::{PopShares, PopulationModel};
@@ -117,6 +120,74 @@ fn budget_cut_and_resume_matches_the_uninterrupted_sweep() {
         assert!(still_stopped.is_none());
         assert_eq!(resumed, uninterrupted, "resumed sweep diverged at {par}");
     }
+}
+
+/// Level3 N-1 specs checked against a rebuilt planner: evenly spaced over
+/// the 577 specs (233 nodes, then 344 links), so the sample covers both.
+const LEVEL3_N1_SAMPLES: usize = 48;
+
+fn bits(e: &ExposureReport) -> (u64, usize, usize) {
+    (e.bit_risk_total.to_bits(), e.routable_pairs, e.stranded_pairs)
+}
+
+/// A fresh planner over `net` with `e` failed (a failed node keeps its PoP
+/// but loses every incident link), reusing the base risk and shares.
+fn rebuilt_without(net: &Network, base: &Planner, e: FailElement) -> Planner {
+    let keep = |a: usize, b: usize| match e {
+        FailElement::Node(v) => a != v && b != v,
+        FailElement::Link(x, y) => (a.min(b), a.max(b)) != (x, y),
+    };
+    let keep_pairs: Vec<(usize, usize)> = net
+        .links()
+        .iter()
+        .filter(|l| keep(l.a, l.b))
+        .map(|l| (l.a, l.b))
+        .collect();
+    let masked = Network::new(net.name(), net.kind(), net.pops().to_vec(), keep_pairs).unwrap();
+    Planner::new(
+        &masked,
+        base.risk().clone(),
+        PopShares::from_shares(base.shares().shares().to_vec()),
+        base.weights(),
+    )
+}
+
+#[test]
+fn level3_n1_forks_match_rebuilt_planners_bit_for_bit() {
+    let corpus = Corpus::standard(42);
+    let population = PopulationModel::synthesize(42, 4_000);
+    let hazards = HistoricalRisk::standard(42, Some(800));
+    let net = corpus.network("Level3").unwrap();
+    let planner =
+        Planner::for_network(net, &population, &hazards, RiskWeights::historical_only(1e5));
+    // Warm the base cache so forks take the tree-adoption path, as they do
+    // inside a sweep.
+    let _ = base_exposure(&planner);
+    let specs = scenario_specs(net, SweepMode::N1);
+    assert_eq!(specs.len(), 577);
+    let mut kinds = (0, 0);
+    for i in (0..LEVEL3_N1_SAMPLES).map(|k| k * specs.len() / LEVEL3_N1_SAMPLES) {
+        let ScenarioSpec::One(e) = specs[i] else {
+            panic!("N-1 emits only single-element specs")
+        };
+        let delta = match e {
+            FailElement::Node(v) => {
+                kinds.0 += 1;
+                ScenarioDelta::new().deactivate_node(v)
+            }
+            FailElement::Link(a, b) => {
+                kinds.1 += 1;
+                ScenarioDelta::new().deactivate_link(a, b)
+            }
+        };
+        let fork = ScenarioFork::fork(&planner, delta);
+        assert_eq!(
+            bits(&fork.exposure()),
+            bits(&base_exposure(&rebuilt_without(net, &planner, e))),
+            "fork diverged from the rebuilt planner at {e:?}"
+        );
+    }
+    assert!(kinds.0 > 0 && kinds.1 > 0, "sample must cover nodes and links");
 }
 
 /// Two triangles sharing only vertex 2 — the textbook cut vertex. Failing

@@ -3,12 +3,17 @@
 //! and when eight clients hammer the daemon concurrently, the per-trace
 //! attribution tables account for *all* engine work — per-trace SSSP-run
 //! and route-cache counters sum exactly to the global deltas, with no lost
-//! or cross-attributed work.
+//! or cross-attributed work. The Figure-11 peering scores are identical
+//! with tracing off, on, and on inside a request scope.
 //!
 //! One `#[test]` on purpose: the obs collector is process-global, and the
 //! enable/disable toggling here needs exclusive ownership of it.
 
-use riskroute::Parallelism;
+use riskroute::interdomain::InterdomainAnalysis;
+use riskroute::peering::score_peerings;
+use riskroute::prelude::*;
+use riskroute_topology::colocation::DEFAULT_COLOCATION_MILES;
+use riskroute_topology::Network;
 use riskroute_cli::commands::ServeHandler;
 use riskroute_cli::{parse_args, CliContext};
 use riskroute_serve::{ServeConfig, Server, SpawnedServer};
@@ -148,4 +153,49 @@ fn tracing_never_changes_bytes_and_attribution_sums_to_global_deltas() {
         snap.counters.get("risk_sssp_runs").copied().unwrap_or(0) > 0,
         "workload drove no SSSP runs"
     );
+
+    // Part 3: the Figure-11 peering scores for a few sources of the first
+    // regional network, tracing off, on, and on inside a request scope.
+    let corpus = Corpus::standard(42);
+    let population = PopulationModel::synthesize(42, 4_000);
+    let hazards = riskroute_hazard::HistoricalRisk::standard(42, Some(800));
+    let networks: Vec<&Network> = corpus.all_networks().collect();
+    let analysis = InterdomainAnalysis::new(
+        &networks,
+        &corpus.peering,
+        &population,
+        &hazards,
+        RiskWeights::historical_only(1e5),
+    );
+    let regional = &corpus.regional[0];
+    let sources: Vec<usize> = analysis.topology().pops_of(regional.name()).unwrap()[..3].to_vec();
+    let dests: Vec<usize> = corpus
+        .regional
+        .iter()
+        .flat_map(|net| analysis.topology().pops_of(net.name()).unwrap())
+        .collect();
+    let sweep = || {
+        score_peerings(
+            &analysis,
+            regional,
+            &networks,
+            &corpus.peering,
+            DEFAULT_COLOCATION_MILES,
+            &sources,
+            &dests,
+        )
+    };
+    riskroute_obs::disable();
+    let off = sweep();
+    riskroute_obs::enable();
+    let on = sweep();
+    let scope = riskroute_obs::ObsScope::begin("peering_sweep");
+    let scoped = {
+        let _attr = scope.enter();
+        sweep()
+    };
+    riskroute_obs::disable();
+    assert!(!off.is_empty(), "{} has no candidate peering", regional.name());
+    assert_eq!(off, on, "tracing changed the peering scores");
+    assert_eq!(off, scoped, "scoped attribution changed the peering scores");
 }

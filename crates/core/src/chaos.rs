@@ -413,7 +413,7 @@ pub fn run_chaos_at(plan: &FaultPlan, parallelism: Parallelism) -> Result<ChaosR
         rho[p] = f64::NAN;
     }
     let csr = CsrGraph::from_adjacency(planner.adjacency());
-    let tree = engine::sssp(&csr, source, 1.0, &rho);
+    let tree = engine::sssp(&csr, source, 1.0, &engine::Rho::new(rho));
     let isolated_pops = all.iter().filter(|&&v| !tree.reachable(v)).count();
     for &p in &poisoned {
         assert!(

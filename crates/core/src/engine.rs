@@ -14,17 +14,30 @@
 //!    [`risk_sssp`](crate::routing::risk_sssp).
 //!
 //! 2. **Scratch-arena Dijkstra** ([`SsspArena`]): per-worker reusable
-//!    dist/pred/cost buffers and a monotone [`BucketQueue`] frontier, with
+//!    dist/pred buffers and a monotone [`BucketQueue`] frontier, with
 //!    generation-stamped lazy reset — a run bumps one `u32` generation
-//!    instead of clearing four arrays, and a slot is live only when its
+//!    instead of clearing its arrays, and a slot is live only when its
 //!    stamp matches. Arenas are pooled through
 //!    [`riskroute_par::ScratchPool`] so scoped pool workers reuse them
 //!    across drains; steady-state runs allocate nothing but their output.
-//!    One kernel serves both query shapes: a run is set up, searched, and
-//!    then read by one of two extractors — the whole tree ([`sssp`]) or,
-//!    for a pair query that stops once its target settles ([`sssp_to`]),
-//!    just the target's path, distance and ρ-sum ([`PairAnswer`]), in
-//!    O(path length) instead of O(n).
+//!    Entry costs `sanitize(β·ρ(v))` are computed at relaxation and the
+//!    bucket quantum comes from the mean ρ cached in [`Rho`], so a run does
+//!    no O(n) set-up. One kernel serves both query shapes: a run is set up,
+//!    searched, and then read by one of two extractors — the whole tree
+//!    ([`sssp`]) or, for a pair query that stops once its target settles
+//!    ([`sssp_to`]), just the target's path, distance and ρ-sum
+//!    ([`PairAnswer`]), in O(path length) instead of O(n).
+//!
+//!    The kernel is generic over an A\* potential. Full trees run it with
+//!    h ≡ 0. A pair query runs it on a lower bound of the cost still to
+//!    pay to its target ([`Bound`]): a per-target row ([`LbRow`]) built
+//!    from the target's distance tree and a Σρ search, or the great-circle
+//!    chord ([`Chords`]). Any relaxation or stop state under which the
+//!    goal-directed answer could differ from the plain one — a tie, a
+//!    settled node offered its own distance again, an equal-key entry left
+//!    at the stop — reruns the query with h ≡ 0, so every answer is the
+//!    plain Dijkstra's bit for bit (DESIGN.md §"Goal-directed pair
+//!    queries" has the proof).
 //!
 //! 3. **Exact route cache** ([`RouteTreeCache`]): complete trees keyed by
 //!    `(root, β.to_bits(), stamp)` and pair answers keyed by
@@ -46,10 +59,11 @@
 //!    approximate: outputs are byte-identical with it on or off.
 
 use crate::routing::{Adjacency, Entry, PairAnswer, RiskTree, NO_PRED};
+use riskroute_geo::{GeoPoint, EARTH_RADIUS_MILES};
 use riskroute_graph::queue::{inv_quantum_for_mean, BucketQueue};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Process-global source of cost-state stamps (see [`next_stamp`]).
 static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
@@ -71,6 +85,35 @@ pub(crate) fn sanitize_cost(c: f64) -> f64 {
     }
 }
 
+/// One cost state's λ-combined per-PoP risk ρ, with the mean the bucket
+/// quantum reads cached beside it (a run's quantum is
+/// `mean link miles + β·mean ρ`). Dereferences to the ρ slice.
+#[derive(Debug)]
+pub struct Rho {
+    values: Vec<f64>,
+    /// Sum of the finite non-negative entries over the entry count (0.0
+    /// when empty). Any positive quantum keys costs monotonically, so this
+    /// only tunes bucket occupancy, never a pop.
+    mean: f64,
+}
+
+impl Rho {
+    /// Wrap a ρ vector and cache its mean.
+    pub fn new(values: Vec<f64>) -> Self {
+        let sum: f64 = values.iter().filter(|r| r.is_finite() && **r >= 0.0).sum();
+        let mean = sum / values.len().max(1) as f64;
+        Rho { values, mean }
+    }
+}
+
+impl std::ops::Deref for Rho {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        &self.values
+    }
+}
+
 /// Immutable compressed-sparse-row snapshot of an [`Adjacency`].
 ///
 /// `targets[offsets[u]..offsets[u+1]]` lists u's neighbors in the exact
@@ -82,10 +125,10 @@ pub struct CsrGraph {
     targets: Vec<u32>,
     weights: Vec<f64>,
     /// Mean of the positive finite edge weights (0.0 when none): the edge
-    /// component of the mean relaxation step in [`run_inv_quantum`], the
-    /// per-run bucket-queue quantization choice. Byte-identity of the
-    /// bucket path never depends on the derived factor — any positive
-    /// factor keys costs monotonically — it only tunes bucket occupancy.
+    /// component of the mean relaxation step a run's bucket quantum is
+    /// chosen from. Byte-identity of the bucket path never depends on the
+    /// derived factor — any positive factor keys costs monotonically — it
+    /// only tunes bucket occupancy.
     mean_weight: f64,
 }
 
@@ -169,6 +212,31 @@ impl CsrGraph {
         }
     }
 
+    /// The same topology with every edge `(u, v)` weighing `exit(u)` — a
+    /// finite non-negative `exit(u)`, or 0.0 — instead of its miles. A
+    /// search from `t` over it sums the exit costs of every node a path
+    /// leaves on its way out of `t`: read backwards, those are exactly the
+    /// nodes a path *enters* on its way into `t` (the Σρ of an [`LbRow`]).
+    fn with_exit_costs(&self, exit: &[f64]) -> CsrGraph {
+        let weights: Vec<f64> = (0..self.node_count())
+            .flat_map(|u| {
+                let x = if exit[u].is_finite() && exit[u] >= 0.0 {
+                    exit[u]
+                } else {
+                    0.0
+                };
+                self.edge_range(u).map(move |_| x)
+            })
+            .collect();
+        let mean_weight = mean_positive(&weights);
+        CsrGraph {
+            offsets: self.offsets.clone(),
+            targets: self.targets.clone(),
+            weights,
+            mean_weight,
+        }
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.offsets.len() - 1
@@ -193,7 +261,6 @@ impl CsrGraph {
 pub(crate) struct SsspArena {
     dist: Vec<f64>,
     pred: Vec<u32>,
-    costs: Vec<f64>,
     rho_sum: Vec<f64>,
     touched: Vec<u32>,
     settled: Vec<u32>,
@@ -206,7 +273,6 @@ impl SsspArena {
         SsspArena {
             dist: Vec::new(),
             pred: Vec::new(),
-            costs: Vec::new(),
             rho_sum: Vec::new(),
             touched: Vec::new(),
             settled: Vec::new(),
@@ -221,7 +287,6 @@ impl SsspArena {
         if self.touched.len() < n {
             self.dist.resize(n, f64::INFINITY);
             self.pred.resize(n, NO_PRED);
-            self.costs.resize(n, 0.0);
             self.rho_sum.resize(n, 0.0);
             self.touched.resize(n, 0);
             self.settled.resize(n, 0);
@@ -243,23 +308,36 @@ impl SsspArena {
         }
     }
 
+    /// The settled distance of every node of a drained run over `n` nodes
+    /// (∞ where unreachable).
+    fn settled_dist(&self, n: usize) -> Vec<f64> {
+        (0..n)
+            .map(|v| {
+                if self.settled[v] == self.gen {
+                    self.dist[v]
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .collect()
+    }
+
     /// The whole tree of a drained run over `n` nodes. A drained run
     /// settles every node it touched (touched ⇒ finite dist ⇒ pushed ⇒
     /// popped), so the settled nodes are exactly the reachable ones; every
     /// other slot reads as unreachable.
     fn tree(&self, source: usize, n: usize, track_rho: bool) -> RiskTree {
         let gen = self.gen;
-        let mut dist = Vec::with_capacity(n);
-        let mut pred = Vec::with_capacity(n);
-        for v in 0..n {
-            if self.settled[v] == gen {
-                dist.push(self.dist[v]);
-                pred.push(self.pred[v]);
-            } else {
-                dist.push(f64::INFINITY);
-                pred.push(NO_PRED);
-            }
-        }
+        let dist = self.settled_dist(n);
+        let pred = (0..n)
+            .map(|v| {
+                if self.settled[v] == gen {
+                    self.pred[v]
+                } else {
+                    NO_PRED
+                }
+            })
+            .collect();
         let rho_sum = if track_rho {
             (0..n)
                 .map(|v| {
@@ -308,23 +386,136 @@ impl SsspArena {
 static ARENAS: riskroute_par::ScratchPool<SsspArena> =
     riskroute_par::ScratchPool::named("sssp_arena");
 
-/// Per-run bucket-queue quantization factor. The frontier advances by
-/// edge weight *plus* the target's entry cost, so the quantum must come
-/// from the mean of that full step — quantizing on edge weights alone
-/// piles the whole frontier into a handful of buckets whenever entry
-/// costs dominate (λ-scaled risk makes them ~10× the edge miles on the
-/// paper's weights), and the per-pop bucket min-scan degrades. Entry costs of ∞ (sanitized unreachable markers) carry
-/// no step information and are skipped. Pop order is byte-identical for
-/// any positive factor; this only tunes bucket occupancy.
-fn run_inv_quantum(csr: &CsrGraph, entry_costs: &[f64]) -> f64 {
-    let mut sum = 0.0f64;
-    for &c in entry_costs {
-        if c.is_finite() {
-            sum += c;
+/// What a run charges on entering a node, and whether it records ρ-sums.
+#[derive(Clone, Copy)]
+struct Metric<'a> {
+    beta: f64,
+    rho: &'a Rho,
+    /// Record β-independent ρ-sums down the tree (β = 0 runs of [`sssp`]
+    /// and [`sssp_to`]).
+    track_rho: bool,
+}
+
+impl<'a> Metric<'a> {
+    /// The β-scaled metric of [`sssp`]: a β = 0 run is the distance tree,
+    /// which records the ρ-sum channel.
+    fn scaled(beta: f64, rho: &'a Rho) -> Self {
+        Metric {
+            beta,
+            rho,
+            track_rho: beta == 0.0,
         }
     }
-    let mean_entry = sum / entry_costs.len().max(1) as f64;
-    inv_quantum_for_mean(csr.mean_weight + mean_entry)
+
+    /// The entry cost of `v`. β = 0 is the distance metric: the reference
+    /// path used a literal zero entry cost (never touching ρ, so a NaN ρ
+    /// leaves the node routable); otherwise the reference's sanitized
+    /// `β·ρ(v)`, computed at relaxation with the same bits a per-run fill
+    /// would hold.
+    #[inline]
+    fn entry(&self, v: usize) -> f64 {
+        if self.beta == 0.0 {
+            0.0
+        } else {
+            sanitize_cost(self.beta * self.rho[v])
+        }
+    }
+
+    /// Bucket-queue quantization factor. The frontier advances by edge
+    /// weight *plus* the entry cost, so the quantum comes from the mean of
+    /// that full step — quantizing on edge weights alone piles the whole
+    /// frontier into a handful of buckets whenever entry costs dominate
+    /// (λ-scaled risk makes them ~10× the edge miles on the paper's
+    /// weights). Pop order is byte-identical for any positive factor; this
+    /// only tunes bucket occupancy.
+    fn inv_quantum(&self, csr: &CsrGraph) -> f64 {
+        let entry = if self.beta == 0.0 {
+            0.0
+        } else {
+            self.beta * self.rho.mean
+        };
+        inv_quantum_for_mean(csr.mean_weight + entry)
+    }
+}
+
+/// The factor every lower bound is shrunk by before it keys the frontier:
+/// the slack that absorbs the rounding of the bound's own sums and of the
+/// path sums it bounds (DESIGN.md §"Goal-directed pair queries").
+const SHRINK: f64 = 1.0 - 1e-9;
+
+/// Graphs above this many nodes run pair queries with h ≡ 0: [`SHRINK`]'s
+/// slack covers the relative rounding of a sum of at most this many terms
+/// ((n + 4)·2⁻⁵³ ≈ 4.7·10⁻¹⁰ < 10⁻⁹).
+const MAX_GOAL_NODES: usize = 1 << 22;
+
+/// An A\* potential: a lower bound on the cost still to pay from a node to
+/// the stop node, zero at the stop node. `at(v)` is `+∞` only when `v`
+/// cannot reach the stop node at all (then `v` is never entered).
+trait Potential {
+    /// The zero potential, under which the kernel is plain Dijkstra and
+    /// needs no rerun checks.
+    const ZERO: bool = false;
+
+    fn at(&self, v: usize) -> f64;
+}
+
+/// h ≡ 0: plain Dijkstra (every full tree, every rerun).
+struct Zero;
+
+impl Potential for Zero {
+    const ZERO: bool = true;
+
+    #[inline]
+    fn at(&self, _: usize) -> f64 {
+        0.0
+    }
+}
+
+/// `(d0(v,t) + β·R(v,t))·SHRINK`, read off the target's [`LbRow`].
+struct RowPotential<'a> {
+    bounds: &'a [[f64; 2]],
+    beta: f64,
+}
+
+impl Potential for RowPotential<'_> {
+    #[inline]
+    fn at(&self, v: usize) -> f64 {
+        let [d0, r] = self.bounds[v];
+        if d0 == f64::INFINITY {
+            return f64::INFINITY;
+        }
+        let h = if self.beta == 0.0 {
+            d0
+        } else {
+            d0 + self.beta * r
+        };
+        // β·R overflowing (or a NaN β) keeps the miles half of the bound.
+        (if h.is_finite() { h } else { d0 }) * SHRINK
+    }
+}
+
+/// `R_earth·|x_v − x_t|·SHRINK`: the great-circle chord to the target.
+struct ChordPotential<'a> {
+    units: &'a [[f64; 3]],
+    to: [f64; 3],
+}
+
+impl Potential for ChordPotential<'_> {
+    #[inline]
+    fn at(&self, v: usize) -> f64 {
+        chord_miles(self.units[v], self.to) * SHRINK
+    }
+}
+
+/// The lower bound a pair query ([`sssp_to`]) keys its frontier on.
+#[derive(Debug, Clone, Copy)]
+pub enum Bound<'a> {
+    /// None: a plain early-exit Dijkstra.
+    Zero,
+    /// The target's lower-bound row.
+    Row(&'a LbRow),
+    /// The great-circle chord to the target.
+    Chord(&'a Chords),
 }
 
 /// Hot-loop tallies of one search, published to the collector by the
@@ -337,6 +528,9 @@ struct SearchStats {
     skipped: u64,
     /// The run broke at its stop node instead of draining the frontier.
     stopped: bool,
+    /// A goal-directed run met a state under which its answer could differ
+    /// from the plain run's; the query must rerun with h ≡ 0.
+    rerun: bool,
 }
 
 /// β-scaled SSSP from `source` over the CSR snapshot, using a pooled
@@ -350,63 +544,81 @@ struct SearchStats {
 ///
 /// # Panics
 /// Panics when `source` is out of range.
-pub fn sssp(csr: &CsrGraph, source: usize, beta: f64, rho: &[f64]) -> RiskTree {
+pub fn sssp(csr: &CsrGraph, source: usize, beta: f64, rho: &Rho) -> RiskTree {
+    let metric = Metric::scaled(beta, rho);
     ARENAS.with(SsspArena::new, |arena| {
-        run(arena, csr, source, beta, rho, None);
-        arena.tree(source, csr.node_count(), beta == 0.0)
+        run(arena, csr, source, metric, None, &Zero);
+        arena.tree(source, csr.node_count(), metric.track_rho)
     })
 }
 
-/// [`sssp`] for a pair query: the run stops right after `target` settles
-/// and returns the target's [`PairAnswer`], read straight off the arena in
-/// O(path length) — `None` when `target` is unreachable (the frontier
-/// drained first). Pops happen in the same `(cost, node)` order as the
-/// full run, and a node's dist/pred/ρ-sum are final once it settles, so
-/// the answer — the target and its whole tree path — is bit-for-bit the
-/// full run's.
+/// [`sssp`] for a pair query: an A\* on `bound` that stops right after
+/// `target` settles and returns the target's [`PairAnswer`], read straight
+/// off the arena in O(path length) — `None` when `target` is unreachable.
+/// The answer — the target's distance, its whole tree path and its ρ-sum —
+/// is bit-for-bit the full run's: a run that meets a tie (or any other
+/// state under which that could fail) reruns with h ≡ 0, counted as
+/// `risk_sssp_tie_reruns`.
 ///
 /// # Panics
-/// Panics when `source` or `target` is out of range.
+/// Panics when `source` or `target` is out of range, or when `bound` is a
+/// row built for another target.
 pub fn sssp_to(
     csr: &CsrGraph,
     source: usize,
     beta: f64,
-    rho: &[f64],
+    rho: &Rho,
     target: usize,
+    bound: Bound<'_>,
 ) -> Option<PairAnswer> {
-    assert!(target < csr.node_count(), "target {target} out of range");
+    let n = csr.node_count();
+    assert!(target < n, "target {target} out of range");
+    let metric = Metric::scaled(beta, rho);
+    let stop = Some(target);
     ARENAS.with(SsspArena::new, |arena| {
-        run(arena, csr, source, beta, rho, Some(target));
-        arena.pair_answer(target, beta == 0.0)
+        let exact = match bound {
+            _ if n > MAX_GOAL_NODES => run(arena, csr, source, metric, stop, &Zero),
+            Bound::Zero => run(arena, csr, source, metric, stop, &Zero),
+            Bound::Row(row) => {
+                assert_eq!(row.target, target, "a row answers its own target only");
+                let pot = RowPotential {
+                    bounds: &row.bounds,
+                    beta,
+                };
+                run(arena, csr, source, metric, stop, &pot)
+            }
+            Bound::Chord(chords) => {
+                let pot = ChordPotential {
+                    units: &chords.units,
+                    to: chords.units[target],
+                };
+                run(arena, csr, source, metric, stop, &pot)
+            }
+        };
+        // Published on every pair query, so a clean run reports 0.
+        riskroute_obs::counter_add("risk_sssp_tie_reruns", u64::from(!exact));
+        if !exact {
+            run(arena, csr, source, metric, stop, &Zero);
+        }
+        arena.pair_answer(target, metric.track_rho)
     })
 }
 
 /// Set the arena up for one run from `source` and search it to
 /// completion, or until `stop` settles; publishes the run's counters. The
-/// result stays in the arena for an extractor to read.
-fn run(
+/// result stays in the arena for an extractor to read. Returns `false`
+/// when a goal-directed run must be rerun with h ≡ 0.
+fn run<P: Potential>(
     arena: &mut SsspArena,
     csr: &CsrGraph,
     source: usize,
-    beta: f64,
-    rho: &[f64],
+    metric: Metric<'_>,
     stop: Option<usize>,
-) {
+    pot: &P,
+) -> bool {
     let n = csr.node_count();
     assert!(source < n, "source {source} out of range ({n} nodes)");
     arena.begin(n);
-    // β = 0 is the distance tree: the reference path used a literal zero
-    // entry cost (never touching ρ), and that is also the tree for which
-    // the β-independent ρ-sum channel is recorded.
-    let track_rho = beta == 0.0;
-    if track_rho {
-        arena.costs[..n].fill(0.0);
-    } else {
-        for (slot, &r) in arena.costs[..n].iter_mut().zip(rho) {
-            *slot = sanitize_cost(beta * r);
-        }
-    }
-
     let gen = arena.gen;
     arena.touched[source] = gen;
     arena.dist[source] = 0.0;
@@ -415,12 +627,16 @@ fn run(
     // so the loop can borrow the arena's flat buffers mutably alongside it
     // (a plain field borrow would alias).
     let mut q = std::mem::take(&mut arena.bucket);
-    q.reset(run_inv_quantum(csr, &arena.costs[..n]));
-    q.push(Entry {
-        cost: 0.0,
-        node: source,
-    });
-    let stats = search(arena, csr, source, track_rho, rho, stop, &mut q);
+    q.reset(metric.inv_quantum(csr));
+    let h = pot.at(source);
+    // A source that cannot reach the stop node settles nothing.
+    if h < f64::INFINITY {
+        q.push(Entry {
+            cost: h,
+            node: source,
+        });
+    }
+    let stats = search(arena, csr, source, metric, stop, pot, &mut q);
     arena.bucket = q;
     if riskroute_obs::is_enabled() {
         riskroute_obs::counter_add("risk_sssp_runs", 1);
@@ -433,19 +649,35 @@ fn run(
         riskroute_obs::counter_add("bucket_queue_settles", stats.settles);
         riskroute_obs::counter_add("bucket_relaxations_skipped", stats.skipped);
     }
+    !stats.rerun
 }
 
-/// The Dijkstra hot loop; the body is byte-for-byte the arithmetic of the
-/// reference SSSP. With a `stop` node the loop breaks right after that
-/// node settles (before relaxing its edges): everything settled so far is
-/// final.
-fn search(
+/// How far above the stop node's key the frontier is drained for entries
+/// the rounding of a goal-directed run could have kept behind it: n + 3
+/// units in the last place of the key (DESIGN.md §"Goal-directed pair
+/// queries"). Far below any real cost gap, so only true ties land in it.
+fn stop_margin(key: f64, n: usize) -> f64 {
+    (n as f64 + 3.0) * (key * f64::EPSILON + f64::from_bits(1))
+}
+
+/// The Dijkstra hot loop, keyed on `g + h` with relaxation on the settled
+/// `dist` (never on the popped key); under h ≡ 0 the body is byte-for-byte
+/// the arithmetic of the reference SSSP. With a `stop` node the loop
+/// breaks right after that node settles (before relaxing its edges):
+/// everything settled so far is final.
+///
+/// Under a non-zero potential the search gives up (`rerun`) on any state
+/// under which its answer could differ from the plain run's: a relaxation
+/// that ties a touched node's distance, one that reaches a settled node at
+/// or below its distance, a key that overflows, or an unsettled entry
+/// within [`stop_margin`] of the stop node's key once it settles.
+fn search<P: Potential>(
     arena: &mut SsspArena,
     csr: &CsrGraph,
     source: usize,
-    track_rho: bool,
-    rho: &[f64],
+    metric: Metric<'_>,
     stop: Option<usize>,
+    pot: &P,
     q: &mut BucketQueue,
 ) -> SearchStats {
     let gen = arena.gen;
@@ -456,48 +688,268 @@ fn search(
         settles: 0,
         skipped: 0,
         stopped: false,
+        rerun: false,
     };
-    while let Some(Entry { cost, node }) = q.pop() {
+    while let Some(Entry { cost: key, node }) = q.pop() {
         stats.pops += 1;
         if arena.settled[node] == gen {
             continue;
         }
         arena.settled[node] = gen;
         stats.settles += 1;
-        if track_rho {
+        if metric.track_rho {
             // pred[node] is final once the node settles, so the ρ-sum can
             // accumulate in path order (matching evaluate_path's order).
             arena.rho_sum[node] = if node == source {
                 0.0
             } else {
-                arena.rho_sum[arena.pred[node] as usize] + rho[node]
+                arena.rho_sum[arena.pred[node] as usize] + metric.rho[node]
             };
         }
         if stop == Some(node) {
             stats.stopped = true;
+            if !P::ZERO {
+                let limit = key + stop_margin(key, csr.node_count());
+                while let Some(e) = q.pop() {
+                    stats.pops += 1;
+                    if e.cost > limit {
+                        break;
+                    }
+                    if arena.settled[e.node] != gen {
+                        stats.rerun = true;
+                        break;
+                    }
+                }
+            }
             break;
         }
+        let g = arena.dist[node];
         for e in csr.edge_range(node) {
             let v = csr.targets[e] as usize;
             if arena.settled[v] == gen {
                 stats.skipped += 1;
+                if !P::ZERO && g + csr.weights[e] + metric.entry(v) <= arena.dist[v] {
+                    stats.rerun = true;
+                    return stats;
+                }
                 continue;
             }
-            let next = cost + csr.weights[e] + arena.costs[v];
-            if next < arena.dist_of(v) {
+            let next = g + csr.weights[e] + metric.entry(v);
+            let dv = arena.dist_of(v);
+            if next < dv {
+                let key = if P::ZERO {
+                    next
+                } else {
+                    let h = pot.at(v);
+                    if h == f64::INFINITY {
+                        continue;
+                    }
+                    let key = next + h;
+                    if key == f64::INFINITY {
+                        stats.rerun = true;
+                        return stats;
+                    }
+                    key
+                };
                 arena.touched[v] = gen;
                 arena.dist[v] = next;
                 arena.pred[v] = node as u32;
                 stats.relaxations += 1;
-                q.push(Entry {
-                    cost: next,
-                    node: v,
-                });
+                q.push(Entry { cost: key, node: v });
                 stats.peak = stats.peak.max(q.len());
+            } else if !P::ZERO && next == dv && next < f64::INFINITY {
+                stats.rerun = true;
+                return stats;
             }
         }
     }
     stats
+}
+
+/// The great-circle chord between two unit vectors, in miles.
+#[inline]
+fn chord_miles(a: [f64; 3], b: [f64; 3]) -> f64 {
+    let (dx, dy, dz) = (a[0] - b[0], a[1] - b[1], a[2] - b[2]);
+    EARTH_RADIUS_MILES * (dx * dx + dy * dy + dz * dz).sqrt()
+}
+
+/// Every PoP's unit 3-vector, for the great-circle chord bound of pair
+/// queries that have no [`LbRow`]. A chord is never longer than the arc
+/// over the same two points, so when every link is at least as long as its
+/// chord, the chord to the target bounds every path's miles (the triangle
+/// inequality in 3-space) — with no trig per read.
+#[derive(Debug)]
+pub struct Chords {
+    units: Vec<[f64; 3]>,
+}
+
+impl Chords {
+    /// The chord bound over `points`, or `None` when some edge of `csr`
+    /// is shorter than the chord between its endpoints (link miles that
+    /// are not the great-circle distance): the bound would not hold there.
+    ///
+    /// # Panics
+    /// Panics when `points` and `csr` disagree on the node count.
+    pub fn new(points: &[GeoPoint], csr: &CsrGraph) -> Option<Chords> {
+        assert_eq!(points.len(), csr.node_count(), "one point per node");
+        let units: Vec<[f64; 3]> = points
+            .iter()
+            .map(|p| {
+                let (lat, lon) = (p.lat_rad(), p.lon_rad());
+                [lat.cos() * lon.cos(), lat.cos() * lon.sin(), lat.sin()]
+            })
+            .collect();
+        let fits = (0..csr.node_count()).all(|u| {
+            csr.edge_range(u)
+                .all(|e| csr.weights[e] >= chord_miles(units[u], units[csr.targets[e] as usize]))
+        });
+        fits.then_some(Chords { units })
+    }
+}
+
+/// One target's lower-bound row: for every node v, `d0(v,t)`, the least
+/// link miles from v to t, and `R(v,t)`, the least Σ of historical
+/// `λ_h·o_h` over the nodes a path from v enters on its way to t. Every
+/// path's bit-risk miles are at least `d0 + β·R`, under every forecast
+/// (DESIGN.md §"Goal-directed pair queries").
+#[derive(Debug)]
+pub struct LbRow {
+    target: usize,
+    bounds: Vec<[f64; 2]>,
+}
+
+impl LbRow {
+    /// Target `t`'s row over `csr` under historical ρ `rho_h` (one entry
+    /// per node), built from scratch: t's distance tree and its Σρ search.
+    ///
+    /// # Panics
+    /// Panics when `t` is out of range or `rho_h` does not cover every
+    /// node.
+    pub fn new(csr: &CsrGraph, rho_h: &[f64], t: usize) -> LbRow {
+        assert_eq!(rho_h.len(), csr.node_count(), "one ρ per node");
+        let zeros = Rho::new(vec![0.0; csr.node_count()]);
+        LbRow::build(&csr.with_exit_costs(rho_h), &sssp(csr, t, 0.0, &zeros))
+    }
+
+    /// Build `d0_tree.source()`'s row: `d0` is that β = 0 tree's distance
+    /// row (links are undirected, so the distance from t is the distance
+    /// to t), and `R` one search from t over `exit`, the graph's
+    /// [exit-cost snapshot](CsrGraph::with_exit_costs) under historical ρ.
+    /// Counted as `lb_row_searches`.
+    fn build(exit: &CsrGraph, d0_tree: &RiskTree) -> LbRow {
+        let target = d0_tree.source();
+        let n = exit.node_count();
+        let none = Rho::new(Vec::new());
+        let metric = Metric {
+            beta: 0.0,
+            rho: &none,
+            track_rho: false,
+        };
+        let sigma = ARENAS.with(SsspArena::new, |arena| {
+            run(arena, exit, target, metric, None, &Zero);
+            arena.settled_dist(n)
+        });
+        riskroute_obs::counter_add("lb_row_searches", 1);
+        let bounds = d0_tree.dist_slice()[..n]
+            .iter()
+            .zip(sigma)
+            .map(|(&d0, r)| [d0, r])
+            .collect();
+        LbRow { target, bounds }
+    }
+}
+
+/// The most memory the lower-bound rows of every live planner may hold
+/// together; targets past it fall back to the chord bound.
+const LB_ROW_BUDGET_BYTES: usize = 32 << 20;
+
+/// Bytes held by the rows of every live [`LbRows`] in the process. A
+/// budget tally that publishes no data (each row is published by its
+/// `OnceLock`), so its updates are `Relaxed`.
+static LB_ROW_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+/// The lower-bound rows of one (topology, historical ρ) state: built per
+/// target on first use, and shared by every planner whose graph is this
+/// one or a subgraph of it (clones, forecast changes and removal-only
+/// scenario forks: removing links only raises true costs, so the rows stay
+/// lower bounds). A changed `λ_h` or an added link needs a new set.
+pub(crate) struct LbRows {
+    /// The graph the rows are exact for.
+    csr: Arc<CsrGraph>,
+    /// Historical `λ_h·o_h` per node (the exit costs of the Σρ searches).
+    rho_h: Vec<f64>,
+    exit: OnceLock<CsrGraph>,
+    rows: OnceLock<Box<[OnceLock<LbRow>]>>,
+    /// This set's share of [`LB_ROW_BYTES`].
+    bytes: AtomicUsize,
+}
+
+impl LbRows {
+    /// An empty set over `csr` under historical ρ `rho_h`.
+    pub(crate) fn new(csr: Arc<CsrGraph>, rho_h: Vec<f64>) -> Self {
+        LbRows {
+            csr,
+            rho_h,
+            exit: OnceLock::new(),
+            rows: OnceLock::new(),
+            bytes: AtomicUsize::new(0),
+        }
+    }
+
+    /// The graph the rows are built over.
+    pub(crate) fn csr(&self) -> &Arc<CsrGraph> {
+        &self.csr
+    }
+
+    /// Target `t`'s row, built on first request from `d0` (t's β = 0 tree
+    /// over [`Self::csr`]); `None` once the process-wide row budget is
+    /// spent.
+    pub(crate) fn row(&self, t: usize, d0: impl FnOnce() -> Arc<RiskTree>) -> Option<&LbRow> {
+        let n = self.csr.node_count();
+        let slot = &self
+            .rows
+            .get_or_init(|| (0..n).map(|_| OnceLock::new()).collect())[t];
+        if let Some(row) = slot.get() {
+            return Some(row);
+        }
+        // What the row is charged against the budget: its header and bounds.
+        let cost = std::mem::size_of::<LbRow>() + n * std::mem::size_of::<[f64; 2]>();
+        let fits = |total: usize| (total + cost <= LB_ROW_BUDGET_BYTES).then_some(total + cost);
+        let total = LB_ROW_BYTES
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, fits)
+            .ok()?
+            + cost;
+        let mut built = false;
+        let row = slot.get_or_init(|| {
+            built = true;
+            let exit = self
+                .exit
+                .get_or_init(|| self.csr.with_exit_costs(&self.rho_h));
+            LbRow::build(exit, &d0())
+        });
+        if built {
+            self.bytes.fetch_add(cost, Ordering::Relaxed);
+            riskroute_obs::gauge_set("lb_row_bytes", total as f64);
+        } else {
+            // Another worker built it first; hand the reservation back.
+            LB_ROW_BYTES.fetch_sub(cost, Ordering::Relaxed);
+        }
+        Some(row)
+    }
+}
+
+impl Drop for LbRows {
+    fn drop(&mut self) {
+        LB_ROW_BYTES.fetch_sub(*self.bytes.get_mut(), Ordering::Relaxed);
+    }
+}
+
+impl std::fmt::Debug for LbRows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LbRows")
+            .field("bytes", &self.bytes.load(Ordering::Relaxed))
+            .finish()
+    }
 }
 
 /// Key of one cached route tree: the SSSP root, the exact β bits (the cost
@@ -793,7 +1245,7 @@ mod tests {
         let csr = CsrGraph::from_adjacency(&adj);
         // ρ(2) scaled by β overflows to +inf → node 2 unroutable; node 3
         // has no links at all.
-        let rho = [0.0, 0.0, f64::MAX, 0.0];
+        let rho = Rho::new(vec![0.0, 0.0, f64::MAX, 0.0]);
         let tree = sssp(&csr, 0, f64::MAX, &rho);
         assert!(!tree.reachable(2));
         assert!(!tree.reachable(3));
@@ -806,9 +1258,35 @@ mod tests {
     }
 
     #[test]
+    fn rows_hold_least_miles_and_least_entered_risk() {
+        // A 0-1-2-3 line of 10-mile links plus a 100-mile 0-3 shortcut.
+        let adj = Adjacency::from_links(
+            4,
+            vec![(0, 1, 10.0), (1, 2, 10.0), (2, 3, 10.0), (0, 3, 100.0)],
+        );
+        let csr = CsrGraph::from_adjacency(&adj);
+        // R counts the nodes a path enters, the target included: from 1
+        // the detour 1→0→3 (1 + 8) beats 1→2→3 (4 + 8), though the line
+        // holds the least miles.
+        let row = LbRow::new(&csr, &[1.0, 2.0, 4.0, 8.0], 3);
+        assert_eq!(row.target, 3);
+        assert_eq!(
+            row.bounds,
+            vec![[30.0, 8.0], [20.0, 9.0], [10.0, 8.0], [0.0, 0.0]]
+        );
+        // Non-finite and negative historical risk counts as zero.
+        let row = LbRow::new(&csr, &[1.0, f64::NAN, -3.0, 8.0], 3);
+        assert_eq!(
+            row.bounds,
+            vec![[30.0, 8.0], [20.0, 8.0], [10.0, 8.0], [0.0, 0.0]]
+        );
+        assert_eq!(Rho::new(vec![1.0, f64::NAN, -1.0, 3.0]).mean, 1.0);
+    }
+
+    #[test]
     fn rho_sums_accumulate_in_path_order() {
         let adj = square();
-        let rho = [1.0, 100.0, 7.0, 3.0];
+        let rho = Rho::new(vec![1.0, 100.0, 7.0, 3.0]);
         let csr = CsrGraph::from_adjacency(&adj);
         let tree = sssp(&csr, 0, 0.0, &rho);
         // 0→2 ties (via 1 or via 3); the (cost, node) tie-break settles the
@@ -822,7 +1300,7 @@ mod tests {
     #[test]
     fn arena_generations_isolate_consecutive_runs() {
         let adj = square();
-        let rho = [0.0; 4];
+        let rho = Rho::new(vec![0.0; 4]);
         let csr = CsrGraph::from_adjacency(&adj);
         // Repeated runs from different sources through the pooled arenas
         // must not leak state between generations.
@@ -858,7 +1336,7 @@ mod tests {
         let cache = RouteTreeCache::new();
         let adj = square();
         let csr = CsrGraph::from_adjacency(&adj);
-        let tree = Arc::new(sssp(&csr, 0, 0.0, &[0.0; 4]));
+        let tree = Arc::new(sssp(&csr, 0, 0.0, &Rho::new(vec![0.0; 4])));
         let key = TreeKey {
             root: 0,
             beta_bits: 0,
@@ -885,7 +1363,7 @@ mod tests {
         // Line 0-…-7 plus an isolated PoP 8.
         let adj = Adjacency::from_links(9, (0..7).map(|u| (u, u + 1, 10.0)));
         let csr = CsrGraph::from_adjacency(&adj);
-        let rho = [0.0; 9];
+        let rho = Rho::new(vec![0.0; 9]);
         let cache = RouteTreeCache::new();
         let key = TreeKey {
             root: 0,
@@ -895,7 +1373,11 @@ mod tests {
         let full = Arc::new(sssp(&csr, 0, 1.0, &rho));
         let (_, hits, misses) = lookups(|| {
             assert!(cache.pair(&key, 5).is_none());
-            cache.insert_pair(key, 5, sssp_to(&csr, 0, 1.0, &rho, 5).map(Arc::new));
+            cache.insert_pair(
+                key,
+                5,
+                sssp_to(&csr, 0, 1.0, &rho, 5, Bound::Zero).map(Arc::new),
+            );
             assert!(matches!(
                 cache.pair(&key, 5),
                 Some(Some(a)) if a.path == [0, 1, 2, 3, 4, 5] && a.dist == 50.0
@@ -906,7 +1388,7 @@ mod tests {
             // Full-tree readers never see a pair entry.
             assert!(cache.tree(&key).is_none());
             // An unreachable target is cached as such.
-            let none = sssp_to(&csr, 0, 1.0, &rho, 8).map(Arc::new);
+            let none = sssp_to(&csr, 0, 1.0, &rho, 8, Bound::Zero).map(Arc::new);
             assert!(none.is_none());
             cache.insert_pair(key, 8, none);
             assert!(matches!(cache.pair(&key, 8), Some(None)));
@@ -932,7 +1414,7 @@ mod tests {
         let n = 10_000;
         let adj = Adjacency::from_links(n, (1..n).map(|u| (u - 1, u, 1.0)));
         let csr = CsrGraph::from_adjacency(&adj);
-        let rho = vec![0.5; n];
+        let rho = Rho::new(vec![0.5; n]);
         let tree = Arc::new(sssp(&csr, 0, 0.0, &rho));
         let per_tree = tree_bytes(&tree);
         assert!(per_tree >= 20 * n + TREE_OVERHEAD_BYTES);
@@ -944,7 +1426,7 @@ mod tests {
             stamp,
         };
         for (target, hops) in [(3, 4), (99, 100)] {
-            let answer = sssp_to(&csr, 0, 0.0, &rho, target).map(Arc::new);
+            let answer = sssp_to(&csr, 0, 0.0, &rho, target, Bound::Zero).map(Arc::new);
             let a = answer.as_ref().unwrap();
             assert_eq!(a.path.len(), hops);
             assert_eq!(a.rho_sum, 0.5 * (hops - 1) as f64);
@@ -966,11 +1448,11 @@ mod tests {
         }
         assert_eq!(cache.len(), fit);
         let room = CACHE_BUDGET_BYTES - cache.bytes();
-        let far = sssp_to(&csr, 0, 0.0, &rho, n - 1).map(Arc::new);
+        let far = sssp_to(&csr, 0, 0.0, &rho, n - 1, Bound::Zero).map(Arc::new);
         assert!(pair_bytes(&far) > room);
         cache.insert_pair(key(0), n - 1, far);
         assert_eq!(cache.len(), fit);
-        let near = sssp_to(&csr, 0, 0.0, &rho, 3).map(Arc::new);
+        let near = sssp_to(&csr, 0, 0.0, &rho, 3, Bound::Zero).map(Arc::new);
         cache.insert_pair(key(0), 3, near.clone());
         assert_eq!(cache.len(), fit + 1);
         assert_eq!(cache.bytes(), fit * per_tree + pair_bytes(&near));

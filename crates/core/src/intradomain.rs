@@ -1,11 +1,12 @@
 //! Intradomain RiskRoute (§6.1): minimum bit-risk-mile routing within one
 //! provider and the aggregate trade-off against shortest-path routing.
 
-use crate::engine::{self, CsrGraph, RouteTreeCache, TreeKey};
+use crate::engine::{self, Bound, Chords, CsrGraph, LbRow, LbRows, Rho, RouteTreeCache, TreeKey};
 use crate::error::Error;
 use crate::metric::{NodeRisk, RiskWeights};
 use crate::ratios::{PairOutcome, RatioReport};
 use crate::routing::{evaluate_path, Adjacency, PairAnswer, RiskTree, RoutedPath};
+use riskroute_geo::GeoPoint;
 use riskroute_hazard::HistoricalRisk;
 use riskroute_par::Parallelism;
 use riskroute_population::{PopShares, PopulationModel};
@@ -28,8 +29,18 @@ pub(crate) fn unordered_pairs(n: usize) -> Vec<(usize, usize)> {
 /// for one cost state — the exact per-node value `entry_cost` closures
 /// computed on the fly before the engine refactor, so β·ρ(v) is bitwise
 /// unchanged.
-fn compute_rho(risk: &NodeRisk, weights: RiskWeights) -> Vec<f64> {
-    (0..risk.len()).map(|v| risk.scaled(v, weights)).collect()
+fn compute_rho(risk: &NodeRisk, weights: RiskWeights) -> Rho {
+    Rho::new((0..risk.len()).map(|v| risk.scaled(v, weights)).collect())
+}
+
+/// An empty set of lower-bound rows over `csr` under the historical half
+/// `λ_h·o_h` of ρ — the same first product `compute_rho` adds the forecast
+/// term to, so ρ ≥ it bit for bit under every forecast.
+fn lb_rows(csr: &Arc<CsrGraph>, risk: &NodeRisk, weights: RiskWeights) -> Arc<LbRows> {
+    let rho_h = (0..risk.len())
+        .map(|v| weights.lambda_h * risk.historical(v))
+        .collect();
+    Arc::new(LbRows::new(Arc::clone(csr), rho_h))
 }
 
 /// Whether two vectors are equal bit for bit (so `-0.0 ≠ 0.0`): the test
@@ -68,7 +79,10 @@ impl PairSweep {
 /// route-tree cache shared by clones of this planner. The cache is keyed
 /// by a cost-state `stamp` minted whenever risk or weights change, so a
 /// stale tree can never be observed; [`Self::with_route_cache`] turns
-/// reuse off for debugging without changing a single output bit.
+/// reuse off for debugging without changing a single output bit. Pair
+/// queries run goal-directed on lower-bound rows ([`Self::pair_sweep`]) or
+/// the chord bound ([`Self::pair_list_sweep`]), with answers bit-identical
+/// to plain Dijkstra's.
 #[derive(Debug, Clone)]
 pub struct Planner {
     adjacency: Adjacency,
@@ -80,12 +94,19 @@ pub struct Planner {
     /// Precomputed λ-combined per-PoP risk `ρ(v) = risk.scaled(v, weights)`
     /// under the current cost state (shared with clones; rebuilt on any
     /// risk/weight mutation).
-    rho: Arc<Vec<f64>>,
+    rho: Arc<Rho>,
     /// Cost-state stamp naming the (topology, ρ) state all cached trees
     /// were computed under (see [`engine::next_stamp`]).
     stamp: u64,
     cache: Arc<RouteTreeCache>,
     route_cache: bool,
+    /// Lower-bound rows for [`Self::pair_sweep`]'s queries, built per
+    /// target on first use. Shared by clones and removal-only forks;
+    /// replaced by [`Self::set_weights`].
+    rows: Arc<LbRows>,
+    /// The chord bound for queries without a row; `None` when some link
+    /// is shorter than its chord.
+    chords: Option<Arc<Chords>>,
 }
 
 impl Planner {
@@ -107,8 +128,11 @@ impl Planner {
         let csr = Arc::new(CsrGraph::from_adjacency(&adjacency));
         let rho = Arc::new(compute_rho(&risk, weights));
         let cache = Arc::new(RouteTreeCache::new());
+        let points: Vec<GeoPoint> = network.pops().iter().map(|p| p.location).collect();
+        let chords = Chords::new(&points, &csr).map(Arc::new);
         Planner {
             adjacency,
+            rows: lb_rows(&csr, &risk, weights),
             csr,
             risk,
             shares,
@@ -118,6 +142,7 @@ impl Planner {
             stamp: engine::next_stamp(),
             cache,
             route_cache: true,
+            chords,
         }
     }
 
@@ -196,13 +221,15 @@ impl Planner {
         self.weights
     }
 
-    /// Replace the λ weights. A changed value rebuilds ρ and retires every
-    /// cached route tree (unchanged values are a no-op).
+    /// Replace the λ weights. A changed value rebuilds ρ, retires every
+    /// cached route tree and drops the lower-bound rows (unchanged values
+    /// are a no-op).
     pub fn set_weights(&mut self, weights: RiskWeights) {
         if weights == self.weights {
             return;
         }
         self.weights = weights;
+        self.rows = lb_rows(&self.csr, &self.risk, weights);
         self.refresh_cost_state();
     }
 
@@ -272,11 +299,8 @@ impl Planner {
         self.routed_on(&self.risk_tree(i, beta), j, beta)
     }
 
-    /// [`risk_route`](Self::risk_route) for the pair sweeps, which read
-    /// one path per (root, β): served by a [`pair_answer`](Self::pair_answer).
-    fn pair_risk_route(&self, i: usize, j: usize) -> Option<RoutedPath> {
-        let beta = self.impact(i, j);
-        let answer = self.pair_answer(i, beta, j)?;
+    /// [`risk_route`](Self::risk_route) read off a pair query's answer.
+    fn answer_route(&self, answer: &PairAnswer, beta: f64) -> Option<RoutedPath> {
         // Answer paths traverse real links by construction.
         evaluate_path(&self.adjacency, &answer.path, self.entry_cost(beta)).ok()
     }
@@ -327,20 +351,49 @@ impl Planner {
 
     /// The answer to a pair query from `root` to `target` under metric β
     /// (`None` when unreachable): the cached answer for this very pair, else
-    /// read off a cached complete tree under `(root, β)`, else an early-exit
-    /// run that stops once `target` settles, whose answer is cached.
-    fn pair_answer(&self, root: usize, beta: f64, target: usize) -> Option<Arc<PairAnswer>> {
+    /// read off a cached complete tree under `(root, β)`, else a
+    /// goal-directed run that stops once `target` settles. A `sweep` query
+    /// ([`Self::pair_sweep`]) runs on the target's lower-bound row and
+    /// caches its answer; a pair-list query runs on the chord bound and
+    /// caches nothing, since no list reads a pair twice.
+    fn pair_answer(
+        &self,
+        root: usize,
+        beta: f64,
+        target: usize,
+        sweep: bool,
+    ) -> Option<Arc<PairAnswer>> {
         let key = self.tree_key(root, beta);
         if self.route_cache {
             if let Some(answer) = self.cache.pair(&key, target) {
                 return answer;
             }
         }
-        let answer = engine::sssp_to(&self.csr, root, beta, &self.rho, target).map(Arc::new);
-        if self.route_cache {
+        let row = if sweep { self.lb_row(target) } else { None };
+        let bound = match (row, &self.chords) {
+            (Some(row), _) => Bound::Row(row),
+            (None, Some(chords)) => Bound::Chord(chords),
+            (None, None) => Bound::Zero,
+        };
+        let answer = engine::sssp_to(&self.csr, root, beta, &self.rho, target, bound).map(Arc::new);
+        if self.route_cache && sweep {
             self.cache.insert_pair(key, target, answer.clone());
         }
         answer
+    }
+
+    /// Target `t`'s lower-bound row, built on first request; `None` over
+    /// the row budget. Its distance half is t's β = 0 tree over the rows'
+    /// graph — this planner's own cached tree unless this planner is a
+    /// fork of that graph.
+    fn lb_row(&self, t: usize) -> Option<&LbRow> {
+        self.rows.row(t, || {
+            if Arc::ptr_eq(&self.csr, self.rows.csr()) {
+                self.risk_tree_distance(t)
+            } else {
+                Arc::new(engine::sssp(self.rows.csr(), t, 0.0, &self.rho))
+            }
+        })
     }
 
     /// The cache key of the tree rooted at `root` under metric β in the
@@ -380,7 +433,10 @@ impl Planner {
                 continue;
             };
             let shortest = shortest_from(answer, beta);
-            let Some(risk_route) = self.pair_risk_route(i, j) else {
+            let risk_route = self
+                .pair_answer(i, beta, j, true)
+                .and_then(|a| self.answer_route(&a, beta));
+            let Some(risk_route) = risk_route else {
                 out.stranded.push((i, j));
                 continue;
             };
@@ -426,11 +482,17 @@ impl Planner {
     /// Route one explicit (i, j) pair: the shortest-path and RiskRoute legs
     /// of a [`PairOutcome`], or `None` when the pair is stranded. No tree
     /// is shared across a pair list's sources, so both legs read pair
-    /// answers.
+    /// answers; at β = 0 the two legs are one query.
     fn route_pair(&self, i: usize, j: usize) -> Option<PairOutcome> {
-        let distance = self.pair_answer(i, 0.0, j)?;
-        let shortest = shortest_from(Arc::unwrap_or_clone(distance), self.impact(i, j));
-        let risk_route = self.pair_risk_route(i, j)?;
+        let beta = self.impact(i, j);
+        let distance = self.pair_answer(i, 0.0, j, false)?;
+        let risk_route = if beta == 0.0 {
+            self.answer_route(&distance, beta)
+        } else {
+            self.pair_answer(i, beta, j, false)
+                .and_then(|a| self.answer_route(&a, beta))
+        }?;
+        let shortest = shortest_from(Arc::unwrap_or_clone(distance), beta);
         Some(PairOutcome {
             src: i,
             dst: j,
@@ -546,7 +608,9 @@ impl Planner {
     /// *returned* to the base; the private cache also keeps fork churn from
     /// evicting base state. Deactivated nodes keep their indices (they
     /// simply lose all edges), so shares, risk, and pair indexing stay
-    /// aligned with the base network.
+    /// aligned with the base network. The fork shares the base's
+    /// lower-bound rows and chord bound: a masked graph only loses links,
+    /// so every bound of the base still holds.
     ///
     /// # Panics
     /// Panics when a forecast override has the wrong length or invalid
@@ -575,6 +639,8 @@ impl Planner {
             stamp: engine::next_stamp(),
             cache,
             route_cache: self.route_cache,
+            rows: Arc::clone(&self.rows),
+            chords: self.chords.clone(),
         }
     }
 
@@ -960,12 +1026,17 @@ mod tests {
     fn pair_answers_stay_out_of_full_tree_readers() {
         // Uniform shares: β = 0.5 for every pair. From West (0) the safe
         // North PoP (1) settles first, so a pair query to it stops before
-        // South (2) and East (3) settle.
+        // South (2) and East (3) settle. Its lower-bound row brings target
+        // 1's distance tree into the cache beside the two pair answers.
         let p = planner(1e5);
-        assert_eq!(p.pair_answer(0, 0.5, 1).unwrap().path, vec![0, 1]);
-        assert_eq!(p.pair_answer(0, 0.0, 1).unwrap().path, vec![0, 1]);
-        assert_eq!(p.cache.len(), 2);
+        assert_eq!(p.pair_answer(0, 0.5, 1, true).unwrap().path, vec![0, 1]);
+        assert_eq!(p.pair_answer(0, 0.0, 1, true).unwrap().path, vec![0, 1]);
+        assert_eq!(p.cache.len(), 3);
+        assert!(p.cached_distance_tree(1).is_some());
         assert!(p.cached_distance_tree(0).is_none());
+        // A pair-list query caches nothing.
+        assert_eq!(p.pair_answer(0, 0.5, 2, false).unwrap().path, vec![0, 2]);
+        assert_eq!(p.cache.len(), 3);
 
         // Greedy adoption leaves pair answers behind.
         let (net, risk, shares) = diamond();
@@ -986,9 +1057,9 @@ mod tests {
         // tree then serves pair queries for every other target.
         let full = p.risk_tree(0, 0.5);
         assert_eq!(full.path_to(3), Some(vec![0, 1, 3]));
-        assert_eq!(p.cache.len(), 3);
-        assert_eq!(p.pair_answer(0, 0.5, 3).unwrap().path, vec![0, 1, 3]);
-        assert_eq!(p.cache.len(), 3, "a tree hit stores no pair answer");
+        assert_eq!(p.cache.len(), 4);
+        assert_eq!(p.pair_answer(0, 0.5, 3, true).unwrap().path, vec![0, 1, 3]);
+        assert_eq!(p.cache.len(), 4, "a tree hit stores no pair answer");
         p.risk_tree_distance(0);
         assert!(p.cached_distance_tree(0).is_some());
         let mut next = rebuild();

@@ -108,7 +108,7 @@ pub fn evaluate_ospf(
             .zip(link_weights)
             .map(|(l, &w)| (l.a, l.b, w)),
     ));
-    let zeros = vec![0.0; n];
+    let zeros = engine::Rho::new(vec![0.0; n]);
     let mut identical = 0usize;
     let mut excess_sum = 0.0;
     let mut pairs = 0usize;

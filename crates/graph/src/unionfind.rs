@@ -1,11 +1,10 @@
 //! Disjoint-set forest (union-find) with path halving and union by rank.
 
-/// A disjoint-set forest over `0..len`.
+/// A disjoint-set forest over `0..n`.
 #[derive(Debug, Clone)]
 pub struct UnionFind {
     parent: Vec<usize>,
     rank: Vec<u8>,
-    sets: usize,
 }
 
 impl UnionFind {
@@ -14,29 +13,13 @@ impl UnionFind {
         UnionFind {
             parent: (0..n).collect(),
             rank: vec![0; n],
-            sets: n,
         }
-    }
-
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.parent.len()
-    }
-
-    /// Whether the structure is empty.
-    pub fn is_empty(&self) -> bool {
-        self.parent.is_empty()
-    }
-
-    /// Number of disjoint sets remaining.
-    pub fn set_count(&self) -> usize {
-        self.sets
     }
 
     /// Representative of `x`'s set (with path halving).
     ///
     /// # Panics
-    /// Panics when `x >= len()`.
+    /// Panics when `x` is not below the element count.
     pub fn find(&mut self, mut x: usize) -> usize {
         while self.parent[x] != x {
             self.parent[x] = self.parent[self.parent[x]];
@@ -52,7 +35,6 @@ impl UnionFind {
         if ra == rb {
             return false;
         }
-        self.sets -= 1;
         match self.rank[ra].cmp(&self.rank[rb]) {
             std::cmp::Ordering::Less => self.parent[ra] = rb,
             std::cmp::Ordering::Greater => self.parent[rb] = ra,
@@ -63,11 +45,6 @@ impl UnionFind {
         }
         true
     }
-
-    /// Whether `a` and `b` are in the same set.
-    pub fn connected(&mut self, a: usize, b: usize) -> bool {
-        self.find(a) == self.find(b)
-    }
 }
 
 #[cfg(test)]
@@ -75,26 +52,30 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
 
-    #[test]
-    fn singletons_are_disjoint() {
-        let mut uf = UnionFind::new(4);
-        assert_eq!(uf.set_count(), 4);
-        assert!(!uf.connected(0, 1));
-        assert_eq!(uf.len(), 4);
-        assert!(!uf.is_empty());
+    /// Whether `a` and `b` share a representative.
+    fn same(uf: &mut UnionFind, a: usize, b: usize) -> bool {
+        uf.find(a) == uf.find(b)
     }
 
     #[test]
-    fn union_merges_and_counts() {
+    fn singletons_are_disjoint() {
+        let mut uf = UnionFind::new(4);
+        for x in 0..4 {
+            assert_eq!(uf.find(x), x);
+        }
+        assert!(!same(&mut uf, 0, 1));
+    }
+
+    #[test]
+    fn union_merges() {
         let mut uf = UnionFind::new(4);
         assert!(uf.union(0, 1));
         assert!(uf.union(2, 3));
-        assert_eq!(uf.set_count(), 2);
-        assert!(uf.connected(0, 1));
-        assert!(!uf.connected(0, 2));
+        assert!(same(&mut uf, 0, 1));
+        assert!(same(&mut uf, 2, 3));
+        assert!(!same(&mut uf, 0, 2));
         assert!(uf.union(1, 2));
-        assert_eq!(uf.set_count(), 1);
-        assert!(uf.connected(0, 3));
+        assert!(same(&mut uf, 0, 3));
     }
 
     #[test]
@@ -102,14 +83,14 @@ mod tests {
         let mut uf = UnionFind::new(3);
         assert!(uf.union(0, 1));
         assert!(!uf.union(1, 0));
-        assert_eq!(uf.set_count(), 2);
+        assert!(!same(&mut uf, 1, 2));
     }
 
     #[test]
     fn self_union_is_noop() {
         let mut uf = UnionFind::new(2);
         assert!(!uf.union(1, 1));
-        assert_eq!(uf.set_count(), 2);
+        assert!(!same(&mut uf, 0, 1));
     }
 
     #[test]
@@ -118,14 +99,7 @@ mod tests {
         for i in 0..99 {
             uf.union(i, i + 1);
         }
-        assert_eq!(uf.set_count(), 1);
-        assert!(uf.connected(0, 99));
-    }
-
-    #[test]
-    fn empty_structure() {
-        let uf = UnionFind::new(0);
-        assert!(uf.is_empty());
-        assert_eq!(uf.set_count(), 0);
+        let root = uf.find(0);
+        assert!((0..100).all(|x| uf.find(x) == root));
     }
 }

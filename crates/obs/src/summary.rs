@@ -211,31 +211,37 @@ pub fn render_trace_table(rows: &[TraceSummary]) -> String {
 }
 
 /// The SSSP-engine counters [`render_engine_counters`] reports, in order:
-/// runs, how many of them stopped early at a pair query's target, settles,
-/// and the route-cache lookups.
-pub const ENGINE_COUNTERS: [&str; 5] = [
+/// runs, how many of them stopped early at a pair query's target, how many
+/// goal-directed queries reran with h ≡ 0, settles, the lower-bound row
+/// searches and the bytes the rows hold (a gauge), and the route-cache
+/// lookups.
+pub const ENGINE_COUNTERS: [&str; 8] = [
     "risk_sssp_runs",
     "risk_sssp_early_exits",
+    "risk_sssp_tie_reruns",
     "risk_sssp_pops",
+    "lb_row_searches",
+    "lb_row_bytes",
     "route_cache_hits",
     "route_cache_misses",
 ];
 
 /// Render the process-wide [`ENGINE_COUNTERS`] a parsed JSONL export
-/// carries as an aligned counter · value table; empty when it carries
-/// none of them.
+/// carries (as counter or gauge lines) as an aligned counter · value
+/// table; empty when it carries none of them.
 pub fn render_engine_counters(lines: &[ObsLine]) -> String {
-    let values: BTreeMap<&str, u64> = lines
+    let values: BTreeMap<&str, String> = lines
         .iter()
         .filter_map(|l| match l {
-            ObsLine::Counter { name, value } => Some((name.as_str(), *value)),
+            ObsLine::Counter { name, value } => Some((name.as_str(), value.to_string())),
+            ObsLine::Gauge { name, value } => Some((name.as_str(), value.to_string())),
             _ => None,
         })
         .collect();
     let mut cells = vec![vec!["counter".to_string(), "value".to_string()]];
     for name in ENGINE_COUNTERS {
         if let Some(v) = values.get(name) {
-            cells.push(vec![name.to_string(), v.to_string()]);
+            cells.push(vec![name.to_string(), v.clone()]);
         }
     }
     if cells.len() == 1 {
@@ -328,16 +334,26 @@ mod tests {
         assert!(render_engine_counters(&[counter("other", 1)]).is_empty());
         let text = render_engine_counters(&[
             counter("route_cache_hits", 4),
+            ObsLine::Gauge {
+                name: "lb_row_bytes".into(),
+                value: 4096.0,
+            },
             counter("risk_sssp_early_exits", 7),
             counter("risk_sssp_runs", 9),
         ]);
-        let names: Vec<&str> = text
+        let rows: Vec<Vec<&str>> = text
             .lines()
-            .filter_map(|l| l.split_whitespace().next())
+            .map(|l| l.split_whitespace().collect())
             .collect();
         assert_eq!(
-            names,
-            ["counter", "risk_sssp_runs", "risk_sssp_early_exits", "route_cache_hits"]
+            rows,
+            [
+                ["counter", "value"],
+                ["risk_sssp_runs", "9"],
+                ["risk_sssp_early_exits", "7"],
+                ["lb_row_bytes", "4096"],
+                ["route_cache_hits", "4"],
+            ]
         );
     }
 

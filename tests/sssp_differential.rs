@@ -23,16 +23,17 @@
 //!    every pair query; forecast-only forks share the base stamp when ρ is
 //!    bitwise unchanged and adopt base distance trees otherwise.
 
-use riskroute::engine::{sssp, sssp_to, CsrGraph};
+use riskroute::engine::{sssp, sssp_to, Bound, Chords, CsrGraph, LbRow, Rho};
 use riskroute::prelude::*;
-use riskroute::provisioning::{greedy_links_budgeted, greedy_links_resume};
+use riskroute::provisioning::{greedy_links_budgeted, greedy_links_resume, with_extra_link};
 use riskroute::replay::{
     raw_advisories, replay_raw_advisories_budgeted, replay_storm, DisasterReplay, ReplaySession,
     ReplayTick,
 };
-use riskroute::routing::{risk_sssp, Adjacency, RiskTree};
+use riskroute::routing::{risk_sssp, Adjacency, PairAnswer, RiskTree};
 use riskroute::scenario::{base_exposure, run_sweep_budgeted, SweepPrior};
 use riskroute::PairOutcome;
+use riskroute_geo::distance::great_circle_miles;
 use riskroute_geo::GeoPoint;
 use riskroute_obs::{trace_counters, ObsScope};
 use riskroute_rng::StdRng;
@@ -117,7 +118,10 @@ fn path_rho_sum(oracle: &RiskTree, rho: &[f64], v: usize) -> f64 {
 /// snapshot, ρ, β, and the oracle tree per source. At β = 0 the oracle
 /// charges a literal zero entry cost, the distance tree the kernel
 /// computes without reading ρ (so a NaN ρ leaves it routable).
-fn engine_cases(seed: u64, mut check: impl FnMut(&str, &CsrGraph, &[f64], f64, &[RiskTree])) {
+fn engine_cases(
+    seed: u64,
+    mut check: impl FnMut(&str, &Adjacency, &CsrGraph, &Rho, f64, &[RiskTree]),
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut cases: Vec<(Adjacency, Vec<f64>)> = (0..GRAPH_CASES)
         .map(|_| {
@@ -127,20 +131,33 @@ fn engine_cases(seed: u64, mut check: impl FnMut(&str, &CsrGraph, &[f64], f64, &
         })
         .collect();
     cases.push(square_case());
-    for (case, (adj, rho)) in cases.iter().enumerate() {
-        let csr = CsrGraph::from_adjacency(adj);
+    for (case, (adj, rho)) in cases.into_iter().enumerate() {
+        let csr = CsrGraph::from_adjacency(&adj);
+        let rho = Rho::new(rho);
         for beta in BETAS {
-            let oracle: Vec<RiskTree> = (0..adj.node_count())
-                .map(|s| risk_sssp(adj, s, |v| if beta == 0.0 { 0.0 } else { beta * rho[v] }))
-                .collect();
-            check(&format!("case {case} β {beta}"), &csr, rho, beta, &oracle);
+            let oracle = oracle_trees(&adj, &rho, beta);
+            check(
+                &format!("case {case} β {beta}"),
+                &adj,
+                &csr,
+                &rho,
+                beta,
+                &oracle,
+            );
         }
     }
 }
 
+/// The oracle tree from every source under metric β over ρ.
+fn oracle_trees(adj: &Adjacency, rho: &[f64], beta: f64) -> Vec<RiskTree> {
+    (0..adj.node_count())
+        .map(|s| risk_sssp(adj, s, |v| if beta == 0.0 { 0.0 } else { beta * rho[v] }))
+        .collect()
+}
+
 #[test]
 fn engine_sssp_matches_the_oracle() {
-    engine_cases(0x5ca1e, |at, csr, rho, beta, oracle| {
+    engine_cases(0x5ca1e, |at, _, csr, rho, beta, oracle| {
         for (source, expect) in oracle.iter().enumerate() {
             let tree = sssp(csr, source, beta, rho);
             for v in 0..csr.node_count() {
@@ -164,42 +181,58 @@ fn engine_sssp_matches_the_oracle() {
     });
 }
 
+/// Check one pair query's answer against the oracle tree: path, distance
+/// bits, and the ρ-sum of a β = 0 query (NaN for any other β).
+fn assert_answer(
+    at: &str,
+    answer: Option<&PairAnswer>,
+    expect: &RiskTree,
+    rho: &[f64],
+    beta: f64,
+    target: usize,
+) {
+    let Some(answer) = answer else {
+        assert!(!expect.reachable(target), "{at}: reachable target lost");
+        return;
+    };
+    assert_eq!(
+        Some(&answer.path),
+        expect.path_to(target).as_ref(),
+        "{at}: path"
+    );
+    assert_eq!(
+        answer.dist.to_bits(),
+        expect.dist(target).to_bits(),
+        "{at}: dist"
+    );
+    if beta == 0.0 {
+        assert_eq!(
+            answer.rho_sum.to_bits(),
+            path_rho_sum(expect, rho, target).to_bits(),
+            "{at}: rho_sum"
+        );
+    } else {
+        assert!(answer.rho_sum.is_nan(), "{at}: rho_sum off β = 0");
+    }
+}
+
 #[test]
 fn pair_answer_matches_the_oracle() {
     let ((), c) = counted(|| {
-        engine_cases(0xea51, |at, csr, rho, beta, oracle| {
+        engine_cases(0xea51, |at, _, csr, rho, beta, oracle| {
             for (source, expect) in oracle.iter().enumerate() {
                 let tree = sssp(csr, source, beta, rho);
                 for target in 0..csr.node_count() {
                     let at = format!("{at} {source}→{target}");
-                    let answer = sssp_to(csr, source, beta, rho, target);
-                    let Some(answer) = answer else {
-                        assert!(!expect.reachable(target), "{at}: reachable target lost");
-                        assert!(tree.pair_answer(target).is_none(), "{at}: whole-tree read");
-                        continue;
-                    };
-                    assert_eq!(
-                        Some(&answer.path),
-                        expect.path_to(target).as_ref(),
-                        "{at}: path"
-                    );
-                    assert_eq!(
-                        answer.dist.to_bits(),
-                        expect.dist(target).to_bits(),
-                        "{at}: dist"
-                    );
-                    if beta == 0.0 {
-                        assert_eq!(
-                            answer.rho_sum.to_bits(),
-                            path_rho_sum(expect, rho, target).to_bits(),
-                            "{at}: rho_sum"
-                        );
-                    } else {
-                        assert!(answer.rho_sum.is_nan(), "{at}: rho_sum off β = 0");
-                    }
+                    let answer = sssp_to(csr, source, beta, rho, target, Bound::Zero);
+                    assert_answer(&at, answer.as_ref(), expect, rho, beta, target);
                     // The whole tree's read of the same target is the same
                     // answer, bit for bit.
-                    let whole = tree.pair_answer(target).expect("reachable in the tree");
+                    let whole = tree.pair_answer(target);
+                    assert_eq!(answer.is_some(), whole.is_some(), "{at}: whole-tree read");
+                    let (Some(answer), Some(whole)) = (answer, whole) else {
+                        continue;
+                    };
                     assert_eq!(answer.path, whole.path, "{at}: whole-tree path");
                     assert_eq!(answer.dist.to_bits(), whole.dist.to_bits(), "{at}");
                     assert_eq!(answer.rho_sum.to_bits(), whole.rho_sum.to_bits(), "{at}");
@@ -211,6 +244,186 @@ fn pair_answer_matches_the_oracle() {
         get(&c, "risk_sssp_early_exits") > 1000,
         "early exit never cut a run short"
     );
+    assert_eq!(get(&c, "risk_sssp_tie_reruns"), 0, "h ≡ 0 never reruns");
+}
+
+/// Forecast terms added to a row's historical ρ: zeros, exact ties, and a
+/// value that makes a negative historical entry routable.
+const FORECAST_TERMS: [f64; 3] = [0.0, 0.25, 3.0];
+
+/// A\* on lower-bound rows against the oracle, on every engine case (tied,
+/// zero, ε and 4000-mile weights; NaN, ∞ and negative ρ; β = 0, β·ρ
+/// overflow; isolated PoPs). Each target's row is built once, under the
+/// case's ρ taken as historical risk, and then answers queries under that
+/// ρ and under a later forecast that adds a non-negative term to it.
+#[test]
+fn goal_directed_pair_queries_match_the_oracle() {
+    // Per-query counter scopes, summed: [A* pops and plain pops over the
+    // queries that did not rerun, reruns, rows].
+    let mut tally = [0u64; 4];
+    engine_cases(0xa5a5, |at, adj, csr, rho, beta, oracle| {
+        let n = csr.node_count();
+        let (rows, c) = counted(|| (0..n).map(|t| LbRow::new(csr, rho, t)).collect::<Vec<_>>());
+        tally[3] += get(&c, "lb_row_searches");
+        let later = Rho::new(
+            (0..n)
+                .map(|v| rho[v] + FORECAST_TERMS[v % FORECAST_TERMS.len()])
+                .collect(),
+        );
+        let later_oracle = oracle_trees(adj, &later, beta);
+        for (rho, oracle, when) in [(rho, oracle, "now"), (&later, &later_oracle[..], "later")] {
+            for (source, expect) in oracle.iter().enumerate() {
+                for (target, row) in rows.iter().enumerate() {
+                    let at = format!("{at} {when} {source}→{target}");
+                    let (answer, c) =
+                        counted(|| sssp_to(csr, source, beta, rho, target, Bound::Row(row)));
+                    assert_answer(&at, answer.as_ref(), expect, rho, beta, target);
+                    let (_, plain) =
+                        counted(|| sssp_to(csr, source, beta, rho, target, Bound::Zero));
+                    if get(&c, "risk_sssp_tie_reruns") == 0 {
+                        tally[0] += get(&c, "risk_sssp_pops");
+                        tally[1] += get(&plain, "risk_sssp_pops");
+                    } else {
+                        tally[2] += 1;
+                    }
+                }
+            }
+        }
+    });
+    let [astar_pops, plain_pops, reruns, rows] = tally;
+    assert!(rows > 1000, "rows were built");
+    assert!(reruns > 0, "the tied cases rerun with h ≡ 0");
+    assert!(
+        astar_pops < plain_pops,
+        "the rows never narrowed a search: {astar_pops} A* pops vs {plain_pops} plain \
+         ({reruns} reruns)"
+    );
+}
+
+/// A random geographic graph: PoPs in a US-sized box, some of them
+/// colocated (zero-mile links), every link its great-circle miles.
+fn geographic_case(rng: &mut StdRng) -> (Vec<GeoPoint>, Adjacency) {
+    let n = rng.gen_range(3..20usize);
+    let mut points: Vec<GeoPoint> = Vec::with_capacity(n);
+    for i in 0..n {
+        let point = if i > 0 && rng.gen_bool(0.15) {
+            points[rng.gen_range(0..i)]
+        } else {
+            GeoPoint::new(rng.gen_range(25.0..48.0), rng.gen_range(-124.0..-68.0))
+                .expect("in range")
+        };
+        points.push(point);
+    }
+    let mut links: Vec<(usize, usize)> = (1..n).map(|i| (rng.gen_range(0..i), i)).collect();
+    for _ in 0..rng.gen_range(0..2 * n) {
+        let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if a != b {
+            links.push((a, b));
+        }
+    }
+    let adj = Adjacency::from_links(
+        n,
+        links
+            .into_iter()
+            .map(|(a, b)| (a, b, great_circle_miles(points[a], points[b]))),
+    );
+    (points, adj)
+}
+
+/// A\* on the chord bound against the oracle on geographic graphs, the
+/// only graphs the bound applies to.
+#[test]
+fn chord_bound_pair_queries_match_the_oracle() {
+    let mut rng = StdRng::seed_from_u64(0xc0d);
+    let ((), c) = counted(|| {
+        for case in 0..GRAPH_CASES {
+            let (points, adj) = geographic_case(&mut rng);
+            let csr = CsrGraph::from_adjacency(&adj);
+            let chords = Chords::new(&points, &csr).expect("great-circle links fit the chord");
+            let rho = Rho::new(random_rho(&mut rng, adj.node_count()));
+            for beta in BETAS {
+                for (source, expect) in oracle_trees(&adj, &rho, beta).iter().enumerate() {
+                    for target in 0..adj.node_count() {
+                        let at = format!("case {case} β {beta} {source}→{target}");
+                        let answer =
+                            sssp_to(&csr, source, beta, &rho, target, Bound::Chord(&chords));
+                        assert_answer(&at, answer.as_ref(), expect, &rho, beta, target);
+                    }
+                }
+            }
+        }
+    });
+    assert!(get(&c, "risk_sssp_early_exits") > 1000);
+}
+
+/// A link shorter than the chord between its endpoints would let the
+/// chord overestimate a path, so the bound is refused for the whole graph.
+#[test]
+fn chord_bound_switches_off_for_a_link_shorter_than_its_chord() {
+    let points = [
+        GeoPoint::new(35.0, -100.0).expect("in range"),
+        GeoPoint::new(36.0, -98.0).expect("in range"),
+        GeoPoint::new(37.0, -96.0).expect("in range"),
+    ];
+    let arc = |a: usize, b: usize| great_circle_miles(points[a], points[b]);
+    let graph = |short: f64| {
+        CsrGraph::from_adjacency(&Adjacency::from_links(
+            3,
+            vec![(0, 1, arc(0, 1)), (1, 2, arc(1, 2) * short)],
+        ))
+    };
+    assert!(Chords::new(&points, &graph(1.0)).is_some());
+    // A chord is shorter than its arc by ~θ²/24 (4.5e-5 here), so a link
+    // 0.1% short of the arc is shorter than its chord.
+    assert!(Chords::new(&points, &graph(0.999)).is_none());
+    assert!(Chords::new(&points, &graph(0.5)).is_none());
+}
+
+/// Two predecessors tie for node 3 (1 + 2 + 0.5 = 2 + 1 + 0.5 = 3.5).
+/// Dijkstra settles node 1 first and keeps it; the row, loose at node 2
+/// (its least miles to the target run through the risky node 5, its least
+/// risk through node 3), settles node 2 first. The second offer ties, so
+/// the query reruns with h ≡ 0 and answers 0→1→3→4, not 0→2→3→4.
+#[test]
+fn a_tie_offered_out_of_dijkstra_order_reruns() {
+    let adj = Adjacency::from_links(
+        6,
+        vec![
+            (0, 1, 1.0),
+            (0, 2, 2.0),
+            (1, 3, 2.0),
+            (2, 3, 1.0),
+            (3, 4, 1.0),
+            (2, 5, 0.1),
+            (5, 4, 0.1),
+        ],
+    );
+    let csr = CsrGraph::from_adjacency(&adj);
+    let rho = Rho::new(vec![0.0, 0.0, 0.0, 0.5, 0.5, 1000.0]);
+    let row = LbRow::new(&csr, &rho, 4);
+    let (answer, c) = counted(|| sssp_to(&csr, 0, 1.0, &rho, 4, Bound::Row(&row)));
+    assert_eq!(get(&c, "risk_sssp_tie_reruns"), 1);
+    let oracle = oracle_trees(&adj, &rho, 1.0);
+    assert_eq!(oracle[0].path_to(4), Some(vec![0, 1, 3, 4]));
+    assert_answer("pred tie", answer.as_ref(), &oracle[0], &rho, 1.0, 4);
+}
+
+/// Two frontier entries with the same key when the target settles: the
+/// target (node 1) and node 2, which reaches it over a zero-mile link.
+/// Node 1 pops first on the node-index tie-break and the query stops, but
+/// node 2's entry is still at the target's key, so the query reruns with
+/// h ≡ 0 — and answers exactly as the plain run does.
+#[test]
+fn an_equal_key_entry_at_the_stop_reruns() {
+    let adj = Adjacency::from_links(3, vec![(0, 1, 1.0), (0, 2, 1.0), (2, 1, 0.0)]);
+    let csr = CsrGraph::from_adjacency(&adj);
+    let rho = Rho::new(vec![0.0; 3]);
+    let row = LbRow::new(&csr, &rho, 1);
+    let (answer, c) = counted(|| sssp_to(&csr, 0, 0.0, &rho, 1, Bound::Row(&row)));
+    assert_eq!(get(&c, "risk_sssp_tie_reruns"), 1);
+    assert_eq!(get(&c, "risk_sssp_runs"), 2);
+    let oracle = oracle_trees(&adj, &rho, 0.0);
+    assert_answer("stop tie", answer.as_ref(), &oracle[0], &rho, 0.0, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -577,31 +790,46 @@ fn pair_sweeps(config: Config) -> String {
     out
 }
 
-/// The same answers from full-tree readers only: one `risk_route` and one
-/// `shortest_route` per pair on a cache-off planner.
+/// A pair sweep's outcomes and stranded pairs from full-tree readers
+/// only: one `risk_route` and one `shortest_route` per pair on a
+/// cache-off clone of `planner`.
+fn full_tree_answers(
+    planner: &Planner,
+    pairs: &[(usize, usize)],
+) -> (Vec<PairOutcome>, Vec<(usize, usize)>) {
+    let planner = planner.clone().with_route_cache(false);
+    let mut outcomes = Vec::new();
+    let mut stranded = Vec::new();
+    for &(i, j) in pairs.iter().filter(|(i, j)| i != j) {
+        match (planner.shortest_route(i, j), planner.risk_route(i, j)) {
+            (Some(shortest), Some(risk_route)) => outcomes.push(PairOutcome {
+                src: i,
+                dst: j,
+                risk_route,
+                shortest,
+            }),
+            _ => stranded.push((i, j)),
+        }
+    }
+    (outcomes, stranded)
+}
+
+/// Every ordered pair over `n` PoPs.
+fn all_pairs(n: usize) -> Vec<(usize, usize)> {
+    (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).collect()
+}
+
+/// The same answers from full-tree readers only.
 fn pair_sweeps_oracle() -> String {
     let mut out = String::new();
     network_cases(|network, risk, shares, pairs| {
         let n = network.pop_count();
-        let planner = random_planner(network, risk, vec![0.0; n], shares).with_route_cache(false);
-        let answer = |pairs: &[(usize, usize)]| {
-            let mut outcomes = Vec::new();
-            let mut stranded = Vec::new();
-            for &(i, j) in pairs.iter().filter(|(i, j)| i != j) {
-                match (planner.shortest_route(i, j), planner.risk_route(i, j)) {
-                    (Some(shortest), Some(risk_route)) => outcomes.push(PairOutcome {
-                        src: i,
-                        dst: j,
-                        risk_route,
-                        shortest,
-                    }),
-                    _ => stranded.push((i, j)),
-                }
-            }
-            (outcomes, stranded)
-        };
-        let all: Vec<(usize, usize)> = (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).collect();
-        out += &render(&(answer(pairs), answer(&all), answer(pairs)));
+        let planner = random_planner(network, risk, vec![0.0; n], shares);
+        out += &render(&(
+            full_tree_answers(&planner, pairs),
+            full_tree_answers(&planner, &all_pairs(n)),
+            full_tree_answers(&planner, pairs),
+        ));
     });
     out
 }
@@ -757,16 +985,15 @@ fn pair_answers_never_reach_full_tree_readers() {
     let oracle = chain_planner(&network, false);
     let all: Vec<usize> = (0..8).collect();
 
-    // A pair query to the nearest neighbour caches two pair answers (β and
-    // β = 0) rooted at 0, and no tree.
+    // A pair-list query to the nearest neighbour runs both legs (β and
+    // β = 0) as early-exit queries rooted at 0 and caches nothing.
     let planner = chain_planner(&network, true);
     let (_, c) = counted(|| planner.pair_list_sweep(&[(0, 1)]));
     assert_eq!(get(&c, "risk_sssp_runs"), 2);
     assert_eq!(get(&c, "risk_sssp_early_exits"), 2);
     assert_eq!(get(&c, "route_cache_misses"), 2);
 
-    // risk_route's tree: the pair answer counts as a miss and a full run
-    // builds the tree.
+    // risk_route's tree: a miss, and a full run builds the tree.
     let (route, c) = counted(|| planner.risk_route(0, 7));
     assert!(route.is_some());
     assert_eq!(route, oracle.risk_route(0, 7));
@@ -784,14 +1011,16 @@ fn pair_answers_never_reach_full_tree_readers() {
     assert_eq!(get(&c, "risk_sssp_runs"), 1);
     assert_eq!(get(&c, "risk_sssp_early_exits"), 1);
 
-    // The complete β tree answers any target; each β = 0 leg is answered
-    // by its own pair answer only, so new targets run.
+    // The complete β tree answers any target; no β = 0 leg was cached, so
+    // every one runs, repeated targets included.
     let (_, c) = counted(|| planner.pair_list_sweep(&[(0, 4), (0, 6), (0, 1), (0, 7)]));
-    assert_eq!(get(&c, "route_cache_hits"), 6);
-    assert_eq!(get(&c, "route_cache_misses"), 2);
-    assert_eq!(get(&c, "risk_sssp_runs"), 2);
+    assert_eq!(get(&c, "route_cache_hits"), 4);
+    assert_eq!(get(&c, "route_cache_misses"), 4);
+    assert_eq!(get(&c, "risk_sssp_runs"), 4);
+    assert_eq!(get(&c, "risk_sssp_tie_reruns"), 0);
 
-    // Scenario-fork adoption takes distance trees only.
+    // Scenario-fork adoption takes distance trees only: a base that ran
+    // pair queries alone has none.
     let delta = ScenarioDelta::new().deactivate_link(6, 7);
     let partial_base = chain_planner(&network, true);
     partial_base.pair_list_sweep(&[(0, 1)]);
@@ -881,4 +1110,41 @@ fn forecast_forks_share_the_base_stamp_or_adopt_its_trees() {
         0,
         "adopted trees serve the whole exposure"
     );
+}
+
+/// Lower-bound rows are reused only where they still bound every path:
+/// one row per target on first use; a later forecast and a removal-only
+/// fork reuse every row; new λ weights, and the planner greedy provisioning
+/// builds over an added link, start with none. Every sweep matches the
+/// full-tree answers.
+#[test]
+fn lower_bound_rows_are_reused_only_where_they_still_bound() {
+    let (network, _) = chain();
+    let all: Vec<usize> = (0..8).collect();
+    // Sweep under a fresh counter scope: the rows it built, checked
+    // against the full-tree answers.
+    let sweep_rows = |planner: &Planner| {
+        let (sweep, c) = counted(|| planner.pair_sweep(&all, &all));
+        assert_eq!(
+            (sweep.outcomes, sweep.stranded),
+            full_tree_answers(planner, &all_pairs(8))
+        );
+        assert_eq!(get(&c, "risk_sssp_tie_reruns"), 0);
+        get(&c, "lb_row_searches")
+    };
+    let mut planner = chain_planner(&network, true);
+    assert_eq!(sweep_rows(&planner), 8, "one row per target");
+    assert_eq!(sweep_rows(&planner), 0, "a warm sweep hits the pair cache");
+    planner.set_forecast(vec![0.0, 0.3, 0.0, 0.1, 0.5, 0.0, 0.2, 0.0]);
+    assert_eq!(sweep_rows(&planner), 0, "rows serve every forecast");
+    let fork = ScenarioFork::fork(&planner, ScenarioDelta::new().deactivate_link(2, 5));
+    assert_eq!(
+        sweep_rows(fork.planner()),
+        0,
+        "a removal-only fork shares them"
+    );
+    planner.set_weights(RiskWeights::historical_only(1e6));
+    assert_eq!(sweep_rows(&planner), 8, "new weights drop them");
+    let next = chain_planner(&with_extra_link(&network, 0, 7), true);
+    assert_eq!(sweep_rows(&next), 8, "an added link starts with none");
 }

@@ -1240,10 +1240,7 @@ mod tests {
             parse_args(&args("sweep Level3 --mode n3")),
             Err(CliError::Bad(_))
         ));
-        assert!(matches!(
-            parse_args(&args("sweep")),
-            Err(CliError::Bad(_))
-        ));
+        assert!(matches!(parse_args(&args("sweep")), Err(CliError::Bad(_))));
         assert!(matches!(
             parse_args(&args("sweep Level3 --samples 0")),
             Err(CliError::Bad(_))
@@ -1261,13 +1258,7 @@ mod tests {
             }
         );
         let cli = parse_args(&args("chaos --plans 12 --seed 7")).unwrap();
-        assert_eq!(
-            cli.command,
-            Command::Chaos {
-                plans: 12,
-                seed: 7
-            }
-        );
+        assert_eq!(cli.command, Command::Chaos { plans: 12, seed: 7 });
         assert!(matches!(
             parse_args(&args("chaos extra")),
             Err(CliError::Bad(_))
@@ -1309,15 +1300,27 @@ mod tests {
     #[test]
     fn threads_flag_parses_and_validates() {
         let cli = parse_args(&args("corpus")).unwrap();
-        assert_eq!(cli.threads, Parallelism::Sequential, "default is sequential");
+        assert_eq!(
+            cli.threads,
+            Parallelism::Sequential,
+            "default is sequential"
+        );
         let cli = parse_args(&args("--threads 1 corpus")).unwrap();
-        assert_eq!(cli.threads, Parallelism::Sequential, "1 IS the sequential path");
+        assert_eq!(
+            cli.threads,
+            Parallelism::Sequential,
+            "1 IS the sequential path"
+        );
         let cli = parse_args(&args("--threads 4 corpus")).unwrap();
         assert_eq!(cli.threads, Parallelism::Threads(4));
         let cli = parse_args(&args("--threads auto corpus")).unwrap();
         assert_eq!(cli.threads, Parallelism::Auto);
         let cli = parse_args(&args("provision Sprint -k 2 --threads 8")).unwrap();
-        assert_eq!(cli.threads, Parallelism::Threads(8), "valid after the command too");
+        assert_eq!(
+            cli.threads,
+            Parallelism::Threads(8),
+            "valid after the command too"
+        );
         assert!(matches!(
             parse_args(&args("--threads 0 corpus")),
             Err(CliError::Bad(_))
@@ -1478,7 +1481,10 @@ mod tests {
     #[test]
     fn command_names_label_traces() {
         assert_eq!(
-            parse_args(&args("route Sprint 0 5")).unwrap().command.name(),
+            parse_args(&args("route Sprint 0 5"))
+                .unwrap()
+                .command
+                .name(),
             "route"
         );
         assert_eq!(
@@ -1645,10 +1651,7 @@ mod tests {
         assert_eq!(CliError::Unknown(String::new()).exit_code(), 3);
         assert_eq!(CliError::Io(String::new()).exit_code(), 4);
         assert_eq!(
-            CliError::Core(E::Advisory(
-                riskroute_forecast::ParseError::MissingCenter
-            ))
-            .exit_code(),
+            CliError::Core(E::Advisory(riskroute_forecast::ParseError::MissingCenter)).exit_code(),
             5
         );
         assert_eq!(
@@ -1692,7 +1695,10 @@ mod tests {
             .exit_code(),
             7
         );
-        assert_eq!(CliError::Core(E::WorkerPanic { panicked: 2 }).exit_code(), 7);
+        assert_eq!(
+            CliError::Core(E::WorkerPanic { panicked: 2 }).exit_code(),
+            7
+        );
         assert_eq!(CliError::Chaos(vec!["v".into()]).exit_code(), 8);
         assert_eq!(
             CliError::Budget {
@@ -1702,7 +1708,10 @@ mod tests {
             .exit_code(),
             9
         );
-        assert_eq!(CliError::Drain("2 connections stuck".into()).exit_code(), 10);
+        assert_eq!(
+            CliError::Drain("2 connections stuck".into()).exit_code(),
+            10
+        );
     }
 
     #[test]

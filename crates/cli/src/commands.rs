@@ -133,13 +133,12 @@ pub fn backup(
     let net = ctx.network(network)?;
     let (s, d) = (resolve_pop(net, src)?, resolve_pop(net, dst)?);
     let planner = ctx.planner(net, weights);
-    let plan = backup_paths(&planner, net, s, d, k).ok_or_else(|| {
-        riskroute::Error::Unreachable {
+    let plan =
+        backup_paths(&planner, net, s, d, k).ok_or_else(|| riskroute::Error::Unreachable {
             network: net.name().to_string(),
             src: s,
             dst: d,
-        }
-    })?;
+        })?;
     let mut out = format!(
         "{}: ranked paths {} -> {}\n\n",
         net.name(),
@@ -199,7 +198,10 @@ fn push_budget_tail(
     unit: &str,
     checkpoint: Option<&str>,
 ) {
-    let _ = writeln!(report, "\nbudget exhausted ({stopped}): {done} of {total} {unit}");
+    let _ = writeln!(
+        report,
+        "\nbudget exhausted ({stopped}): {done} of {total} {unit}"
+    );
     match checkpoint {
         Some(path) => {
             let _ = writeln!(
@@ -208,7 +210,9 @@ fn push_budget_tail(
             );
         }
         None => {
-            report.push_str("no --checkpoint path was given, so this partial progress was not saved\n");
+            report.push_str(
+                "no --checkpoint path was given, so this partial progress was not saved\n",
+            );
         }
     }
 }
@@ -225,7 +229,16 @@ pub fn provision(
 ) -> Result<String, CliError> {
     let net = ctx.network(network)?;
     let planner = ctx.planner(net, weights);
-    provision_under_budget(net, &planner, k, weights, budget, None, String::new(), progress)
+    provision_under_budget(
+        net,
+        &planner,
+        k,
+        weights,
+        budget,
+        None,
+        String::new(),
+        progress,
+    )
 }
 
 /// Shared engine for `provision` and `resume`: run (or continue) the greedy
@@ -490,9 +503,8 @@ fn replay_stream_from(
         if line.trim().is_empty() {
             continue;
         }
-        let bad = |e: riskroute_json::JsonError| {
-            CliError::Bad(format!("stdin line {}: {e}", lineno + 1))
-        };
+        let bad =
+            |e: riskroute_json::JsonError| CliError::Bad(format!("stdin line {}: {e}", lineno + 1));
         let doc = riskroute_json::parse(&line).map_err(bad)?;
         let raw = RawAdvisory {
             number: doc.field("number").and_then(Json::as_usize).map_err(bad)?,
@@ -525,7 +537,10 @@ fn replay_stream_from(
                 Json::Num(tick.report.distance_increase_ratio),
             ),
             ("pairs", Json::Num(tick.report.pairs as f64)),
-            ("stranded_pairs", Json::Num(tick.report.stranded_pairs as f64)),
+            (
+                "stranded_pairs",
+                Json::Num(tick.report.stranded_pairs as f64),
+            ),
             ("degraded", Json::Bool(tick.degraded)),
         ]);
         out.push_str(&obj.to_string_compact());
@@ -534,10 +549,7 @@ fn replay_stream_from(
     let summary = Json::obj([
         ("summary", Json::Bool(true)),
         ("ticks", Json::Num(session.ticks_processed() as f64)),
-        (
-            "degraded_ticks",
-            Json::Num(session.degraded_ticks() as f64),
-        ),
+        ("degraded_ticks", Json::Num(session.degraded_ticks() as f64)),
     ]);
     out.push_str(&summary.to_string_compact());
     out.push('\n');
@@ -642,7 +654,16 @@ pub fn sweep(
     let mode = SweepMode::from_parts(mode_label, samples, seed)
         .ok_or_else(|| CliError::Bad(format!("unknown sweep mode {mode_label:?}")))?;
     let planner = ctx.planner(net, weights);
-    sweep_under_budget(net, &planner, mode, weights, budget, None, String::new(), progress)
+    sweep_under_budget(
+        net,
+        &planner,
+        mode,
+        weights,
+        budget,
+        None,
+        String::new(),
+        progress,
+    )
 }
 
 /// Shared engine for `sweep` and `resume`; see [`provision_under_budget`].
@@ -1680,10 +1701,7 @@ mod tests {
         let path = dir.join("bad.jsonl");
         std::fs::write(&path, "not json at all\n").unwrap();
         let err = obs_summary(&path.display().to_string()).unwrap_err();
-        assert!(matches!(
-            err,
-            CliError::Core(riskroute::Error::Json(_))
-        ));
+        assert!(matches!(err, CliError::Core(riskroute::Error::Json(_))));
         assert_eq!(err.exit_code(), 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1772,11 +1790,7 @@ mod tests {
     fn obs_lint_accepts_good_and_rejects_bad_expositions() {
         let dir = tmp_dir("riskroute-cli-obs-lint");
         let good = dir.join("good.prom");
-        std::fs::write(
-            &good,
-            "# TYPE riskroute_pops counter\nriskroute_pops 5\n",
-        )
-        .unwrap();
+        std::fs::write(&good, "# TYPE riskroute_pops counter\nriskroute_pops 5\n").unwrap();
         let out = obs_lint(&good.display().to_string()).unwrap();
         assert!(out.contains("1 samples, exposition format ok"), "{out}");
         // A bucket series with no +Inf bound is malformed.
@@ -1863,7 +1877,10 @@ mod tests {
         assert_eq!(lines.len(), raws.len() + 1, "{out}");
         for (raw, line) in raws.iter().zip(&lines) {
             let doc = riskroute_json::parse(line).unwrap();
-            assert_eq!(doc.field("advisory").unwrap().as_usize().unwrap(), raw.number);
+            assert_eq!(
+                doc.field("advisory").unwrap().as_usize().unwrap(),
+                raw.number
+            );
             assert_eq!(doc.field("label").unwrap().as_str().unwrap(), raw.label);
             assert!(doc.field("risk_reduction_ratio").unwrap().as_f64().is_ok());
             assert!(!doc.field("degraded").unwrap().as_bool().unwrap());
@@ -1874,7 +1891,10 @@ mod tests {
             summary.field("ticks").unwrap().as_usize().unwrap(),
             raws.len()
         );
-        assert_eq!(summary.field("degraded_ticks").unwrap().as_usize().unwrap(), 0);
+        assert_eq!(
+            summary.field("degraded_ticks").unwrap().as_usize().unwrap(),
+            0
+        );
         // The streamed ratios are bit-identical to the recorded replay at the
         // same stride: the warm engine's cached trees change nothing.
         let recorded = replay(
@@ -1963,7 +1983,16 @@ mod tests {
             checkpoint: Some(path_s.clone()),
             ..BudgetArgs::default()
         };
-        let err = replay(&ctx, "Telepak", "katrina", 20, RiskWeights::PAPER, &budget, false).unwrap_err();
+        let err = replay(
+            &ctx,
+            "Telepak",
+            "katrina",
+            20,
+            RiskWeights::PAPER,
+            &budget,
+            false,
+        )
+        .unwrap_err();
         assert_eq!(err.exit_code(), 9);
         let resumed = resume(&ctx, &path_s, &BudgetArgs::default(), false).unwrap();
         let direct = replay(
@@ -2106,7 +2135,16 @@ mod tests {
             checkpoint: Some(path_s.clone()),
             ..BudgetArgs::default()
         };
-        let _ = replay(&ctx, "Telepak", "katrina", 20, RiskWeights::PAPER, &budget, false).unwrap_err();
+        let _ = replay(
+            &ctx,
+            "Telepak",
+            "katrina",
+            20,
+            RiskWeights::PAPER,
+            &budget,
+            false,
+        )
+        .unwrap_err();
         // Truncate everything past the job line (the common shape of
         // disk-level damage: files lose their tails).
         let text = std::fs::read_to_string(&path).unwrap();
@@ -2134,8 +2172,13 @@ mod tests {
         let path = dir.join("snap.txt");
         std::fs::write(&path, "not a snapshot\n").unwrap();
         let ctx = ctx();
-        let err =
-            resume(&ctx, &path.display().to_string(), &BudgetArgs::default(), false).unwrap_err();
+        let err = resume(
+            &ctx,
+            &path.display().to_string(),
+            &BudgetArgs::default(),
+            false,
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             CliError::Core(riskroute::Error::SnapshotIntegrity { .. })
@@ -2169,7 +2212,14 @@ mod tests {
 
     #[test]
     fn ratio_reports_network_wide_ratios() {
-        let out = ratio(&ctx(), "Sprint", RiskWeights::historical_only(1e5), None, 42).unwrap();
+        let out = ratio(
+            &ctx(),
+            "Sprint",
+            RiskWeights::historical_only(1e5),
+            None,
+            42,
+        )
+        .unwrap();
         assert!(out.contains("risk reduction ratio (Eq. 5)"), "{out}");
         assert!(out.contains("distance increase ratio (Eq. 6)"), "{out}");
         assert!(out.contains("ordered PoP pairs"), "{out}");
@@ -2255,8 +2305,15 @@ mod tests {
         let ctx = CliContext::build(&[(path.display().to_string(), "Two".into())]).unwrap();
         let err = ospf(&ctx, "Two", RiskWeights::PAPER).unwrap_err();
         assert_eq!(err.exit_code(), 6, "{err}");
-        let out = provision(&ctx, "Two", 1, RiskWeights::PAPER, &BudgetArgs::default(), false)
-            .unwrap();
+        let out = provision(
+            &ctx,
+            "Two",
+            1,
+            RiskWeights::PAPER,
+            &BudgetArgs::default(),
+            false,
+        )
+        .unwrap();
         assert!(out.contains("original total bit-risk 0.000e0"), "{out}");
         assert!(out.contains("1. A <-> B"), "{out}");
         assert!(out.contains("): total is "), "{out}");

@@ -209,7 +209,10 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
     let mut export_error: Option<CliError> = None;
     let outputs = [
         (&cli.obs.trace_out, riskroute_obs::export::to_jsonl(&snap)),
-        (&cli.obs.metrics_out, riskroute_obs::export::to_prometheus(&snap)),
+        (
+            &cli.obs.metrics_out,
+            riskroute_obs::export::to_prometheus(&snap),
+        ),
     ];
     for (path, payload) in &outputs {
         if let Some(path) = path {
@@ -283,17 +286,13 @@ mod tests {
     fn selector_failures_are_unknown_family() {
         let ctx = CliContext::build(&[]).unwrap();
         let net = ctx.network("Sprint").unwrap();
-        assert!(matches!(
-            resolve_pop(net, "999"),
-            Err(CliError::Unknown(_))
-        ));
+        assert!(matches!(resolve_pop(net, "999"), Err(CliError::Unknown(_))));
         assert!(matches!(resolve_storm("bob"), Err(CliError::Unknown(_))));
     }
 
     #[test]
     fn missing_graphml_file_is_io_family() {
-        let Err(err) = CliContext::build(&[("/no/such/file.graphml".into(), "X".into())])
-        else {
+        let Err(err) = CliContext::build(&[("/no/such/file.graphml".into(), "X".into())]) else {
             panic!("expected an I/O error")
         };
         assert!(matches!(err, CliError::Io(_)));

@@ -197,7 +197,8 @@ impl WorkBudget {
     /// one-worker run, which checks [`exhausted`](Self::exhausted) before
     /// every unit, stops.
     pub fn work_remaining(&self) -> Option<u64> {
-        self.max_work.map(|max| max.saturating_sub(self.work_done()))
+        self.max_work
+            .map(|max| max.saturating_sub(self.work_done()))
     }
 
     /// The attribution scope captured when this budget was built. Budgeted
@@ -353,7 +354,9 @@ mod tests {
     fn stop_reasons_render() {
         assert!(StopReason::Cancelled.to_string().contains("cancel"));
         assert!(StopReason::WorkExhausted.to_string().contains("work"));
-        assert!(StopReason::DeadlineExceeded.to_string().contains("deadline"));
+        assert!(StopReason::DeadlineExceeded
+            .to_string()
+            .contains("deadline"));
     }
 
     const WORKERS: [Parallelism; 3] = [

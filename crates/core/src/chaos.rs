@@ -472,8 +472,8 @@ pub fn run_chaos_at(plan: &FaultPlan, parallelism: Parallelism) -> Result<ChaosR
 
     // --- Aggregate ratios on the degraded topology -------------------------
     let report = planner.ratio_report();
-    finite_ratios &= report.risk_reduction_ratio.is_finite()
-        && report.distance_increase_ratio.is_finite();
+    finite_ratios &=
+        report.risk_reduction_ratio.is_finite() && report.distance_increase_ratio.is_finite();
     assert!(
         report.is_informative() || report.stranded_pairs > 0 || network.pop_count() < 2,
         "an uninformative sweep must account for its pairs as stranded"
@@ -517,8 +517,7 @@ pub fn run_chaos_at(plan: &FaultPlan, parallelism: Parallelism) -> Result<ChaosR
 /// Worker counts the suites exercise for the *threads* dimension: one
 /// worker plus a small pool (2 workers keeps chunk hand-offs and
 /// steals in play without starving CI machines).
-pub const CHAOS_THREAD_MATRIX: &[Parallelism] =
-    &[Parallelism::Sequential, Parallelism::Threads(2)];
+pub const CHAOS_THREAD_MATRIX: &[Parallelism] = &[Parallelism::Sequential, Parallelism::Threads(2)];
 
 /// Run a whole suite of seeded plans; every plan must complete (the no-panic
 /// invariant) and every report must have finite ratios. Each plan runs at
@@ -710,10 +709,7 @@ pub fn run_kill_resume(seed: u64) -> Result<KillResumeReport, Error> {
 ///
 /// # Errors
 /// Same contract as [`run_kill_resume`].
-pub fn run_kill_resume_at(
-    seed: u64,
-    parallelism: Parallelism,
-) -> Result<KillResumeReport, Error> {
+pub fn run_kill_resume_at(seed: u64, parallelism: Parallelism) -> Result<KillResumeReport, Error> {
     use std::sync::atomic::Ordering;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x517c_c1b7_2722_0a95);
 
@@ -726,12 +722,7 @@ pub fn run_kill_resume_at(
         let shares = PopShares::from_shares(shares_src.shares().shares().to_vec());
         move |n: &Network| Planner::new(n, risk.clone(), shares.clone(), weights)
     };
-    let uninterrupted = greedy_links(
-        &net,
-        &planner,
-        k,
-        rebuild(planner.risk().clone(), &planner),
-    );
+    let uninterrupted = greedy_links(&net, &planner, k, rebuild(planner.risk().clone(), &planner));
     let total = uninterrupted.added.len();
     // Kill strictly before the run finishes so the resume leg is exercised.
     let provision_killed_after = 1 + rng.gen_range(0..total.saturating_sub(1).max(1));
@@ -875,10 +866,7 @@ pub fn run_kill_resume_at(
 ///
 /// # Panics
 /// Panics when a parallel run's report diverges from the sequential one.
-pub fn run_kill_resume_suite(
-    base_seed: u64,
-    count: usize,
-) -> Result<Vec<KillResumeReport>, Error> {
+pub fn run_kill_resume_suite(base_seed: u64, count: usize) -> Result<Vec<KillResumeReport>, Error> {
     (0..count as u64)
         .map(|i| {
             let seed = base_seed.wrapping_add(i);
@@ -960,10 +948,7 @@ pub fn run_fork_faults(seed: u64) -> Result<ForkFaultReport, Error> {
 ///
 /// # Errors
 /// Same contract as [`run_fork_faults`].
-pub fn run_fork_faults_at(
-    seed: u64,
-    parallelism: Parallelism,
-) -> Result<ForkFaultReport, Error> {
+pub fn run_fork_faults_at(seed: u64, parallelism: Parallelism) -> Result<ForkFaultReport, Error> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x2545_f491_4f6c_dd1d);
 
     // --- Fault: kill the N-1 sweep mid-run, resume from the snapshot ------
@@ -1027,8 +1012,9 @@ pub fn run_fork_faults_at(
     let all_off = (0..n).fold(ScenarioDelta::new(), |d, v| d.deactivate_node(v));
     let exp = ScenarioFork::fork(&planner, all_off).exposure();
     let all_off_stranded = exp.stranded_pairs;
-    let all_off_ok =
-        exp.routable_pairs == 0 && exp.stranded_pairs == n * (n - 1) / 2 && exp.bit_risk_total == 0.0;
+    let all_off_ok = exp.routable_pairs == 0
+        && exp.stranded_pairs == n * (n - 1) / 2
+        && exp.bit_risk_total == 0.0;
 
     // --- Fault: fork with an empty delta -----------------------------------
     let base_exp = base_exposure(&planner);
@@ -1059,10 +1045,7 @@ pub fn run_fork_faults_at(
 ///
 /// # Panics
 /// Panics when a parallel run's report diverges from the sequential one.
-pub fn run_fork_fault_suite(
-    base_seed: u64,
-    count: usize,
-) -> Result<Vec<ForkFaultReport>, Error> {
+pub fn run_fork_fault_suite(base_seed: u64, count: usize) -> Result<Vec<ForkFaultReport>, Error> {
     (0..count as u64)
         .map(|i| {
             let seed = base_seed.wrapping_add(i);
@@ -1172,8 +1155,9 @@ impl ConnFaultPlan {
         let (payload, reads_response) = match fault {
             ConnFault::GarbageBytes => {
                 let len = rng.gen_range(16..200usize);
-                let mut bytes: Vec<u8> =
-                    (0..len).map(|_| rng.gen_range(0x21..0x7fusize) as u8).collect();
+                let mut bytes: Vec<u8> = (0..len)
+                    .map(|_| rng.gen_range(0x21..0x7fusize) as u8)
+                    .collect();
                 // Never start with 'G': the daemon multiplexes an HTTP
                 // scrape endpoint on a "GET " prefix, and this fault must
                 // exercise the NDJSON parse path.
@@ -1345,8 +1329,11 @@ mod tests {
     #[test]
     fn truncated_snapshots_error_typed_never_panic() {
         for seed in 0..4 {
-            let r =
-                run_chaos(&plan_with_snapshot_fault(seed, SnapshotFault::TruncateBytes)).unwrap();
+            let r = run_chaos(&plan_with_snapshot_fault(
+                seed,
+                SnapshotFault::TruncateBytes,
+            ))
+            .unwrap();
             assert_eq!(r.snapshot_fault, "truncate-bytes");
             assert!(r.snapshot_contract_held, "seed {seed}: untyped rejection");
             assert!(violations(&r).is_empty(), "{:?}", violations(&r));

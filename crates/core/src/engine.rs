@@ -1017,7 +1017,9 @@ static TOTALS: Mutex<(usize, usize)> = Mutex::new((0, 0));
 /// Move one cache's share of [`TOTALS`] from its old `(entries, bytes)` to
 /// its new ones; returns the new totals.
 fn retally(before: (usize, usize), after: (usize, usize)) -> (usize, usize) {
-    let mut totals = TOTALS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut totals = TOTALS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     totals.0 = totals.0 - before.0 + after.0;
     totals.1 = totals.1 - before.1 + after.1;
     *totals
@@ -1120,7 +1122,9 @@ impl RouteTreeCache {
     fn lock(&self) -> MutexGuard<'_, CacheInner> {
         // Nothing inside the critical sections can panic; recover from
         // poisoning defensively rather than propagating an unwrap.
-        self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.inner
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Look up the complete tree under `key`, counting one hit or miss.
@@ -1141,7 +1145,10 @@ impl RouteTreeCache {
         };
         let (answer, tree) = {
             let inner = self.lock();
-            (inner.pairs.get(&pair_key).cloned(), inner.trees.get(key).cloned())
+            (
+                inner.pairs.get(&pair_key).cloned(),
+                inner.trees.get(key).cloned(),
+            )
         };
         let found = answer.or_else(|| tree.map(|t| t.pair_answer(target).map(Arc::new)));
         count_lookup(found.is_some());
@@ -1430,7 +1437,10 @@ mod tests {
             let a = answer.as_ref().unwrap();
             assert_eq!(a.path.len(), hops);
             assert_eq!(a.rho_sum, 0.5 * (hops - 1) as f64);
-            assert_eq!(pair_bytes(&answer), PAIR_OVERHEAD_BYTES + 8 * a.path.capacity());
+            assert_eq!(
+                pair_bytes(&answer),
+                PAIR_OVERHEAD_BYTES + 8 * a.path.capacity()
+            );
             assert!(a.path.capacity() < 2 * hops);
             let before = cache.bytes();
             cache.insert_pair(key(0), target, answer.clone());

@@ -117,14 +117,20 @@ impl fmt::Display for Error {
                 write!(f, "PoPs {src} and {dst} are not connected in {network}")
             }
             Error::InvalidWeight { context, value } => {
-                write!(f, "invalid {context}: {value} (must be finite and non-negative)")
+                write!(
+                    f,
+                    "invalid {context}: {value} (must be finite and non-negative)"
+                )
             }
             Error::NotAdjacent { u, v } => {
                 write!(f, "nodes {u} and {v} are not adjacent")
             }
             Error::UnknownNetwork(name) => write!(f, "unknown network {name:?}"),
             Error::NoInformativePairs => {
-                write!(f, "no informative pairs to aggregate (all stranded or trivial)")
+                write!(
+                    f,
+                    "no informative pairs to aggregate (all stranded or trivial)"
+                )
             }
             Error::InvalidArgument { context, message } => {
                 write!(f, "invalid {context}: {message}")

@@ -473,7 +473,11 @@ impl Planner {
             span.field("pairs_stranded", sweep.stranded.len());
             riskroute_obs::counter_add("pairs_routed", sweep.outcomes.len() as u64);
             riskroute_obs::counter_add("pairs_stranded", sweep.stranded.len() as u64);
-            let bit_risk: f64 = sweep.outcomes.iter().map(|o| o.risk_route.bit_risk_miles).sum();
+            let bit_risk: f64 = sweep
+                .outcomes
+                .iter()
+                .map(|o| o.risk_route.bit_risk_miles)
+                .sum();
             riskroute_obs::gauge_set("pair_sweep_bit_risk_miles", bit_risk);
         }
         sweep

@@ -88,9 +88,9 @@ pub mod scenario;
 pub use budget::{Budgeted, StopReason, WorkBudget};
 pub use error::{render_chain, Error, Result};
 pub use intradomain::{Planner, PlannerPool};
-pub use riskroute_par::Parallelism;
 pub use metric::{NodeRisk, RiskWeights};
 pub use ratios::{PairOutcome, RatioReport};
+pub use riskroute_par::Parallelism;
 pub use routing::RoutedPath;
 pub use scenario::{
     base_exposure, run_sweep, run_sweep_budgeted, scenario_specs, ExposureReport, FailElement,
@@ -111,12 +111,10 @@ pub mod prelude {
     pub use crate::ratios::RatioReport;
     pub use crate::replay::DisasterReplay;
     pub use crate::routing::RoutedPath;
-    pub use crate::scenario::{
-        run_sweep, ScenarioDelta, ScenarioFork, SweepMode, SweepOutcome,
-    };
+    pub use crate::scenario::{run_sweep, ScenarioDelta, ScenarioFork, SweepMode, SweepOutcome};
     pub use riskroute_forecast::{advisories_for, Storm};
-    pub use riskroute_par::Parallelism;
     pub use riskroute_hazard::HistoricalRisk;
+    pub use riskroute_par::Parallelism;
     pub use riskroute_population::{PopShares, PopulationModel};
     pub use riskroute_topology::{Corpus, Network, NetworkKind};
 }

@@ -130,7 +130,10 @@ pub fn candidate_links_adaptive(
             return (c, t);
         }
     }
-    let mildest = THRESHOLD_LADDER.last().copied().unwrap_or(SHORTCUT_THRESHOLD);
+    let mildest = THRESHOLD_LADDER
+        .last()
+        .copied()
+        .unwrap_or(SHORTCUT_THRESHOLD);
     (Vec::new(), mildest)
 }
 
@@ -347,9 +350,15 @@ pub fn greedy_links(
     k: usize,
     rebuild: impl FnMut(&Network) -> Planner,
 ) -> GreedyLinks {
-    let (links, _) =
-        greedy_links_budgeted(network, planner, k, rebuild, &WorkBudget::unlimited(), |_| {})
-            .into_parts();
+    let (links, _) = greedy_links_budgeted(
+        network,
+        planner,
+        k,
+        rebuild,
+        &WorkBudget::unlimited(),
+        |_| {},
+    )
+    .into_parts();
     links
 }
 
@@ -489,9 +498,9 @@ pub fn with_extra_link(network: &Network, a: PopId, b: PopId) -> Network {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use riskroute_par::Parallelism;
     use crate::metric::{NodeRisk, RiskWeights};
     use riskroute_geo::GeoPoint;
+    use riskroute_par::Parallelism;
     use riskroute_population::PopShares;
     use riskroute_topology::{NetworkKind, Pop};
 
@@ -702,12 +711,7 @@ mod tests {
         .unwrap();
         let risk = NodeRisk::new(vec![0.0, 0.0, 2e-3, 0.0, 0.0, 0.0], vec![0.0; 6]);
         let shares = PopShares::from_shares(vec![1.0 / 6.0; 6]);
-        let planner = Planner::new(
-            &net,
-            risk,
-            shares,
-            RiskWeights::historical_only(1e5),
-        );
+        let planner = Planner::new(&net, risk, shares, RiskWeights::historical_only(1e5));
         (net, planner)
     }
 

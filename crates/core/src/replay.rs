@@ -133,7 +133,15 @@ pub fn replay_storm_over_pairs(
     dests: &[usize],
 ) -> Result<DisasterReplay> {
     let raws = raw_advisories(storm, stride)?;
-    replay_raw_advisories(base, network_name, locations, storm.name(), &raws, sources, dests)
+    replay_raw_advisories(
+        base,
+        network_name,
+        locations,
+        storm.name(),
+        &raws,
+        sources,
+        dests,
+    )
 }
 
 /// The storm's advisory series rendered to wire form ([`RawAdvisory`]),
@@ -412,8 +420,7 @@ fn replay_tick(
         };
     planner.set_forecast(forecast);
     let sweep = planner.pair_sweep(sources, dests);
-    let report =
-        RatioReport::aggregate_with_stranded(sweep.outcomes.iter(), sweep.stranded.len());
+    let report = RatioReport::aggregate_with_stranded(sweep.outcomes.iter(), sweep.stranded.len());
     if span.is_active() {
         span.field("advisory", raw.number);
         span.field("degraded", u64::from(degraded));
@@ -637,8 +644,7 @@ mod tests {
         let err = raw_advisories(Storm::Sandy, 0).unwrap_err();
         assert!(matches!(err, Error::InvalidArgument { .. }));
         let err =
-            replay_storm_proactive(&base_planner(&net), &net, Storm::Katrina, 0, 24.0)
-                .unwrap_err();
+            replay_storm_proactive(&base_planner(&net), &net, Storm::Katrina, 0, 24.0).unwrap_err();
         assert!(matches!(err, Error::InvalidArgument { .. }));
     }
 
@@ -647,8 +653,8 @@ mod tests {
         let net = gulf_network();
         let planner = base_planner(&net);
         let locs: Vec<GeoPoint> = net.pops().iter().take(2).map(|p| p.location).collect();
-        let err = replay_raw_advisories(&planner, "gulf", &locs, "KATRINA", &[], &[], &[])
-            .unwrap_err();
+        let err =
+            replay_raw_advisories(&planner, "gulf", &locs, "KATRINA", &[], &[], &[]).unwrap_err();
         assert!(
             matches!(&err, Error::InvalidArgument { context, .. } if context == "locations"),
             "got {err:?}"
@@ -663,13 +669,21 @@ mod tests {
         let locs: Vec<GeoPoint> = net.pops().iter().map(|p| p.location).collect();
         let all: Vec<usize> = (0..net.pop_count()).collect();
         let raws = raw_advisories(Storm::Katrina, 2).unwrap();
-        let clean = replay_raw_advisories(&planner, "gulf", &locs, "KATRINA", &raws, &all, &all)
-            .unwrap();
+        let clean =
+            replay_raw_advisories(&planner, "gulf", &locs, "KATRINA", &raws, &all, &all).unwrap();
         // Stop after 5 ticks, then resume with the partial prefix.
         let budget = WorkBudget::unlimited().with_max_work(5);
         let run = replay_raw_advisories_budgeted(
-            &planner, "gulf", &locs, "KATRINA", &raws, &all, &all,
-            Vec::new(), &budget, |_, _| {},
+            &planner,
+            "gulf",
+            &locs,
+            "KATRINA",
+            &raws,
+            &all,
+            &all,
+            Vec::new(),
+            &budget,
+            |_, _| {},
         )
         .unwrap();
         let Budgeted::Partial {
@@ -685,8 +699,16 @@ mod tests {
         assert_eq!(resume_state.next_index, 5);
         assert_eq!(completed.ticks[..], clean.ticks[..5], "consistent prefix");
         let resumed = replay_raw_advisories_budgeted(
-            &planner, "gulf", &locs, "KATRINA", &raws, &all, &all,
-            completed.ticks, &WorkBudget::unlimited(), |_, _| {},
+            &planner,
+            "gulf",
+            &locs,
+            "KATRINA",
+            &raws,
+            &all,
+            &all,
+            completed.ticks,
+            &WorkBudget::unlimited(),
+            |_, _| {},
         )
         .unwrap();
         let Budgeted::Complete(resumed) = resumed else {
@@ -705,8 +727,15 @@ mod tests {
         assert!(raws.len() > CHECKPOINT_BATCH);
         let mut seen = Vec::new();
         let _ = replay_raw_advisories_budgeted(
-            &planner, "gulf", &locs, "KATRINA", &raws, &all, &all,
-            Vec::new(), &WorkBudget::unlimited(),
+            &planner,
+            "gulf",
+            &locs,
+            "KATRINA",
+            &raws,
+            &all,
+            &all,
+            Vec::new(),
+            &WorkBudget::unlimited(),
             |replay, next| {
                 assert_eq!(replay.ticks.len(), next);
                 seen.push(next);
@@ -726,11 +755,19 @@ mod tests {
         let locs: Vec<GeoPoint> = net.pops().iter().map(|p| p.location).collect();
         let all: Vec<usize> = (0..net.pop_count()).collect();
         let raws = raw_advisories(Storm::Katrina, 2).unwrap();
-        let clean = replay_raw_advisories(&planner, "gulf", &locs, "KATRINA", &raws, &all, &all)
-            .unwrap();
+        let clean =
+            replay_raw_advisories(&planner, "gulf", &locs, "KATRINA", &raws, &all, &all).unwrap();
         let err = replay_raw_advisories_budgeted(
-            &planner, "gulf", &locs, "KATRINA", &raws[..3], &all, &all,
-            clean.ticks, &WorkBudget::unlimited(), |_, _| {},
+            &planner,
+            "gulf",
+            &locs,
+            "KATRINA",
+            &raws[..3],
+            &all,
+            &all,
+            clean.ticks,
+            &WorkBudget::unlimited(),
+            |_, _| {},
         )
         .unwrap_err();
         assert!(
@@ -746,8 +783,7 @@ mod tests {
         let net = gulf_network();
         let planner = base_planner(&net);
         let reactive = replay_storm(&planner, &net, Storm::Katrina, 1).unwrap();
-        let proactive =
-            replay_storm_proactive(&planner, &net, Storm::Katrina, 1, 48.0).unwrap();
+        let proactive = replay_storm_proactive(&planner, &net, Storm::Katrina, 1, 48.0).unwrap();
         let first_reaction = |r: &DisasterReplay| {
             r.ticks
                 .iter()
@@ -767,8 +803,7 @@ mod tests {
         let net = gulf_network();
         let planner = base_planner(&net);
         let reactive = replay_storm(&planner, &net, Storm::Katrina, 1).unwrap();
-        let proactive =
-            replay_storm_proactive(&planner, &net, Storm::Katrina, 1, 0.0).unwrap();
+        let proactive = replay_storm_proactive(&planner, &net, Storm::Katrina, 1, 0.0).unwrap();
         // Proactive at lead 0 sees the same fields one advisory later
         // (it starts at advisory 2); compare aligned ticks.
         for tick in &proactive.ticks {
@@ -797,8 +832,8 @@ mod tests {
         let all: Vec<usize> = (0..net.pop_count()).collect();
         let mut raws = raw_advisories(Storm::Katrina, 1).unwrap();
         assert_eq!(raws.len(), 61);
-        let clean = replay_raw_advisories(&planner, "gulf", &locs, "KATRINA", &raws, &all, &all)
-            .unwrap();
+        let clean =
+            replay_raw_advisories(&planner, "gulf", &locs, "KATRINA", &raws, &all, &all).unwrap();
         let mut corrupted = 0;
         for (i, raw) in raws.iter_mut().enumerate() {
             if i % 5 == 0 {
@@ -806,8 +841,8 @@ mod tests {
                 corrupted += 1;
             }
         }
-        let dirty = replay_raw_advisories(&planner, "gulf", &locs, "KATRINA", &raws, &all, &all)
-            .unwrap();
+        let dirty =
+            replay_raw_advisories(&planner, "gulf", &locs, "KATRINA", &raws, &all, &all).unwrap();
         assert_eq!(dirty.ticks.len(), clean.ticks.len(), "no tick is dropped");
         assert_eq!(dirty.degraded_ticks(), corrupted);
         for (d, c) in dirty.ticks.iter().zip(&clean.ticks) {

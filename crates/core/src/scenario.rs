@@ -286,7 +286,11 @@ impl ScenarioFork {
             node_off[v] = true;
         }
         let keep = |u: usize, v: usize| !node_off[u] && !node_off[v] && !delta.drops_link(u, v);
-        let forecast_override = if forecast_changed { delta.forecast() } else { None };
+        let forecast_override = if forecast_changed {
+            delta.forecast()
+        } else {
+            None
+        };
         let planner = base.fork_masked(&keep, forecast_override);
 
         let comp = components(&planner, &node_off);
@@ -304,7 +308,11 @@ impl ScenarioFork {
                 &comp,
                 root,
                 &keep,
-                if rho_changed { Some(planner.rho()) } else { None },
+                if rho_changed {
+                    Some(planner.rho())
+                } else {
+                    None
+                },
             );
             if let Some(t) = projected {
                 planner.seed_distance_tree(root, Arc::new(t));
@@ -426,7 +434,13 @@ fn project_tree(
         None => {
             let base_rho = tree.rho_sum_slice();
             (0..n)
-                .map(|x| if comp[x] == rc { base_rho[x] } else { f64::INFINITY })
+                .map(|x| {
+                    if comp[x] == rc {
+                        base_rho[x]
+                    } else {
+                        f64::INFINITY
+                    }
+                })
                 .collect()
         }
         Some(rho) => {
@@ -650,7 +664,10 @@ impl SweepOutcome {
                 .then_with(|| b.1.total_cmp(&a.1))
                 .then_with(|| a.3.cmp(&b.3))
         });
-        worst.into_iter().map(|(e, dbr, dst, _)| (e, dbr, dst)).collect()
+        worst
+            .into_iter()
+            .map(|(e, dbr, dst, _)| (e, dbr, dst))
+            .collect()
     }
 }
 
@@ -832,7 +849,14 @@ fn delta_for(e: &FailElement) -> ScenarioDelta {
 /// # Errors
 /// Same contract as [`run_sweep_budgeted`].
 pub fn run_sweep(base: &Planner, network: &Network, mode: SweepMode) -> Result<SweepOutcome> {
-    let run = run_sweep_budgeted(base, network, mode, None, &WorkBudget::unlimited(), |_, _| {})?;
+    let run = run_sweep_budgeted(
+        base,
+        network,
+        mode,
+        None,
+        &WorkBudget::unlimited(),
+        |_, _| {},
+    )?;
     let (outcome, _) = run.into_parts();
     Ok(outcome)
 }
@@ -932,9 +956,9 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use crate::budget::StopReason;
-    use riskroute_par::Parallelism;
     use crate::metric::{NodeRisk, RiskWeights};
     use riskroute_geo::GeoPoint;
+    use riskroute_par::Parallelism;
     use riskroute_population::PopShares;
     use riskroute_topology::{NetworkKind, Pop};
 
@@ -1002,7 +1026,11 @@ mod tests {
     }
 
     fn bits(e: &ExposureReport) -> (u64, usize, usize) {
-        (e.bit_risk_total.to_bits(), e.routable_pairs, e.stranded_pairs)
+        (
+            e.bit_risk_total.to_bits(),
+            e.routable_pairs,
+            e.stranded_pairs,
+        )
     }
 
     #[test]
@@ -1017,7 +1045,9 @@ mod tests {
         assert_eq!(d.links(), &[(1, 3)]);
         assert!(!d.is_empty());
         assert!(ScenarioDelta::new().is_empty());
-        let e = ScenarioDelta::new().deactivate_node(2).deactivate_link(0, 1);
+        let e = ScenarioDelta::new()
+            .deactivate_node(2)
+            .deactivate_link(0, 1);
         let m = d.merged(&e);
         assert_eq!(m.nodes(), &[0, 2]);
         assert_eq!(m.links(), &[(0, 1), (1, 3)]);
@@ -1162,7 +1192,9 @@ mod tests {
         let (net, planner) = fixture();
         let seq = run_sweep(&planner, &net, SweepMode::N1).unwrap();
         for workers in [2, 8] {
-            let par = planner.clone().with_parallelism(Parallelism::Threads(workers));
+            let par = planner
+                .clone()
+                .with_parallelism(Parallelism::Threads(workers));
             let got = run_sweep(&par, &net, SweepMode::N1).unwrap();
             assert_eq!(got, seq, "N-1 sweep diverged at {workers} workers");
         }

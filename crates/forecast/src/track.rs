@@ -98,10 +98,7 @@ impl HurricaneTrack {
             .unwrap_or(self.points.len().saturating_sub(2));
         let (a, b) = (&self.points[idx], &self.points[idx + 1]);
         let t = (h - a.hours) / (b.hours - a.hours);
-        let (Ok(pa), Ok(pb)) = (
-            GeoPoint::new(a.lat, a.lon),
-            GeoPoint::new(b.lat, b.lon),
-        ) else {
+        let (Ok(pa), Ok(pb)) = (GeoPoint::new(a.lat, a.lon), GeoPoint::new(b.lat, b.lon)) else {
             unreachable!("waypoints were validated by the constructor");
         };
         StormState {

@@ -70,7 +70,10 @@ fn destination_distance_is_requested() {
         let dist = rng.gen_range(0.0..3000.0);
         let p = destination(a, brg, dist);
         let measured = great_circle_miles(a, p);
-        assert!((measured - dist).abs() < 0.5, "asked {dist}, measured {measured}");
+        assert!(
+            (measured - dist).abs() < 0.5,
+            "asked {dist}, measured {measured}"
+        );
     }
 }
 
@@ -93,10 +96,7 @@ fn sampled_path_length_matches_direct() {
     for _ in 0..CASES {
         let (a, b) = (conus_point(&mut rng), conus_point(&mut rng));
         let pts = sample_great_circle(a, b, 16);
-        let total: f64 = pts
-            .windows(2)
-            .map(|w| great_circle_miles(w[0], w[1]))
-            .sum();
+        let total: f64 = pts.windows(2).map(|w| great_circle_miles(w[0], w[1])).sum();
         let direct = great_circle_miles(a, b);
         assert!((total - direct).abs() < 0.01 * direct.max(1.0));
     }

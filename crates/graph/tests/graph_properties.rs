@@ -56,7 +56,8 @@ fn random_connected_graph(rng: &mut StdRng) -> Graph {
         let a = rng.gen_range(0..n);
         let b = rng.gen_range(0..n);
         if a != b {
-            g.add_edge(a, b, rng.gen_range(0.0..1000.0)).expect("extra edge");
+            g.add_edge(a, b, rng.gen_range(0.0..1000.0))
+                .expect("extra edge");
         }
     }
     g

@@ -1,9 +1,9 @@
 //! Disaster event kinds, paper counts, and seeded mixture samplers.
 
-use riskroute_rng::StdRng;
 use riskroute_geo::bbox::CONUS;
 use riskroute_geo::distance::destination;
 use riskroute_geo::GeoPoint;
+use riskroute_rng::StdRng;
 use riskroute_stats::rng::derive_seed;
 use std::fmt;
 

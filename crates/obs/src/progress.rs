@@ -33,7 +33,13 @@ impl Heartbeat {
 
     /// Render one progress line for the given elapsed time (separated
     /// from the clock for testability).
-    pub fn render_at(&self, elapsed: Duration, done: u64, total: Option<u64>, extra: &str) -> String {
+    pub fn render_at(
+        &self,
+        elapsed: Duration,
+        done: u64,
+        total: Option<u64>,
+        extra: &str,
+    ) -> String {
         let mut line = format!("[{}] {done}", self.label);
         if let Some(total) = total.filter(|&t| t > 0) {
             let frac = done as f64 / total as f64;

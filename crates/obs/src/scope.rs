@@ -72,7 +72,10 @@ pub struct ObsScope {
 
 impl ObsScope {
     /// The inert scope: no trace, attributes nothing.
-    pub const NONE: ObsScope = ObsScope { trace: 0, parent: 0 };
+    pub const NONE: ObsScope = ObsScope {
+        trace: 0,
+        parent: 0,
+    };
 
     /// Allocate a fresh trace and register it under `label`. Returns
     /// [`ObsScope::NONE`] when collection is disabled (one load + branch).

@@ -88,7 +88,12 @@ pub fn summarize_lines(lines: &[ObsLine]) -> Vec<SpanSummary> {
 pub fn summarize_traces(lines: &[ObsLine]) -> Vec<TraceSummary> {
     let mut by_id: BTreeMap<u64, TraceSummary> = BTreeMap::new();
     for line in lines {
-        if let ObsLine::Trace { id, label, counters } = line {
+        if let ObsLine::Trace {
+            id,
+            label,
+            counters,
+        } = line
+        {
             by_id.insert(
                 *id,
                 TraceSummary {
@@ -279,7 +284,10 @@ mod tests {
         assert_eq!(nearest_rank(&[42], 0.999), 42);
         assert_eq!(nearest_rank(&[42], 0.001), 42);
         let rows = summarize([("once".to_string(), 42)]);
-        assert_eq!((rows[0].p50_us, rows[0].p99_us, rows[0].p999_us), (42, 42, 42));
+        assert_eq!(
+            (rows[0].p50_us, rows[0].p99_us, rows[0].p999_us),
+            (42, 42, 42)
+        );
     }
 
     #[test]
@@ -308,7 +316,10 @@ mod tests {
         assert!(header.contains("p999_us"));
         let row = lines.next().unwrap();
         assert!(row.starts_with("work"));
-        assert!(row.contains("4.000"), "total 4000 µs renders as 4.000 ms: {row}");
+        assert!(
+            row.contains("4.000"),
+            "total 4000 µs renders as 4.000 ms: {row}"
+        );
     }
 
     fn span(name: &str, trace: u64, dur: u64) -> ObsLine {

@@ -415,7 +415,9 @@ impl<T> ScratchPool<T> {
     fn lock(&self) -> std::sync::MutexGuard<'_, Vec<T>> {
         // A panic can never happen inside the push/pop critical sections,
         // but recover from poisoning defensively anyway.
-        self.stack.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        self.stack
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Run `f` with a pooled scratch item, creating one via `make` when the

@@ -315,11 +315,8 @@ mod tests {
             let net = Network::new("cloud", NetworkKind::Tier1, pops, vec![]).unwrap();
             let index = LatBandIndex::build(&net);
             for _ in 0..200 {
-                let q = GeoPoint::new(
-                    24.6 + rng.gen_f64() * 24.8,
-                    -124.9 + rng.gen_f64() * 58.0,
-                )
-                .unwrap();
+                let q = GeoPoint::new(24.6 + rng.gen_f64() * 24.8, -124.9 + rng.gen_f64() * 58.0)
+                    .unwrap();
                 let fast = index.nearest(&net, q);
                 let slow = net.nearest_pop(q);
                 match (fast, slow) {

@@ -1,9 +1,9 @@
 //! Synthetic census blocks and population density.
 
-use riskroute_rng::StdRng;
 use riskroute_geo::bbox::CONUS;
 use riskroute_geo::distance::destination;
 use riskroute_geo::{GeoGrid, GeoPoint};
+use riskroute_rng::StdRng;
 use riskroute_topology::gazetteer::{self, City};
 
 /// Number of continental-US census blocks in the paper's extract (§4.2).

@@ -93,7 +93,9 @@ pub fn parse_request(line: &str, limits: ParseLimits) -> Result<Request, FrameEr
         other => FrameError::Malformed(other.to_string()),
     })?;
     if body.as_obj().is_err() {
-        return Err(FrameError::Malformed("request must be a JSON object".to_string()));
+        return Err(FrameError::Malformed(
+            "request must be a JSON object".to_string(),
+        ));
     }
     let op = match body.field("op") {
         Ok(v) => v
@@ -102,12 +104,13 @@ pub fn parse_request(line: &str, limits: ParseLimits) -> Result<Request, FrameEr
             .to_string(),
         Err(_) => return Err(FrameError::MissingOp),
     };
-    let id = match body.as_obj().ok().and_then(|m| m.get("id")) {
-        None => None,
-        Some(v) => Some(v.as_usize().map_err(|_| {
-            FrameError::Malformed("'id' must be a non-negative integer".to_string())
-        })? as u64),
-    };
+    let id =
+        match body.as_obj().ok().and_then(|m| m.get("id")) {
+            None => None,
+            Some(v) => Some(v.as_usize().map_err(|_| {
+                FrameError::Malformed("'id' must be a non-negative integer".to_string())
+            })? as u64),
+        };
     Ok(Request { id, op, body })
 }
 
@@ -201,7 +204,10 @@ mod tests {
             assert_eq!(err.kind(), *kind, "{line}");
         }
         let big = format!(r#"{{"op":"ping","pad":"{}"}}"#, "x".repeat(1 << 16));
-        assert_eq!(parse_request(&big, limits()).unwrap_err().kind(), "oversized-frame");
+        assert_eq!(
+            parse_request(&big, limits()).unwrap_err().kind(),
+            "oversized-frame"
+        );
     }
 
     #[test]
@@ -221,6 +227,9 @@ mod tests {
         );
         let over = render_overloaded(None, 250);
         let doc = riskroute_json::parse(&over).unwrap();
-        assert_eq!(doc.field("retry_after_ms").unwrap().as_usize().unwrap(), 250);
+        assert_eq!(
+            doc.field("retry_after_ms").unwrap().as_usize().unwrap(),
+            250
+        );
     }
 }

@@ -68,7 +68,15 @@ impl Default for ServeConfig {
             write_timeout_ms: 5_000,
             drain_ms: 2_000,
             retry_after_ms: 100,
-            metric_ops: &["ping", "route", "ratio", "provision", "replay", "sweep", "corpus"],
+            metric_ops: &[
+                "ping",
+                "route",
+                "ratio",
+                "provision",
+                "replay",
+                "sweep",
+                "corpus",
+            ],
             slow_log_capacity: 128,
             slo_us: &[
                 ("ping", 1_000),
@@ -418,7 +426,10 @@ fn register_latency_histograms(config: &ServeConfig) {
     for family in ["serve_request_us", "serve_queue_wait_us"] {
         riskroute_obs::histogram_register(family, Histogram::micros_default());
         for op in config.metric_ops.iter().chain(std::iter::once(&"other")) {
-            riskroute_obs::histogram_register(&format!("{family}_{op}"), Histogram::micros_default());
+            riskroute_obs::histogram_register(
+                &format!("{family}_{op}"),
+                Histogram::micros_default(),
+            );
         }
     }
 }
@@ -526,10 +537,7 @@ fn connection_loop(mut conn: Conn, shared: &Arc<Shared>) {
                     &Reply::Err {
                         kind: "oversized-frame".to_string(),
                         exit_code: 2,
-                        message: format!(
-                            "frame exceeds cap of {} bytes",
-                            config.frame_cap_bytes
-                        ),
+                        message: format!("frame exceeds cap of {} bytes", config.frame_cap_bytes),
                     },
                 ),
                 state,
@@ -554,8 +562,7 @@ fn connection_loop(mut conn: Conn, shared: &Arc<Shared>) {
                 buf.extend_from_slice(&chunk[..n]);
             }
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock
-                    || e.kind() == io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
                 idle += tick;
                 if idle.as_millis() as u64 >= config.read_timeout_ms {
@@ -729,8 +736,16 @@ fn execute(conn: &mut Conn, request: &Request, shared: &Arc<Shared>, received: I
         shared.slow_log.push(SlowQuery {
             trace_id: scope.trace_id(),
             op: op_metric.to_string(),
-            lambda_h: request.body.field("lambda_h").ok().and_then(|v| v.as_f64().ok()),
-            lambda_f: request.body.field("lambda_f").ok().and_then(|v| v.as_f64().ok()),
+            lambda_h: request
+                .body
+                .field("lambda_h")
+                .ok()
+                .and_then(|v| v.as_f64().ok()),
+            lambda_f: request
+                .body
+                .field("lambda_f")
+                .ok()
+                .and_then(|v| v.as_f64().ok()),
             wall_us,
             queue_us,
             slo_us,
@@ -752,9 +767,7 @@ fn write_line(conn: &mut Conn, line: &str, _state: &Arc<State>) -> bool {
     bytes.push(b'\n');
     match conn.write_all(&bytes).and_then(|()| conn.flush()) {
         Ok(()) => true,
-        Err(e)
-            if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-        {
+        Err(e) if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
             counter("serve_clients_stalled");
             false
         }
@@ -876,8 +889,8 @@ mod tests {
     }
 
     fn start() -> (SpawnedServer, SocketAddr) {
-        let server = Server::bind_tcp("127.0.0.1:0", Arc::new(EchoHandler), fast_config())
-            .expect("bind");
+        let server =
+            Server::bind_tcp("127.0.0.1:0", Arc::new(EchoHandler), fast_config()).expect("bind");
         let addr = server.local_addr().expect("tcp addr");
         (server.spawn(), addr)
     }
@@ -908,13 +921,18 @@ mod tests {
     fn malformed_frames_get_typed_errors_and_resync() {
         let (server, addr) = start();
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream.write_all(b"{ not json\n{\"op\":\"ping\"}\n").unwrap();
+        stream
+            .write_all(b"{ not json\n{\"op\":\"ping\"}\n")
+            .unwrap();
         let mut reader = BufReader::new(stream);
         let mut first = String::new();
         reader.read_line(&mut first).unwrap();
         let doc = riskroute_json::parse(first.trim_end()).unwrap();
         assert_eq!(doc.field("status").unwrap().as_str().unwrap(), "error");
-        assert_eq!(doc.field("kind").unwrap().as_str().unwrap(), "malformed-frame");
+        assert_eq!(
+            doc.field("kind").unwrap().as_str().unwrap(),
+            "malformed-frame"
+        );
         // The same connection resyncs at the newline and answers the ping.
         let mut second = String::new();
         reader.read_line(&mut second).unwrap();
@@ -973,13 +991,15 @@ mod tests {
         assert!(!report.shed);
         // The listener is gone.
         thread::sleep(Duration::from_millis(50));
-        assert!(TcpStream::connect(addr).is_err() || {
-            // A lingering accept queue entry may connect but must see EOF.
-            let mut s = TcpStream::connect(addr).unwrap();
-            s.write_all(b"{\"op\":\"ping\"}\n").unwrap();
-            let mut out = String::new();
-            BufReader::new(s).read_line(&mut out).unwrap_or(0) == 0
-        });
+        assert!(
+            TcpStream::connect(addr).is_err() || {
+                // A lingering accept queue entry may connect but must see EOF.
+                let mut s = TcpStream::connect(addr).unwrap();
+                s.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+                let mut out = String::new();
+                BufReader::new(s).read_line(&mut out).unwrap_or(0) == 0
+            }
+        );
     }
 
     #[test]
@@ -990,8 +1010,7 @@ mod tests {
             slow_log_capacity: 4,
             ..fast_config()
         };
-        let server =
-            Server::bind_tcp("127.0.0.1:0", Arc::new(EchoHandler), config).expect("bind");
+        let server = Server::bind_tcp("127.0.0.1:0", Arc::new(EchoHandler), config).expect("bind");
         let addr = server.local_addr().expect("tcp addr");
         let server = server.spawn();
         let bad_before = riskroute_obs::counter_value("obs_slo_bad_other");
@@ -1034,9 +1053,7 @@ mod tests {
         let (server, addr) = start();
         roundtrip(addr, r#"{"op":"ping"}"#);
         let mut stream = TcpStream::connect(addr).unwrap();
-        stream
-            .write_all(b"GET /metrics HTTP/1.0\r\n\r\n")
-            .unwrap();
+        stream.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
         let mut body = String::new();
         BufReader::new(stream).read_to_string(&mut body).unwrap();
         assert!(body.starts_with("HTTP/1.0 200 OK"), "{body}");

@@ -75,10 +75,8 @@ pub fn select_bandwidth(
         }
         scored.push((bw, total_nll / held_out as f64));
     }
-    let Some((best_bandwidth_miles, best_score)) = scored
-        .iter()
-        .copied()
-        .min_by(|a, b| a.1.total_cmp(&b.1))
+    let Some((best_bandwidth_miles, best_score)) =
+        scored.iter().copied().min_by(|a, b| a.1.total_cmp(&b.1))
     else {
         unreachable!("candidates were asserted non-empty");
     };
@@ -142,10 +140,8 @@ pub fn select_bandwidth_binned(
         }
         scored.push((bw, total_nll / held_out as f64));
     }
-    let Some((best_bandwidth_miles, best_score)) = scored
-        .iter()
-        .copied()
-        .min_by(|a, b| a.1.total_cmp(&b.1))
+    let Some((best_bandwidth_miles, best_score)) =
+        scored.iter().copied().min_by(|a, b| a.1.total_cmp(&b.1))
     else {
         unreachable!("candidates were asserted non-empty");
     };
@@ -192,8 +188,8 @@ pub fn log_space(lo: f64, hi: f64, steps: usize) -> Vec<f64> {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use riskroute_rng::StdRng;
     use riskroute_geo::distance::destination;
+    use riskroute_rng::StdRng;
 
     fn pt(lat: f64, lon: f64) -> GeoPoint {
         GeoPoint::new(lat, lon).unwrap()

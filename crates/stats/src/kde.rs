@@ -300,7 +300,8 @@ impl GeoKde {
             for col in 0..cols {
                 let mut acc = smeared[center * cols + col] * klat[0];
                 for (i, &k) in klat.iter().enumerate().skip(1) {
-                    acc += (smeared[(center - i) * cols + col] + smeared[(center + i) * cols + col])
+                    acc += (smeared[(center - i) * cols + col]
+                        + smeared[(center + i) * cols + col])
                         * k;
                 }
                 grid.set(row, col, acc * norm);
@@ -515,7 +516,11 @@ mod tests {
 
     #[test]
     fn binned_grid_matches_exact_within_tolerance() {
-        for (seed, n, bw) in [(7_u64, 300_usize, 60.0_f64), (11, 80, 45.0), (13, 500, 90.0)] {
+        for (seed, n, bw) in [
+            (7_u64, 300_usize, 60.0_f64),
+            (11, 80, 45.0),
+            (13, 500, 90.0),
+        ] {
             let kde = GeoKde::fit(seeded_corpus(seed, n), bw);
             // Fine enough that cell/σ ≤ ~0.25 for the narrowest bandwidth:
             // the linear-binning error is O((cell/σ)²), so the tolerances

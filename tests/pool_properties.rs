@@ -35,10 +35,18 @@ fn par_map_collect_preserves_input_order_for_arbitrary_shapes() {
         let items: Vec<u64> = (0..tasks).map(|_| rng.next_u64() >> 16).collect();
         let par = Parallelism::from_worker_count(workers);
         let out = par_map_collect(par, &items, |idx, &x| (idx, x.wrapping_mul(3)));
-        assert_eq!(out.len(), items.len(), "case {case}: length must match input");
+        assert_eq!(
+            out.len(),
+            items.len(),
+            "case {case}: length must match input"
+        );
         for (i, (idx, mapped)) in out.iter().enumerate() {
             assert_eq!(*idx, i, "case {case}: slot {i} holds another task's result");
-            assert_eq!(*mapped, items[i].wrapping_mul(3), "case {case}: slot {i} value");
+            assert_eq!(
+                *mapped,
+                items[i].wrapping_mul(3),
+                "case {case}: slot {i} value"
+            );
         }
     }
 }
@@ -53,7 +61,10 @@ fn parallel_matches_sequential_for_random_shapes() {
         let f = |idx: usize, x: &u64| x.rotate_left(u32::try_from(idx % 64).unwrap_or(0));
         let sequential = par_map_collect(Parallelism::Sequential, &items, f);
         let parallel = par_map_collect(Parallelism::Threads(workers), &items, f);
-        assert_eq!(sequential, parallel, "case {case}: {tasks} tasks x {workers} workers");
+        assert_eq!(
+            sequential, parallel,
+            "case {case}: {tasks} tasks x {workers} workers"
+        );
     }
 }
 
@@ -64,10 +75,11 @@ fn panicking_task_surfaces_as_typed_pool_error() {
         let tasks = rng.gen_range(10..60usize);
         let poison = rng.gen_range(0..tasks);
         let items: Vec<usize> = (0..tasks).collect();
-        let result = try_par_map_collect(Parallelism::from_worker_count(workers), &items, |_, &x| {
-            assert_ne!(x, poison, "deliberate test panic");
-            x
-        });
+        let result =
+            try_par_map_collect(Parallelism::from_worker_count(workers), &items, |_, &x| {
+                assert_ne!(x, poison, "deliberate test panic");
+                x
+            });
         let Err(err) = result else {
             panic!("{workers} workers: a panicking task must poison the pool")
         };
@@ -156,10 +168,18 @@ fn fold_sum_is_bit_identical_at_every_worker_count() {
             .iter()
             .filter(|x| x.is_finite())
             .fold(init, |acc, &x| acc + x);
-        assert_eq!(want.to_bits(), plain.to_bits(), "row {row}: one worker is the plain loop");
+        assert_eq!(
+            want.to_bits(),
+            plain.to_bits(),
+            "row {row}: one worker is the plain loop"
+        );
         for par in FOLD_MATRIX {
             let got = fold_sum(par, items, init);
-            assert_eq!(got.to_bits(), want.to_bits(), "row {row} at {par}: {got} vs {want}");
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "row {row} at {par}: {got} vs {want}"
+            );
         }
     }
 }

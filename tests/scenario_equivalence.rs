@@ -26,9 +26,13 @@ fn corpus_planner(parallelism: Parallelism) -> (Network, Planner) {
     let population = PopulationModel::synthesize(42, 4_000);
     let hazards = HistoricalRisk::standard(42, Some(800));
     let net = corpus.network("Telepak").unwrap().clone();
-    let planner =
-        Planner::for_network(&net, &population, &hazards, RiskWeights::historical_only(1e5))
-            .with_parallelism(parallelism);
+    let planner = Planner::for_network(
+        &net,
+        &population,
+        &hazards,
+        RiskWeights::historical_only(1e5),
+    )
+    .with_parallelism(parallelism);
     (net, planner)
 }
 
@@ -127,7 +131,11 @@ fn budget_cut_and_resume_matches_the_uninterrupted_sweep() {
 const LEVEL3_N1_SAMPLES: usize = 48;
 
 fn bits(e: &ExposureReport) -> (u64, usize, usize) {
-    (e.bit_risk_total.to_bits(), e.routable_pairs, e.stranded_pairs)
+    (
+        e.bit_risk_total.to_bits(),
+        e.routable_pairs,
+        e.stranded_pairs,
+    )
 }
 
 /// A fresh planner over `net` with `e` failed (a failed node keeps its PoP
@@ -158,8 +166,12 @@ fn level3_n1_forks_match_rebuilt_planners_bit_for_bit() {
     let population = PopulationModel::synthesize(42, 4_000);
     let hazards = HistoricalRisk::standard(42, Some(800));
     let net = corpus.network("Level3").unwrap();
-    let planner =
-        Planner::for_network(net, &population, &hazards, RiskWeights::historical_only(1e5));
+    let planner = Planner::for_network(
+        net,
+        &population,
+        &hazards,
+        RiskWeights::historical_only(1e5),
+    );
     // Warm the base cache so forks take the tree-adoption path, as they do
     // inside a sweep.
     let _ = base_exposure(&planner);
@@ -187,7 +199,10 @@ fn level3_n1_forks_match_rebuilt_planners_bit_for_bit() {
             "fork diverged from the rebuilt planner at {e:?}"
         );
     }
-    assert!(kinds.0 > 0 && kinds.1 > 0, "sample must cover nodes and links");
+    assert!(
+        kinds.0 > 0 && kinds.1 > 0,
+        "sample must cover nodes and links"
+    );
 }
 
 /// Two triangles sharing only vertex 2 — the textbook cut vertex. Failing

@@ -26,8 +26,7 @@ fn daemon(workers: Parallelism) -> (SpawnedServer, SocketAddr) {
     ctx.parallelism = workers;
     let cli = parse_args(&["corpus".to_string()]).expect("parse");
     let handler = Arc::new(ServeHandler::new(ctx, cli.weights(), None));
-    let server =
-        Server::bind_tcp("127.0.0.1:0", handler, ServeConfig::default()).expect("bind");
+    let server = Server::bind_tcp("127.0.0.1:0", handler, ServeConfig::default()).expect("bind");
     let addr = server.local_addr().expect("tcp addr");
     (server.spawn(), addr)
 }
@@ -311,7 +310,10 @@ fn per_request_lambda_overrides_match_weight_flags() {
     assert_eq!(field(&doc, "status"), "ok");
     assert_eq!(field(&doc, "output"), want);
     // Typed failures carry the CLI exit-code taxonomy.
-    let doc = query(addr, r#"{"op":"route","network":"Nope","src":"0","dst":"5"}"#);
+    let doc = query(
+        addr,
+        r#"{"op":"route","network":"Nope","src":"0","dst":"5"}"#,
+    );
     assert_eq!(field(&doc, "status"), "error");
     assert_eq!(field(&doc, "kind"), "unknown-name");
     assert_eq!(

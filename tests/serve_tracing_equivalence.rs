@@ -12,11 +12,11 @@
 use riskroute::interdomain::InterdomainAnalysis;
 use riskroute::peering::score_peerings;
 use riskroute::prelude::*;
-use riskroute_topology::colocation::DEFAULT_COLOCATION_MILES;
-use riskroute_topology::Network;
 use riskroute_cli::commands::ServeHandler;
 use riskroute_cli::{parse_args, CliContext};
 use riskroute_serve::{ServeConfig, Server, SpawnedServer};
+use riskroute_topology::colocation::DEFAULT_COLOCATION_MILES;
+use riskroute_topology::Network;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
@@ -119,10 +119,7 @@ fn tracing_never_changes_bytes_and_attribution_sums_to_global_deltas() {
             .collect()
     });
     for (req, reply) in requests.iter().zip(&replies) {
-        assert!(
-            reply.contains("\"status\":\"ok\""),
-            "{req} failed: {reply}"
-        );
+        assert!(reply.contains("\"status\":\"ok\""), "{req} failed: {reply}");
     }
     let report = server.drain_and_join();
     assert!(!report.forced, "{report:?}");
@@ -195,7 +192,11 @@ fn tracing_never_changes_bytes_and_attribution_sums_to_global_deltas() {
         sweep()
     };
     riskroute_obs::disable();
-    assert!(!off.is_empty(), "{} has no candidate peering", regional.name());
+    assert!(
+        !off.is_empty(),
+        "{} has no candidate peering",
+        regional.name()
+    );
     assert_eq!(off, on, "tracing changed the peering scores");
     assert_eq!(off, scoped, "scoped attribution changed the peering scores");
 }

@@ -270,13 +270,6 @@ pub enum Command {
         /// export behind.
         out: Option<String>,
     },
-    /// Seeded chaos-injection harness: fault plans against the full pipeline.
-    Chaos {
-        /// Number of fault plans to run.
-        plans: usize,
-        /// Base seed; plan `i` uses `seed + i`.
-        seed: u64,
-    },
     /// Summarize a `--trace-out` JSONL file: per-span latency table.
     ObsSummary {
         /// Path to the JSONL trace.
@@ -316,7 +309,6 @@ impl Command {
             Command::Serve { .. } => "serve",
             Command::Failure { .. } => "failure",
             Command::Export { .. } => "export",
-            Command::Chaos { .. } => "chaos",
             Command::ObsSummary { .. } => "obs-summary",
             Command::ObsTrace { .. } => "obs-trace",
             Command::ObsLint { .. } => "obs-lint",
@@ -337,9 +329,6 @@ pub enum CliError {
     Io(String),
     /// A pipeline error from the unified core taxonomy.
     Core(riskroute::Error),
-    /// The chaos harness observed invariant violations (the payload lists
-    /// them, one per entry).
-    Chaos(Vec<String>),
     /// The execution budget ran out before the computation finished. The
     /// report is the partial result plus resume instructions — the run's
     /// completed prefix is valid (and checkpointed when `--checkpoint` was
@@ -365,7 +354,7 @@ impl CliError {
     /// corrupt or stale checkpoint), `6` defined degradation surfaced as an
     /// error (unreachable pair, nothing left to aggregate), `7` invalid
     /// values or malformed structure (including a poisoned parallel worker
-    /// pool), `8` chaos invariant violation, `9` execution budget exhausted
+    /// pool), `9` execution budget exhausted
     /// (partial result, resumable), `10` forced serve drain (the daemon had
     /// to abandon stuck in-flight work to exit).
     pub fn exit_code(&self) -> i32 {
@@ -391,7 +380,6 @@ impl CliError {
                 | E::UnknownNetwork(_)
                 | E::WorkerPanic { .. } => 7,
             },
-            CliError::Chaos(_) => 8,
             CliError::Budget { .. } => 9,
             CliError::Drain(_) => 10,
         }
@@ -406,13 +394,6 @@ impl fmt::Display for CliError {
             CliError::Unknown(m) => write!(f, "error: {m}"),
             CliError::Io(m) => write!(f, "I/O error: {m}"),
             CliError::Core(e) => write!(f, "error: {}", riskroute::render_chain(e)),
-            CliError::Chaos(violations) => {
-                write!(f, "chaos invariants violated:")?;
-                for v in violations {
-                    write!(f, "\n  - {v}")?;
-                }
-                Ok(())
-            }
             CliError::Budget { report, .. } => f.write_str(report),
             CliError::Drain(m) => write!(f, "forced drain: {m}"),
         }
@@ -464,9 +445,6 @@ COMMANDS:
   failure <net> <storm>              storm failure injection
   export <net> [--format F] [--out P] topology as json | graphml, on stdout
                                      or atomically written to a file
-  chaos [--plans N] [--seed S]       seeded fault injection (default 8 plans,
-                                     seed 42); nonzero exit on any violation;
-                                     reports which faults actually fired
   obs-summary <trace.jsonl>          per-span latency table (count, total,
                                      p50, p99, p999), SSSP-engine counters,
                                      and per-trace attribution from a
@@ -529,7 +507,7 @@ Storms: katrina, irene, sandy. Everything is deterministic (seed 42).
 
 EXIT CODES:
   0 ok/help   2 usage   3 unknown name   4 I/O   5 parse/import/snapshot
-  6 unreachable or nothing to aggregate   7 invalid value   8 chaos violation
+  6 unreachable or nothing to aggregate   7 invalid value
   9 budget exhausted (partial result; resumable from its checkpoint)
   10 forced serve drain (stuck in-flight work abandoned at shutdown)
 ";
@@ -1029,10 +1007,6 @@ pub(crate) fn decode(cmd: &str, f: &mut dyn Fields) -> Result<Command, CliError>
                 ))
             }
         },
-        "chaos" => Command::Chaos {
-            plans: count(f, "plans")?.unwrap_or(8),
-            seed: seed(f)?,
-        },
         other => return Err(CliError::Bad(format!("unknown command {other:?}"))),
     })
 }
@@ -1248,32 +1222,6 @@ mod tests {
     }
 
     #[test]
-    fn chaos_defaults_and_flags() {
-        let cli = parse_args(&args("chaos")).unwrap();
-        assert_eq!(
-            cli.command,
-            Command::Chaos {
-                plans: 8,
-                seed: crate::CLI_SEED
-            }
-        );
-        let cli = parse_args(&args("chaos --plans 12 --seed 7")).unwrap();
-        assert_eq!(cli.command, Command::Chaos { plans: 12, seed: 7 });
-        assert!(matches!(
-            parse_args(&args("chaos extra")),
-            Err(CliError::Bad(_))
-        ));
-        assert!(matches!(
-            parse_args(&args("chaos --plans 0")),
-            Err(CliError::Bad(_))
-        ));
-        assert!(matches!(
-            parse_args(&args("chaos --seed -3")),
-            Err(CliError::Bad(_))
-        ));
-    }
-
-    #[test]
     fn obs_flags_parse_anywhere_and_default_off() {
         let cli = parse_args(&args("corpus")).unwrap();
         assert_eq!(cli.obs, ObsArgs::default());
@@ -1370,6 +1318,17 @@ mod tests {
     }
 
     #[test]
+    fn chaos_is_not_a_command() {
+        // The fault-injection harness runs as a test suite.
+        for argv in ["chaos", "chaos --plans 8 --seed 42"] {
+            match parse_args(&args(argv)) {
+                Err(CliError::Bad(m)) => assert!(m.contains("unknown command \"chaos\""), "{m}"),
+                other => panic!("{argv}: expected a usage error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn unknown_subcommand_flags_are_usage_errors() {
         for argv in [
             "route Sprint 0 9 --bogus-flag",
@@ -1378,7 +1337,6 @@ mod tests {
             "replay Telepak katrina --bogus",
             "sweep Telepak --bogus",
             "corpus --bogus",
-            "chaos --bogus",
         ] {
             assert_rejects_flag(argv, "--bogus");
         }
@@ -1409,7 +1367,6 @@ mod tests {
             "synth 100 --seed 7 --out n.graphml",
             "export Sprint --format graphml --out n.graphml",
             "obs trace t.jsonl --out t.json",
-            "chaos --plans 2 --seed 9",
             "serve --listen 127.0.0.1:0 --unix s.sock --max-inflight 2 --max-connections 4 \
              --frame-cap-bytes 4096 --read-timeout-ms 5 --write-timeout-ms 5 --drain-ms 5 \
              --deadline-ms 5",
@@ -1699,7 +1656,6 @@ mod tests {
             CliError::Core(E::WorkerPanic { panicked: 2 }).exit_code(),
             7
         );
-        assert_eq!(CliError::Chaos(vec!["v".into()]).exit_code(), 8);
         assert_eq!(
             CliError::Budget {
                 report: "partial".into(),

@@ -991,7 +991,6 @@ fn error_kind(err: &CliError) -> &'static str {
         CliError::Unknown(_) => "unknown-name",
         CliError::Io(_) => "io-error",
         CliError::Core(_) => "engine-error",
-        CliError::Chaos(_) => "chaos-violation",
         CliError::Budget { .. } => "budget-exhausted",
         CliError::Drain(_) => "forced-drain",
     }
@@ -1156,7 +1155,7 @@ pub fn serve(ctx: CliContext, command: &Command, weights: RiskWeights) -> Result
 /// both the one-shot CLI and the serve daemon.
 ///
 /// # Errors
-/// The command's own [`CliError`]. `serve`, `chaos` and the `obs`
+/// The command's own [`CliError`]. `serve` and the `obs`
 /// commands do not run over a shared context and are usage errors here.
 pub fn execute(
     ctx: &CliContext,
@@ -1214,7 +1213,6 @@ pub fn execute(
             out,
         } => export(ctx, network, format, out.as_deref()),
         Command::Serve { .. }
-        | Command::Chaos { .. }
         | Command::ObsSummary { .. }
         | Command::ObsTrace { .. }
         | Command::ObsLint { .. } => Err(CliError::Bad(format!(
@@ -1472,50 +1470,6 @@ pub fn synth(n: usize, seed: u64, out: Option<&str>) -> Result<String, CliError>
     Ok(summary)
 }
 
-/// `riskroute chaos [--plans N] [--seed S]`
-///
-/// Runs `plans` deterministic fault plans (seeds `seed..seed+plans`) through
-/// the full pipeline and prints one degradation summary per plan. Any
-/// violated invariant — a panic would never get here — turns into
-/// [`CliError::Chaos`] and exit code 8.
-pub fn chaos(plans: usize, seed: u64) -> Result<String, CliError> {
-    let reports = riskroute::chaos::run_chaos_suite(seed, plans)?;
-    let mut out = format!(
-        "chaos harness: {plans} fault plans, base seed {seed} \
-         (faults: dropped links, garbled advisories, deleted hazard events,\n\
-         zeroed population shares, poisoned entry costs)\n\n"
-    );
-    let mut all_violations = Vec::new();
-    for report in &reports {
-        let _ = writeln!(out, "{}", report.summary_line());
-        let fired = report.fired_faults();
-        let _ = writeln!(
-            out,
-            "  fired: {}",
-            if fired.is_empty() {
-                "none".to_string()
-            } else {
-                fired.join(", ")
-            }
-        );
-        for v in riskroute::chaos::violations(report) {
-            all_violations.push(format!("seed {}: {v}", report.seed));
-        }
-    }
-    if !all_violations.is_empty() {
-        return Err(CliError::Chaos(all_violations));
-    }
-    let degraded: usize = reports.iter().map(|r| r.degraded_ticks).sum();
-    let stranded: usize = reports.iter().map(|r| r.stranded_pairs).sum();
-    let _ = writeln!(
-        out,
-        "\n{} plans completed: no panics, every ratio finite, degradation \
-         accounted for ({degraded} degraded ticks, {stranded} stranded pairs)",
-        reports.len()
-    );
-    Ok(out)
-}
-
 /// `riskroute obs-summary <trace.jsonl>`
 ///
 /// Reads a `--trace-out` JSONL file and prints a per-span latency table
@@ -1648,17 +1602,6 @@ mod tests {
         let err = route(&ctx(), "Nope", "0", "1", RiskWeights::PAPER).unwrap_err();
         assert!(matches!(err, CliError::Unknown(_)));
         assert!(err.to_string().contains("unknown network"));
-    }
-
-    #[test]
-    fn chaos_command_summarizes_plans_and_reports_fired_faults() {
-        let out = chaos(2, 0).unwrap();
-        assert!(out.contains("chaos harness: 2 fault plans"));
-        assert!(out.contains("seed "));
-        assert!(out.contains("2 plans completed: no panics"));
-        // Every plan line is followed by the list of faults that actually
-        // landed (not just pass/fail).
-        assert_eq!(out.matches("  fired: ").count(), 2, "{out}");
     }
 
     #[test]

@@ -228,11 +228,8 @@ pub fn run(cli: &Cli) -> Result<String, CliError> {
 }
 
 fn run_command(cli: &Cli) -> Result<String, CliError> {
-    // The chaos harness builds its own faulted substrates per plan; it does
-    // not need (and must not share) the CLI context. The obs commands only
-    // read files.
+    // The obs commands only read files; they need no CLI context.
     match &cli.command {
-        Command::Chaos { plans, seed } => return commands::chaos(*plans, *seed),
         Command::ObsSummary { path } => return commands::obs_summary(path),
         Command::ObsTrace { path, out } => return commands::obs_trace(path, out),
         Command::ObsLint { path } => return commands::obs_lint(path),

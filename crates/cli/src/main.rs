@@ -35,7 +35,7 @@ fn main() {
 /// Print `err` (with its cause chain — see [`riskroute::render_chain`],
 /// which [`CliError`]'s `Display` delegates to for core errors) and exit
 /// with the family's code. The write is unchecked: `eprintln!` would panic
-/// on a closed stderr pipe (`riskroute chaos 2>&1 | head`), turning every
+/// on a closed stderr pipe (`riskroute explode 2>&1 | head`), turning every
 /// exit code into 101 — the exit code is the contract, not the text.
 fn fail(err: &CliError) -> ! {
     let mut stderr = std::io::stderr().lock();

@@ -25,8 +25,10 @@
 //!    no O(n) set-up. One kernel serves both query shapes: a run is set up,
 //!    searched, and then read by one of two extractors — the whole tree
 //!    ([`sssp`]) or, for a pair query that stops once its target settles
-//!    ([`sssp_to`]), just the target's path, distance and ρ-sum
-//!    ([`PairAnswer`]), in O(path length) instead of O(n).
+//!    ([`sssp_to`]), just the target's path and distance ([`PairAnswer`]),
+//!    in O(path length) instead of O(n). A β = 0 run never reads ρ, so a
+//!    distance tree is a function of the topology alone; readers that need
+//!    its Σρ sum it along the path ([`crate::routing::path_rho_sum`]).
 //!
 //!    The kernel is generic over an A\* potential. Full trees run it with
 //!    h ≡ 0. A pair query runs it on a lower bound of the cost still to
@@ -41,10 +43,11 @@
 //!
 //! 3. **Exact route cache** ([`RouteTreeCache`]): complete trees keyed by
 //!    `(root, β.to_bits(), stamp)` and pair answers keyed by
-//!    `(root, β.to_bits(), stamp, target)`, where the stamp names one
-//!    immutable (topology, cost-function) state — any risk/weight mutation
-//!    mints a fresh stamp, so a stale entry can never be *returned*, only
-//!    evicted. A pair lookup is answered by its own entry or by a complete
+//!    `(root, β.to_bits(), stamp, target)`. A β = 0 key carries the
+//!    planner's topology stamp, which only a new topology mints; every
+//!    other key carries its cost stamp, which any risk/weight mutation also
+//!    mints. A stale entry can never be *returned*, only evicted. A pair
+//!    lookup is answered by its own entry or by a complete
 //!    tree under its `(root, β, stamp)`; full-tree readers see trees only.
 //!    After greedy provisioning adds a link `(a, b)` the planner
 //!    re-keys still-valid trees into the new state via a strict
@@ -65,12 +68,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Process-global source of cost-state stamps (see [`next_stamp`]).
+/// Process-global source of planner stamps (see [`next_stamp`]).
 static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 
-/// Mint a fresh, process-unique stamp naming one immutable
-/// (topology, cost-function) planner state. Two planner values share a
-/// stamp only when their trees are interchangeable bit-for-bit.
+/// Mint a fresh, process-unique stamp naming one immutable planner state
+/// (a topology, or a topology under one cost function). Two planner values
+/// share a stamp only when their trees are interchangeable bit-for-bit.
 pub(crate) fn next_stamp() -> u64 {
     NEXT_STAMP.fetch_add(1, Ordering::Relaxed)
 }
@@ -261,7 +264,6 @@ impl CsrGraph {
 pub(crate) struct SsspArena {
     dist: Vec<f64>,
     pred: Vec<u32>,
-    rho_sum: Vec<f64>,
     touched: Vec<u32>,
     settled: Vec<u32>,
     gen: u32,
@@ -273,7 +275,6 @@ impl SsspArena {
         SsspArena {
             dist: Vec::new(),
             pred: Vec::new(),
-            rho_sum: Vec::new(),
             touched: Vec::new(),
             settled: Vec::new(),
             gen: 0,
@@ -287,7 +288,6 @@ impl SsspArena {
         if self.touched.len() < n {
             self.dist.resize(n, f64::INFINITY);
             self.pred.resize(n, NO_PRED);
-            self.rho_sum.resize(n, 0.0);
             self.touched.resize(n, 0);
             self.settled.resize(n, 0);
         }
@@ -326,7 +326,7 @@ impl SsspArena {
     /// settles every node it touched (touched ⇒ finite dist ⇒ pushed ⇒
     /// popped), so the settled nodes are exactly the reachable ones; every
     /// other slot reads as unreachable.
-    fn tree(&self, source: usize, n: usize, track_rho: bool) -> RiskTree {
+    fn tree(&self, source: usize, n: usize) -> RiskTree {
         let gen = self.gen;
         let dist = self.settled_dist(n);
         let pred = (0..n)
@@ -338,26 +338,13 @@ impl SsspArena {
                 }
             })
             .collect();
-        let rho_sum = if track_rho {
-            (0..n)
-                .map(|v| {
-                    if self.settled[v] == gen {
-                        self.rho_sum[v]
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        RiskTree::from_parts(source, dist, pred, rho_sum)
+        RiskTree::from_parts(source, dist, pred)
     }
 
     /// The answer for `target` of a run that stopped once it settled (or
     /// drained without reaching it): the settled predecessor chain walked
     /// back to the source, whose nodes all settled before the target.
-    fn pair_answer(&self, target: usize, track_rho: bool) -> Option<PairAnswer> {
+    fn pair_answer(&self, target: usize) -> Option<PairAnswer> {
         if self.settled[target] != self.gen {
             return None;
         }
@@ -371,11 +358,6 @@ impl SsspArena {
         Some(PairAnswer {
             path,
             dist: self.dist[target],
-            rho_sum: if track_rho {
-                self.rho_sum[target]
-            } else {
-                f64::NAN
-            },
         })
     }
 }
@@ -386,27 +368,14 @@ impl SsspArena {
 static ARENAS: riskroute_par::ScratchPool<SsspArena> =
     riskroute_par::ScratchPool::named("sssp_arena");
 
-/// What a run charges on entering a node, and whether it records ρ-sums.
+/// What a run charges on entering a node.
 #[derive(Clone, Copy)]
 struct Metric<'a> {
     beta: f64,
     rho: &'a Rho,
-    /// Record β-independent ρ-sums down the tree (β = 0 runs of [`sssp`]
-    /// and [`sssp_to`]).
-    track_rho: bool,
 }
 
-impl<'a> Metric<'a> {
-    /// The β-scaled metric of [`sssp`]: a β = 0 run is the distance tree,
-    /// which records the ρ-sum channel.
-    fn scaled(beta: f64, rho: &'a Rho) -> Self {
-        Metric {
-            beta,
-            rho,
-            track_rho: beta == 0.0,
-        }
-    }
-
+impl Metric<'_> {
     /// The entry cost of `v`. β = 0 is the distance metric: the reference
     /// path used a literal zero entry cost (never touching ρ, so a NaN ρ
     /// leaves the node routable); otherwise the reference's sanitized
@@ -538,25 +507,24 @@ struct SearchStats {
 /// [`crate::routing::risk_sssp`] with entry cost
 /// `v ↦ β·ρ(v)` — same relaxation order, same tie-breaks (the bucket queue
 /// pops in the reference heap's exact `(cost, node)` order), same
-/// sanitization — and additionally records β-independent ρ-sums down the
-/// tree when `beta == 0` (one distance tree then serves every pair metric
-/// in O(1), see `Planner::sweep_source`).
+/// sanitization. At `beta == 0` it never reads ρ: the distance tree
+/// depends on the topology alone.
 ///
 /// # Panics
 /// Panics when `source` is out of range.
 pub fn sssp(csr: &CsrGraph, source: usize, beta: f64, rho: &Rho) -> RiskTree {
-    let metric = Metric::scaled(beta, rho);
+    let metric = Metric { beta, rho };
     ARENAS.with(SsspArena::new, |arena| {
         run(arena, csr, source, metric, None, &Zero);
-        arena.tree(source, csr.node_count(), metric.track_rho)
+        arena.tree(source, csr.node_count())
     })
 }
 
 /// [`sssp`] for a pair query: an A\* on `bound` that stops right after
 /// `target` settles and returns the target's [`PairAnswer`], read straight
 /// off the arena in O(path length) — `None` when `target` is unreachable.
-/// The answer — the target's distance, its whole tree path and its ρ-sum —
-/// is bit-for-bit the full run's: a run that meets a tie (or any other
+/// The answer — the target's distance and its whole tree path — is
+/// bit-for-bit the full run's: a run that meets a tie (or any other
 /// state under which that could fail) reruns with h ≡ 0, counted as
 /// `risk_sssp_tie_reruns`.
 ///
@@ -573,7 +541,7 @@ pub fn sssp_to(
 ) -> Option<PairAnswer> {
     let n = csr.node_count();
     assert!(target < n, "target {target} out of range");
-    let metric = Metric::scaled(beta, rho);
+    let metric = Metric { beta, rho };
     let stop = Some(target);
     ARENAS.with(SsspArena::new, |arena| {
         let exact = match bound {
@@ -600,7 +568,7 @@ pub fn sssp_to(
         if !exact {
             run(arena, csr, source, metric, stop, &Zero);
         }
-        arena.pair_answer(target, metric.track_rho)
+        arena.pair_answer(target)
     })
 }
 
@@ -636,7 +604,7 @@ fn run<P: Potential>(
             node: source,
         });
     }
-    let stats = search(arena, csr, source, metric, stop, pot, &mut q);
+    let stats = search(arena, csr, metric, stop, pot, &mut q);
     arena.bucket = q;
     if riskroute_obs::is_enabled() {
         riskroute_obs::counter_add("risk_sssp_runs", 1);
@@ -674,7 +642,6 @@ fn stop_margin(key: f64, n: usize) -> f64 {
 fn search<P: Potential>(
     arena: &mut SsspArena,
     csr: &CsrGraph,
-    source: usize,
     metric: Metric<'_>,
     stop: Option<usize>,
     pot: &P,
@@ -697,15 +664,6 @@ fn search<P: Potential>(
         }
         arena.settled[node] = gen;
         stats.settles += 1;
-        if metric.track_rho {
-            // pred[node] is final once the node settles, so the ρ-sum can
-            // accumulate in path order (matching evaluate_path's order).
-            arena.rho_sum[node] = if node == source {
-                0.0
-            } else {
-                arena.rho_sum[arena.pred[node] as usize] + metric.rho[node]
-            };
-        }
         if stop == Some(node) {
             stats.stopped = true;
             if !P::ZERO {
@@ -843,7 +801,6 @@ impl LbRow {
         let metric = Metric {
             beta: 0.0,
             rho: &none,
-            track_rho: false,
         };
         let sigma = ARENAS.with(SsspArena::new, |arena| {
             run(arena, exit, target, metric, None, &Zero);
@@ -954,14 +911,14 @@ impl std::fmt::Debug for LbRows {
 
 /// Key of one cached route tree: the SSSP root, the exact β bits (the cost
 /// function is linear in β, so distinct bit patterns are distinct
-/// metrics), and the planner cost-state stamp the tree was computed under.
+/// metrics), and the planner stamp the tree was computed under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct TreeKey {
     /// SSSP root node.
     pub(crate) root: u32,
     /// `β.to_bits()` of the pair metric.
     pub(crate) beta_bits: u64,
-    /// Cost-state stamp (see [`next_stamp`]).
+    /// Topology stamp at β = 0, cost stamp otherwise.
     pub(crate) stamp: u64,
 }
 
@@ -998,9 +955,8 @@ const PAIR_OVERHEAD_BYTES: usize = std::mem::size_of::<(PairKey, CachedAnswer)>(
     + 2 * std::mem::size_of::<usize>();
 
 /// What one cached tree is charged against [`CACHE_BUDGET_BYTES`]: the
-/// bytes its vectors hold (the ρ-sum channel of a β = 0 tree included)
-/// plus the fixed overhead. A tree shared by several keys is charged once
-/// per key.
+/// bytes its vectors hold plus the fixed overhead. A tree shared by several
+/// keys is charged once per key.
 fn tree_bytes(tree: &RiskTree) -> usize {
     TREE_OVERHEAD_BYTES + tree.heap_bytes()
 }
@@ -1041,9 +997,10 @@ struct CacheInner {
     pairs: HashMap<PairKey, CachedAnswer>,
     /// Sum of [`tree_bytes`] and [`pair_bytes`] over both maps.
     bytes: usize,
-    /// Stamp for which the cache already proved full after purging stale
-    /// generations — inserts under it are skipped without rescanning.
-    full_stamp: u64,
+    /// Live stamps for which the cache already proved full after purging
+    /// every other stamp — inserts under them are skipped without
+    /// rescanning.
+    full_stamps: [u64; 2],
 }
 
 impl CacheInner {
@@ -1051,26 +1008,28 @@ impl CacheInner {
         self.trees.len() + self.pairs.len()
     }
 
-    /// Make room for one entry of `cost` bytes under `stamp` and charge
-    /// it, or refuse. When the entry would overrun the byte budget, stale
-    /// stamps are purged once per stamp transition; if the current stamp
-    /// alone fills the cache, further inserts under it are refused
-    /// (counted as `route_cache_insert_skips`) — correctness is
-    /// unaffected, those answers are simply recomputed on demand.
-    fn admit(&mut self, stamp: u64, cost: usize) -> bool {
+    /// Make room for one entry of `cost` bytes from a planner whose live
+    /// stamps are `live`, and charge it, or refuse. When the entry would
+    /// overrun the byte budget, every entry under another stamp is purged
+    /// once per change of `live`, so the inserting planner keeps both its
+    /// distance trees and its cost-state entries; if its own entries alone
+    /// fill the cache, further inserts are refused (counted as
+    /// `route_cache_insert_skips`) — correctness is unaffected, those
+    /// answers are simply recomputed on demand.
+    fn admit(&mut self, live: [u64; 2], cost: usize) -> bool {
         let before = (self.len(), self.bytes);
         let fits = |inner: &CacheInner| {
             inner.bytes + cost <= CACHE_BUDGET_BYTES && inner.len() < CACHE_MAX_ENTRIES
         };
         if !fits(self) {
-            if self.full_stamp != stamp {
-                self.trees.retain(|k, _| k.stamp == stamp);
-                self.pairs.retain(|k, _| k.tree.stamp == stamp);
+            if self.full_stamps != live {
+                self.trees.retain(|k, _| live.contains(&k.stamp));
+                self.pairs.retain(|k, _| live.contains(&k.tree.stamp));
                 self.bytes = self.trees.values().map(|t| tree_bytes(t)).sum::<usize>()
                     + self.pairs.values().map(pair_bytes).sum::<usize>();
             }
             if !fits(self) {
-                self.full_stamp = stamp;
+                self.full_stamps = live;
                 publish(retally(before, (self.len(), self.bytes)));
                 riskroute_obs::counter_add("route_cache_insert_skips", 1);
                 return false;
@@ -1101,7 +1060,7 @@ fn count_lookup(hit: bool) {
 /// It holds two kinds of entry: complete trees under `(root, β, stamp)`,
 /// and pair answers under `(root, β, stamp, target)`. A pair lookup
 /// ([`Self::pair`]) is answered by either; every full-tree reader —
-/// [`Self::tree`] and [`Self::trees_with_stamp`] — sees trees only.
+/// [`Self::tree`] and [`Self::trees_with_stamps`] — sees trees only.
 pub(crate) struct RouteTreeCache {
     inner: Mutex<CacheInner>,
 }
@@ -1114,7 +1073,7 @@ impl RouteTreeCache {
                 trees: HashMap::new(),
                 pairs: HashMap::new(),
                 bytes: 0,
-                full_stamp: 0,
+                full_stamps: [0, 0],
             }),
         }
     }
@@ -1155,38 +1114,44 @@ impl RouteTreeCache {
         found
     }
 
-    /// Insert a freshly computed (or revalidated) complete tree. An
-    /// occupied key keeps its tree — concurrent duplicate computes are
-    /// identical by construction.
-    pub(crate) fn insert_tree(&self, key: TreeKey, tree: Arc<RiskTree>) {
+    /// Insert a freshly computed (or revalidated) complete tree from a
+    /// planner whose live stamps are `live`. An occupied key keeps its tree
+    /// — concurrent duplicate computes are identical by construction.
+    pub(crate) fn insert_tree(&self, key: TreeKey, tree: Arc<RiskTree>, live: [u64; 2]) {
         let cost = tree_bytes(&tree);
         let mut inner = self.lock();
-        if !inner.trees.contains_key(&key) && inner.admit(key.stamp, cost) {
+        if !inner.trees.contains_key(&key) && inner.admit(live, cost) {
             inner.trees.insert(key, tree);
         }
     }
 
     /// Insert the answer of a pair query for `target` under `key`'s
     /// `(root, β, stamp)`. An occupied key keeps its answer.
-    pub(crate) fn insert_pair(&self, key: TreeKey, target: usize, answer: CachedAnswer) {
+    pub(crate) fn insert_pair(
+        &self,
+        key: TreeKey,
+        target: usize,
+        answer: CachedAnswer,
+        live: [u64; 2],
+    ) {
         let key = PairKey {
             tree: key,
             target: target as u32,
         };
         let cost = pair_bytes(&answer);
         let mut inner = self.lock();
-        if !inner.pairs.contains_key(&key) && inner.admit(key.tree.stamp, cost) {
+        if !inner.pairs.contains_key(&key) && inner.admit(live, cost) {
             inner.pairs.insert(key, answer);
         }
     }
 
-    /// Snapshot every complete tree computed under `stamp` (the adoption
-    /// walk after greedy adds a link).
-    pub(crate) fn trees_with_stamp(&self, stamp: u64) -> Vec<(TreeKey, Arc<RiskTree>)> {
+    /// Snapshot every complete tree computed under either of `live`'s
+    /// stamps (the adoption walk after greedy adds a link).
+    pub(crate) fn trees_with_stamps(&self, live: [u64; 2]) -> Vec<(TreeKey, Arc<RiskTree>)> {
         self.lock()
             .trees
             .iter()
-            .filter(|(k, _)| k.stamp == stamp)
+            .filter(|(k, _)| live.contains(&k.stamp))
             .map(|(k, t)| (*k, Arc::clone(t)))
             .collect()
     }
@@ -1291,17 +1256,44 @@ mod tests {
     }
 
     #[test]
-    fn rho_sums_accumulate_in_path_order() {
+    fn distance_trees_read_rho_sums_in_path_order() {
         let adj = square();
         let rho = Rho::new(vec![1.0, 100.0, 7.0, 3.0]);
         let csr = CsrGraph::from_adjacency(&adj);
         let tree = sssp(&csr, 0, 0.0, &rho);
+        // A distance tree reads no ρ.
+        let other = sssp(&csr, 0, 0.0, &Rho::new(vec![f64::NAN; 4]));
+        assert_eq!(tree.pred_slice(), other.pred_slice());
         // 0→2 ties (via 1 or via 3); the (cost, node) tie-break settles the
         // smaller node first, so the path goes via 1: ρ-sum = ρ(1) + ρ(2).
         let path = tree.path_to(2).unwrap();
-        let expect: f64 = path.iter().skip(1).map(|&v| rho[v]).sum();
-        assert_eq!(tree.path_rho_sum(2), expect);
-        assert_eq!(tree.path_rho_sum(0), 0.0);
+        assert_eq!(path, [0, 1, 2]);
+        assert_eq!(crate::routing::path_rho_sum(&path, &rho), 107.0);
+        assert_eq!(crate::routing::path_rho_sum(&[0], &rho), 0.0);
+        // One scratch sums whole trees: each reachable node's sum from
+        // `from` on is its path sum, bit for bit, whatever ρ holds (node 4
+        // is isolated).
+        let adj = Adjacency::from_links(5, (0..3).map(|u| (u, u + 1, 1.0)).chain([(0, 3, 1.0)]));
+        let csr = CsrGraph::from_adjacency(&adj);
+        let mut scratch = crate::routing::RhoSums::default();
+        for root in [1, 3] {
+            let tree = sssp(&csr, root, 0.0, &Rho::new(vec![0.0; 5]));
+            for rho in [
+                vec![0.1, 0.2, 0.3, 0.7, 9.0],
+                vec![1.0, f64::NAN, 2.0, 3.0, 0.0],
+                vec![f64::INFINITY, 0.0, -0.0, 1e-300, 0.0],
+                vec![-1.0, 0.5, -0.0, f64::NAN, 0.0],
+            ] {
+                for from in [0, 2] {
+                    let sums = scratch.sum(&tree, &rho, from);
+                    for (v, sum) in sums.iter().enumerate().take(4).skip(from) {
+                        let path = tree.path_to(v).unwrap();
+                        let expect = crate::routing::path_rho_sum(&path, &rho);
+                        assert_eq!(sum.to_bits(), expect.to_bits(), "{rho:?} {root}→{v}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1344,10 +1336,11 @@ mod tests {
         let adj = square();
         let csr = CsrGraph::from_adjacency(&adj);
         let tree = Arc::new(sssp(&csr, 0, 0.0, &Rho::new(vec![0.0; 4])));
+        let live = [next_stamp(), next_stamp()];
         let key = TreeKey {
             root: 0,
             beta_bits: 0,
-            stamp: next_stamp(),
+            stamp: live[0],
         };
         let other_stamp = TreeKey {
             stamp: next_stamp(),
@@ -1355,13 +1348,13 @@ mod tests {
         };
         let (_, hits, misses) = lookups(|| {
             assert!(cache.tree(&key).is_none());
-            cache.insert_tree(key, Arc::clone(&tree));
+            cache.insert_tree(key, Arc::clone(&tree), live);
             assert!(cache.tree(&key).is_some());
             assert!(cache.tree(&other_stamp).is_none(), "stamps never alias");
             assert!(cache.pair(&other_stamp, 2).is_none(), "stamps never alias");
         });
         assert_eq!((hits, misses), (1, 3));
-        assert_eq!(cache.trees_with_stamp(key.stamp).len(), 1);
+        assert_eq!(cache.trees_with_stamps(live).len(), 1);
         assert_eq!(cache.len(), 1);
     }
 
@@ -1372,10 +1365,11 @@ mod tests {
         let csr = CsrGraph::from_adjacency(&adj);
         let rho = Rho::new(vec![0.0; 9]);
         let cache = RouteTreeCache::new();
+        let live = [next_stamp(), next_stamp()];
         let key = TreeKey {
             root: 0,
             beta_bits: 1.0f64.to_bits(),
-            stamp: next_stamp(),
+            stamp: live[1],
         };
         let full = Arc::new(sssp(&csr, 0, 1.0, &rho));
         let (_, hits, misses) = lookups(|| {
@@ -1384,6 +1378,7 @@ mod tests {
                 key,
                 5,
                 sssp_to(&csr, 0, 1.0, &rho, 5, Bound::Zero).map(Arc::new),
+                live,
             );
             assert!(matches!(
                 cache.pair(&key, 5),
@@ -1397,10 +1392,10 @@ mod tests {
             // An unreachable target is cached as such.
             let none = sssp_to(&csr, 0, 1.0, &rho, 8, Bound::Zero).map(Arc::new);
             assert!(none.is_none());
-            cache.insert_pair(key, 8, none);
+            cache.insert_pair(key, 8, none, live);
             assert!(matches!(cache.pair(&key, 8), Some(None)));
             // A complete tree answers every target.
-            cache.insert_tree(key, Arc::clone(&full));
+            cache.insert_tree(key, Arc::clone(&full), live);
             for t in 0..9 {
                 let answer = cache.pair(&key, t).expect("a complete tree answers");
                 let expect = full.pair_answer(t).map(|a| a.path);
@@ -1410,40 +1405,39 @@ mod tests {
         });
         // One hit or one miss per lookup: 16 lookups.
         assert_eq!((hits, misses), (12, 4));
-        assert!(cache.trees_with_stamp(key.stamp).len() == 1);
+        assert!(cache.trees_with_stamps(live).len() == 1);
         assert_eq!(cache.len(), 3);
     }
 
     #[test]
     fn cache_charges_pair_answers_by_path_length_and_trees_by_n() {
-        // A 10k-node line at β = 0: a tree is charged its dist + pred +
-        // ρ-sum vectors (20 bytes a node), a pair answer its path only.
+        // A 10k-node line at β = 0: a tree is charged its dist + pred
+        // vectors (12 bytes a node), a pair answer its path only.
         let n = 10_000;
         let adj = Adjacency::from_links(n, (1..n).map(|u| (u - 1, u, 1.0)));
         let csr = CsrGraph::from_adjacency(&adj);
         let rho = Rho::new(vec![0.5; n]);
         let tree = Arc::new(sssp(&csr, 0, 0.0, &rho));
         let per_tree = tree_bytes(&tree);
-        assert!(per_tree >= 20 * n + TREE_OVERHEAD_BYTES);
+        assert_eq!(per_tree, 12 * n + TREE_OVERHEAD_BYTES);
         let cache = RouteTreeCache::new();
-        let stamp = next_stamp();
+        let live = [next_stamp(), next_stamp()];
         let key = |root| TreeKey {
             root,
             beta_bits: 0,
-            stamp,
+            stamp: live[0],
         };
         for (target, hops) in [(3, 4), (99, 100)] {
             let answer = sssp_to(&csr, 0, 0.0, &rho, target, Bound::Zero).map(Arc::new);
             let a = answer.as_ref().unwrap();
             assert_eq!(a.path.len(), hops);
-            assert_eq!(a.rho_sum, 0.5 * (hops - 1) as f64);
             assert_eq!(
                 pair_bytes(&answer),
                 PAIR_OVERHEAD_BYTES + 8 * a.path.capacity()
             );
             assert!(a.path.capacity() < 2 * hops);
             let before = cache.bytes();
-            cache.insert_pair(key(0), target, answer.clone());
+            cache.insert_pair(key(0), target, answer.clone(), live);
             assert_eq!(cache.bytes() - before, pair_bytes(&answer));
         }
         assert!(cache.bytes() < 4096, "pair entries never cost O(n)");
@@ -1453,18 +1447,58 @@ mod tests {
         let cache = RouteTreeCache::new();
         let fit = CACHE_BUDGET_BYTES / per_tree;
         for root in 0..(fit as u32 + 16) {
-            cache.insert_tree(key(root), Arc::clone(&tree));
+            cache.insert_tree(key(root), Arc::clone(&tree), live);
             assert!(cache.bytes() <= CACHE_BUDGET_BYTES);
         }
         assert_eq!(cache.len(), fit);
         let room = CACHE_BUDGET_BYTES - cache.bytes();
         let far = sssp_to(&csr, 0, 0.0, &rho, n - 1, Bound::Zero).map(Arc::new);
         assert!(pair_bytes(&far) > room);
-        cache.insert_pair(key(0), n - 1, far);
+        cache.insert_pair(key(0), n - 1, far, live);
         assert_eq!(cache.len(), fit);
         let near = sssp_to(&csr, 0, 0.0, &rho, 3, Bound::Zero).map(Arc::new);
-        cache.insert_pair(key(0), 3, near.clone());
+        cache.insert_pair(key(0), 3, near.clone(), live);
         assert_eq!(cache.len(), fit + 1);
         assert_eq!(cache.bytes(), fit * per_tree + pair_bytes(&near));
+    }
+
+    #[test]
+    fn a_full_cache_purges_all_but_the_inserting_planners_two_stamps() {
+        let n = 10_000;
+        let adj = Adjacency::from_links(n, (1..n).map(|u| (u - 1, u, 1.0)));
+        let csr = CsrGraph::from_adjacency(&adj);
+        let rho = Rho::new(vec![0.5; n]);
+        let tree = Arc::new(sssp(&csr, 0, 0.0, &rho));
+        let fit = CACHE_BUDGET_BYTES / tree_bytes(&tree);
+        let cache = RouteTreeCache::new();
+        // [topology, cost] stamps; after a forecast change: the same
+        // topology, a new cost state.
+        let old = [next_stamp(), next_stamp()];
+        let live = [old[0], next_stamp()];
+        let key = |root, beta: f64, stamps: [u64; 2]| TreeKey {
+            root,
+            beta_bits: beta.to_bits(),
+            stamp: stamps[usize::from(beta != 0.0)],
+        };
+        cache.insert_tree(key(0, 0.0, old), Arc::clone(&tree), old);
+        cache.insert_tree(key(0, 1.0, old), Arc::clone(&tree), old);
+        cache.insert_tree(key(0, 1.0, live), Arc::clone(&tree), live);
+        for root in 1..fit as u32 - 2 {
+            let other = [next_stamp(), next_stamp()];
+            cache.insert_tree(key(root, 2.0, other), Arc::clone(&tree), old);
+        }
+        assert_eq!(cache.len(), fit);
+        // The next insert purges every stamp but `live`'s two: the stale
+        // cost state and the other planners' entries go, the shared
+        // distance tree and the live cost-state tree stay.
+        cache.insert_tree(key(1, 1.0, live), Arc::clone(&tree), live);
+        let mut kept: Vec<_> = cache
+            .trees_with_stamps(live)
+            .into_iter()
+            .map(|(k, _)| (k.root, k.beta_bits))
+            .collect();
+        kept.sort_unstable();
+        assert_eq!(kept, [(0, 0), (0, 1.0f64.to_bits()), (1, 1.0f64.to_bits())]);
+        assert_eq!(cache.len(), 3);
     }
 }

@@ -5,7 +5,7 @@ use crate::engine::{self, Bound, Chords, CsrGraph, LbRow, LbRows, Rho, RouteTree
 use crate::error::Error;
 use crate::metric::{NodeRisk, RiskWeights};
 use crate::ratios::{PairOutcome, RatioReport};
-use crate::routing::{evaluate_path, Adjacency, PairAnswer, RiskTree, RoutedPath};
+use crate::routing::{evaluate_path, path_rho_sum, Adjacency, PairAnswer, RiskTree, RoutedPath};
 use riskroute_geo::GeoPoint;
 use riskroute_hazard::HistoricalRisk;
 use riskroute_par::Parallelism;
@@ -76,10 +76,12 @@ impl PairSweep {
 ///
 /// All SSSP goes through the [`crate::engine`] module: an immutable CSR
 /// snapshot of the adjacency, pooled scratch-arena Dijkstra, and an exact
-/// route-tree cache shared by clones of this planner. The cache is keyed
-/// by a cost-state `stamp` minted whenever risk or weights change, so a
-/// stale tree can never be observed; [`Self::with_route_cache`] turns
-/// reuse off for debugging without changing a single output bit. Pair
+/// route-tree cache shared by clones of this planner. β = 0 distance trees
+/// are keyed by a topology stamp, every other entry by a cost stamp minted
+/// whenever risk or weights change, so a stale tree can never be observed
+/// and a forecast change keeps every distance tree;
+/// [`Self::with_route_cache`] turns reuse off for debugging without
+/// changing a single output bit. Pair
 /// queries run goal-directed on lower-bound rows ([`Self::pair_sweep`]) or
 /// the chord bound ([`Self::pair_list_sweep`]), with answers bit-identical
 /// to plain Dijkstra's.
@@ -95,8 +97,11 @@ pub struct Planner {
     /// under the current cost state (shared with clones; rebuilt on any
     /// risk/weight mutation).
     rho: Arc<Rho>,
-    /// Cost-state stamp naming the (topology, ρ) state all cached trees
-    /// were computed under (see [`engine::next_stamp`]).
+    /// Topology stamp keying β = 0 trees: minted only with a new topology
+    /// ([`Self::new`], [`Self::fork_masked`]), see [`engine::next_stamp`].
+    topo_stamp: u64,
+    /// Cost stamp naming the (topology, ρ) state that keys every other
+    /// cache entry.
     stamp: u64,
     cache: Arc<RouteTreeCache>,
     route_cache: bool,
@@ -139,6 +144,7 @@ impl Planner {
             weights,
             parallelism: Parallelism::Sequential,
             rho,
+            topo_stamp: engine::next_stamp(),
             stamp: engine::next_stamp(),
             cache,
             route_cache: true,
@@ -196,10 +202,11 @@ impl Planner {
     /// Replace the forecast risk vector (replay updates it per advisory).
     ///
     /// A forecast bitwise-equal to the active one is a no-op — in
-    /// particular the cost-state stamp is kept, so repeated quiet ticks
+    /// particular the cost stamp is kept, so repeated quiet ticks
     /// (zero-forecast advisories before and after a storm) keep hitting the
     /// shared route-tree cache. Any actual change rebuilds ρ and mints a
-    /// fresh stamp, retiring every cached tree.
+    /// fresh cost stamp, retiring every cached β > 0 entry; distance trees
+    /// read no ρ and are kept.
     ///
     /// # Panics
     /// Panics on length mismatch or invalid values.
@@ -222,8 +229,8 @@ impl Planner {
     }
 
     /// Replace the λ weights. A changed value rebuilds ρ, retires every
-    /// cached route tree and drops the lower-bound rows (unchanged values
-    /// are a no-op).
+    /// cached β > 0 entry and drops the lower-bound rows; distance trees are
+    /// kept (unchanged values are a no-op).
     pub fn set_weights(&mut self, weights: RiskWeights) {
         if weights == self.weights {
             return;
@@ -255,10 +262,11 @@ impl Planner {
     }
 
     /// Rebuild ρ after a risk or weight mutation and advance the cost
-    /// state. A new ρ bitwise equal to the old one keeps the stamp, so every
-    /// cached tree stays valid as-is (e.g. a forecast change under
-    /// `λ_f = 0` invalidates nothing); any other change mints a fresh stamp,
-    /// retiring every cached tree.
+    /// state. A new ρ bitwise equal to the old one keeps the cost stamp, so
+    /// every cached entry stays valid as-is (e.g. a forecast change under
+    /// `λ_f = 0` invalidates nothing); any other change mints a fresh cost
+    /// stamp, retiring every β > 0 entry. The topology stamp never moves
+    /// here, so distance trees survive either way.
     fn refresh_cost_state(&mut self) {
         let new_rho = compute_rho(&self.risk, self.weights);
         if !same_bits(&self.rho, &new_rho) {
@@ -296,20 +304,13 @@ impl Planner {
     /// `None` when unreachable.
     pub fn risk_route(&self, i: usize, j: usize) -> Option<RoutedPath> {
         let beta = self.impact(i, j);
-        self.routed_on(&self.risk_tree(i, beta), j, beta)
+        self.route_along(&self.risk_tree(i, beta).path_to(j)?, beta)
     }
 
-    /// [`risk_route`](Self::risk_route) read off a pair query's answer.
-    fn answer_route(&self, answer: &PairAnswer, beta: f64) -> Option<RoutedPath> {
-        // Answer paths traverse real links by construction.
-        evaluate_path(&self.adjacency, &answer.path, self.entry_cost(beta)).ok()
-    }
-
-    /// Evaluate the tree path to `j` under metric β.
-    fn routed_on(&self, tree: &RiskTree, j: usize, beta: f64) -> Option<RoutedPath> {
-        let nodes = tree.path_to(j)?;
-        // Tree paths traverse real links by construction.
-        evaluate_path(&self.adjacency, &nodes, self.entry_cost(beta)).ok()
+    /// Evaluate a tree or pair-answer path under metric β.
+    fn route_along(&self, path: &[usize], beta: f64) -> Option<RoutedPath> {
+        // Tree and answer paths traverse real links by construction.
+        evaluate_path(&self.adjacency, path, self.entry_cost(beta)).ok()
     }
 
     /// [`risk_route`](Self::risk_route) as a typed result: unreachable pairs
@@ -328,13 +329,14 @@ impl Planner {
     /// [`risk_route`](Self::risk_route). `None` when unreachable.
     pub fn shortest_route(&self, i: usize, j: usize) -> Option<RoutedPath> {
         let answer = self.risk_tree_distance(i).pair_answer(j)?;
-        Some(shortest_from(answer, self.impact(i, j)))
+        Some(shortest_from(answer, self.impact(i, j), &self.rho))
     }
 
     /// Full SSSP under the (i, j) pair's bit-risk weighting, rooted at `root`
     /// (used by the provisioning sweep). Served from the route cache's
     /// complete trees when enabled; computed trees are shared behind an
-    /// `Arc` with every clone of this planner in the same cost state.
+    /// `Arc` with every clone of this planner in the same cost state (at
+    /// β = 0, on the same topology).
     pub(crate) fn risk_tree(&self, root: usize, beta: f64) -> Arc<RiskTree> {
         let key = self.tree_key(root, beta);
         if self.route_cache {
@@ -344,7 +346,8 @@ impl Planner {
         }
         let tree = Arc::new(engine::sssp(&self.csr, root, beta, &self.rho));
         if self.route_cache {
-            self.cache.insert_tree(key, Arc::clone(&tree));
+            self.cache
+                .insert_tree(key, Arc::clone(&tree), self.live_stamps());
         }
         tree
     }
@@ -377,7 +380,8 @@ impl Planner {
         };
         let answer = engine::sssp_to(&self.csr, root, beta, &self.rho, target, bound).map(Arc::new);
         if self.route_cache && sweep {
-            self.cache.insert_pair(key, target, answer.clone());
+            self.cache
+                .insert_pair(key, target, answer.clone(), self.live_stamps());
         }
         answer
     }
@@ -396,19 +400,28 @@ impl Planner {
         })
     }
 
-    /// The cache key of the tree rooted at `root` under metric β in the
-    /// current cost state.
+    /// The cache key of the tree rooted at `root` under metric β: under
+    /// the topology stamp at β = 0, else under the current cost stamp.
     fn tree_key(&self, root: usize, beta: f64) -> TreeKey {
         TreeKey {
             root: root as u32,
             beta_bits: beta.to_bits(),
-            stamp: self.stamp,
+            stamp: if beta == 0.0 {
+                self.topo_stamp
+            } else {
+                self.stamp
+            },
         }
     }
 
+    /// Both stamps this planner's cache entries live under.
+    fn live_stamps(&self) -> [u64; 2] {
+        [self.topo_stamp, self.stamp]
+    }
+
     /// Pure bit-mile SSSP tree from `root` (the shortest-path baseline and
-    /// the provisioning candidate filter both use it). β = 0 trees carry
-    /// the ρ-sum channel, so one tree serves every pair metric.
+    /// the provisioning candidate filter both use it). It reads no ρ, so
+    /// one tree serves every forecast and weight state of this topology.
     pub(crate) fn risk_tree_distance(&self, root: usize) -> Arc<RiskTree> {
         self.risk_tree(root, 0.0)
     }
@@ -417,10 +430,10 @@ impl Planner {
     /// to `out.outcomes` and unroutable ones to `out.stranded` — the
     /// per-source unit of [`Self::pair_sweep`].
     ///
-    /// The shortest-path leg is O(1) per destination: path miles and the
-    /// ρ-sum are β-independent, so both were accumulated down the distance
-    /// tree once for the whole source. The RiskRoute leg's β differs per
-    /// destination, so it reads a pair answer.
+    /// The shortest-path leg reads the source's one distance tree: its
+    /// path and miles are β-independent, and its Σρ is summed along the
+    /// path. The RiskRoute leg's β differs per destination, so it reads a
+    /// pair answer.
     fn sweep_source(&self, i: usize, dests: &[usize], out: &mut PairSweep) {
         let dist_tree = self.risk_tree_distance(i);
         for &j in dests {
@@ -432,10 +445,10 @@ impl Planner {
                 out.stranded.push((i, j));
                 continue;
             };
-            let shortest = shortest_from(answer, beta);
+            let shortest = shortest_from(answer, beta, &self.rho);
             let risk_route = self
                 .pair_answer(i, beta, j, true)
-                .and_then(|a| self.answer_route(&a, beta));
+                .and_then(|a| self.route_along(&a.path, beta));
             let Some(risk_route) = risk_route else {
                 out.stranded.push((i, j));
                 continue;
@@ -491,12 +504,12 @@ impl Planner {
         let beta = self.impact(i, j);
         let distance = self.pair_answer(i, 0.0, j, false)?;
         let risk_route = if beta == 0.0 {
-            self.answer_route(&distance, beta)
+            self.route_along(&distance.path, beta)
         } else {
             self.pair_answer(i, beta, j, false)
-                .and_then(|a| self.answer_route(&a, beta))
+                .and_then(|a| self.route_along(&a.path, beta))
         }?;
-        let shortest = shortest_from(Arc::unwrap_or_clone(distance), beta);
+        let shortest = shortest_from(Arc::unwrap_or_clone(distance), beta, &self.rho);
         Some(PairOutcome {
             src: i,
             dst: j,
@@ -601,12 +614,12 @@ impl Planner {
     /// adjacency and CSR snapshot are masked through `keep` (directed
     /// entries it rejects are dropped, order preserved), an optional
     /// forecast override replaces the forecast risk channel, and the fork
-    /// mints a **fresh** cost-state stamp plus a **private** route-tree
-    /// cache.
+    /// mints **fresh** topology and cost stamps plus a **private**
+    /// route-tree cache.
     ///
     /// The private cache matters: at capacity an insert into a
-    /// [`RouteTreeCache`] purges every entry whose stamp differs from the
-    /// inserting key's, so
+    /// [`RouteTreeCache`] purges every entry whose stamp is not one of the
+    /// inserting planner's two, so
     /// a fork writing into the *base's* shared cache could evict the base
     /// trees mid-sweep. Keys alone already guarantee no fork tree is ever
     /// *returned* to the base; the private cache also keeps fork churn from
@@ -640,6 +653,7 @@ impl Planner {
             weights: self.weights,
             parallelism: self.parallelism,
             rho,
+            topo_stamp: engine::next_stamp(),
             stamp: engine::next_stamp(),
             cache,
             route_cache: self.route_cache,
@@ -648,8 +662,8 @@ impl Planner {
         }
     }
 
-    /// The cached β = 0 distance tree rooted at `root` under the current
-    /// cost state, if any (scenario forks probe the base cache for trees to
+    /// The cached β = 0 distance tree rooted at `root` on this planner's
+    /// topology, if any (scenario forks probe the base cache for trees to
     /// adopt; a pair answer cannot be projected).
     pub(crate) fn cached_distance_tree(&self, root: usize) -> Option<Arc<RiskTree>> {
         if !self.route_cache {
@@ -658,18 +672,19 @@ impl Planner {
         self.cache.tree(&self.tree_key(root, 0.0))
     }
 
-    /// Seed a β = 0 tree into this planner's cache under its current stamp
-    /// (scenario forks store adopted base trees so the sweep never
+    /// Seed a β = 0 tree into this planner's cache under its topology
+    /// stamp (scenario forks store adopted base trees so the sweep never
     /// recomputes them).
     pub(crate) fn seed_distance_tree(&self, root: usize, tree: Arc<RiskTree>) {
         if !self.route_cache {
             return;
         }
-        self.cache.insert_tree(self.tree_key(root, 0.0), tree);
+        self.cache
+            .insert_tree(self.tree_key(root, 0.0), tree, self.live_stamps());
     }
 
-    /// The current cost-state stamp (scenario forks compare it to tell
-    /// whether a forecast override left ρ bitwise unchanged).
+    /// The current cost stamp (tests and the chaos harness compare it to
+    /// tell whether a fork kept its base's cost state).
     pub(crate) fn cost_stamp(&self) -> u64 {
         self.stamp
     }
@@ -694,9 +709,10 @@ impl Planner {
     /// improving relaxation of the fresh run is one the old run performed
     /// (the new link's relaxations are always strictly dominated later),
     /// so dist *and* pred come out bit-for-bit equal — surviving trees are
-    /// simply re-keyed to this planner's stamp. An edge between two nodes
-    /// unreachable from `r` also survives: it cannot create any new path
-    /// from `r`.
+    /// simply re-keyed to this planner's stamps (β = 0 trees to its
+    /// topology stamp, the rest to its cost stamp). An edge between two
+    /// nodes unreachable from `r` also survives: it cannot create any new
+    /// path from `r`.
     ///
     /// Only trees are carried; pair answers stay behind (the test reads
     /// distances a pair answer does not hold).
@@ -741,7 +757,7 @@ impl Planner {
         }
         let mut kept: u64 = 0;
         let mut dropped: u64 = 0;
-        for (key, tree) in prev.cache.trees_with_stamp(prev.stamp) {
+        for (key, tree) in prev.cache.trees_with_stamps(prev.live_stamps()) {
             let survives = if identical {
                 true
             } else {
@@ -760,13 +776,8 @@ impl Planner {
                     || (da + new_miles + cb > db && db + new_miles + ca > da)
             };
             if survives {
-                self.cache.insert_tree(
-                    TreeKey {
-                        stamp: self.stamp,
-                        ..key
-                    },
-                    tree,
-                );
+                let key = self.tree_key(key.root as usize, f64::from_bits(key.beta_bits));
+                self.cache.insert_tree(key, tree, self.live_stamps());
                 kept += 1;
             } else {
                 dropped += 1;
@@ -781,10 +792,10 @@ impl Planner {
 
 /// The shortest-path [`RoutedPath`] read off a β = 0 pair answer: its
 /// `dist` *is* the path's bit-miles (each hop added `miles + 0.0` in path
-/// order), and the β-independent ρ-sum recorded at settle time turns the
-/// pair's risk-miles into one multiply — no path re-walk.
-fn shortest_from(answer: PairAnswer, beta: f64) -> RoutedPath {
-    let risk_miles = beta * answer.rho_sum;
+/// order), and the pair's risk-miles are β times the path's
+/// [`path_rho_sum`] under the current ρ.
+fn shortest_from(answer: PairAnswer, beta: f64, rho: &[f64]) -> RoutedPath {
+    let risk_miles = beta * path_rho_sum(&answer.path, rho);
     RoutedPath {
         nodes: answer.path,
         bit_miles: answer.dist,
@@ -1069,6 +1080,27 @@ mod tests {
         let mut next = rebuild();
         next.adopt_route_cache(&p, 1, 2);
         assert_eq!(next.cache.len(), 2, "both trees survive the link");
+    }
+
+    #[test]
+    fn distance_trees_survive_forecast_and_weight_changes() {
+        let (net, risk, shares) = diamond();
+        let mut p = Planner::new(&net, risk, shares, RiskWeights::PAPER);
+        let tree = p.risk_tree_distance(0);
+        let risky = p.risk_tree(0, 0.5);
+        let stamp = p.cost_stamp();
+        p.set_forecast(vec![0.0, 1.0, 0.0, 0.0]);
+        assert_ne!(p.cost_stamp(), stamp, "ρ changed");
+        let kept = p
+            .cached_distance_tree(0)
+            .expect("the distance tree survives");
+        assert!(Arc::ptr_eq(&kept, &tree));
+        assert!(!Arc::ptr_eq(&p.risk_tree(0, 0.5), &risky), "β > 0 retires");
+        p.set_weights(RiskWeights::new(1e6, 1e3));
+        let kept = p
+            .cached_distance_tree(0)
+            .expect("the distance tree survives");
+        assert!(Arc::ptr_eq(&kept, &tree));
     }
 
     #[test]

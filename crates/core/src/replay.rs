@@ -274,7 +274,9 @@ pub fn replay_raw_advisories_budgeted(
     };
     // One planner per worker slot, each carrying its forecast from tick to
     // tick: a tick whose ρ matches its slot's previous tick keeps the cost
-    // stamp and reuses that tick's trees. Items running at once never share
+    // stamp and reuses that tick's trees, and every tick reuses the
+    // distance trees (keyed by topology, shared through the base's cache
+    // by every slot). Items running at once never share
     // a slot, and the route-tree cache is exact, so ticks are bit-identical
     // whichever planner runs them. Within-tick sweeps run on one worker
     // since the fan-out is already tick-level.
@@ -332,7 +334,8 @@ pub fn replay_storm(
 /// finished [`ReplayTick`]. The session owns a single planner clone and
 /// mutates its forecast in place, so a tick whose forecast is
 /// bitwise-unchanged (or ρ-invisible) keeps the cost stamp and recomputes
-/// nothing at all. Ticks run through the same tick function as the batch
+/// nothing at all, and any other tick still reuses every distance tree.
+/// Ticks run through the same tick function as the batch
 /// replay, and the route-tree cache is exact, so streaming a recorded
 /// advisory series reproduces [`replay_raw_advisories`] byte for byte.
 #[derive(Debug)]

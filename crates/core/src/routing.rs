@@ -87,31 +87,20 @@ pub(crate) const NO_PRED: u32 = u32::MAX;
 /// cached tree costs 12 bytes per node instead of 24. A tree is always
 /// complete: every reachable node settled. Pair queries that read one path
 /// get a [`PairAnswer`] instead (see [`crate::engine::sssp_to`]).
+///
+/// A β = 0 tree (the distance tree) is a function of the topology alone;
+/// its Σρ is summed where it is read ([`path_rho_sum`], [`RhoSums`]).
 #[derive(Debug, Clone)]
 pub struct RiskTree {
     source: usize,
     dist: Vec<f64>,
     pred: Vec<u32>,
-    /// β-independent ρ-sums down the tree (`rho_sum[t] = Σ ρ(v)` over the
-    /// path source→t, source excluded). Only populated for β = 0 trees,
-    /// where one distance tree serves every pair metric; empty otherwise.
-    rho_sum: Vec<f64>,
 }
 
 impl RiskTree {
     /// Assemble a tree from raw engine output.
-    pub(crate) fn from_parts(
-        source: usize,
-        dist: Vec<f64>,
-        pred: Vec<u32>,
-        rho_sum: Vec<f64>,
-    ) -> Self {
-        RiskTree {
-            source,
-            dist,
-            pred,
-            rho_sum,
-        }
+    pub(crate) fn from_parts(source: usize, dist: Vec<f64>, pred: Vec<u32>) -> Self {
+        RiskTree { source, dist, pred }
     }
 
     /// Bytes held by the tree's vectors (allocated capacity, not length) —
@@ -120,7 +109,6 @@ impl RiskTree {
     pub(crate) fn heap_bytes(&self) -> usize {
         self.dist.capacity() * std::mem::size_of::<f64>()
             + self.pred.capacity() * std::mem::size_of::<u32>()
-            + self.rho_sum.capacity() * std::mem::size_of::<f64>()
     }
 
     /// The source node.
@@ -138,16 +126,6 @@ impl RiskTree {
         self.dist[t].is_finite()
     }
 
-    /// Σ ρ(v) along the tree path source→t (source excluded). Valid only on
-    /// β = 0 trees, for reachable `t`.
-    pub(crate) fn path_rho_sum(&self, t: usize) -> f64 {
-        debug_assert!(
-            !self.rho_sum.is_empty(),
-            "path_rho_sum queried on a tree built without ρ-sums"
-        );
-        self.rho_sum[t]
-    }
-
     /// The raw distance array (scenario-fork tree projection).
     pub(crate) fn dist_slice(&self) -> &[f64] {
         &self.dist
@@ -158,12 +136,6 @@ impl RiskTree {
     /// edges against a failure delta).
     pub fn pred_slice(&self) -> &[u32] {
         &self.pred
-    }
-
-    /// The raw ρ-sum channel (empty unless this is a β = 0 tree; ∞ on
-    /// unreachable nodes).
-    pub fn rho_sum_slice(&self) -> &[f64] {
-        &self.rho_sum
     }
 
     /// Node sequence source→t, or `None` when unreachable.
@@ -188,23 +160,76 @@ impl RiskTree {
         Some(PairAnswer {
             path: self.path_to(t)?,
             dist: self.dist[t],
-            rho_sum: self.rho_sum.get(t).copied().unwrap_or(f64::NAN),
         })
     }
 }
 
-/// The answer to one pair query: the node path source→target, its
-/// bit-risk distance, and (for a β = 0 query) its ρ-sum — bit-for-bit what
-/// the complete tree holds for that target, at O(path length) memory.
+/// Σ ρ(v) over the nodes a path enters (`path[1..]`), added in path order
+/// starting from 0.0 — the order [`evaluate_path`] charges them in. Every
+/// reader of a distance tree's Σρ goes through this one recurrence.
+pub(crate) fn path_rho_sum(path: &[usize], rho: &[f64]) -> f64 {
+    add_entered_rho(0.0, &path[1..], rho)
+}
+
+/// `sum` plus ρ(v) for each node of `entered`, in order.
+fn add_entered_rho(sum: f64, entered: &[usize], rho: &[f64]) -> f64 {
+    entered.iter().fold(sum, |acc, &v| acc + rho[v])
+}
+
+/// Scratch for summing Σρ down distance trees one tree at a time
+/// ([`Self::sum`]), its buffers reused from tree to tree.
+#[derive(Debug, Default)]
+pub(crate) struct RhoSums {
+    sums: Vec<f64>,
+    done: Vec<bool>,
+    chain: Vec<usize>,
+}
+
+impl RhoSums {
+    /// [`path_rho_sum`] of `tree`'s path to every reachable node `v ≥ from`,
+    /// at index `v` of the returned slice (other entries are not
+    /// meaningful), in O(n) for the whole tree. Each node's sum is its
+    /// predecessor's sum plus its own ρ — the very step `path_rho_sum`
+    /// takes on entering that node — so every sum is bit-identical to it.
+    pub(crate) fn sum(&mut self, tree: &RiskTree, rho: &[f64], from: usize) -> &[f64] {
+        let n = tree.pred.len();
+        self.sums.resize(n, 0.0);
+        self.done.clear();
+        // The source and the unreachable nodes start done; of those, only
+        // the source's entry is ever read.
+        self.done.extend(tree.pred.iter().map(|&p| p == NO_PRED));
+        self.sums[tree.source] = 0.0;
+        for v in from..n {
+            if self.done[v] {
+                continue;
+            }
+            // Walk up to the nearest node already summed, then sum back
+            // down the path from there.
+            let mut cur = v;
+            while !self.done[cur] {
+                self.chain.push(cur);
+                cur = tree.pred[cur] as usize;
+            }
+            let mut sum = self.sums[cur];
+            while let Some(u) = self.chain.pop() {
+                sum = add_entered_rho(sum, &[u], rho);
+                self.sums[u] = sum;
+                self.done[u] = true;
+            }
+        }
+        &self.sums[..n]
+    }
+}
+
+/// The answer to one pair query: the node path source→target and its
+/// bit-risk distance — bit-for-bit what the complete tree holds for that
+/// target, at O(path length) memory.
 #[derive(Debug, Clone)]
 pub struct PairAnswer {
     /// PoP sequence from source to target.
     pub path: Vec<usize>,
     /// Bit-risk distance to the target.
     pub dist: f64,
-    /// Σ ρ(v) along the path (source excluded) for a β = 0 query; NaN for
-    /// any other β, whose runs do not record ρ-sums.
-    pub rho_sum: f64,
 }
 
 impl PairAnswer {
@@ -282,7 +307,7 @@ pub fn risk_sssp(adj: &Adjacency, source: usize, entry_cost: impl Fn(usize) -> f
             }
         }
     }
-    RiskTree::from_parts(source, dist, pred, Vec::new())
+    RiskTree::from_parts(source, dist, pred)
 }
 
 /// Evaluate a node sequence under the metric, decomposing bit-miles and

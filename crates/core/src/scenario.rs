@@ -11,10 +11,11 @@
 //!   cost-state stamp and a private route-tree cache so forks can never
 //!   poison the base cache. Forks never mutate the base and compose —
 //!   fork-of-fork expresses N-2.
-//! - An **empty** delta is special-cased to a plain clone of the base
-//!   planner sharing its stamp *and* cache, so fork(∅) is byte-identical
-//!   to the un-forked engine, cache hits included.
-//! - Forks **adopt** still-valid base distance trees instead of
+//! - An **empty** or **forecast-only** delta is a plain clone of the base
+//!   planner sharing its topology stamp *and* cache, so fork(∅) is
+//!   byte-identical to the un-forked engine, cache hits included, and a
+//!   hazard-ensemble member reads the base's distance trees as they are.
+//! - Structural forks **adopt** still-valid base distance trees instead of
 //!   recomputing them: a base tree survives a delta when every node in
 //!   the root's surviving component keeps its base predecessor edge
 //!   (see [`ScenarioFork::fork`] for why the adopted tree is bit-exact).
@@ -26,15 +27,15 @@
 //!
 //! Scenario impact is measured by the β = 0 **distance-tree exposure**
 //! ([`base_exposure`]): for every unordered pair the shortest-path
-//! bit-risk miles `dist(i,j) + β(i,j)·Σρ` (one SSSP per source, O(1) per
-//! destination), with partition-stranded pairs counted instead of
-//! erroring — the same degraded-mode accounting as
+//! bit-risk miles `dist(i,j) + β(i,j)·Σρ` (one SSSP and one O(n) Σρ
+//! pass per source, O(1) per destination), with partition-stranded pairs
+//! counted instead of erroring — the same degraded-mode accounting as
 //! [`Planner::pair_sweep`].
 
 use crate::budget::{budgeted_waves, Budgeted, WorkBudget};
 use crate::error::{Error, Result};
 use crate::intradomain::{same_bits, Planner};
-use crate::routing::{RiskTree, NO_PRED};
+use crate::routing::{RhoSums, RiskTree, NO_PRED};
 use riskroute_geo::distance::great_circle_miles;
 use riskroute_hazard::events::sample_member_events;
 use riskroute_hazard::EventKind;
@@ -153,9 +154,9 @@ pub struct ExposureReport {
 }
 
 /// Distance-tree exposure of `planner` as-is (no failure mask): one β = 0
-/// SSSP per source, O(1) per destination via the ρ-sum channel, folded in
-/// strict lexicographic pair order so the total is reproducible
-/// bit-for-bit.
+/// SSSP per source and its Σρ to every later node summed once
+/// ([`RhoSums`]), then O(1) per destination, folded in strict
+/// lexicographic pair order so the total is reproducible bit-for-bit.
 pub fn base_exposure(planner: &Planner) -> ExposureReport {
     exposure_masked(planner, &vec![false; planner.pop_count()])
 }
@@ -168,12 +169,14 @@ fn exposure_masked(planner: &Planner, node_off: &[bool]) -> ExposureReport {
     let mut total = 0.0;
     let mut routable = 0usize;
     let mut stranded = 0usize;
+    let mut rho_sums = RhoSums::default();
     for i in 0..n.saturating_sub(1) {
         if node_off[i] {
             stranded += n - 1 - i;
             continue;
         }
         let tree = planner.risk_tree_distance(i);
+        let sums = rho_sums.sum(&tree, planner.rho(), i + 1);
         for (j, &off) in node_off.iter().enumerate().skip(i + 1) {
             if off {
                 stranded += 1;
@@ -181,7 +184,7 @@ fn exposure_masked(planner: &Planner, node_off: &[bool]) -> ExposureReport {
             }
             if tree.reachable(j) {
                 let beta = planner.impact(i, j);
-                total += tree.dist(j) + beta * tree.path_rho_sum(j);
+                total += tree.dist(j) + beta * sums[j];
                 routable += 1;
             } else {
                 stranded += 1;
@@ -197,10 +200,11 @@ fn exposure_masked(planner: &Planner, node_off: &[bool]) -> ExposureReport {
 
 /// A copy-on-write failure fork of a base [`Planner`].
 ///
-/// Construction is cheap relative to rebuilding a planner: the masked CSR
-/// and adjacency are order-preserving filters of the base snapshot,
-/// shares/risk are shared or cloned, and still-valid base distance trees
-/// are *adopted* into the fork's private cache instead of recomputed.
+/// Construction is cheap relative to rebuilding a planner: a forecast-only
+/// fork is a clone, and a structural fork's masked CSR and adjacency are
+/// order-preserving filters of the base snapshot, with shares/risk cloned
+/// and still-valid base distance trees *adopted* into its private cache
+/// instead of recomputed.
 #[derive(Debug, Clone)]
 pub struct ScenarioFork {
     planner: Planner,
@@ -212,19 +216,19 @@ pub struct ScenarioFork {
 impl ScenarioFork {
     /// Fork `base` under `delta`.
     ///
-    /// **Stamp minting rules.** An *effectively empty* delta (no
-    /// deactivations and a forecast override absent or bitwise-equal to
-    /// the base forecast) returns a plain clone of the base planner —
-    /// same CSR `Arc`, same cost-state stamp, same shared route-tree
-    /// cache — so fork(∅) is byte-identical to the un-forked engine
-    /// including its cache hits. A *forecast-only* delta is applied to a
-    /// clone of the base through [`Planner::set_forecast`]: when the new ρ
-    /// is bitwise unchanged (e.g. `λ_f = 0`) the stamp survives and the
-    /// fork shares the base stamp and cache like fork(∅). Every other
-    /// delta masks the snapshot and mints a fresh stamp plus a **private**
-    /// cache: the stamp guarantees no fork tree is ever returned to the
-    /// base (or vice versa), and the private cache keeps fork churn from
-    /// evicting base entries at capacity.
+    /// **Stamp minting rules.** A delta that deactivates nothing returns a
+    /// clone of the base planner — same CSR `Arc`, same topology stamp,
+    /// same shared route-tree cache — with any forecast override applied
+    /// through [`Planner::set_forecast`]. Distance trees read no ρ, so the
+    /// clone reads the base's as they are. An *effectively empty* delta (no
+    /// override, or one that leaves ρ bitwise unchanged, e.g. `λ_f = 0`)
+    /// also keeps the cost stamp, so fork(∅) is byte-identical to the
+    /// un-forked engine including its cache hits; a ρ-changing override
+    /// mints only a cost stamp. Every other delta masks the snapshot and
+    /// mints fresh topology and cost stamps plus a **private** cache: the
+    /// stamps guarantee no fork tree is ever returned to the base (or vice
+    /// versa), and the private cache keeps fork churn from evicting base
+    /// entries at capacity.
     ///
     /// **Tree adoption.** A base β = 0 tree rooted at `r` is adopted when
     /// every node in `r`'s surviving component keeps its base predecessor
@@ -236,10 +240,9 @@ impl ScenarioFork {
     /// restricted to kept edges — the *first* relaxation to reach a
     /// node's final value is the same one, so predecessors (and every
     /// tie-break) match bit-for-bit. Out-of-component nodes project to
-    /// unreachable. When the fork's ρ vector differs (forecast override),
-    /// the ρ-sum channel is recomputed along predecessor chains with the
-    /// same `parent + ρ(node)` operand order the engine uses at settle
-    /// time, keeping it bitwise equal to a fresh run.
+    /// unreachable; a tree that reaches none is shared as the same `Arc`.
+    /// A forecast override on a structural delta changes nothing here:
+    /// distance trees read no ρ.
     ///
     /// # Panics
     /// Panics when the delta names out-of-range nodes/links or carries a
@@ -251,34 +254,29 @@ impl ScenarioFork {
                 && delta.links.iter().all(|&(a, b)| a < n && b < n && a != b),
             "scenario delta names out-of-range or degenerate elements"
         );
-        let forecast_changed = match delta.forecast() {
-            None => false,
-            Some(f) => {
-                assert_eq!(f.len(), n, "forecast override must cover every PoP");
-                !same_bits(f, base.risk().forecast_slice())
-            }
-        };
-        let structural = !delta.nodes.is_empty() || !delta.links.is_empty();
-        if !structural {
-            // Empty or forecast-only delta: a clone of the base, which keeps
-            // the base stamp (and so the shared cache) whenever the override
-            // leaves ρ bitwise unchanged.
+        let forecast = delta.forecast();
+        if let Some(f) = forecast {
+            assert_eq!(f.len(), n, "forecast override must cover every PoP");
+        }
+        if delta.nodes.is_empty() && delta.links.is_empty() {
+            // Empty or forecast-only delta: a clone of the base, sharing its
+            // topology stamp and cache (and its cost stamp whenever the
+            // override leaves ρ bitwise unchanged).
             let mut planner = base.clone();
-            if let Some(f) = delta.forecast().filter(|_| forecast_changed) {
+            if let Some(f) = forecast {
                 planner.set_forecast(f.to_vec());
             }
-            if planner.cost_stamp() == base.cost_stamp() {
-                if riskroute_obs::is_enabled() {
-                    riskroute_obs::counter_add("forks_created", 1);
-                    riskroute_obs::counter_add("forks_reused_cache", 1);
-                }
-                return ScenarioFork {
-                    planner,
-                    delta,
-                    node_off: vec![false; n],
-                    base_alias: !forecast_changed,
-                };
+            if riskroute_obs::is_enabled() {
+                riskroute_obs::counter_add("forks_created", 1);
+                riskroute_obs::counter_add("forks_reused_cache", 1);
             }
+            let base_alias = forecast.is_none_or(|f| same_bits(f, base.risk().forecast_slice()));
+            return ScenarioFork {
+                planner,
+                delta,
+                node_off: vec![false; n],
+                base_alias,
+            };
         }
 
         let mut node_off = vec![false; n];
@@ -286,15 +284,11 @@ impl ScenarioFork {
             node_off[v] = true;
         }
         let keep = |u: usize, v: usize| !node_off[u] && !node_off[v] && !delta.drops_link(u, v);
-        let forecast_override = if forecast_changed {
-            delta.forecast()
-        } else {
-            None
-        };
-        let planner = base.fork_masked(&keep, forecast_override);
+        let planner = base.fork_masked(&keep, forecast);
 
         let comp = components(&planner, &node_off);
-        let rho_changed = !same_bits(base.rho(), planner.rho());
+        // Still one component: every base tree reaches only its own.
+        let connected = comp.iter().all(|&c| c == 0);
         let mut adopted: u64 = 0;
         for (root, &off) in node_off.iter().enumerate() {
             if off {
@@ -303,19 +297,8 @@ impl ScenarioFork {
             let Some(tree) = base.cached_distance_tree(root) else {
                 continue;
             };
-            let projected = project_tree(
-                &tree,
-                &comp,
-                root,
-                &keep,
-                if rho_changed {
-                    Some(planner.rho())
-                } else {
-                    None
-                },
-            );
-            if let Some(t) = projected {
-                planner.seed_distance_tree(root, Arc::new(t));
+            if let Some(t) = project_tree(&tree, &comp, root, &delta, connected) {
+                planner.seed_distance_tree(root, t);
                 adopted += 1;
             }
         }
@@ -400,79 +383,40 @@ fn components(planner: &Planner, node_off: &[bool]) -> Vec<u32> {
 }
 
 /// Project a base β = 0 tree onto the masked graph, or `None` when some
-/// in-component node's base predecessor edge was dropped (the base path
-/// used a failed element — the tree must be recomputed).
+/// in-component node's base predecessor edge was dropped — it enters the
+/// node from an off node, or is one of the deactivated `links` (the base
+/// path used a failed element, so the tree must be recomputed). No other
+/// in-component node can lack its predecessor: the masked graph is a
+/// subgraph of the tree's, so the tree reached the root's whole component.
+/// A tree that reaches nothing outside that component (every tree, when
+/// the masked graph is still `connected`) is shared as is.
 fn project_tree(
-    tree: &RiskTree,
+    tree: &Arc<RiskTree>,
     comp: &[u32],
     root: usize,
-    keep: &impl Fn(usize, usize) -> bool,
-    fork_rho: Option<&[f64]>,
-) -> Option<RiskTree> {
-    let n = comp.len();
+    delta: &ScenarioDelta,
+    connected: bool,
+) -> Option<Arc<RiskTree>> {
     let rc = comp[root];
-    let dist = tree.dist_slice();
+    let in_comp = |x: usize| comp[x] == rc;
     let pred = tree.pred_slice();
-    for x in 0..n {
-        if comp[x] != rc || x == root {
-            continue;
-        }
-        let p = pred[x];
-        if p == NO_PRED || !keep(p as usize, x) {
-            return None;
-        }
+    let cut = |a: usize, b: usize| in_comp(b) && pred[b] == a as u32;
+    let off_parent = |v: usize| (0..comp.len()).any(|x| cut(v, x));
+    if delta.nodes.iter().any(|&v| off_parent(v))
+        || delta.links.iter().any(|&(a, b)| cut(a, b) || cut(b, a))
+    {
+        return None;
     }
-    let mut new_dist = vec![f64::INFINITY; n];
-    let mut new_pred = vec![NO_PRED; n];
-    for x in 0..n {
-        if comp[x] == rc {
-            new_dist[x] = dist[x];
-            new_pred[x] = pred[x];
-        }
+    if connected || (0..comp.len()).all(|x| in_comp(x) || !tree.reachable(x)) {
+        return Some(Arc::clone(tree));
     }
-    let new_rho_sum = match fork_rho {
-        None => {
-            let base_rho = tree.rho_sum_slice();
-            (0..n)
-                .map(|x| {
-                    if comp[x] == rc {
-                        base_rho[x]
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .collect()
-        }
-        Some(rho) => {
-            // Recompute along predecessor chains. The engine accumulates
-            // `rho_sum[pred] + ρ(node)` when a node settles; the same
-            // operands in the same order here keep the channel bitwise
-            // identical to a fresh run over the masked graph.
-            let mut out = vec![f64::INFINITY; n];
-            out[root] = 0.0;
-            let mut chain = Vec::new();
-            for x in 0..n {
-                if comp[x] != rc || out[x].is_finite() {
-                    continue;
-                }
-                let mut cur = x;
-                while !out[cur].is_finite() {
-                    chain.push(cur);
-                    cur = new_pred[cur] as usize;
-                }
-                while let Some(y) = chain.pop() {
-                    out[y] = out[new_pred[y] as usize] + rho[y];
-                }
-            }
-            out
-        }
-    };
-    Some(RiskTree::from_parts(
-        tree.source(),
-        new_dist,
-        new_pred,
-        new_rho_sum,
-    ))
+    let dist = (tree.dist_slice().iter().enumerate())
+        .map(|(x, &d)| if in_comp(x) { d } else { f64::INFINITY })
+        .collect();
+    let pred = (pred.iter().enumerate())
+        .map(|(x, &p)| if in_comp(x) { p } else { NO_PRED })
+        .collect();
+    Some(Arc::new(RiskTree::from_parts(tree.source(), dist, pred)))
 }
 
 /// One failing element of an N-1/N-2 scenario.
@@ -1110,6 +1054,21 @@ mod tests {
         assert!(!fork.is_base_alias());
         let rebuilt = rebuilt_for(&net, &planner, &delta);
         assert_eq!(bits(&fork.exposure()), bits(&base_exposure(&rebuilt)));
+    }
+
+    #[test]
+    fn forecast_only_forks_are_clones_sharing_distance_trees() {
+        let (_, planner) = fixture();
+        let _ = base_exposure(&planner);
+        let forecast = vec![0.0, 2.5, 0.0, 1.25, 0.0];
+        let fork = ScenarioFork::fork(&planner, ScenarioDelta::new().with_forecast(forecast));
+        assert_ne!(fork.planner().cost_stamp(), planner.cost_stamp());
+        // base_exposure builds a distance tree for every root but the last.
+        for root in 0..4 {
+            let base_tree = planner.cached_distance_tree(root).unwrap();
+            let fork_tree = fork.planner().cached_distance_tree(root).unwrap();
+            assert!(Arc::ptr_eq(&base_tree, &fork_tree), "root {root}");
+        }
     }
 
     #[test]

@@ -71,3 +71,14 @@ fn harness_exercises_every_degradation_path_somewhere() {
         "a plan failed to drop any link"
     );
 }
+
+#[test]
+fn ci_fault_plans_hold_every_invariant() {
+    // The fault plans CI has always run (seeds 42..49).
+    let reports = run_chaos_suite(42, 8).expect("every plan completes");
+    assert_eq!(reports.len(), 8);
+    for r in &reports {
+        let v = violations(r);
+        assert!(v.is_empty(), "seed {}: {v:?}", r.seed);
+    }
+}

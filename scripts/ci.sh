@@ -1,12 +1,22 @@
 #!/usr/bin/env bash
-# Full local CI gate: release build, the whole test suite, clippy at
-# -D warnings, and the seeded chaos suites (fault plans + kill/resume).
-# Everything is deterministic (fixed seeds), so a red run replays exactly.
+# Full local CI gate: formatting, release build, the benchmark build, the
+# whole test suite, clippy at -D warnings, and the seeded chaos suites
+# (fault plans + kill/resume). Everything is deterministic (fixed seeds),
+# so a red run replays exactly.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== fmt (check) =="
+# benchmark/ is a workspace of its own, so this leaves it alone.
+cargo fmt --all -- --check
+
 echo "== build (release) =="
 cargo build --release --workspace
+
+echo "== benchmark: builds against this tree =="
+# The benchmark harness links the library crates by path; a library API
+# break fails here instead of in the benchmark run.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "== tests =="
 cargo test --workspace -q
@@ -96,9 +106,9 @@ diff "$OBS_TMP/replay-t1.txt" "$OBS_TMP/replay-t4.txt"
 target/release/riskroute sweep Level3 --mode n1 --threads 1 > "$OBS_TMP/sweep-t1.txt"
 target/release/riskroute sweep Level3 --mode n1 --threads 4 > "$OBS_TMP/sweep-t4.txt"
 diff "$OBS_TMP/sweep-t1.txt" "$OBS_TMP/sweep-t4.txt"
-# The hazard ensemble is all forecast-only forks: a stamp-sharing clone
-# when the override leaves rho bitwise unchanged, a masked fork adopting
-# base distance trees otherwise.
+# The hazard ensemble is all forecast-only forks: clones of the base that
+# read its distance trees as they are (distance trees depend on the
+# topology alone; a rho-changing override mints only a cost stamp).
 target/release/riskroute sweep Level3 --mode ensemble --samples 32 --seed 7 --threads 1 > "$OBS_TMP/ens-t1.txt"
 target/release/riskroute sweep Level3 --mode ensemble --samples 32 --seed 7 --threads 4 > "$OBS_TMP/ens-t4.txt"
 diff "$OBS_TMP/ens-t1.txt" "$OBS_TMP/ens-t4.txt"
@@ -223,6 +233,20 @@ if [ -z "$kde_terms" ] || [ "$kde_terms" -gt "$kde_terms_baseline" ]; then
   exit 1
 fi
 
+echo "== sssp engine: replay-runs guard =="
+# replay Telepak katrina is deterministic, so its kernel-search count is
+# exact; scripts/replay_runs_baseline.txt records it as of distance trees
+# keyed by topology. A higher count means a forecast change threw away
+# distance trees (or anything else began to search more often).
+target/release/riskroute replay Telepak katrina --metrics-out "$OBS_TMP/replay.prom" >/dev/null
+replay_runs=$(awk '$1 == "riskroute_risk_sssp_runs" { print $2 }' "$OBS_TMP/replay.prom")
+replay_runs_baseline=$(cat scripts/replay_runs_baseline.txt)
+echo "replay risk_sssp_runs ${replay_runs} (baseline ${replay_runs_baseline})"
+if [ -z "$replay_runs" ] || [ "$replay_runs" -gt "$replay_runs_baseline" ]; then
+  echo "FAIL: replay risk_sssp_runs ${replay_runs:-<missing>} exceeds baseline ${replay_runs_baseline}"
+  exit 1
+fi
+
 echo "== obs: tracing-on vs tracing-off byte-for-byte =="
 # Request-scoped tracing must not move a byte of output, including under
 # the parallel pool (worker threads inherit the dispatching scope).
@@ -271,7 +295,7 @@ fi
 echo "${regenerated} paper artifacts are byte-identical"
 
 echo "== chaos: fault plans (seeds 42..49) =="
-cargo run --release -p riskroute-cli -- chaos --plans 8 --seed 42
+cargo test --release -p riskroute -q --test chaos_suite ci_fault_plans_hold_every_invariant
 
 echo "== chaos: kill/resume crash-consistency (seeds 0..4 via test) =="
 cargo test --release -p riskroute -q chaos::tests::kill_resume -- --nocapture

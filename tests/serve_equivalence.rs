@@ -355,6 +355,8 @@ fn argv_only_and_unknown_fields_are_bad_requests() {
             "src",
         ),
         (r#"{"op":"no-such-op"}"#, "no-such-op"),
+        // The fault-injection harness is a test suite, not an op.
+        (r#"{"op":"chaos","plans":2}"#, "chaos"),
     ] {
         let line = query_line(addr, request);
         let doc = riskroute_json::parse(line.trim_end()).expect("response parses");

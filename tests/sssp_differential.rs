@@ -8,7 +8,8 @@
 //!    ε, exact ties and 4000, isolated PoPs; ρ with negative, NaN and ∞
 //!    entries) and one fixed square, at β = 0, finite β, and a β large
 //!    enough that β·ρ overflows to the ∞-sanitized cost: dist bits,
-//!    predecessors and paths, plus the ρ-sum channel of β = 0 trees.
+//!    predecessors and paths. Distance trees carry no ρ; the planner's
+//!    shortest legs sum it along the oracle's path, bit for bit.
 //! 2. **Planner table.** Every planner workload is a row rendered to bytes
 //!    (the `Debug` rendering, which round-trips every f64 bit-for-bit) and
 //!    run under each configuration of route cache {on, off} × workers
@@ -20,8 +21,9 @@
 //!    replay tick, or a fresh planner given the fork's forecast.
 //! 3. **Cache and fork rules** that only show in counters: cached pair
 //!    answers never reach a full-tree reader, and a complete tree answers
-//!    every pair query; forecast-only forks share the base stamp when ρ is
-//!    bitwise unchanged and adopt base distance trees otherwise.
+//!    every pair query; distance trees survive a forecast change, and a
+//!    forecast-only fork is a clone that reads the base's distance trees
+//!    (it adopts none and runs no search).
 
 use riskroute::engine::{sssp, sssp_to, Bound, Chords, CsrGraph, LbRow, Rho};
 use riskroute::prelude::*;
@@ -106,8 +108,8 @@ fn square_case() -> (Adjacency, Vec<f64>) {
     (adj, vec![0.0, 100.0, 0.0, 0.25])
 }
 
-/// The ρ-sum a β = 0 tree must record for `v`: ρ accumulated down the
-/// oracle's path in path order (the engine's settle-time recurrence).
+/// The Σρ a shortest leg to `v` must charge: ρ accumulated down the
+/// oracle's path in path order, from 0.0.
 fn path_rho_sum(oracle: &RiskTree, rho: &[f64], v: usize) -> f64 {
     oracle.path_to(v).map_or(f64::INFINITY, |path| {
         path.iter().skip(1).fold(0.0, |acc, &u| acc + rho[u])
@@ -169,28 +171,14 @@ fn engine_sssp_matches_the_oracle() {
                 );
                 assert_eq!(tree.pred_slice()[v], expect.pred_slice()[v], "{at}: pred");
                 assert_eq!(tree.path_to(v), expect.path_to(v), "{at}: path");
-                if beta == 0.0 {
-                    assert_eq!(
-                        tree.rho_sum_slice()[v].to_bits(),
-                        path_rho_sum(expect, rho, v).to_bits(),
-                        "{at}: rho_sum"
-                    );
-                }
             }
         }
     });
 }
 
-/// Check one pair query's answer against the oracle tree: path, distance
-/// bits, and the ρ-sum of a β = 0 query (NaN for any other β).
-fn assert_answer(
-    at: &str,
-    answer: Option<&PairAnswer>,
-    expect: &RiskTree,
-    rho: &[f64],
-    beta: f64,
-    target: usize,
-) {
+/// Check one pair query's answer against the oracle tree: path and
+/// distance bits.
+fn assert_answer(at: &str, answer: Option<&PairAnswer>, expect: &RiskTree, target: usize) {
     let Some(answer) = answer else {
         assert!(!expect.reachable(target), "{at}: reachable target lost");
         return;
@@ -205,15 +193,6 @@ fn assert_answer(
         expect.dist(target).to_bits(),
         "{at}: dist"
     );
-    if beta == 0.0 {
-        assert_eq!(
-            answer.rho_sum.to_bits(),
-            path_rho_sum(expect, rho, target).to_bits(),
-            "{at}: rho_sum"
-        );
-    } else {
-        assert!(answer.rho_sum.is_nan(), "{at}: rho_sum off β = 0");
-    }
 }
 
 #[test]
@@ -225,7 +204,7 @@ fn pair_answer_matches_the_oracle() {
                 for target in 0..csr.node_count() {
                     let at = format!("{at} {source}→{target}");
                     let answer = sssp_to(csr, source, beta, rho, target, Bound::Zero);
-                    assert_answer(&at, answer.as_ref(), expect, rho, beta, target);
+                    assert_answer(&at, answer.as_ref(), expect, target);
                     // The whole tree's read of the same target is the same
                     // answer, bit for bit.
                     let whole = tree.pair_answer(target);
@@ -235,7 +214,6 @@ fn pair_answer_matches_the_oracle() {
                     };
                     assert_eq!(answer.path, whole.path, "{at}: whole-tree path");
                     assert_eq!(answer.dist.to_bits(), whole.dist.to_bits(), "{at}");
-                    assert_eq!(answer.rho_sum.to_bits(), whole.rho_sum.to_bits(), "{at}");
                 }
             }
         });
@@ -277,7 +255,7 @@ fn goal_directed_pair_queries_match_the_oracle() {
                     let at = format!("{at} {when} {source}→{target}");
                     let (answer, c) =
                         counted(|| sssp_to(csr, source, beta, rho, target, Bound::Row(row)));
-                    assert_answer(&at, answer.as_ref(), expect, rho, beta, target);
+                    assert_answer(&at, answer.as_ref(), expect, target);
                     let (_, plain) =
                         counted(|| sssp_to(csr, source, beta, rho, target, Bound::Zero));
                     if get(&c, "risk_sssp_tie_reruns") == 0 {
@@ -347,7 +325,7 @@ fn chord_bound_pair_queries_match_the_oracle() {
                         let at = format!("case {case} β {beta} {source}→{target}");
                         let answer =
                             sssp_to(&csr, source, beta, &rho, target, Bound::Chord(&chords));
-                        assert_answer(&at, answer.as_ref(), expect, &rho, beta, target);
+                        assert_answer(&at, answer.as_ref(), expect, target);
                     }
                 }
             }
@@ -405,7 +383,7 @@ fn a_tie_offered_out_of_dijkstra_order_reruns() {
     assert_eq!(get(&c, "risk_sssp_tie_reruns"), 1);
     let oracle = oracle_trees(&adj, &rho, 1.0);
     assert_eq!(oracle[0].path_to(4), Some(vec![0, 1, 3, 4]));
-    assert_answer("pred tie", answer.as_ref(), &oracle[0], &rho, 1.0, 4);
+    assert_answer("pred tie", answer.as_ref(), &oracle[0], 4);
 }
 
 /// Two frontier entries with the same key when the target settles: the
@@ -423,7 +401,7 @@ fn an_equal_key_entry_at_the_stop_reruns() {
     assert_eq!(get(&c, "risk_sssp_tie_reruns"), 1);
     assert_eq!(get(&c, "risk_sssp_runs"), 2);
     let oracle = oracle_trees(&adj, &rho, 0.0);
-    assert_answer("stop tie", answer.as_ref(), &oracle[0], &rho, 0.0, 1);
+    assert_answer("stop tie", answer.as_ref(), &oracle[0], 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -834,6 +812,109 @@ fn pair_sweeps_oracle() -> String {
     out
 }
 
+/// The shortest legs' Σρ, read off distance trees that carry none, against
+/// the oracle path's sum. Three ρ families per random network: its own
+/// historical risk; that risk with every third PoP's ρ overflowing to ∞,
+/// under shares that are zero at every even PoP (so β = 0 between two of
+/// them, and a leg through an ∞ PoP charges 0·∞ = NaN risk miles); and
+/// all-zero ρ. Each family's planner, cache off and on, answers
+/// `shortest_route` for every ordered pair, `pair_sweep` over all pairs
+/// and `pair_list_sweep` over the case's list, and its `base_exposure`
+/// folds the same legs — and again after a forecast change, which keeps a
+/// warm planner's distance trees.
+#[test]
+fn shortest_legs_sum_rho_along_the_oracle_path() {
+    let mut legs = [0usize; 2];
+    network_cases(|network, risk, shares, pairs| {
+        let n = network.pop_count();
+        let all: Vec<usize> = (0..n).collect();
+        let overflow: Vec<f64> = (0..n)
+            .map(|v| if v % 3 == 0 { 1e300 } else { risk[v] })
+            .collect();
+        let half_zero = (0..n)
+            .map(|v| if v % 2 == 0 { 0.0 } else { shares.share(v) })
+            .collect();
+        let families = [
+            (risk.to_vec(), RiskWeights::PAPER, shares.clone()),
+            (
+                overflow,
+                RiskWeights::new(1e10, 1e3),
+                PopShares::from_shares(half_zero),
+            ),
+            (vec![0.0; n], RiskWeights::PAPER, shares.clone()),
+        ];
+        let forecast: Vec<f64> = (0..n).map(|v| FORECAST_TERMS[v % 3]).collect();
+        for (family, (risk, weights, shares)) in families.into_iter().enumerate() {
+            for cache in [false, true] {
+                let mut planner = Planner::new(
+                    network,
+                    NodeRisk::new(risk.clone(), vec![0.0; n]),
+                    shares.clone(),
+                    weights,
+                )
+                .with_route_cache(cache);
+                let oracle: Vec<RiskTree> = (0..n)
+                    .map(|s| risk_sssp(planner.adjacency(), s, |_| 0.0))
+                    .collect();
+                for state in ["now", "later"] {
+                    if state == "later" {
+                        planner.set_forecast(forecast.clone());
+                    }
+                    let rho: Vec<f64> = (0..n).map(|v| planner.risk().scaled(v, weights)).collect();
+                    let mut check = |i: usize, j: usize, leg: &RoutedPath| {
+                        let at = format!(
+                            "{} family {family} cache {cache} {state} {i}→{j}",
+                            network.name()
+                        );
+                        let expect = &oracle[i];
+                        assert_eq!(Some(&leg.nodes), expect.path_to(j).as_ref(), "{at}: path");
+                        assert_eq!(leg.bit_miles.to_bits(), expect.dist(j).to_bits(), "{at}");
+                        let risk_miles = planner.impact(i, j) * path_rho_sum(expect, &rho, j);
+                        assert_eq!(leg.risk_miles.to_bits(), risk_miles.to_bits(), "{at}");
+                        assert_eq!(
+                            leg.bit_risk_miles.to_bits(),
+                            (expect.dist(j) + risk_miles).to_bits(),
+                            "{at}"
+                        );
+                        legs[usize::from(risk_miles.is_nan())] += 1;
+                    };
+                    for (i, j) in all_pairs(n).into_iter().filter(|(i, j)| i != j) {
+                        match planner.shortest_route(i, j) {
+                            Some(leg) => check(i, j, &leg),
+                            None => assert!(!oracle[i].reachable(j)),
+                        }
+                    }
+                    let sweep = planner.pair_sweep(&all, &all);
+                    let list = planner.pair_list_sweep(pairs);
+                    for o in sweep.outcomes.iter().chain(&list.outcomes) {
+                        check(o.src, o.dst, &o.shortest);
+                    }
+                    // Scenario exposure reads the same sums, folded over
+                    // i < j in order.
+                    let (mut total, mut routable) = (0.0, 0);
+                    for (i, j) in all_pairs(n).into_iter().filter(|(i, j)| i < j) {
+                        if oracle[i].reachable(j) {
+                            let beta = planner.impact(i, j);
+                            total += oracle[i].dist(j) + beta * path_rho_sum(&oracle[i], &rho, j);
+                            routable += 1;
+                        }
+                    }
+                    let exposure = base_exposure(&planner);
+                    assert_eq!(
+                        (exposure.bit_risk_total.to_bits(), exposure.routable_pairs),
+                        (total.to_bits(), routable),
+                        "{} family {family} cache {cache} {state}: exposure",
+                        network.name()
+                    );
+                }
+            }
+        }
+    });
+    let [finite, nan] = legs;
+    assert!(finite > 1000, "only {finite} legs checked");
+    assert!(nan > 0, "no leg charged 0·∞");
+}
+
 /// The forecast sequence the evolved-forecast row walks: bitwise
 /// resubmissions, single-node nudges, drops back to zero, and global
 /// rewrites.
@@ -1059,57 +1140,64 @@ fn pair_answers_never_reach_full_tree_readers() {
     );
 }
 
+/// A forecast-only fork is a clone of its base: whether the override
+/// changes ρ (the paper's weights) or cannot (λ_f = 0), it adopts no tree
+/// and its exposure reads the warm base's distance trees, running no
+/// search at all.
 #[test]
-fn forecast_forks_share_the_base_stamp_or_adopt_its_trees() {
-    let forecast = override_forecast();
-    // λ_f = 0: ρ is bitwise unchanged, so the fork shares the warm base
-    // cache and runs no SSSP at all.
-    let base = telepak_planner(
-        RiskWeights::historical_only(1e5),
-        Config {
-            cache: true,
-            workers: 1,
-        },
-    );
-    let _ = base_exposure(&base);
-    let (_, c) = counted(|| {
-        let fork = ScenarioFork::fork(&base, ScenarioDelta::new().with_forecast(forecast.clone()));
-        fork.exposure()
-    });
-    assert_eq!(get(&c, "forks_created"), 1);
-    assert_eq!(get(&c, "forks_reused_cache"), 1);
-    assert_eq!(
-        get(&c, "risk_sssp_runs"),
-        0,
-        "a stamp-sharing fork recomputes nothing"
-    );
+fn forecast_forks_share_the_base_distance_trees() {
+    for weights in fork_weights() {
+        let base = telepak_planner(
+            weights,
+            Config {
+                cache: true,
+                workers: 1,
+            },
+        );
+        let _ = base_exposure(&base);
+        let (_, c) = counted(|| {
+            let fork = ScenarioFork::fork(
+                &base,
+                ScenarioDelta::new().with_forecast(override_forecast()),
+            );
+            fork.exposure()
+        });
+        assert_eq!(get(&c, "forks_created"), 1);
+        assert_eq!(get(&c, "forks_reused_cache"), 1);
+        assert_eq!(get(&c, "scenario_trees_adopted"), 0, "{weights:?}");
+        assert_eq!(get(&c, "risk_sssp_runs"), 0, "{weights:?}");
+    }
+}
 
-    // ρ changes: a private cache seeded with every base distance tree,
-    // ρ-sums recomputed, so exposure still runs no SSSP.
-    let base = telepak_planner(
-        RiskWeights::PAPER,
-        Config {
-            cache: true,
-            workers: 1,
-        },
-    );
-    let _ = base_exposure(&base);
-    let (_, c) = counted(|| {
-        let fork = ScenarioFork::fork(&base, ScenarioDelta::new().with_forecast(forecast));
-        fork.exposure()
-    });
-    assert_eq!(get(&c, "forks_created"), 1);
-    // base_exposure builds a distance tree for every root but the last.
-    assert_eq!(
-        get(&c, "scenario_trees_adopted") as usize,
-        telepak().pop_count() - 1,
-        "every base distance tree is adopted"
-    );
+/// A forecast change keeps every distance tree: after it the warm
+/// planner's sweep runs only its 56 β > 0 pair queries (no distance tree,
+/// no row), and answers as a planner built fresh at the new forecast does.
+#[test]
+fn distance_trees_survive_a_forecast_change() {
+    let (network, _) = chain();
+    let all: Vec<usize> = (0..8).collect();
+    let mut planner = chain_planner(&network, true);
+    let (_, c) = counted(|| planner.pair_sweep(&all, &all));
     assert_eq!(
         get(&c, "risk_sssp_runs"),
-        0,
-        "adopted trees serve the whole exposure"
+        8 + 8 + 56,
+        "trees, rows, queries"
     );
+    let forecast = vec![0.0, 0.3, 0.0, 0.1, 0.5, 0.0, 0.2, 0.0];
+    planner.set_forecast(forecast.clone());
+    let (sweep, c) = counted(|| planner.pair_sweep(&all, &all));
+    assert_eq!(get(&c, "risk_sssp_runs"), 56);
+    assert_eq!(get(&c, "lb_row_searches"), 0);
+    assert_eq!(get(&c, "risk_sssp_tie_reruns"), 0);
+    let (_, risk) = chain();
+    let fresh = Planner::new(
+        &network,
+        NodeRisk::new(risk, forecast),
+        PopShares::from_shares(vec![0.125; 8]),
+        RiskWeights::PAPER,
+    )
+    .with_route_cache(false);
+    assert_eq!(render(&sweep), render(&fresh.pair_sweep(&all, &all)));
 }
 
 /// Lower-bound rows are reused only where they still bound every path:

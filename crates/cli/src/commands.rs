@@ -266,7 +266,7 @@ fn provision_under_budget(
         if let Some(path) = &budget.checkpoint {
             let snap =
                 Snapshot::provision(net.name(), k, weights.lambda_h, weights.lambda_f, links);
-            if let Err(e) = checkpoint::write_atomic(path, &snap.to_text()) {
+            if let Err(e) = checkpoint::save_snapshot(path, &snap) {
                 err.get_or_insert(format!("cannot write checkpoint {path}: {e}"));
             }
         }
@@ -409,7 +409,7 @@ fn replay_under_budget(
                 replay,
                 next,
             );
-            if let Err(e) = checkpoint::write_atomic(path, &snap.to_text()) {
+            if let Err(e) = checkpoint::save_snapshot(path, &snap) {
                 err.get_or_insert(format!("cannot write checkpoint {path}: {e}"));
             }
         }
@@ -697,7 +697,7 @@ fn sweep_under_budget(
                 &outcome.records,
                 next,
             );
-            if let Err(e) = checkpoint::write_atomic(path, &snap.to_text()) {
+            if let Err(e) = checkpoint::save_snapshot(path, &snap) {
                 err.get_or_insert(format!("cannot write checkpoint {path}: {e}"));
             }
         }
@@ -1427,7 +1427,7 @@ pub fn export(
     match out {
         None => Ok(payload),
         Some(path) => {
-            checkpoint::write_atomic(path, &payload)
+            riskroute_obs::export::write_atomic(path, &payload)
                 .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
             Ok(format!(
                 "wrote {path} ({} bytes, {format}; atomic temp-file + rename)\n",
@@ -1457,7 +1457,7 @@ pub fn synth(n: usize, seed: u64, out: Option<&str>) -> Result<String, CliError>
     );
     if let Some(path) = out {
         let payload = riskroute_topology::import::network_to_graphml(&net);
-        checkpoint::write_atomic(path, &payload)
+        riskroute_obs::export::write_atomic(path, &payload)
             .map_err(|e| CliError::Io(format!("cannot write {path}: {e}")))?;
         let _ = writeln!(
             summary,

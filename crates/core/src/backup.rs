@@ -52,8 +52,7 @@ pub fn backup_paths(
 ) -> Option<BackupPlan> {
     assert!(k > 0, "k must be positive");
     let beta = planner.impact(i, j);
-    let w = planner.weights();
-    let rho = |v: usize| beta * planner.risk().scaled(v, w);
+    let rho = |v: usize| beta * planner.rho()[v];
     // Symmetric half-risk graph: same path ranking as the exact metric for
     // this fixed pair (see module docs).
     let mut g = Graph::with_nodes(network.pop_count());
@@ -106,9 +105,10 @@ pub struct NextHops {
 ///
 /// The LFA condition uses each pair's own impact factor β(src, dst), so the
 /// protection decisions match what RiskRoute would actually route.
+/// Candidates are `src`'s links in link-list order (its row of the
+/// planner's graph; `network` must be the planner's), first wins a tie.
 pub fn lfa_next_hops(planner: &Planner, network: &Network, dst: usize) -> Vec<NextHops> {
     let n = network.pop_count();
-    let w = planner.weights();
     (0..n)
         .map(|src| {
             if src == dst {
@@ -119,7 +119,7 @@ pub fn lfa_next_hops(planner: &Planner, network: &Network, dst: usize) -> Vec<Ne
                 };
             }
             let beta = planner.impact(src, dst);
-            let rho = |v: usize| beta * planner.risk().scaled(v, w);
+            let rho = |v: usize| beta * planner.rho()[v];
             // Tree from dst under this pair's weighting; dist(x→dst) =
             // dist(dst→x) + β(ρ(dst) − ρ(x)) by the reversal identity.
             let tree = planner.risk_tree(dst, beta);
@@ -142,32 +142,20 @@ pub fn lfa_next_hops(planner: &Planner, network: &Network, dst: usize) -> Vec<Ne
             // Primary = neighbor minimizing hop + remaining cost.
             let mut best: Option<(usize, f64)> = None;
             let mut alt: Option<(usize, f64)> = None;
-            for l in network.links() {
-                let (a, b) = (l.a, l.b);
-                for (u, v) in [(a, b), (b, a)] {
-                    if u != src {
-                        continue;
-                    }
-                    let via = l.miles + rho(v) + to_dst(v);
-                    if best.is_none_or(|(_, c)| via < c) {
-                        best = Some((v, via));
-                    }
+            for (v, miles) in planner.csr().neighbors(src) {
+                let via = miles + rho(v) + to_dst(v);
+                if best.is_none_or(|(_, c)| via < c) {
+                    best = Some((v, via));
                 }
             }
             let primary = best.map(|(v, _)| v);
-            for l in network.links() {
-                let (a, b) = (l.a, l.b);
-                for (u, v) in [(a, b), (b, a)] {
-                    if u != src || Some(v) == primary {
-                        continue;
-                    }
-                    // Loop-free condition: the alternate is strictly closer
-                    // to the destination than we are.
-                    if to_dst(v) < d_src - 1e-12 {
-                        let via = l.miles + rho(v) + to_dst(v);
-                        if alt.is_none_or(|(_, c)| via < c) {
-                            alt = Some((v, via));
-                        }
+            for (v, miles) in planner.csr().neighbors(src) {
+                // Loop-free condition: the alternate is strictly closer to
+                // the destination than we are.
+                if Some(v) != primary && to_dst(v) < d_src - 1e-12 {
+                    let via = miles + rho(v) + to_dst(v);
+                    if alt.is_none_or(|(_, c)| via < c) {
+                        alt = Some((v, via));
                     }
                 }
             }

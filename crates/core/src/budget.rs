@@ -77,11 +77,6 @@ pub enum Budgeted<T, R> {
 }
 
 impl<T, R> Budgeted<T, R> {
-    /// Whether the computation finished.
-    pub fn is_complete(&self) -> bool {
-        matches!(self, Budgeted::Complete(_))
-    }
-
     /// The completed work, whether full or partial.
     pub fn completed(&self) -> &T {
         match self {
@@ -338,7 +333,7 @@ mod tests {
     #[test]
     fn budgeted_accessors() {
         let c: Budgeted<u32, ()> = Budgeted::Complete(7);
-        assert!(c.is_complete());
+        assert!(matches!(c, Budgeted::Complete(_)));
         assert_eq!(*c.completed(), 7);
         assert_eq!(c.into_parts(), (7, None));
         let p: Budgeted<u32, ()> = Budgeted::Partial {
@@ -346,7 +341,7 @@ mod tests {
             resume_state: (),
             stopped: StopReason::WorkExhausted,
         };
-        assert!(!p.is_complete());
+        assert!(matches!(p, Budgeted::Partial { .. }));
         assert_eq!(p.into_parts(), (3, Some(StopReason::WorkExhausted)));
     }
 

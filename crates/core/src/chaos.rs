@@ -39,7 +39,7 @@
 
 use crate::budget::{Budgeted, WorkBudget};
 use crate::checkpoint::{self, LoadOutcome, Snapshot, SnapshotProgress};
-use crate::engine::{self, CsrGraph};
+use crate::engine;
 use crate::error::Error;
 use crate::intradomain::Planner;
 use crate::metric::{NodeRisk, RiskWeights};
@@ -212,29 +212,6 @@ impl ChaosReport {
             self.snapshot_contract_held,
             self.snapshot_job_recovered,
         )
-    }
-
-    /// Which fault-plan entries actually fired (injected a nonzero amount
-    /// of damage), as `"kind(count)"` labels. A plan can request a fault
-    /// that lands nowhere (e.g. a tiny fraction of a tiny network), so the
-    /// fired list — not the plan — is the ground truth of what this run
-    /// exercised.
-    pub fn fired_faults(&self) -> Vec<String> {
-        let mut fired = Vec::new();
-        let mut push = |label: &str, n: usize| {
-            if n > 0 {
-                fired.push(format!("{label}({n})"));
-            }
-        };
-        push("drop_links", self.dropped_links);
-        push("corrupt_advisories", self.corrupted_advisories);
-        push("delete_events", self.deleted_events);
-        push("zero_shares", self.zeroed_blocks);
-        push("poison_costs", self.poisoned_pops);
-        if self.snapshot_fault != SnapshotFault::None.name() {
-            fired.push(format!("snapshot({})", self.snapshot_fault));
-        }
-        fired
     }
 }
 
@@ -412,8 +389,7 @@ pub fn run_chaos_at(plan: &FaultPlan, parallelism: Parallelism) -> Result<ChaosR
     for &p in &poisoned {
         rho[p] = f64::NAN;
     }
-    let csr = CsrGraph::from_adjacency(planner.adjacency());
-    let tree = engine::sssp(&csr, source, 1.0, &engine::Rho::new(rho));
+    let tree = engine::sssp(planner.csr(), source, 1.0, &engine::Rho::new(rho));
     let isolated_pops = all.iter().filter(|&&v| !tree.reachable(v)).count();
     for &p in &poisoned {
         assert!(

@@ -37,9 +37,10 @@
 //! when the progress is unusable but the job survives, the caller gets the
 //! job back and can fall back to a fresh run instead of dying.
 //!
-//! Writes go through [`write_atomic`] (temp file + rename in the target
-//! directory), so a kill mid-write can never leave a torn snapshot behind:
-//! the previous snapshot, if any, stays intact until the rename commits.
+//! [`save_snapshot`] writes through `riskroute_obs::export::write_atomic`
+//! (temp file + rename in the target directory), so a kill mid-write can
+//! never leave a torn snapshot behind: the previous snapshot, if any, stays
+//! intact until the rename commits.
 
 use crate::error::Error;
 use crate::provisioning::{CandidateLink, GreedyLinks};
@@ -253,34 +254,21 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Write `contents` to `path` atomically: a temp file in the same
-/// directory (same filesystem, so the rename cannot cross devices) is
-/// written in full, then renamed over the target. A crash mid-write leaves
-/// either the old file or no file — never a truncated one.
+/// Save `snapshot` to `path` atomically, recording the
+/// `checkpoint_write` span and the `checkpoint_writes`,
+/// `checkpoint_bytes_written` and `checkpoint_write_seconds` metrics.
 ///
 /// # Errors
-/// Any I/O error from the write or rename; the temp file is cleaned up on
-/// a failed rename.
-pub fn write_atomic(path: impl AsRef<Path>, contents: &str) -> std::io::Result<()> {
-    let span = riskroute_obs::span!("checkpoint_write");
+/// Any I/O error from the write or rename.
+pub fn save_snapshot(path: impl AsRef<Path>, snapshot: &Snapshot) -> std::io::Result<()> {
+    let text = snapshot.to_text();
+    let mut span = riskroute_obs::span!("checkpoint_write");
     let start = riskroute_obs::is_enabled().then(std::time::Instant::now);
-    let path = path.as_ref();
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp.{}", std::process::id()));
-    let tmp = std::path::PathBuf::from(tmp);
-    std::fs::write(&tmp, contents)?;
-    let result = match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
-    };
-    let mut span = span;
+    let result = riskroute_obs::export::write_atomic(path, &text);
     if let Some(start) = start {
-        span.field("bytes", contents.len());
+        span.field("bytes", text.len());
         riskroute_obs::counter_add("checkpoint_writes", 1);
-        riskroute_obs::counter_add("checkpoint_bytes_written", contents.len() as u64);
+        riskroute_obs::counter_add("checkpoint_bytes_written", text.len() as u64);
         riskroute_obs::histogram_observe("checkpoint_write_seconds", start.elapsed().as_secs_f64());
     }
     result
@@ -967,24 +955,5 @@ mod tests {
         assert_eq!(fnv1a_64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a_64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a_64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn write_atomic_replaces_never_truncates() {
-        let dir = std::env::temp_dir().join("riskroute-checkpoint-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.txt");
-        write_atomic(&path, "first version\n").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "first version\n");
-        write_atomic(&path, "second version\n").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "second version\n");
-        // No temp droppings left behind.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
-            .collect();
-        assert!(leftovers.is_empty(), "{leftovers:?}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

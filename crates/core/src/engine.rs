@@ -5,13 +5,15 @@
 //! three layers that make those runs cheap without changing a single bit of
 //! output:
 //!
-//! 1. **CSR snapshot** ([`CsrGraph`]): an immutable compressed-sparse-row
-//!    image of [`Adjacency`] — flat `offsets`/`targets`/`weights` arrays —
-//!    so the Dijkstra inner loop walks two cache-friendly slices instead of
-//!    chasing `Vec<Vec<(usize, f64)>>` pointers. Edge order within each
-//!    node is preserved exactly, which keeps relaxation order (and
-//!    therefore every tie-broken predecessor) identical to the reference
-//!    [`risk_sssp`](crate::routing::risk_sssp).
+//! 1. **CSR snapshot** ([`CsrGraph`]): the planner's only graph, an
+//!    immutable compressed-sparse-row topology — flat
+//!    `offsets`/`targets`/`weights` arrays — so the Dijkstra inner loop
+//!    walks two cache-friendly slices and a planner clone shares it by
+//!    `Arc`. It is flattened once from the link list's [`Adjacency`], with
+//!    edge order within each node preserved exactly, which keeps
+//!    relaxation order (and therefore every tie-broken predecessor)
+//!    identical to the reference [`risk_sssp`](crate::routing::risk_sssp)
+//!    over that adjacency.
 //!
 //! 2. **Scratch-arena Dijkstra** ([`SsspArena`]): per-worker reusable
 //!    dist/pred buffers and a monotone [`BucketQueue`] frontier, with
@@ -117,12 +119,13 @@ impl std::ops::Deref for Rho {
     }
 }
 
-/// Immutable compressed-sparse-row snapshot of an [`Adjacency`].
+/// Immutable compressed-sparse-row topology.
 ///
 /// `targets[offsets[u]..offsets[u+1]]` lists u's neighbors in the exact
-/// order the nested-Vec adjacency stores them (append order of
-/// `from_links`), with `weights` holding the matching link miles.
-#[derive(Debug, Clone)]
+/// order the nested-Vec [`Adjacency`] it was built from stores them
+/// (link-list order: `from_links` appends both directions of each link),
+/// with `weights` holding the matching link miles.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CsrGraph {
     offsets: Vec<u32>,
     targets: Vec<u32>,
@@ -186,10 +189,10 @@ impl CsrGraph {
 
     /// A masked copy of this snapshot: directed edges `(u, v)` for which
     /// `keep(u, v)` returns `false` are dropped, and every surviving edge
-    /// keeps its position relative to the others. Identical by construction
-    /// to `from_adjacency` of the equivalently masked [`Adjacency`], so a
-    /// scenario fork's Dijkstra replays the base relaxation order restricted
-    /// to kept edges — the property that keeps fork tie-breaks bit-exact.
+    /// keeps its position relative to the others — the snapshot of the link
+    /// list with those edges left out. A scenario fork's Dijkstra therefore
+    /// replays the base relaxation order restricted to kept edges, the
+    /// property that keeps fork tie-breaks bit-exact.
     pub(crate) fn masked(&self, keep: impl Fn(usize, usize) -> bool) -> CsrGraph {
         let n = self.node_count();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -248,6 +251,12 @@ impl CsrGraph {
     /// Number of directed edges (twice the undirected link count).
     pub fn edge_count(&self) -> usize {
         self.targets.len()
+    }
+
+    /// u's out-edges `(v, miles)` in row order — link-list order.
+    pub(crate) fn neighbors(&self, u: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        self.edge_range(u)
+            .map(|e| (self.targets[e] as usize, self.weights[e]))
     }
 
     #[inline]

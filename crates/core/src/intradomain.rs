@@ -26,9 +26,8 @@ pub(crate) fn unordered_pairs(n: usize) -> Vec<(usize, usize)> {
 }
 
 /// Precompute the λ-combined per-PoP risk `ρ(v) = λ_h·o_h(v) + λ_f·o_f(v)`
-/// for one cost state — the exact per-node value `entry_cost` closures
-/// computed on the fly before the engine refactor, so β·ρ(v) is bitwise
-/// unchanged.
+/// for one cost state. Every β·ρ(v) the crate charges reads this vector
+/// ([`Planner::rho`]); nothing re-derives it from the risk channels.
 fn compute_rho(risk: &NodeRisk, weights: RiskWeights) -> Rho {
     Rho::new((0..risk.len()).map(|v| risk.scaled(v, weights)).collect())
 }
@@ -70,13 +69,16 @@ impl PairSweep {
 
 /// The intradomain routing engine for one network.
 ///
-/// Holds the topology adjacency, per-PoP risk vectors, population shares,
-/// and the λ weights; answers RiskRoute (Eq. 3) and shortest-path queries,
-/// and aggregates the §7 ratio reports.
+/// Holds the topology as one immutable CSR graph, the per-PoP risk
+/// vectors, population shares, the λ weights and the ρ they combine into;
+/// answers RiskRoute (Eq. 3) and shortest-path queries, and aggregates the
+/// §7 ratio reports. Every per-PoP and per-link vector sits behind an
+/// `Arc`, so a clone copies no vector: it shares them until a mutation
+/// replaces one.
 ///
-/// All SSSP goes through the [`crate::engine`] module: an immutable CSR
-/// snapshot of the adjacency, pooled scratch-arena Dijkstra, and an exact
-/// route-tree cache shared by clones of this planner. β = 0 distance trees
+/// All SSSP goes through the [`crate::engine`] module: the CSR graph,
+/// pooled scratch-arena Dijkstra, and an exact route-tree cache shared by
+/// clones of this planner. β = 0 distance trees
 /// are keyed by a topology stamp, every other entry by a cost stamp minted
 /// whenever risk or weights change, so a stale tree can never be observed
 /// and a forecast change keeps every distance tree;
@@ -87,10 +89,9 @@ impl PairSweep {
 /// to plain Dijkstra's.
 #[derive(Debug, Clone)]
 pub struct Planner {
-    adjacency: Adjacency,
     csr: Arc<CsrGraph>,
-    risk: NodeRisk,
-    shares: PopShares,
+    risk: Arc<NodeRisk>,
+    shares: Arc<PopShares>,
     weights: RiskWeights,
     parallelism: Parallelism,
     /// Precomputed λ-combined per-PoP risk `ρ(v) = risk.scaled(v, weights)`
@@ -126,21 +127,19 @@ impl Planner {
             network.pop_count(),
             "shares must cover every PoP"
         );
-        let adjacency = Adjacency::from_links(
+        let csr = Arc::new(CsrGraph::from_adjacency(&Adjacency::from_links(
             network.pop_count(),
             network.links().iter().map(|l| (l.a, l.b, l.miles)),
-        );
-        let csr = Arc::new(CsrGraph::from_adjacency(&adjacency));
+        )));
         let rho = Arc::new(compute_rho(&risk, weights));
         let cache = Arc::new(RouteTreeCache::new());
         let points: Vec<GeoPoint> = network.pops().iter().map(|p| p.location).collect();
         let chords = Chords::new(&points, &csr).map(Arc::new);
         Planner {
-            adjacency,
             rows: lb_rows(&csr, &risk, weights),
             csr,
-            risk,
-            shares,
+            risk: Arc::new(risk),
+            shares: Arc::new(shares),
             weights,
             parallelism: Parallelism::Sequential,
             rho,
@@ -186,12 +185,12 @@ impl Planner {
 
     /// Number of PoPs.
     pub fn pop_count(&self) -> usize {
-        self.adjacency.node_count()
+        self.csr.node_count()
     }
 
-    /// The adjacency (for provisioning analyses).
-    pub fn adjacency(&self) -> &Adjacency {
-        &self.adjacency
+    /// The topology graph.
+    pub(crate) fn csr(&self) -> &CsrGraph {
+        &self.csr
     }
 
     /// The per-PoP risk vectors.
@@ -214,7 +213,7 @@ impl Planner {
         if self.risk.forecast_slice() == forecast.as_slice() {
             return;
         }
-        self.risk.set_forecast(forecast);
+        Arc::make_mut(&mut self.risk).set_forecast(forecast);
         self.refresh_cost_state();
     }
 
@@ -256,7 +255,9 @@ impl Planner {
     }
 
     /// The precomputed λ-combined per-PoP risk vector ρ under the current
-    /// cost state (provisioning's O(1) via-pricing reads it).
+    /// cost state: `ρ(v) = risk().scaled(v, weights())` bit for bit, the
+    /// one source of every β·ρ(v) charge (path evaluation, via-pricing,
+    /// backup ranking, OSPF weights).
     pub(crate) fn rho(&self) -> &[f64] {
         &self.rho
     }
@@ -280,14 +281,6 @@ impl Planner {
         self.shares.share(i) + self.shares.share(j)
     }
 
-    /// The λ- and β-scaled risk charged for entering PoP `v` on an (i, j)
-    /// route.
-    #[inline]
-    fn entry_cost(&self, beta: f64) -> impl Fn(usize) -> f64 + '_ {
-        let w = self.weights;
-        move |v| beta * self.risk.scaled(v, w)
-    }
-
     /// Evaluate an explicit node sequence under the (i, j) pair's bit-risk
     /// metric (the path need not be optimal — backup planning evaluates
     /// Yen-ranked alternates this way).
@@ -296,8 +289,7 @@ impl Planner {
     /// [`Error::NotAdjacent`] when consecutive nodes are not physically
     /// linked.
     pub fn evaluate(&self, i: usize, j: usize, nodes: &[usize]) -> Result<RoutedPath, Error> {
-        let beta = self.impact(i, j);
-        evaluate_path(&self.adjacency, nodes, self.entry_cost(beta))
+        evaluate_path(&self.csr, nodes, self.impact(i, j), &self.rho)
     }
 
     /// The RiskRoute path (Eq. 3): minimum bit-risk miles from `i` to `j`.
@@ -310,7 +302,7 @@ impl Planner {
     /// Evaluate a tree or pair-answer path under metric β.
     fn route_along(&self, path: &[usize], beta: f64) -> Option<RoutedPath> {
         // Tree and answer paths traverse real links by construction.
-        evaluate_path(&self.adjacency, path, self.entry_cost(beta)).ok()
+        evaluate_path(&self.csr, path, beta, &self.rho).ok()
     }
 
     /// [`risk_route`](Self::risk_route) as a typed result: unreachable pairs
@@ -610,9 +602,9 @@ impl Planner {
         total
     }
 
-    /// Copy-on-write fork of this planner for a failure scenario. The
-    /// adjacency and CSR snapshot are masked through `keep` (directed
-    /// entries it rejects are dropped, order preserved), an optional
+    /// Copy-on-write fork of this planner for a failure scenario. The CSR
+    /// graph is masked through `keep` (directed edges it rejects are
+    /// dropped, order preserved), an optional
     /// forecast override replaces the forecast risk channel, and the fork
     /// mints **fresh** topology and cost stamps plus a **private**
     /// route-tree cache.
@@ -637,19 +629,17 @@ impl Planner {
         keep: &dyn Fn(usize, usize) -> bool,
         forecast_override: Option<&[f64]>,
     ) -> Planner {
-        let adjacency = self.adjacency.masked(keep);
         let csr = Arc::new(self.csr.masked(keep));
-        let mut risk = self.risk.clone();
+        let mut risk = Arc::clone(&self.risk);
         if let Some(f) = forecast_override {
-            risk.set_forecast(f.to_vec());
+            Arc::make_mut(&mut risk).set_forecast(f.to_vec());
         }
         let rho = Arc::new(compute_rho(&risk, self.weights));
         let cache = Arc::new(RouteTreeCache::new());
         Planner {
-            adjacency,
             csr,
             risk,
-            shares: self.shares.clone(),
+            shares: Arc::clone(&self.shares),
             weights: self.weights,
             parallelism: self.parallelism,
             rho,
@@ -718,39 +708,37 @@ impl Planner {
     /// distances a pair answer does not hold).
     ///
     /// Adoption is skipped entirely (correct, just slower) unless `prev`
-    /// has bitwise-identical ρ and an adjacency equal to this one minus
-    /// exactly the appended link — greedy's `with_extra_link` appends the
+    /// has bitwise-identical ρ and a graph equal to this one minus exactly
+    /// the appended link — greedy's `with_extra_link` appends the
     /// new link last, which is also what keeps relaxation order (and so
     /// every tie-break) aligned between the old and new graphs.
     pub(crate) fn adopt_route_cache(&mut self, prev: &Planner, a: usize, b: usize) {
         if !(self.route_cache && prev.route_cache) {
             return;
         }
-        let n = self.adjacency.node_count();
-        if n != prev.adjacency.node_count() || !same_bits(&self.rho, &prev.rho) {
+        let n = self.csr.node_count();
+        if n != prev.csr.node_count() || !same_bits(&self.rho, &prev.rho) {
             return;
         }
-        let identical = self.adjacency == prev.adjacency;
+        let identical = self.csr == prev.csr;
         let mut new_miles = f64::INFINITY;
         if !identical {
             if a >= n || b >= n || a == b {
                 return;
             }
             for u in 0..n {
-                let new_list = self.adjacency.neighbors(u);
-                let old_list = prev.adjacency.neighbors(u);
+                let mut new_row = self.csr.neighbors(u);
                 if u == a || u == b {
+                    // u's old row, then one appended edge to the other end.
                     let expect = if u == a { b } else { a };
-                    if new_list.len() != old_list.len() + 1
-                        || new_list[..old_list.len()] != *old_list
-                    {
+                    if !prev.csr.neighbors(u).all(|e| new_row.next() == Some(e)) {
                         return;
                     }
-                    match new_list.last() {
-                        Some(&(tail, miles)) if tail == expect => new_miles = miles,
+                    match (new_row.next(), new_row.next()) {
+                        (Some((tail, miles)), None) if tail == expect => new_miles = miles,
                         _ => return,
                     }
-                } else if new_list != old_list {
+                } else if !new_row.eq(prev.csr.neighbors(u)) {
                     return;
                 }
             }
@@ -1101,6 +1089,24 @@ mod tests {
             .cached_distance_tree(0)
             .expect("the distance tree survives");
         assert!(Arc::ptr_eq(&kept, &tree));
+    }
+
+    #[test]
+    fn fork_masked_graph_is_the_masked_link_lists_graph() {
+        let (net, risk, shares) = diamond();
+        let p = Planner::new(&net, risk, shares, RiskWeights::PAPER);
+        let check = |keep: &dyn Fn(usize, usize) -> bool| {
+            let kept = net
+                .links()
+                .iter()
+                .filter(|l| keep(l.a, l.b))
+                .map(|l| (l.a, l.b, l.miles));
+            let expect = CsrGraph::from_adjacency(&Adjacency::from_links(4, kept));
+            assert_eq!(*p.fork_masked(keep, None).csr, expect);
+        };
+        // One failed link, then one failed node (every link touching it).
+        check(&|u, v| (u.min(v), u.max(v)) != (0, 2));
+        check(&|u, v| u != 1 && v != 1);
     }
 
     #[test]

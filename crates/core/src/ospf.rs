@@ -33,15 +33,11 @@ pub fn risk_aware_weights(network: &Network, planner: &Planner, beta_ref: f64) -
         beta_ref.is_finite() && beta_ref >= 0.0,
         "reference impact must be finite and non-negative"
     );
-    let w = planner.weights();
+    let rho = planner.rho();
     network
         .links()
         .iter()
-        .map(|l| {
-            let rho_a = planner.risk().scaled(l.a, w);
-            let rho_b = planner.risk().scaled(l.b, w);
-            l.miles + beta_ref * (rho_a + rho_b) / 2.0
-        })
+        .map(|l| l.miles + beta_ref * (rho[l.a] + rho[l.b]) / 2.0)
         .collect()
 }
 

@@ -7,11 +7,13 @@
 //! found such that the RiskRoute paths have the smallest lower-bound
 //! bit-risk miles."
 //!
-//! Like the link-provisioning sweep, candidates are priced incrementally:
-//! two SSSP trees per (source, destination) pair evaluate every candidate
-//! peering's added hand-off edges in O(edges) each.
+//! Like the link-provisioning sweep, candidates are priced incrementally,
+//! with the same [`ViaPricer`]: two SSSP trees per (source, destination)
+//! pair evaluate every candidate peering's added hand-off edges in
+//! O(edges) each.
 
 use crate::interdomain::InterdomainAnalysis;
+use crate::provisioning::ViaPricer;
 use riskroute_topology::colocation::{candidate_peers, CandidatePeer};
 use riskroute_topology::{Network, PeeringGraph};
 
@@ -51,8 +53,6 @@ pub fn score_peerings(
     // Map every candidate's colocations to merged-id edges.
     let topo = analysis.topology();
     let planner = analysis.planner();
-    let risk = planner.risk();
-    let w = planner.weights();
     let edges_per_candidate: Vec<Vec<(usize, usize, f64)>> = candidates
         .iter()
         .map(|c| {
@@ -76,22 +76,12 @@ pub fn score_peerings(
             let beta = planner.impact(i, j);
             let tree_i = planner.risk_tree(i, beta);
             let tree_j = planner.risk_tree(j, beta);
+            let pricer = ViaPricer::new(&tree_i, &tree_j, planner.rho(), beta, j);
             let old = tree_i.dist(j);
-            let rho = |v: usize| beta * risk.scaled(v, w);
-            let rev = |x: usize| {
-                let d = tree_j.dist(x);
-                if d.is_finite() {
-                    d + rho(j) - rho(x)
-                } else {
-                    f64::INFINITY
-                }
-            };
             for (c, edges) in edges_per_candidate.iter().enumerate() {
                 let mut best = old;
                 for &(a, b, miles) in edges {
-                    let via_ab = tree_i.dist(a) + miles + rho(b) + rev(b);
-                    let via_ba = tree_i.dist(b) + miles + rho(a) + rev(a);
-                    best = best.min(via_ab).min(via_ba);
+                    best = best.min(pricer.best_via(a, b, miles));
                 }
                 if best.is_finite() {
                     totals[c] += best;

@@ -233,7 +233,7 @@ pub fn score_candidates_budgeted(
 /// [`ViaPricer::best_via`] is safe — a NaN could only enter via a
 /// non-finite `miles`, which the candidate enumerators never produce
 /// (great-circle distances are finite).
-struct ViaPricer<'a> {
+pub(crate) struct ViaPricer<'a> {
     tree_i: &'a crate::routing::RiskTree,
     tree_j: &'a crate::routing::RiskTree,
     rho: &'a [f64],
@@ -243,7 +243,7 @@ struct ViaPricer<'a> {
 }
 
 impl<'a> ViaPricer<'a> {
-    fn new(
+    pub(crate) fn new(
         tree_i: &'a crate::routing::RiskTree,
         tree_j: &'a crate::routing::RiskTree,
         rho: &'a [f64],
@@ -280,7 +280,7 @@ impl<'a> ViaPricer<'a> {
 
     /// Best bit-risk route i→j forced through new link (a, b), in either
     /// orientation.
-    fn best_via(&self, a: usize, b: usize, miles: f64) -> f64 {
+    pub(crate) fn best_via(&self, a: usize, b: usize, miles: f64) -> f64 {
         let via_ab = self.tree_i.dist(a) + miles + self.rho_at(b) + self.rev(b);
         let via_ba = self.tree_i.dist(b) + miles + self.rho_at(a) + self.rev(a);
         via_ab.min(via_ba)
@@ -300,16 +300,8 @@ pub fn best_additional_link(network: &Network, planner: &Planner) -> Option<Cand
 }
 
 /// [`best_additional_link`] with threshold relaxation along
-/// [`THRESHOLD_LADDER`]; the returned link records the threshold it passed.
-pub fn best_additional_link_adaptive(
-    network: &Network,
-    planner: &Planner,
-) -> Option<CandidateLink> {
-    best_additional_link_adaptive_budgeted(network, planner, &WorkBudget::unlimited())
-}
-
-/// [`best_additional_link_adaptive`] charging candidate evaluations to
-/// `budget`.
+/// [`THRESHOLD_LADDER`], charging candidate evaluations to `budget`; the
+/// returned link records the threshold it passed.
 pub fn best_additional_link_adaptive_budgeted(
     network: &Network,
     planner: &Planner,
@@ -371,7 +363,7 @@ pub fn greedy_links(
 ///
 /// `on_iteration` fires after every completed iteration with the links so
 /// far; callers use it to write crash-safe checkpoints
-/// ([`crate::checkpoint::write_atomic`]) or to flip the budget's cancel
+/// ([`crate::checkpoint::save_snapshot`]) or to flip the budget's cancel
 /// flag (the chaos harness's seeded kill switch).
 pub fn greedy_links_budgeted(
     network: &Network,

@@ -7,6 +7,7 @@
 //! (bit-risk weights are non-negative by construction, so Dijkstra is exact
 //! for Eq. 3).
 
+use crate::engine::CsrGraph;
 use crate::error::Error;
 use std::collections::BinaryHeap;
 
@@ -44,23 +45,6 @@ impl Adjacency {
     /// Neighbors of `u` with link miles.
     pub fn neighbors(&self, u: usize) -> &[(usize, f64)] {
         &self.adj[u]
-    }
-
-    /// Order-preserving masked copy: directed entries `(u, v)` for which
-    /// `keep(u, v)` returns `false` are dropped; every surviving entry
-    /// keeps its position relative to the others. Because relaxation order
-    /// follows per-node entry order, a masked adjacency relaxes kept edges
-    /// in exactly the base order — the property scenario forks rely on for
-    /// bit-identical tie-breaks.
-    pub(crate) fn masked(&self, keep: impl Fn(usize, usize) -> bool) -> Adjacency {
-        Adjacency {
-            adj: self
-                .adj
-                .iter()
-                .enumerate()
-                .map(|(u, nb)| nb.iter().copied().filter(|&(v, _)| keep(u, v)).collect())
-                .collect(),
-        }
     }
 }
 
@@ -310,34 +294,35 @@ pub fn risk_sssp(adj: &Adjacency, source: usize, entry_cost: impl Fn(usize) -> f
     RiskTree::from_parts(source, dist, pred)
 }
 
-/// Evaluate a node sequence under the metric, decomposing bit-miles and
-/// risk-miles. The source node's entry cost is never charged (Eq. 1 sums
-/// from p₂).
+/// Evaluate a node sequence under the metric `d(u,v) + β·ρ(v)`,
+/// decomposing bit-miles and risk-miles. Each hop reads `u`'s CSR row;
+/// parallel links resolve to the cheapest (first in row order on a tie).
+/// The source node's entry cost is never charged (Eq. 1 sums from p₂).
 ///
 /// # Errors
 /// [`Error::NotAdjacent`] when consecutive nodes share no link.
 ///
 /// # Panics
 /// Panics when the path is empty.
-pub fn evaluate_path(
-    adj: &Adjacency,
+pub(crate) fn evaluate_path(
+    csr: &CsrGraph,
     nodes: &[usize],
-    entry_cost: impl Fn(usize) -> f64,
+    beta: f64,
+    rho: &[f64],
 ) -> Result<RoutedPath, Error> {
     assert!(!nodes.is_empty(), "cannot evaluate an empty path");
     let mut bit_miles = 0.0;
     let mut risk_miles = 0.0;
     for w in nodes.windows(2) {
         let (u, v) = (w[0], w[1]);
-        let miles = adj
+        let miles = csr
             .neighbors(u)
-            .iter()
-            .filter(|&&(n, _)| n == v)
-            .map(|&(_, m)| m)
+            .filter(|&(n, _)| n == v)
+            .map(|(_, m)| m)
             .min_by(f64::total_cmp)
             .ok_or(Error::NotAdjacent { u, v })?;
         bit_miles += miles;
-        risk_miles += entry_cost(v);
+        risk_miles += beta * rho[v];
     }
     Ok(RoutedPath {
         nodes: nodes.to_vec(),
@@ -420,10 +405,17 @@ mod tests {
         assert_eq!(tree.dist(2), f64::INFINITY);
     }
 
+    /// ρ of [`square`]: node 1 carries the risk (β = 1 makes it
+    /// [`risky_node_1`]).
+    const RISKY_RHO: [f64; 4] = [0.0, 100.0, 0.0, 0.0];
+
+    fn square_csr() -> CsrGraph {
+        CsrGraph::from_adjacency(&square())
+    }
+
     #[test]
     fn evaluate_path_decomposes_metric() {
-        let adj = square();
-        let p = evaluate_path(&adj, &[0, 1, 2], risky_node_1).unwrap();
+        let p = evaluate_path(&square_csr(), &[0, 1, 2], 1.0, &RISKY_RHO).unwrap();
         assert_eq!(p.bit_miles, 20.0);
         assert_eq!(p.risk_miles, 100.0);
         assert_eq!(p.bit_risk_miles, 120.0);
@@ -432,27 +424,28 @@ mod tests {
 
     #[test]
     fn evaluate_trivial_path() {
-        let adj = square();
-        let p = evaluate_path(&adj, &[2], risky_node_1).unwrap();
+        let p = evaluate_path(&square_csr(), &[2], 1.0, &RISKY_RHO).unwrap();
         assert_eq!(p.bit_risk_miles, 0.0);
+        assert_eq!(p.nodes, vec![2]);
     }
 
     #[test]
     fn evaluate_matches_tree_distance() {
-        let adj = square();
-        let tree = risk_sssp(&adj, 0, risky_node_1);
+        let tree = risk_sssp(&square(), 0, risky_node_1);
         for t in 0..4 {
             let path = tree.path_to(t).unwrap();
-            let eval = evaluate_path(&adj, &path, risky_node_1).unwrap();
+            let eval = evaluate_path(&square_csr(), &path, 1.0, &RISKY_RHO).unwrap();
             assert!((eval.bit_risk_miles - tree.dist(t)).abs() < 1e-9);
         }
     }
 
     #[test]
     fn evaluate_rejects_non_path_as_value() {
-        let adj = square();
-        let err = evaluate_path(&adj, &[0, 2], |_| 0.0).unwrap_err();
+        let err = evaluate_path(&square_csr(), &[0, 2], 1.0, &RISKY_RHO).unwrap_err();
         assert_eq!(err, Error::NotAdjacent { u: 0, v: 2 });
+        // A later non-adjacent hop is reported as that hop.
+        let err = evaluate_path(&square_csr(), &[0, 1, 3], 1.0, &RISKY_RHO).unwrap_err();
+        assert_eq!(err, Error::NotAdjacent { u: 1, v: 3 });
     }
 
     #[test]
@@ -480,7 +473,18 @@ mod tests {
         let adj = Adjacency::from_links(2, vec![(0, 1, 10.0), (0, 1, 3.0)]);
         let tree = risk_sssp(&adj, 0, |_| 0.0);
         assert_eq!(tree.dist(1), 3.0);
-        let eval = evaluate_path(&adj, &[0, 1], |_| 0.0).unwrap();
+        let csr = CsrGraph::from_adjacency(&adj);
+        let eval = evaluate_path(&csr, &[0, 1], 0.5, &[0.0, 4.0]).unwrap();
         assert_eq!(eval.bit_miles, 3.0);
+        assert_eq!(eval.risk_miles, 2.0);
+        // Either direction, whichever link comes first in the row.
+        let adj = Adjacency::from_links(2, vec![(1, 0, 3.0), (0, 1, 10.0)]);
+        let csr = CsrGraph::from_adjacency(&adj);
+        assert_eq!(
+            evaluate_path(&csr, &[1, 0], 0.0, &[0.0; 2])
+                .unwrap()
+                .bit_miles,
+            3.0
+        );
     }
 }

@@ -201,10 +201,10 @@ fn exposure_masked(planner: &Planner, node_off: &[bool]) -> ExposureReport {
 /// A copy-on-write failure fork of a base [`Planner`].
 ///
 /// Construction is cheap relative to rebuilding a planner: a forecast-only
-/// fork is a clone, and a structural fork's masked CSR and adjacency are
-/// order-preserving filters of the base snapshot, with shares/risk cloned
-/// and still-valid base distance trees *adopted* into its private cache
-/// instead of recomputed.
+/// fork is a clone, and a structural fork's masked CSR graph is an
+/// order-preserving filter of the base graph, with shares and risk shared
+/// by `Arc` and still-valid base distance trees *adopted* into its private
+/// cache instead of recomputed.
 #[derive(Debug, Clone)]
 pub struct ScenarioFork {
     planner: Planner,
@@ -370,7 +370,7 @@ fn components(planner: &Planner, node_off: &[bool]) -> Vec<u32> {
         comp[s] = next;
         queue.push_back(s);
         while let Some(u) = queue.pop_front() {
-            for &(v, _) in planner.adjacency().neighbors(u) {
+            for (v, _) in planner.csr().neighbors(u) {
                 if comp[v] == UNLABELED {
                     comp[v] = next;
                     queue.push_back(v);
@@ -1209,7 +1209,7 @@ mod tests {
             |outcome, next| marks.push((outcome.records.len(), next)),
         )
         .unwrap();
-        assert!(run.is_complete());
+        assert!(matches!(run, Budgeted::Complete(_)));
         // 10 scenarios (5 nodes + 5 links) → one full batch of 8.
         assert_eq!(marks, vec![(8, 8)]);
     }

@@ -677,8 +677,8 @@ pub fn lint_prometheus(text: &str) -> Result<usize, String> {
 }
 
 /// Write `contents` atomically: to a `.tmp.<pid>` sibling first, then
-/// rename over `path` (the checkpoint pattern — readers never observe a
-/// partial file).
+/// rename over `path`, so a crash leaves the old file or none, never a
+/// partial one. Snapshots, exports and metric dumps all write through it.
 ///
 /// # Errors
 /// Any I/O error from the write or the rename; the temp file is removed
@@ -924,11 +924,14 @@ mod tests {
     }
 
     #[test]
-    fn write_atomic_replaces_and_cleans_up() {
-        let dir = std::env::temp_dir().join("riskroute-obs-atomic");
+    fn write_atomic_replaces_never_truncates() {
+        let dir = std::env::temp_dir().join(format!("riskroute-obs-atomic-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("metrics.prom");
-        write_atomic(&path, "one\n").unwrap();
+        let path = dir.join("snap.txt");
+        write_atomic(&path, "first version\n").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "first version\n");
+        // A shorter second version replaces the first whole, with no tail
+        // of the longer one left behind.
         write_atomic(&path, "two\n").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "two\n");
         // No stray temp files.
@@ -937,6 +940,7 @@ mod tests {
             .filter_map(|e| e.ok())
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
             .collect();
-        assert!(leftovers.is_empty());
+        assert!(leftovers.is_empty(), "{leftovers:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

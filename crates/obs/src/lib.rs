@@ -28,7 +28,7 @@
 //! [`export::to_jsonl`] writes the full snapshot as JSON Lines (via
 //! `riskroute-json`) and [`export::to_prometheus`] renders the Prometheus
 //! text-exposition format; both are written atomically by
-//! [`export::write_atomic`] (temp + rename, the checkpoint pattern).
+//! [`export::write_atomic`] (temp + rename), the one atomic writer.
 //!
 //! ```
 //! riskroute_obs::enable();

@@ -294,6 +294,16 @@ if [ "$regenerated" -ne 14 ]; then
 fi
 echo "${regenerated} paper artifacts are byte-identical"
 
+echo "== backup: ranked paths byte-for-byte =="
+# Yen-ranked alternates re-evaluated under Eq. 1, on two Level3 pairs and
+# one Telepak pair at -k 5; scripts/backup_golden.txt pins their bytes.
+{
+  target/release/riskroute backup Level3 0 100 -k 5
+  target/release/riskroute backup Level3 17 201 -k 5
+  target/release/riskroute backup Telepak 3 60 -k 5
+} > "$OBS_TMP/backup.txt"
+diff scripts/backup_golden.txt "$OBS_TMP/backup.txt"
+
 echo "== chaos: fault plans (seeds 42..49) =="
 cargo test --release -p riskroute -q --test chaos_suite ci_fault_plans_hold_every_invariant
 

@@ -844,6 +844,9 @@ fn shortest_legs_sum_rho_along_the_oracle_path() {
             (vec![0.0; n], RiskWeights::PAPER, shares.clone()),
         ];
         let forecast: Vec<f64> = (0..n).map(|v| FORECAST_TERMS[v % 3]).collect();
+        // The oracle's graph comes from the network's own links, not the
+        // planner.
+        let adj = Adjacency::from_links(n, network.links().iter().map(|l| (l.a, l.b, l.miles)));
         for (family, (risk, weights, shares)) in families.into_iter().enumerate() {
             for cache in [false, true] {
                 let mut planner = Planner::new(
@@ -853,9 +856,7 @@ fn shortest_legs_sum_rho_along_the_oracle_path() {
                     weights,
                 )
                 .with_route_cache(cache);
-                let oracle: Vec<RiskTree> = (0..n)
-                    .map(|s| risk_sssp(planner.adjacency(), s, |_| 0.0))
-                    .collect();
+                let oracle: Vec<RiskTree> = (0..n).map(|s| risk_sssp(&adj, s, |_| 0.0)).collect();
                 for state in ["now", "later"] {
                     if state == "later" {
                         planner.set_forecast(forecast.clone());

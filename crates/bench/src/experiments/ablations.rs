@@ -11,10 +11,9 @@
 use crate::table::{f, TextTable};
 use crate::{emit, ExperimentContext};
 use riskroute::prelude::*;
-use riskroute::provisioning::candidate_links;
+use riskroute::provisioning::{candidate_links, candidate_links_with_threshold};
 use riskroute::replay::replay_storm;
 use riskroute::NodeRisk;
-use riskroute_geo::distance::great_circle_miles;
 use riskroute_population::PopShares;
 
 /// Ablation 1 — population-impact scaling on vs off (β = c_i + c_j vs 1).
@@ -98,30 +97,12 @@ pub fn run_forecast_components(ctx: &ExperimentContext) {
 pub fn run_filter_threshold(ctx: &ExperimentContext) {
     let net = ctx.corpus.network("Sprint").expect("corpus member");
     let planner = ctx.planner_for(net, RiskWeights::historical_only(1e5));
-    // candidate_links hard-codes the paper's threshold; rebuild the filter
-    // locally to sweep it.
     let all_candidates = candidate_links(net, &planner);
     let mut out =
         String::from("Ablation 3: provisioning candidate count vs shortcut threshold (Sprint)\n\n");
     let mut t = TextTable::new(&["Threshold (reduction >)", "Candidates"]);
     for threshold in [0.3, 0.4, 0.5, 0.6, 0.7] {
-        // Re-derive with the local threshold: direct < (1-th) * current.
-        let mut count = 0;
-        let n = net.pop_count();
-        let g = net.distance_graph();
-        for i in 0..n {
-            let tree = riskroute_graph::dijkstra::sssp(&g, i);
-            for j in (i + 1)..n {
-                if net.has_link(i, j) {
-                    continue;
-                }
-                let direct = great_circle_miles(net.location(i), net.location(j));
-                let current = tree.dist(j);
-                if !current.is_finite() || direct < (1.0 - threshold) * current {
-                    count += 1;
-                }
-            }
-        }
+        let count = candidate_links_with_threshold(net, &planner, threshold).len();
         t.row(&[format!("{:.0}%", threshold * 100.0), count.to_string()]);
     }
     out.push_str(&t.render());

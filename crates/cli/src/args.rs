@@ -63,18 +63,20 @@ impl ObsArgs {
 }
 
 /// Execution-budget and checkpoint flags shared by the long-running
-/// subcommands (`provision`, `replay`, `resume`).
+/// subcommands (`provision`, `replay`, `sweep`, `resume`), all of which run
+/// through `commands::run_job`.
 #[derive(Debug, Clone, Default)]
 pub struct BudgetArgs {
     /// `--deadline-ms N`: wall-clock cap; the run stops at the next clean
     /// stage boundary past the deadline and exits with code 9.
     pub deadline_ms: Option<u64>,
     /// `--max-work N`: cap on charged work units (candidate evaluations /
-    /// replay ticks) — a deterministic, machine-independent budget.
+    /// replay ticks / scenarios) — a deterministic, machine-independent
+    /// budget.
     pub max_work: Option<u64>,
     /// `--checkpoint <path>`: write a crash-safe snapshot (atomic
     /// temp-file + rename) after every greedy iteration / replay tick
-    /// batch, resumable with `riskroute resume <path>`.
+    /// batch / scenario batch, resumable with `riskroute resume <path>`.
     pub checkpoint: Option<String>,
     /// An externally owned cancel flag wired into the budget (no CLI flag;
     /// the serve daemon injects its drain-shed flag here so one store
@@ -179,7 +181,7 @@ pub enum Command {
         /// Budget and checkpoint flags.
         budget: BudgetArgs,
     },
-    /// Resume a provisioning or replay run from a checkpoint snapshot.
+    /// Resume a provisioning, replay or sweep run from a checkpoint snapshot.
     Resume {
         /// Path to the snapshot file.
         snapshot: String,

@@ -6,10 +6,9 @@ use riskroute::backup::backup_paths;
 use riskroute::checkpoint::{self, LoadOutcome, Snapshot, SnapshotJob, SnapshotProgress};
 use riskroute::failure::{criticality_ranking, storm_failure};
 use riskroute::prelude::*;
-use riskroute::provisioning::{greedy_links_budgeted, greedy_links_resume, GreedyLinks};
+use riskroute::provisioning::{greedy_links_budgeted, GreedyLinks};
 use riskroute::replay::{
     raw_advisories, replay_raw_advisories_budgeted, DisasterReplay, RawAdvisory, ReplaySession,
-    ReplayTick,
 };
 use riskroute::scenario::{
     run_sweep_budgeted, scenario_specs, FailElement, SweepOutcome, SweepPrior,
@@ -188,35 +187,6 @@ fn render_provision(net: &Network, result: &GreedyLinks) -> String {
     out
 }
 
-/// Append the budget-exhaustion tail shared by `provision` and `replay`:
-/// what stopped the run, how far it got, and how to continue it.
-fn push_budget_tail(
-    report: &mut String,
-    stopped: &riskroute::StopReason,
-    done: usize,
-    total: usize,
-    unit: &str,
-    checkpoint: Option<&str>,
-) {
-    let _ = writeln!(
-        report,
-        "\nbudget exhausted ({stopped}): {done} of {total} {unit}"
-    );
-    match checkpoint {
-        Some(path) => {
-            let _ = writeln!(
-                report,
-                "checkpoint saved; continue with `riskroute resume {path}`"
-            );
-        }
-        None => {
-            report.push_str(
-                "no --checkpoint path was given, so this partial progress was not saved\n",
-            );
-        }
-    }
-}
-
 /// `riskroute provision <net> -k N [--deadline-ms N] [--max-work N]
 /// [--checkpoint <path>] [--progress]`
 pub fn provision(
@@ -227,95 +197,13 @@ pub fn provision(
     budget: &BudgetArgs,
     progress: bool,
 ) -> Result<String, CliError> {
-    let net = ctx.network(network)?;
-    let planner = ctx.planner(net, weights);
-    provision_under_budget(
-        net,
-        &planner,
+    let job = SnapshotJob::Provision {
+        network: network.to_string(),
         k,
-        weights,
-        budget,
-        None,
-        String::new(),
-        progress,
-    )
-}
-
-/// Shared engine for `provision` and `resume`: run (or continue) the greedy
-/// search under the budget, snapshotting after every iteration. A budget
-/// stop renders the completed prefix and surfaces as [`CliError::Budget`]
-/// (exit code 9) after writing a final snapshot.
-#[allow(clippy::too_many_arguments)]
-fn provision_under_budget(
-    net: &Network,
-    planner: &Planner,
-    k: usize,
-    weights: RiskWeights,
-    budget: &BudgetArgs,
-    prior: Option<GreedyLinks>,
-    notice: String,
-    progress: bool,
-) -> Result<String, CliError> {
-    let work = budget.to_budget();
-    let risk = planner.risk().clone();
-    let shares = PopShares::from_shares(planner.shares().shares().to_vec());
-    let rebuild = move |aug: &Network| Planner::new(aug, risk.clone(), shares.clone(), weights);
-    let mut heartbeat = progress.then(|| Heartbeat::new(format!("provision {}", net.name())));
-    let mut checkpoint_error: Option<String> = None;
-    let save = |links: &GreedyLinks, err: &mut Option<String>| {
-        if let Some(path) = &budget.checkpoint {
-            let snap =
-                Snapshot::provision(net.name(), k, weights.lambda_h, weights.lambda_f, links);
-            if let Err(e) = checkpoint::save_snapshot(path, &snap) {
-                err.get_or_insert(format!("cannot write checkpoint {path}: {e}"));
-            }
-        }
+        lambda_h: weights.lambda_h,
+        lambda_f: weights.lambda_f,
     };
-    let mut on_iteration = |links: &GreedyLinks| {
-        if let Some(hb) = &mut heartbeat {
-            hb.tick(
-                links.added.len() as u64,
-                Some(k as u64),
-                &format!("work {}", work.work_done()),
-            );
-        }
-        save(links, &mut checkpoint_error);
-    };
-    let run = match prior {
-        Some(p) => greedy_links_resume(net, planner, k, rebuild, p, &work, &mut on_iteration),
-        None => greedy_links_budgeted(net, planner, k, rebuild, &work, &mut on_iteration),
-    };
-    let (result, stopped) = run.into_parts();
-    if let Some(hb) = &mut heartbeat {
-        hb.finish(
-            result.added.len() as u64,
-            Some(k as u64),
-            &format!("work {}", work.work_done()),
-        );
-    }
-    if let Some(stopped) = stopped {
-        // A deadline can expire before the first iteration ever fires the
-        // callback, so always write a final snapshot of the prefix.
-        save(&result, &mut checkpoint_error);
-        if let Some(msg) = checkpoint_error {
-            return Err(CliError::Io(msg));
-        }
-        let mut report = notice;
-        report.push_str(&render_provision(net, &result));
-        push_budget_tail(
-            &mut report,
-            &stopped,
-            result.added.len(),
-            k,
-            "links chosen",
-            budget.checkpoint.as_deref(),
-        );
-        return Err(CliError::Budget { report, stopped });
-    }
-    if let Some(msg) = checkpoint_error {
-        return Err(CliError::Io(msg));
-    }
-    Ok(format!("{notice}{}", render_provision(net, &result)))
+    run_job(ctx, job, None, String::new(), budget, progress)
 }
 
 fn render_replay(result: &DisasterReplay, stride: usize) -> String {
@@ -347,7 +235,6 @@ fn render_replay(result: &DisasterReplay, stride: usize) -> String {
 
 /// `riskroute replay <net> <storm> --stride N [--deadline-ms N]
 /// [--max-work N] [--checkpoint <path>] [--progress]`
-#[allow(clippy::too_many_arguments)]
 pub fn replay(
     ctx: &CliContext,
     network: &str,
@@ -357,116 +244,15 @@ pub fn replay(
     budget: &BudgetArgs,
     progress: bool,
 ) -> Result<String, CliError> {
-    let net = ctx.network(network)?;
-    let storm = resolve_storm(storm)?;
-    let planner = ctx.planner(net, weights);
-    replay_under_budget(
-        net,
-        &planner,
-        storm,
+    ctx.network(network)?;
+    let job = SnapshotJob::Replay {
+        network: network.to_string(),
+        storm: resolve_storm(storm)?.name().to_lowercase(),
         stride,
-        weights,
-        budget,
-        Vec::new(),
-        String::new(),
-        progress,
-    )
-}
-
-/// Shared engine for `replay` and `resume`; see [`provision_under_budget`].
-/// Each tick is independent (the forecast is rebuilt fresh per advisory),
-/// which is what makes a resumed replay bit-identical to an uninterrupted
-/// one.
-#[allow(clippy::too_many_arguments)]
-fn replay_under_budget(
-    net: &Network,
-    planner: &Planner,
-    storm: Storm,
-    stride: usize,
-    weights: RiskWeights,
-    budget: &BudgetArgs,
-    prior_ticks: Vec<ReplayTick>,
-    notice: String,
-    progress: bool,
-) -> Result<String, CliError> {
-    let raws = raw_advisories(storm, stride)?;
-    let total = raws.len();
-    let locations: Vec<_> = net.pops().iter().map(|p| p.location).collect();
-    let all: Vec<usize> = (0..net.pop_count()).collect();
-    let storm_key = storm.name().to_lowercase();
-    let work = budget.to_budget();
-    let mut heartbeat =
-        progress.then(|| Heartbeat::new(format!("replay {} {storm_key}", net.name())));
-    let mut checkpoint_error: Option<String> = None;
-    let save = |replay: &DisasterReplay, next: usize, err: &mut Option<String>| {
-        if let Some(path) = &budget.checkpoint {
-            let snap = Snapshot::replay(
-                net.name(),
-                &storm_key,
-                stride,
-                weights.lambda_h,
-                weights.lambda_f,
-                replay,
-                next,
-            );
-            if let Err(e) = checkpoint::save_snapshot(path, &snap) {
-                err.get_or_insert(format!("cannot write checkpoint {path}: {e}"));
-            }
-        }
+        lambda_h: weights.lambda_h,
+        lambda_f: weights.lambda_f,
     };
-    let mut on_batch = |replay: &DisasterReplay, next: usize| {
-        if let Some(hb) = &mut heartbeat {
-            hb.tick(
-                next as u64,
-                Some(total as u64),
-                &format!("work {}", work.work_done()),
-            );
-        }
-        save(replay, next, &mut checkpoint_error);
-    };
-    let run = replay_raw_advisories_budgeted(
-        planner,
-        net.name(),
-        &locations,
-        storm.name(),
-        &raws,
-        &all,
-        &all,
-        prior_ticks,
-        &work,
-        &mut on_batch,
-    )?;
-    let (result, stopped) = run.into_parts();
-    if let Some(hb) = &mut heartbeat {
-        hb.finish(
-            result.ticks.len() as u64,
-            Some(total as u64),
-            &format!("work {}", work.work_done()),
-        );
-    }
-    if let Some(stopped) = stopped {
-        // The batch callback only fires at batch boundaries; persist the
-        // exact stopping point (ticks are a prefix, so next == len).
-        save(&result, result.ticks.len(), &mut checkpoint_error);
-        if let Some(msg) = checkpoint_error {
-            return Err(CliError::Io(msg));
-        }
-        let mut report = notice;
-        report.push_str(&render_replay(&result, stride));
-        push_budget_tail(
-            &mut report,
-            &stopped,
-            result.ticks.len(),
-            total,
-            "advisories replayed",
-            budget.checkpoint.as_deref(),
-        );
-        return Err(CliError::Budget { report, stopped });
-    }
-    if let Some(msg) = checkpoint_error {
-        return Err(CliError::Io(msg));
-    }
-    Ok(format!("{notice}{}", render_replay(&result, stride)))
+    run_job(ctx, job, None, String::new(), budget, progress)
 }
 
 /// `riskroute replay <net> <storm> --stream`: read NDJSON advisories from
@@ -649,119 +435,298 @@ pub fn sweep(
     budget: &BudgetArgs,
     progress: bool,
 ) -> Result<String, CliError> {
-    let net = ctx.network(network)?;
+    ctx.network(network)?;
     // args.rs validates the label; this guards programmatic callers.
     let mode = SweepMode::from_parts(mode_label, samples, seed)
         .ok_or_else(|| CliError::Bad(format!("unknown sweep mode {mode_label:?}")))?;
-    let planner = ctx.planner(net, weights);
-    sweep_under_budget(
-        net,
-        &planner,
-        mode,
-        weights,
-        budget,
-        None,
-        String::new(),
-        progress,
-    )
+    let job = SnapshotJob::Sweep {
+        network: network.to_string(),
+        mode: mode.label().to_string(),
+        samples: mode.samples(),
+        seed: mode.seed(),
+        lambda_h: weights.lambda_h,
+        lambda_f: weights.lambda_f,
+    };
+    run_job(ctx, job, None, String::new(), budget, progress)
 }
 
-/// Shared engine for `sweep` and `resume`; see [`provision_under_budget`].
-/// Every scenario is an independent fork of the base planner, evaluated
-/// in canonical order, which is what makes a resumed sweep bit-identical
-/// to an uninterrupted one at any worker count.
-#[allow(clippy::too_many_arguments)]
-fn sweep_under_budget(
-    net: &Network,
-    planner: &Planner,
-    mode: SweepMode,
-    weights: RiskWeights,
-    budget: &BudgetArgs,
-    prior: Option<SweepPrior>,
-    notice: String,
-    progress: bool,
-) -> Result<String, CliError> {
-    let total = scenario_specs(net, mode).len();
-    let work = budget.to_budget();
-    let mut heartbeat =
-        progress.then(|| Heartbeat::new(format!("sweep {} {}", net.name(), mode.label())));
-    let mut checkpoint_error: Option<String> = None;
-    let save = |outcome: &SweepOutcome, next: usize, err: &mut Option<String>| {
-        if let Some(path) = &budget.checkpoint {
-            let snap = Snapshot::sweep(
-                net.name(),
-                mode,
-                weights.lambda_h,
-                weights.lambda_f,
-                outcome.baseline,
-                &outcome.records,
-                next,
-            );
+/// The stage-boundary bookkeeping of one budgeted job: the `--progress`
+/// heartbeat and the snapshot written at every boundary.
+struct JobRun<'a> {
+    job: &'a SnapshotJob,
+    checkpoint: Option<&'a str>,
+    work: &'a WorkBudget,
+    /// Stages in the whole job (links requested, advisories, scenarios).
+    total: usize,
+    heartbeat: Option<Heartbeat>,
+    /// The first failed snapshot write; it fails the job once it stops.
+    error: Option<String>,
+}
+
+impl<'a> JobRun<'a> {
+    fn new(
+        job: &'a SnapshotJob,
+        budget: &'a BudgetArgs,
+        work: &'a WorkBudget,
+        total: usize,
+        heartbeat: Option<Heartbeat>,
+    ) -> Self {
+        JobRun {
+            job,
+            checkpoint: budget.checkpoint.as_deref(),
+            work,
+            total,
+            heartbeat,
+            error: None,
+        }
+    }
+
+    fn save(&mut self, progress: impl FnOnce() -> SnapshotProgress) {
+        if let Some(path) = self.checkpoint {
+            let snap = Snapshot {
+                job: self.job.clone(),
+                progress: progress(),
+            };
             if let Err(e) = checkpoint::save_snapshot(path, &snap) {
-                err.get_or_insert(format!("cannot write checkpoint {path}: {e}"));
+                self.error
+                    .get_or_insert(format!("cannot write checkpoint {path}: {e}"));
             }
         }
-    };
-    let mut on_batch = |outcome: &SweepOutcome, next: usize| {
-        if let Some(hb) = &mut heartbeat {
-            hb.tick(
-                next as u64,
-                Some(total as u64),
-                &format!("work {}", work.work_done()),
-            );
-        }
-        save(outcome, next, &mut checkpoint_error);
-    };
-    let run = run_sweep_budgeted(planner, net, mode, prior, &work, &mut on_batch)?;
-    let (outcome, stopped) = run.into_parts();
-    if let Some(hb) = &mut heartbeat {
-        hb.finish(
-            outcome.records.len() as u64,
-            Some(total as u64),
-            &format!("work {}", work.work_done()),
-        );
     }
-    if let Some(stopped) = stopped {
-        // The batch callback only fires at batch boundaries; persist the
-        // exact stopping point (records are a prefix, so next == len).
-        save(&outcome, outcome.records.len(), &mut checkpoint_error);
-        if let Some(msg) = checkpoint_error {
+
+    /// A stage boundary with `done` stages complete.
+    fn batch(&mut self, done: usize, progress: impl FnOnce() -> SnapshotProgress) {
+        if let Some(hb) = &mut self.heartbeat {
+            let work = format!("work {}", self.work.work_done());
+            hb.tick(done as u64, Some(self.total as u64), &work);
+        }
+        self.save(progress);
+    }
+
+    /// End the job with `done` stages complete and `rendered` its report.
+    /// A budget stop writes a final snapshot (a deadline can pass before
+    /// the first boundary, and batches close only every few stages), then
+    /// appends what stopped the run, how far it got and how to continue
+    /// it, and surfaces as [`CliError::Budget`] (exit code 9).
+    fn finish(
+        mut self,
+        mut report: String,
+        done: usize,
+        stopped: Option<StopReason>,
+        unit: &str,
+        progress: impl FnOnce() -> SnapshotProgress,
+    ) -> Result<String, CliError> {
+        if let Some(hb) = &mut self.heartbeat {
+            let work = format!("work {}", self.work.work_done());
+            hb.finish(done as u64, Some(self.total as u64), &work);
+        }
+        if stopped.is_some() {
+            self.save(progress);
+        }
+        if let Some(msg) = self.error {
             return Err(CliError::Io(msg));
         }
-        let mut report = notice;
-        report.push_str(&render_sweep(net, &outcome));
-        push_budget_tail(
-            &mut report,
-            &stopped,
-            outcome.records.len(),
-            total,
-            "scenarios evaluated",
-            budget.checkpoint.as_deref(),
+        let Some(stopped) = stopped else {
+            return Ok(report);
+        };
+        let total = self.total;
+        let _ = writeln!(
+            report,
+            "\nbudget exhausted ({stopped}): {done} of {total} {unit}"
         );
-        return Err(CliError::Budget { report, stopped });
+        match self.checkpoint {
+            Some(path) => {
+                let _ = writeln!(
+                    report,
+                    "checkpoint saved; continue with `riskroute resume {path}`"
+                );
+            }
+            None => report.push_str(
+                "no --checkpoint path was given, so this partial progress was not saved\n",
+            ),
+        }
+        Err(CliError::Budget { report, stopped })
     }
-    if let Some(msg) = checkpoint_error {
-        return Err(CliError::Io(msg));
-    }
-    Ok(format!("{notice}{}", render_sweep(net, &outcome)))
 }
 
-fn kind_mismatch() -> CliError {
-    CliError::Core(riskroute::Error::SnapshotIntegrity {
-        reason: "job/progress kind mismatch".into(),
-    })
+fn integrity(reason: String) -> CliError {
+    CliError::Core(riskroute::Error::SnapshotIntegrity { reason })
+}
+
+/// A snapshot's `next_index` must be the length of the prefix it stores.
+fn check_prefix(next_index: usize, stored: usize, what: &str) -> Result<(), CliError> {
+    if next_index == stored {
+        return Ok(());
+    }
+    Err(integrity(format!(
+        "next_index {next_index} does not match the {stored} stored {what}"
+    )))
+}
+
+/// The one driver of the budgeted jobs: `provision`, `replay` and `sweep`
+/// call it with no prior, `resume` with the prefix its snapshot holds. It
+/// builds the planner the job's λ weights name (for `resume` the
+/// snapshot's, not the CLI globals, so a resumed run cannot silently change
+/// the job it continues), runs the job under the budget from its prior,
+/// and writes `Snapshot { job, progress }` at every stage boundary and on
+/// a stop. Every stage is a deterministic function of the job and the
+/// prefix before it, which is what makes a resumed run bit-identical to an
+/// uninterrupted one at any worker count.
+fn run_job(
+    ctx: &CliContext,
+    job: SnapshotJob,
+    prior: Option<SnapshotProgress>,
+    notice: String,
+    budget: &BudgetArgs,
+    progress: bool,
+) -> Result<String, CliError> {
+    let work = budget.to_budget();
+    let heartbeat = |label: String| progress.then(|| Heartbeat::new(label));
+    match &job {
+        SnapshotJob::Provision {
+            network,
+            k,
+            lambda_h,
+            lambda_f,
+        } => {
+            let weights = RiskWeights::new(*lambda_h, *lambda_f);
+            let net = ctx.network(network)?;
+            let planner = ctx.planner(net, weights);
+            let prior = match prior {
+                Some(SnapshotProgress::Provision(links)) => Some(links),
+                None => None,
+                Some(_) => return Err(integrity("job/progress kind mismatch".into())),
+            };
+            let risk = planner.risk().clone();
+            let shares = PopShares::from_shares(planner.shares().shares().to_vec());
+            let rebuild =
+                move |aug: &Network| Planner::new(aug, risk.clone(), shares.clone(), weights);
+            let snap = |links: &GreedyLinks| SnapshotProgress::Provision(links.clone());
+            let mut run = JobRun::new(
+                &job,
+                budget,
+                &work,
+                *k,
+                heartbeat(format!("provision {network}")),
+            );
+            let (links, stopped) =
+                greedy_links_budgeted(net, &planner, *k, rebuild, prior, &work, |links| {
+                    run.batch(links.added.len(), || snap(links));
+                })
+                .into_parts();
+            let report = notice + &render_provision(net, &links);
+            run.finish(report, links.added.len(), stopped, "links chosen", || {
+                snap(&links)
+            })
+        }
+        SnapshotJob::Replay {
+            network,
+            storm,
+            stride,
+            lambda_h,
+            lambda_f,
+        } => {
+            let weights = RiskWeights::new(*lambda_h, *lambda_f);
+            let net = ctx.network(network)?;
+            let label = format!("replay {network} {storm}");
+            let storm = resolve_storm(storm)?;
+            let planner = ctx.planner(net, weights);
+            let prior = match prior {
+                Some(SnapshotProgress::Replay { replay, next_index }) => {
+                    check_prefix(next_index, replay.ticks.len(), "ticks")?;
+                    replay.ticks
+                }
+                None => Vec::new(),
+                Some(_) => return Err(integrity("job/progress kind mismatch".into())),
+            };
+            let raws = raw_advisories(storm, *stride)?;
+            let locations: Vec<_> = net.pops().iter().map(|p| p.location).collect();
+            let all: Vec<usize> = (0..net.pop_count()).collect();
+            let snap = |replay: &DisasterReplay| SnapshotProgress::Replay {
+                replay: replay.clone(),
+                next_index: replay.ticks.len(),
+            };
+            let mut run = JobRun::new(&job, budget, &work, raws.len(), heartbeat(label));
+            let (replay, stopped) = replay_raw_advisories_budgeted(
+                &planner,
+                net.name(),
+                &locations,
+                storm.name(),
+                &raws,
+                &all,
+                &all,
+                prior,
+                &work,
+                |replay| run.batch(replay.ticks.len(), || snap(replay)),
+            )?
+            .into_parts();
+            let report = notice + &render_replay(&replay, *stride);
+            run.finish(
+                report,
+                replay.ticks.len(),
+                stopped,
+                "advisories replayed",
+                || snap(&replay),
+            )
+        }
+        SnapshotJob::Sweep {
+            network,
+            mode,
+            samples,
+            seed,
+            lambda_h,
+            lambda_f,
+        } => {
+            let weights = RiskWeights::new(*lambda_h, *lambda_f);
+            let net = ctx.network(network)?;
+            let mode = SweepMode::from_parts(mode, *samples, *seed)
+                .ok_or_else(|| integrity(format!("unknown sweep mode {mode:?} in snapshot")))?;
+            let planner = ctx.planner(net, weights);
+            let prior = match prior {
+                Some(SnapshotProgress::Sweep {
+                    baseline,
+                    records,
+                    next_index,
+                }) => {
+                    check_prefix(next_index, records.len(), "records")?;
+                    Some(SweepPrior { baseline, records })
+                }
+                None => None,
+                Some(_) => return Err(integrity("job/progress kind mismatch".into())),
+            };
+            let snap = |outcome: &SweepOutcome| SnapshotProgress::Sweep {
+                baseline: outcome.baseline,
+                records: outcome.records.clone(),
+                next_index: outcome.records.len(),
+            };
+            let total = scenario_specs(net, mode).len();
+            let label = format!("sweep {network} {}", mode.label());
+            let mut run = JobRun::new(&job, budget, &work, total, heartbeat(label));
+            let (outcome, stopped) = run_sweep_budgeted(&planner, net, mode, prior, &work, |o| {
+                run.batch(o.records.len(), || snap(o));
+            })?
+            .into_parts();
+            let report = notice + &render_sweep(net, &outcome);
+            run.finish(
+                report,
+                outcome.records.len(),
+                stopped,
+                "scenarios evaluated",
+                || snap(&outcome),
+            )
+        }
+    }
 }
 
 /// `riskroute resume <snapshot> [--deadline-ms N] [--max-work N]
 /// [--checkpoint <path>]`
 ///
-/// Continues a checkpointed run, bit-identically to the uninterrupted one.
-/// The snapshot's recorded λ weights are used (not the CLI globals), so a
-/// resumed run cannot silently change the job it continues. When the
-/// progress section is unusable but the job line survives — the common
-/// shape of truncation — the job restarts from scratch under a degraded-mode
-/// notice instead of failing. New snapshots overwrite the input snapshot
-/// unless `--checkpoint` redirects them.
+/// Continues a checkpointed run through `run_job`, bit-identically to
+/// the uninterrupted one. When the progress section is unusable but the
+/// job line survives — the common shape of truncation — the job restarts
+/// from scratch under a degraded-mode notice instead of failing. New
+/// snapshots overwrite the input snapshot unless `--checkpoint` redirects
+/// them.
 pub fn resume(
     ctx: &CliContext,
     snapshot_path: &str,
@@ -774,7 +739,7 @@ pub fn resume(
     if budget.checkpoint.is_none() {
         budget.checkpoint = Some(snapshot_path.to_string());
     }
-    let (job, progress, notice) = match checkpoint::load_snapshot_with_fallback(&text)? {
+    let (job, prior, notice) = match checkpoint::load_snapshot_with_fallback(&text)? {
         LoadOutcome::Resume(snap) => (
             snap.job,
             Some(snap.progress),
@@ -789,117 +754,7 @@ pub fn resume(
             (job, None, notice)
         }
     };
-    match job {
-        SnapshotJob::Provision {
-            network,
-            k,
-            lambda_h,
-            lambda_f,
-        } => {
-            let weights = RiskWeights::new(lambda_h, lambda_f);
-            let net = ctx.network(&network)?;
-            let planner = ctx.planner(net, weights);
-            let prior = match progress {
-                Some(SnapshotProgress::Provision(links)) => Some(links),
-                None => None,
-                Some(_) => return Err(kind_mismatch()),
-            };
-            provision_under_budget(
-                net,
-                &planner,
-                k,
-                weights,
-                &budget,
-                prior,
-                notice,
-                show_progress,
-            )
-        }
-        SnapshotJob::Replay {
-            network,
-            storm,
-            stride,
-            lambda_h,
-            lambda_f,
-        } => {
-            let weights = RiskWeights::new(lambda_h, lambda_f);
-            let net = ctx.network(&network)?;
-            let storm = resolve_storm(&storm)?;
-            let planner = ctx.planner(net, weights);
-            let prior_ticks = match progress {
-                Some(SnapshotProgress::Replay { replay, next_index }) => {
-                    if next_index != replay.ticks.len() {
-                        return Err(CliError::Core(riskroute::Error::SnapshotIntegrity {
-                            reason: format!(
-                                "next_index {next_index} does not match the {} stored ticks",
-                                replay.ticks.len()
-                            ),
-                        }));
-                    }
-                    replay.ticks
-                }
-                None => Vec::new(),
-                Some(_) => return Err(kind_mismatch()),
-            };
-            replay_under_budget(
-                net,
-                &planner,
-                storm,
-                stride,
-                weights,
-                &budget,
-                prior_ticks,
-                notice,
-                show_progress,
-            )
-        }
-        SnapshotJob::Sweep {
-            network,
-            mode,
-            samples,
-            seed,
-            lambda_h,
-            lambda_f,
-        } => {
-            let weights = RiskWeights::new(lambda_h, lambda_f);
-            let net = ctx.network(&network)?;
-            let mode = SweepMode::from_parts(&mode, samples, seed).ok_or_else(|| {
-                CliError::Core(riskroute::Error::SnapshotIntegrity {
-                    reason: format!("unknown sweep mode {mode:?} in snapshot"),
-                })
-            })?;
-            let planner = ctx.planner(net, weights);
-            let prior = match progress {
-                Some(SnapshotProgress::Sweep {
-                    baseline,
-                    records,
-                    next_index,
-                }) => {
-                    if next_index != records.len() {
-                        return Err(CliError::Core(riskroute::Error::SnapshotIntegrity {
-                            reason: format!(
-                                "next_index {next_index} does not match the {} stored records",
-                                records.len()
-                            ),
-                        }));
-                    }
-                    Some(SweepPrior { baseline, records })
-                }
-                None => None,
-                Some(_) => return Err(kind_mismatch()),
-            };
-            sweep_under_budget(
-                net,
-                &planner,
-                mode,
-                weights,
-                &budget,
-                prior,
-                notice,
-                show_progress,
-            )
-        }
-    }
+    run_job(ctx, job, prior, notice, &budget, show_progress)
 }
 
 /// Seeded sample of `k` ordered source/destination pairs over `n` PoPs

@@ -1,14 +1,15 @@
 //! Cooperative cancellation and work budgets for long-running computations.
 //!
 //! The expensive RiskRoute computations — greedy k-link provisioning
-//! ([`crate::provisioning::greedy_links_budgeted`]) and multi-storm replay
-//! sweeps ([`crate::replay::replay_raw_advisories_budgeted`]) — accept a
+//! ([`crate::provisioning::greedy_links_budgeted`]), storm replay
+//! ([`crate::replay::replay_raw_advisories_budgeted`]) and resilience
+//! sweeps ([`crate::scenario::run_sweep_budgeted`]) — accept a
 //! [`WorkBudget`] and check it at **clean stage boundaries** (a greedy
-//! iteration, a replay tick). When the budget runs out the computation does
-//! not abort: it returns [`Budgeted::Partial`] carrying everything finished
-//! so far plus a typed resume state, so a caller can checkpoint the prefix
-//! (see [`crate::checkpoint`]) and continue later from exactly where it
-//! stopped.
+//! iteration, a replay tick, a scenario). When the budget runs out the
+//! computation does not abort: it returns [`Budgeted::Partial`] carrying
+//! everything finished so far, so a caller can checkpoint the prefix (see
+//! [`crate::checkpoint`]) and continue later by passing it back as the
+//! prior: the prefix's length is where the run resumes.
 //!
 //! A budget combines three independent limits, any of which stops the run:
 //!
@@ -58,9 +59,11 @@ impl fmt::Display for StopReason {
 }
 
 /// Result of a budget-aware computation: either the full result, or a
-/// consistent prefix plus the state needed to resume it.
+/// consistent prefix and why it stopped. The prefix's length (links chosen,
+/// ticks replayed, scenarios evaluated) is where a resumed run continues:
+/// every budgeted driver takes the prefix back as its prior.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Budgeted<T, R> {
+pub enum Budgeted<T> {
     /// The computation ran to completion within its budget.
     Complete(T),
     /// The budget ran out at a stage boundary.
@@ -68,19 +71,17 @@ pub enum Budgeted<T, R> {
         /// Everything finished before the stop — a consistent prefix of the
         /// uninterrupted run, never a torn intermediate.
         completed: T,
-        /// Typed state from which the computation continues exactly where
-        /// it stopped (see the owning module's `*_resume` function).
-        resume_state: R,
         /// Which limit stopped the run.
         stopped: StopReason,
     },
 }
 
-impl<T, R> Budgeted<T, R> {
-    /// The completed work, whether full or partial.
-    pub fn completed(&self) -> &T {
-        match self {
-            Budgeted::Complete(t) | Budgeted::Partial { completed: t, .. } => t,
+impl<T> Budgeted<T> {
+    /// `Complete` when nothing stopped the run, else `Partial`.
+    pub fn new(completed: T, stopped: Option<StopReason>) -> Self {
+        match stopped {
+            None => Budgeted::Complete(completed),
+            Some(stopped) => Budgeted::Partial { completed, stopped },
         }
     }
 
@@ -88,9 +89,7 @@ impl<T, R> Budgeted<T, R> {
     pub fn into_parts(self) -> (T, Option<StopReason>) {
         match self {
             Budgeted::Complete(t) => (t, None),
-            Budgeted::Partial {
-                completed, stopped, ..
-            } => (completed, Some(stopped)),
+            Budgeted::Partial { completed, stopped } => (completed, Some(stopped)),
         }
     }
 }
@@ -231,14 +230,14 @@ impl WorkBudget {
 /// each result to `records(done)` in item order. Each wave checks `budget`,
 /// maps `min(checkpoint-batch remainder, work remaining, par.workers())`
 /// items with [`riskroute_par::try_par_map_collect`], charges one unit per
-/// item, and fires `on_batch(done, next index)` when a [`CHECKPOINT_BATCH`]
-/// of new records closes. So with one worker the budget is checked before
+/// item, and fires `on_batch(done)` when a [`CHECKPOINT_BATCH`] of new
+/// records closes. So with one worker the budget is checked before
 /// every unit; at any worker count a `--max-work` cut and every `on_batch`
 /// lands on the same item; and the items running at once have distinct
 /// `index % par.workers()`.
 ///
-/// Returns `None` when every item ran, or the index of the first item not
-/// run and why the budget stopped it.
+/// Returns `None` when every item ran, or why the budget stopped the rest
+/// (the first item not run is the one after `records(done)`'s last).
 ///
 /// # Errors
 /// [`crate::Error::WorkerPanic`] when a unit panicked, at any worker count.
@@ -249,8 +248,8 @@ pub(crate) fn budgeted_waves<T, R, A>(
     records: impl Fn(&mut A) -> &mut Vec<R>,
     budget: &WorkBudget,
     unit: impl Fn(usize, &T) -> R + Sync,
-    mut on_batch: impl FnMut(&A, usize),
-) -> Result<Option<(usize, StopReason)>>
+    mut on_batch: impl FnMut(&A),
+) -> Result<Option<StopReason>>
 where
     T: Sync,
     R: Send,
@@ -259,7 +258,7 @@ where
     let mut since_batch = 0usize;
     while i < items.len() {
         if let Some(stopped) = budget.exhausted() {
-            return Ok(Some((i, stopped)));
+            return Ok(Some(stopped));
         }
         // ≥ 1: since_batch < CHECKPOINT_BATCH, i < len, and an unexhausted
         // work cap has at least one unit left.
@@ -277,7 +276,7 @@ where
         since_batch += take;
         if since_batch == CHECKPOINT_BATCH {
             since_batch = 0;
-            on_batch(done, i);
+            on_batch(done);
         }
     }
     Ok(None)
@@ -332,15 +331,10 @@ mod tests {
 
     #[test]
     fn budgeted_accessors() {
-        let c: Budgeted<u32, ()> = Budgeted::Complete(7);
-        assert!(matches!(c, Budgeted::Complete(_)));
-        assert_eq!(*c.completed(), 7);
+        let c = Budgeted::new(7, None);
+        assert_eq!(c, Budgeted::Complete(7));
         assert_eq!(c.into_parts(), (7, None));
-        let p: Budgeted<u32, ()> = Budgeted::Partial {
-            completed: 3,
-            resume_state: (),
-            stopped: StopReason::WorkExhausted,
-        };
+        let p = Budgeted::new(3, Some(StopReason::WorkExhausted));
         assert!(matches!(p, Budgeted::Partial { .. }));
         assert_eq!(p.into_parts(), (3, Some(StopReason::WorkExhausted)));
     }
@@ -375,7 +369,7 @@ mod tests {
                     assert_ne!(x, 11, "deliberate test panic");
                     x
                 },
-                |_, _| {},
+                |_| {},
             )
             .unwrap_err();
             assert!(

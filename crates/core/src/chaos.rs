@@ -38,12 +38,12 @@
 //! base planner — same cost stamp, same bits, cache reuse included).
 
 use crate::budget::{Budgeted, WorkBudget};
-use crate::checkpoint::{self, LoadOutcome, Snapshot, SnapshotProgress};
+use crate::checkpoint::{self, LoadOutcome, Snapshot, SnapshotJob, SnapshotProgress};
 use crate::engine;
 use crate::error::Error;
 use crate::intradomain::Planner;
 use crate::metric::{NodeRisk, RiskWeights};
-use crate::provisioning::{greedy_links, greedy_links_budgeted, greedy_links_resume};
+use crate::provisioning::{greedy_links, greedy_links_budgeted};
 use crate::replay::{
     raw_advisories, replay_raw_advisories, replay_raw_advisories_budgeted, RawAdvisory,
 };
@@ -400,15 +400,19 @@ pub fn run_chaos_at(plan: &FaultPlan, parallelism: Parallelism) -> Result<ChaosR
 
     // --- Fault: corrupt the run's checkpoint snapshot ----------------------
     let weights = RiskWeights::PAPER;
-    let snapshot = Snapshot::replay(
-        network.name(),
-        &storm.name().to_lowercase(),
-        CHAOS_STRIDE,
-        weights.lambda_h,
-        weights.lambda_f,
-        &replay,
-        replay.ticks.len(),
-    );
+    let snapshot = Snapshot {
+        job: SnapshotJob::Replay {
+            network: network.name().to_string(),
+            storm: storm.name().to_lowercase(),
+            stride: CHAOS_STRIDE,
+            lambda_h: weights.lambda_h,
+            lambda_f: weights.lambda_f,
+        },
+        progress: SnapshotProgress::Replay {
+            next_index: replay.ticks.len(),
+            replay: replay.clone(),
+        },
+    };
     let text = snapshot.to_text();
     let corrupted_text = match plan.snapshot_fault {
         SnapshotFault::None => None,
@@ -667,7 +671,7 @@ fn replay_fixture() -> (Network, Planner) {
 ///
 /// The kill is delivered through the cooperative cancel flag
 /// ([`WorkBudget::cancel_handle`]) exactly as an operator or signal handler
-/// would deliver it, and the resume state travels through
+/// would deliver it, and the completed prefix travels through
 /// [`Snapshot::to_text`] → [`checkpoint::load_snapshot`], so the test
 /// covers the serialization layer, not just the in-memory resume path.
 ///
@@ -705,18 +709,27 @@ pub fn run_kill_resume_at(seed: u64, parallelism: Parallelism) -> Result<KillRes
     let budget = WorkBudget::unlimited();
     let cancel = budget.cancel_handle();
     let mut last_snapshot = String::new();
+    let job = SnapshotJob::Provision {
+        network: net.name().to_string(),
+        k,
+        lambda_h: weights.lambda_h,
+        lambda_f: weights.lambda_f,
+    };
     let run = greedy_links_budgeted(
         &net,
         &planner,
         k,
         rebuild(planner.risk().clone(), &planner),
+        None,
         &budget,
         |links| {
             // Checkpoint every iteration (what the CLI does), then deliver
             // the kill at the seeded one.
-            last_snapshot =
-                Snapshot::provision(net.name(), k, weights.lambda_h, weights.lambda_f, links)
-                    .to_text();
+            last_snapshot = Snapshot {
+                job: job.clone(),
+                progress: SnapshotProgress::Provision(links.clone()),
+            }
+            .to_text();
             if links.added.len() == provision_killed_after {
                 cancel.store(true, Ordering::Relaxed);
             }
@@ -733,12 +746,12 @@ pub fn run_kill_resume_at(seed: u64, parallelism: Parallelism) -> Result<KillRes
             if prior != completed {
                 false
             } else {
-                let resumed = greedy_links_resume(
+                let resumed = greedy_links_budgeted(
                     &net,
                     &planner,
                     k,
                     rebuild(planner.risk().clone(), &planner),
-                    prior,
+                    Some(prior),
                     &WorkBudget::unlimited(),
                     |_| {},
                 );
@@ -778,23 +791,23 @@ pub fn run_kill_resume_at(seed: u64, parallelism: Parallelism) -> Result<KillRes
         &all,
         Vec::new(),
         &budget,
-        |_, _| {},
+        |_| {},
     )?;
     let replay_identical = match run {
-        Budgeted::Partial {
-            completed,
-            resume_state,
-            ..
-        } => {
-            let text = Snapshot::replay(
-                net.name(),
-                "katrina",
-                CHAOS_STRIDE,
-                weights.lambda_h,
-                weights.lambda_f,
-                &completed,
-                resume_state.next_index,
-            )
+        Budgeted::Partial { completed, .. } => {
+            let text = Snapshot {
+                job: SnapshotJob::Replay {
+                    network: net.name().to_string(),
+                    storm: "katrina".into(),
+                    stride: CHAOS_STRIDE,
+                    lambda_h: weights.lambda_h,
+                    lambda_f: weights.lambda_f,
+                },
+                progress: SnapshotProgress::Replay {
+                    next_index: completed.ticks.len(),
+                    replay: completed,
+                },
+            }
             .to_text();
             let loaded = checkpoint::load_snapshot(&text)?;
             let SnapshotProgress::Replay { replay, next_index } = loaded.progress else {
@@ -815,7 +828,7 @@ pub fn run_kill_resume_at(seed: u64, parallelism: Parallelism) -> Result<KillRes
                     &all,
                     replay.ticks,
                     &WorkBudget::unlimited(),
-                    |_, _| {},
+                    |_| {},
                 )?;
                 let (resumed, stopped) = resumed.into_parts();
                 stopped.is_none() && resumed == clean
@@ -936,22 +949,24 @@ pub fn run_fork_faults_at(seed: u64, parallelism: Parallelism) -> Result<ForkFau
     let total = scenario_specs(&net, mode).len();
     let sweep_killed_after = 1 + rng.gen_range(0..total.saturating_sub(1).max(1));
     let budget = WorkBudget::unlimited().with_max_work(sweep_killed_after as u64);
-    let run = run_sweep_budgeted(&planner, &net, mode, None, &budget, |_, _| {})?;
+    let run = run_sweep_budgeted(&planner, &net, mode, None, &budget, |_| {})?;
     let sweep_identical = match run {
-        Budgeted::Partial {
-            completed,
-            resume_state,
-            ..
-        } => {
-            let text = Snapshot::sweep(
-                net.name(),
-                mode,
-                weights.lambda_h,
-                weights.lambda_f,
-                completed.baseline,
-                &completed.records,
-                resume_state.next_index,
-            )
+        Budgeted::Partial { completed, .. } => {
+            let text = Snapshot {
+                job: SnapshotJob::Sweep {
+                    network: net.name().to_string(),
+                    mode: mode.label().to_string(),
+                    samples: mode.samples(),
+                    seed: mode.seed(),
+                    lambda_h: weights.lambda_h,
+                    lambda_f: weights.lambda_f,
+                },
+                progress: SnapshotProgress::Sweep {
+                    baseline: completed.baseline,
+                    next_index: completed.records.len(),
+                    records: completed.records,
+                },
+            }
             .to_text();
             let loaded = checkpoint::load_snapshot(&text)?;
             let SnapshotProgress::Sweep {
@@ -973,7 +988,7 @@ pub fn run_fork_faults_at(seed: u64, parallelism: Parallelism) -> Result<ForkFau
                     mode,
                     Some(SweepPrior { baseline, records }),
                     &WorkBudget::unlimited(),
-                    |_, _| {},
+                    |_| {},
                 )?;
                 let (resumed, stopped) = resumed.into_parts();
                 stopped.is_none() && resumed == clean

@@ -1,7 +1,7 @@
 //! Crash-safe checkpoint snapshots for budgeted computations.
 //!
-//! A [`Snapshot`] captures the progress of a long provisioning or replay
-//! run at a clean stage boundary, so a killed, preempted, or
+//! A [`Snapshot`] captures the progress of a long provisioning, replay or
+//! sweep run at a clean stage boundary, so a killed, preempted, or
 //! budget-exhausted process (see [`crate::budget`]) can resume without
 //! losing work — and so a resumed run reproduces the uninterrupted result
 //! **bit-identically** (the crash-consistency invariant the chaos harness
@@ -21,11 +21,11 @@
 //! - The **header** carries the format version; an unsupported version
 //!   loads as [`Error::SnapshotVersion`], never a panic.
 //! - The **job** line describes what was being computed (network, storm,
-//!   k, stride, λ weights) — enough to restart from scratch.
+//!   k, stride, sweep mode, λ weights) — enough to restart from scratch.
 //! - The **progress** line carries the completed prefix (chosen links /
-//!   replayed ticks). Every `f64` round-trips exactly through
-//!   `riskroute-json`'s shortest-representation rendering, which is what
-//!   makes resumed runs bit-identical.
+//!   replayed ticks / evaluated scenarios). Every `f64` round-trips exactly
+//!   through `riskroute-json`'s shortest-representation rendering, which
+//!   is what makes resumed runs bit-identical.
 //! - Each JSON section is independently checksummed with FNV-1a (64-bit,
 //!   in-tree — no registry dependencies), and the `end` marker makes
 //!   completeness explicit. A truncated or bit-flipped file fails
@@ -46,7 +46,7 @@ use crate::error::Error;
 use crate::provisioning::{CandidateLink, GreedyLinks};
 use crate::ratios::RatioReport;
 use crate::replay::{DisasterReplay, ReplayTick};
-use crate::scenario::{ExposureReport, FailElement, ScenarioSpec, SweepMode, SweepRecord};
+use crate::scenario::{ExposureReport, FailElement, ScenarioSpec, SweepRecord};
 use riskroute_json::{Json, JsonError};
 use std::path::Path;
 
@@ -121,7 +121,8 @@ pub enum SnapshotProgress {
     Replay {
         /// The replay prefix.
         replay: DisasterReplay,
-        /// Index into the strided advisory stream to evaluate next.
+        /// Index into the strided advisory stream to evaluate next: the
+        /// number of stored ticks, which a resume checks.
         next_index: usize,
     },
     /// Scenarios evaluated so far by a resilience sweep.
@@ -130,7 +131,8 @@ pub enum SnapshotProgress {
         baseline: ExposureReport,
         /// Evaluated scenario records, in canonical scenario order.
         records: Vec<SweepRecord>,
-        /// Index into the canonical scenario list to evaluate next.
+        /// Index into the canonical scenario list to evaluate next: the
+        /// number of stored records, which a resume checks.
         next_index: usize,
     },
 }
@@ -161,77 +163,6 @@ pub enum LoadOutcome {
 }
 
 impl Snapshot {
-    /// Snapshot a provisioning run.
-    pub fn provision(
-        network: &str,
-        k: usize,
-        lambda_h: f64,
-        lambda_f: f64,
-        links: &GreedyLinks,
-    ) -> Snapshot {
-        Snapshot {
-            job: SnapshotJob::Provision {
-                network: network.to_string(),
-                k,
-                lambda_h,
-                lambda_f,
-            },
-            progress: SnapshotProgress::Provision(links.clone()),
-        }
-    }
-
-    /// Snapshot a replay run.
-    pub fn replay(
-        network: &str,
-        storm: &str,
-        stride: usize,
-        lambda_h: f64,
-        lambda_f: f64,
-        replay: &DisasterReplay,
-        next_index: usize,
-    ) -> Snapshot {
-        Snapshot {
-            job: SnapshotJob::Replay {
-                network: network.to_string(),
-                storm: storm.to_string(),
-                stride,
-                lambda_h,
-                lambda_f,
-            },
-            progress: SnapshotProgress::Replay {
-                replay: replay.clone(),
-                next_index,
-            },
-        }
-    }
-
-    /// Snapshot a scenario sweep.
-    pub fn sweep(
-        network: &str,
-        mode: SweepMode,
-        lambda_h: f64,
-        lambda_f: f64,
-        baseline: ExposureReport,
-        records: &[SweepRecord],
-        next_index: usize,
-    ) -> Snapshot {
-        Snapshot {
-            job: SnapshotJob::Sweep {
-                network: network.to_string(),
-                mode: mode.label().to_string(),
-                samples: mode.samples(),
-                seed: mode.seed(),
-                lambda_h,
-                lambda_f,
-            },
-            progress: SnapshotProgress::Sweep {
-                baseline,
-                records: records.to_vec(),
-                next_index,
-            },
-        }
-    }
-
     /// Render to the versioned, checksummed wire format.
     pub fn to_text(&self) -> String {
         let job = job_to_json(&self.job).to_string_compact();
@@ -737,12 +668,14 @@ mod tests {
     use super::*;
 
     fn sample_provision() -> Snapshot {
-        Snapshot::provision(
-            "Sprint",
-            5,
-            1e5,
-            1e3,
-            &GreedyLinks {
+        Snapshot {
+            job: SnapshotJob::Provision {
+                network: "Sprint".into(),
+                k: 5,
+                lambda_h: 1e5,
+                lambda_f: 1e3,
+            },
+            progress: SnapshotProgress::Provision(GreedyLinks {
                 original_bit_risk: 123456.789012345,
                 added: vec![CandidateLink {
                     a: 3,
@@ -751,87 +684,97 @@ mod tests {
                     total_bit_risk: 98765.4321098765,
                     shortcut_threshold: 0.5,
                 }],
-            },
-        )
+            }),
+        }
     }
 
     fn sample_replay() -> Snapshot {
-        Snapshot::replay(
-            "Telepak",
-            "katrina",
-            4,
-            1e5,
-            1e3,
-            &DisasterReplay {
-                storm: "KATRINA".into(),
+        Snapshot {
+            job: SnapshotJob::Replay {
                 network: "Telepak".into(),
-                ticks: vec![ReplayTick {
-                    advisory: 9,
-                    label: "11 AM CDT SAT AUG 27 2005".into(),
-                    pops_in_scope: 2,
-                    pops_in_hurricane_winds: 1,
-                    report: RatioReport {
-                        risk_reduction_ratio: 0.123456789,
-                        distance_increase_ratio: 0.0123456789,
-                        pairs: 42,
-                        stranded_pairs: 3,
-                    },
-                    degraded: true,
-                }],
+                storm: "katrina".into(),
+                stride: 4,
+                lambda_h: 1e5,
+                lambda_f: 1e3,
             },
-            5,
-        )
+            progress: SnapshotProgress::Replay {
+                replay: DisasterReplay {
+                    storm: "KATRINA".into(),
+                    network: "Telepak".into(),
+                    ticks: vec![ReplayTick {
+                        advisory: 9,
+                        label: "11 AM CDT SAT AUG 27 2005".into(),
+                        pops_in_scope: 2,
+                        pops_in_hurricane_winds: 1,
+                        report: RatioReport {
+                            risk_reduction_ratio: 0.123456789,
+                            distance_increase_ratio: 0.0123456789,
+                            pairs: 42,
+                            stranded_pairs: 3,
+                        },
+                        degraded: true,
+                    }],
+                },
+                next_index: 5,
+            },
+        }
     }
 
     fn sample_sweep() -> Snapshot {
-        Snapshot::sweep(
-            "Level3",
-            SweepMode::Ensemble {
-                samples: 64,
-                // Exercises the > 2^53 range that a JSON number would lose.
-                seed: u64::MAX - 12345,
+        let job = SnapshotJob::Sweep {
+            network: "Level3".into(),
+            mode: "ensemble".into(),
+            samples: 64,
+            // Exercises the > 2^53 range that a JSON number would lose.
+            seed: u64::MAX - 12345,
+            lambda_h: 1e5,
+            lambda_f: 1e3,
+        };
+        let baseline = ExposureReport {
+            bit_risk_total: 9_876_543.210987654,
+            routable_pairs: 27_028,
+            stranded_pairs: 0,
+        };
+        let records = vec![
+            SweepRecord {
+                spec: ScenarioSpec::One(FailElement::Node(17)),
+                label: "node 17 (Denver)".into(),
+                exposure: ExposureReport {
+                    bit_risk_total: 9_900_001.000000001,
+                    routable_pairs: 26_796,
+                    stranded_pairs: 232,
+                },
             },
-            1e5,
-            1e3,
-            ExposureReport {
-                bit_risk_total: 9_876_543.210987654,
-                routable_pairs: 27_028,
-                stranded_pairs: 0,
+            SweepRecord {
+                spec: ScenarioSpec::Two(FailElement::Link(3, 9), FailElement::Node(4)),
+                label: "link 3-9 (A - B) + node 4 (C)".into(),
+                exposure: ExposureReport {
+                    bit_risk_total: 0.123_456_789_012_345_68,
+                    routable_pairs: 5,
+                    stranded_pairs: 27_023,
+                },
             },
-            &[
-                SweepRecord {
-                    spec: ScenarioSpec::One(FailElement::Node(17)),
-                    label: "node 17 (Denver)".into(),
-                    exposure: ExposureReport {
-                        bit_risk_total: 9_900_001.000000001,
-                        routable_pairs: 26_796,
-                        stranded_pairs: 232,
-                    },
+            SweepRecord {
+                spec: ScenarioSpec::Member {
+                    index: 63,
+                    seed: u64::MAX - 12345,
                 },
-                SweepRecord {
-                    spec: ScenarioSpec::Two(FailElement::Link(3, 9), FailElement::Node(4)),
-                    label: "link 3-9 (A - B) + node 4 (C)".into(),
-                    exposure: ExposureReport {
-                        bit_risk_total: 0.123_456_789_012_345_68,
-                        routable_pairs: 5,
-                        stranded_pairs: 27_023,
-                    },
+                label: "member 63".into(),
+                exposure: ExposureReport {
+                    bit_risk_total: 1e300,
+                    routable_pairs: 27_028,
+                    stranded_pairs: 0,
                 },
-                SweepRecord {
-                    spec: ScenarioSpec::Member {
-                        index: 63,
-                        seed: u64::MAX - 12345,
-                    },
-                    label: "member 63".into(),
-                    exposure: ExposureReport {
-                        bit_risk_total: 1e300,
-                        routable_pairs: 27_028,
-                        stranded_pairs: 0,
-                    },
-                },
-            ],
-            3,
-        )
+            },
+        ];
+        Snapshot {
+            job,
+            progress: SnapshotProgress::Sweep {
+                baseline,
+                records,
+                next_index: 3,
+            },
+        }
     }
 
     #[test]

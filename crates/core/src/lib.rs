@@ -95,7 +95,6 @@ pub use routing::RoutedPath;
 pub use scenario::{
     base_exposure, run_sweep, run_sweep_budgeted, scenario_specs, ExposureReport, FailElement,
     ScenarioDelta, ScenarioFork, ScenarioSpec, SweepMode, SweepOutcome, SweepPrior, SweepRecord,
-    SweepResume,
 };
 
 /// Convenient re-exports for driving the framework end to end.

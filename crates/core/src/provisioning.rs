@@ -320,16 +320,6 @@ pub fn best_additional_link_adaptive_budgeted(
         })
 }
 
-/// Resume state of a partial greedy run: the iteration to execute next.
-/// The links chosen so far travel in the `completed` field of
-/// [`Budgeted::Partial`]; feed them back through [`greedy_links_resume`]
-/// (typically via a [`crate::checkpoint::Snapshot`]) to continue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProvisionResume {
-    /// Index of the next greedy iteration (== links already chosen).
-    pub next_iteration: usize,
-}
-
 /// Greedy k-link augmentation (§6.3): repeatedly add the best candidate and
 /// re-evaluate. Returns fewer than `k` links when candidates run out.
 ///
@@ -347,6 +337,7 @@ pub fn greedy_links(
         planner,
         k,
         rebuild,
+        None,
         &WorkBudget::unlimited(),
         |_| {},
     )
@@ -354,12 +345,19 @@ pub fn greedy_links(
     links
 }
 
-/// [`greedy_links`] under a [`WorkBudget`]: the budget is checked before
-/// every greedy iteration (a clean stage boundary), and candidate
-/// evaluations inside [`score_candidates_budgeted`] are charged as work.
-/// When the budget runs out the call returns [`Budgeted::Partial`] with the
-/// links chosen so far — a consistent prefix of the uninterrupted run —
-/// instead of being killed mid-flight.
+/// [`greedy_links`] under a [`WorkBudget`], continuing from `prior` when
+/// given (a completed prefix, e.g. one loaded from a checkpoint snapshot).
+///
+/// `network`/`planner` are the **unaugmented** inputs of the run; the
+/// prior links are reapplied first. The budget is checked before every
+/// greedy iteration (a clean stage boundary), and candidate evaluations
+/// inside [`score_candidates_budgeted`] are charged as work. When the
+/// budget runs out the call returns [`Budgeted::Partial`] with the links
+/// chosen so far — a consistent prefix of the uninterrupted run — instead
+/// of being killed mid-flight. Because every greedy iteration is a
+/// deterministic function of the augmented network, a resumed run produces
+/// bit-identical output to an uninterrupted one — the crash-consistency
+/// invariant [`crate::chaos::run_kill_resume`] enforces.
 ///
 /// `on_iteration` fires after every completed iteration with the links so
 /// far; callers use it to write crash-safe checkpoints
@@ -369,37 +367,19 @@ pub fn greedy_links_budgeted(
     network: &Network,
     planner: &Planner,
     k: usize,
-    rebuild: impl FnMut(&Network) -> Planner,
-    budget: &WorkBudget,
-    on_iteration: impl FnMut(&GreedyLinks),
-) -> Budgeted<GreedyLinks, ProvisionResume> {
-    let prior = GreedyLinks {
-        original_bit_risk: planner.aggregate_bit_risk(),
-        added: Vec::new(),
-    };
-    greedy_links_resume(network, planner, k, rebuild, prior, budget, on_iteration)
-}
-
-/// Continue a greedy run from a completed prefix (`prior`), e.g. one loaded
-/// from a checkpoint snapshot. `base_network`/`base_planner` are the
-/// **unaugmented** inputs of the original run; the prior links are
-/// reapplied first. Because every greedy iteration is a deterministic
-/// function of the augmented network, a resumed run produces bit-identical
-/// output to an uninterrupted one — the crash-consistency invariant
-/// [`crate::chaos::run_kill_resume`] enforces.
-pub fn greedy_links_resume(
-    base_network: &Network,
-    base_planner: &Planner,
-    k: usize,
     mut rebuild: impl FnMut(&Network) -> Planner,
-    prior: GreedyLinks,
+    prior: Option<GreedyLinks>,
     budget: &WorkBudget,
     mut on_iteration: impl FnMut(&GreedyLinks),
-) -> Budgeted<GreedyLinks, ProvisionResume> {
+) -> Budgeted<GreedyLinks> {
     // Attribute the whole run to the budget owner's trace, wherever this
     // driver actually executes (serve worker threads included).
     let _obs = budget.scope().enter();
-    let mut current_net = base_network.clone();
+    let prior = prior.unwrap_or_else(|| GreedyLinks {
+        original_bit_risk: planner.aggregate_bit_risk(),
+        added: Vec::new(),
+    });
+    let mut current_net = network.clone();
     for link in &prior.added {
         current_net = with_extra_link(&current_net, link.a, link.b);
     }
@@ -408,23 +388,19 @@ pub fn greedy_links_resume(
     // default planners, and neither knob ever changes results — only
     // wall-clock.
     let mut current_planner = if prior.added.is_empty() {
-        base_planner.clone()
+        planner.clone()
     } else {
         rebuild(&current_net)
-            .with_parallelism(base_planner.parallelism())
-            .with_route_cache(base_planner.route_cache())
+            .with_parallelism(planner.parallelism())
+            .with_route_cache(planner.route_cache())
     };
     let mut result = prior;
     while result.added.len() < k {
         riskroute_obs::counter_add("provision_budget_checks", 1);
         if let Some(stopped) = budget.exhausted() {
             riskroute_obs::counter_add("provision_budget_stops", 1);
-            let resume_state = ProvisionResume {
-                next_iteration: result.added.len(),
-            };
             return Budgeted::Partial {
                 completed: result,
-                resume_state,
                 stopped,
             };
         }
@@ -441,8 +417,8 @@ pub fn greedy_links_resume(
         };
         current_net = with_extra_link(&current_net, best.a, best.b);
         let mut next_planner = rebuild(&current_net)
-            .with_parallelism(base_planner.parallelism())
-            .with_route_cache(base_planner.route_cache());
+            .with_parallelism(planner.parallelism())
+            .with_route_cache(planner.route_cache());
         // Trees the new link provably cannot improve survive into the next
         // round's cache (strict edge-addition test; see
         // `Planner::adopt_route_cache`), so re-measuring the augmented
@@ -724,19 +700,14 @@ mod tests {
             &planner,
             3,
             fixture_rebuild(&planner),
+            None,
             &budget,
             |_| {},
         );
-        let Budgeted::Partial {
-            completed,
-            resume_state,
-            stopped,
-        } = run
-        else {
+        let Budgeted::Partial { completed, stopped } = run else {
             panic!("zero budget must stop before the first iteration");
         };
         assert!(completed.added.is_empty());
-        assert_eq!(resume_state.next_iteration, 0);
         assert_eq!(stopped, StopReason::WorkExhausted);
         assert!(completed.original_bit_risk.is_finite());
     }
@@ -759,6 +730,7 @@ mod tests {
             &planner,
             3,
             fixture_rebuild(&planner),
+            None,
             &budget,
             |links| {
                 if links.added.len() == 1 {
@@ -766,21 +738,18 @@ mod tests {
                 }
             },
         );
-        let Budgeted::Partial {
-            completed, stopped, ..
-        } = run
-        else {
+        let Budgeted::Partial { completed, stopped } = run else {
             panic!("cancel flag must interrupt the run");
         };
         assert_eq!(stopped, StopReason::Cancelled);
         assert_eq!(completed.added.len(), 1);
         // Resume with a fresh budget: the final result is bit-identical.
-        let resumed = greedy_links_resume(
+        let resumed = greedy_links_budgeted(
             &net,
             &planner,
             3,
             fixture_rebuild(&planner),
-            completed,
+            Some(completed),
             &WorkBudget::unlimited(),
             |_| {},
         );

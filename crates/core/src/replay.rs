@@ -101,16 +101,6 @@ impl DisasterReplay {
     }
 }
 
-/// Typed resume state for an interrupted replay sweep: the index of the
-/// first advisory **not yet** evaluated. Pair it with the partial
-/// [`DisasterReplay`] (whose `ticks` are a consistent prefix) to continue
-/// via [`replay_raw_advisories_budgeted`]'s `prior_ticks` argument.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayResume {
-    /// Index into the raw-advisory stream of the next tick to compute.
-    pub next_index: usize,
-}
-
 /// Replay a storm over a network using explicit pair sets (merged
 /// interdomain callers restrict sources/destinations).
 ///
@@ -216,7 +206,7 @@ pub fn replay_raw_advisories(
         dests,
         Vec::new(),
         &WorkBudget::unlimited(),
-        |_, _| {},
+        |_| {},
     )?;
     let (replay, _) = run.into_parts();
     Ok(replay)
@@ -233,10 +223,9 @@ pub fn replay_raw_advisories(
 ///
 /// Ticks run on per-worker clones of `base`. The budget is checked before
 /// each wave of ticks (every tick with one worker) and charged one work
-/// unit per tick computed. `on_batch` fires with the replay-so-far and the
-/// next tick index after every [`CHECKPOINT_BATCH`] newly computed ticks —
-/// the hook the CLI uses to write crash-safe snapshots
-/// (see [`crate::checkpoint::Snapshot::replay`]).
+/// unit per tick computed. `on_batch` fires with the replay-so-far after
+/// every [`CHECKPOINT_BATCH`] newly computed ticks — the hook the CLI uses
+/// to write crash-safe snapshots (see [`crate::checkpoint::Snapshot`]).
 ///
 /// # Errors
 /// [`Error::InvalidArgument`] when `locations` does not match the
@@ -252,8 +241,8 @@ pub fn replay_raw_advisories_budgeted(
     dests: &[usize],
     prior_ticks: Vec<ReplayTick>,
     budget: &WorkBudget,
-    on_batch: impl FnMut(&DisasterReplay, usize),
-) -> Result<Budgeted<DisasterReplay, ReplayResume>> {
+    on_batch: impl FnMut(&DisasterReplay),
+) -> Result<Budgeted<DisasterReplay>> {
     // Attribute the whole replay to the budget owner's trace.
     let _obs = budget.scope().enter();
     check_locations(locations, base)?;
@@ -299,14 +288,7 @@ pub fn replay_raw_advisories_budgeted(
         },
         on_batch,
     )?;
-    Ok(match stop {
-        Some((next_index, stopped)) => Budgeted::Partial {
-            completed: replay,
-            resume_state: ReplayResume { next_index },
-            stopped,
-        },
-        None => Budgeted::Complete(replay),
-    })
+    Ok(Budgeted::new(replay, stop))
 }
 
 /// Replay a storm over one network, all PoP pairs (the Figure-12
@@ -686,20 +668,14 @@ mod tests {
             &all,
             Vec::new(),
             &budget,
-            |_, _| {},
+            |_| {},
         )
         .unwrap();
-        let Budgeted::Partial {
-            completed,
-            resume_state,
-            stopped,
-        } = run
-        else {
+        let Budgeted::Partial { completed, stopped } = run else {
             panic!("5-unit budget must interrupt a {}-tick sweep", raws.len());
         };
         assert_eq!(stopped, StopReason::WorkExhausted);
         assert_eq!(completed.ticks.len(), 5);
-        assert_eq!(resume_state.next_index, 5);
         assert_eq!(completed.ticks[..], clean.ticks[..5], "consistent prefix");
         let resumed = replay_raw_advisories_budgeted(
             &planner,
@@ -711,7 +687,7 @@ mod tests {
             &all,
             completed.ticks,
             &WorkBudget::unlimited(),
-            |_, _| {},
+            |_| {},
         )
         .unwrap();
         let Budgeted::Complete(resumed) = resumed else {
@@ -739,10 +715,7 @@ mod tests {
             &all,
             Vec::new(),
             &WorkBudget::unlimited(),
-            |replay, next| {
-                assert_eq!(replay.ticks.len(), next);
-                seen.push(next);
-            },
+            |replay| seen.push(replay.ticks.len()),
         )
         .unwrap();
         let expected: Vec<usize> = (1..=raws.len() / CHECKPOINT_BATCH)
@@ -770,7 +743,7 @@ mod tests {
             &all,
             clean.ticks,
             &WorkBudget::unlimited(),
-            |_, _| {},
+            |_| {},
         )
         .unwrap_err();
         assert!(

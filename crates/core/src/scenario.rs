@@ -23,7 +23,7 @@
 //!   seeded sampled N-2, and seeded Monte-Carlo hazard ensembles over
 //!   `riskroute-par` with byte-identical output at any worker count,
 //!   cooperative [`WorkBudget`] deadlines, and checkpoint callbacks at
-//!   fork boundaries (see [`crate::checkpoint::Snapshot::sweep`]).
+//!   fork boundaries (see [`crate::checkpoint::Snapshot`]).
 //!
 //! Scenario impact is measured by the β = 0 **distance-tree exposure**
 //! ([`base_exposure`]): for every unordered pair the shortest-path
@@ -615,14 +615,6 @@ impl SweepOutcome {
     }
 }
 
-/// Typed resume state of a budget-cut sweep: the canonical index of the
-/// next scenario to evaluate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SweepResume {
-    /// Index into [`scenario_specs`] where the sweep continues.
-    pub next_index: usize,
-}
-
 /// The already-computed prefix handed back to [`run_sweep_budgeted`] on
 /// resume (decoded from a checkpoint snapshot).
 #[derive(Debug, Clone, PartialEq)]
@@ -793,14 +785,7 @@ fn delta_for(e: &FailElement) -> ScenarioDelta {
 /// # Errors
 /// Same contract as [`run_sweep_budgeted`].
 pub fn run_sweep(base: &Planner, network: &Network, mode: SweepMode) -> Result<SweepOutcome> {
-    let run = run_sweep_budgeted(
-        base,
-        network,
-        mode,
-        None,
-        &WorkBudget::unlimited(),
-        |_, _| {},
-    )?;
+    let run = run_sweep_budgeted(base, network, mode, None, &WorkBudget::unlimited(), |_| {})?;
     let (outcome, _) = run.into_parts();
     Ok(outcome)
 }
@@ -819,9 +804,8 @@ pub fn run_sweep(base: &Planner, network: &Network, mode: SweepMode) -> Result<S
 /// forks adopt from. The budget is checked before each wave of scenarios
 /// (every scenario with one worker) and charged one unit per scenario
 /// evaluated (the baseline is free);
-/// `on_batch` fires with the outcome-so-far and the next scenario index
-/// after every [`crate::replay::CHECKPOINT_BATCH`] newly evaluated
-/// scenarios.
+/// `on_batch` fires with the outcome-so-far after every
+/// [`crate::replay::CHECKPOINT_BATCH`] newly evaluated scenarios.
 ///
 /// # Errors
 /// [`Error::InvalidArgument`] when `network` does not match the
@@ -833,8 +817,8 @@ pub fn run_sweep_budgeted(
     mode: SweepMode,
     prior: Option<SweepPrior>,
     budget: &WorkBudget,
-    on_batch: impl FnMut(&SweepOutcome, usize),
-) -> Result<Budgeted<SweepOutcome, SweepResume>> {
+    on_batch: impl FnMut(&SweepOutcome),
+) -> Result<Budgeted<SweepOutcome>> {
     // Attribute the whole sweep to the budget owner's trace.
     let _obs = budget.scope().enter();
     if network.pop_count() != base.pop_count() {
@@ -885,14 +869,7 @@ pub fn run_sweep_budgeted(
         |_, spec| evaluate_spec(base, network, spec),
         on_batch,
     )?;
-    Ok(match stop {
-        Some((next_index, stopped)) => Budgeted::Partial {
-            completed: outcome,
-            resume_state: SweepResume { next_index },
-            stopped,
-        },
-        None => Budgeted::Complete(outcome),
-    })
+    Ok(Budgeted::new(outcome, stop))
 }
 
 #[cfg(test)]
@@ -1164,18 +1141,11 @@ mod tests {
         let (net, planner) = fixture();
         let clean = run_sweep(&planner, &net, SweepMode::N1).unwrap();
         let budget = WorkBudget::unlimited().with_max_work(3);
-        let run =
-            run_sweep_budgeted(&planner, &net, SweepMode::N1, None, &budget, |_, _| {}).unwrap();
-        let Budgeted::Partial {
-            completed,
-            resume_state,
-            stopped,
-        } = run
-        else {
+        let run = run_sweep_budgeted(&planner, &net, SweepMode::N1, None, &budget, |_| {}).unwrap();
+        let Budgeted::Partial { completed, stopped } = run else {
             panic!("expected a budget cut")
         };
         assert_eq!(stopped, StopReason::WorkExhausted);
-        assert_eq!(resume_state.next_index, 3);
         assert_eq!(completed.records.len(), 3);
         let prior = SweepPrior {
             baseline: completed.baseline,
@@ -1187,7 +1157,7 @@ mod tests {
             SweepMode::N1,
             Some(prior),
             &WorkBudget::unlimited(),
-            |_, _| {},
+            |_| {},
         )
         .unwrap();
         let Budgeted::Complete(resumed) = resumed else {
@@ -1206,12 +1176,12 @@ mod tests {
             SweepMode::N1,
             None,
             &WorkBudget::unlimited(),
-            |outcome, next| marks.push((outcome.records.len(), next)),
+            |outcome| marks.push(outcome.records.len()),
         )
         .unwrap();
         assert!(matches!(run, Budgeted::Complete(_)));
         // 10 scenarios (5 nodes + 5 links) → one full batch of 8.
-        assert_eq!(marks, vec![(8, 8)]);
+        assert_eq!(marks, vec![8]);
     }
 
     #[test]

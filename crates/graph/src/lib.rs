@@ -56,4 +56,4 @@ pub mod unionfind;
 pub mod yen;
 
 pub use graph::{EdgeId, Graph, GraphError, NodeId};
-pub use queue::{inv_quantum_for, BucketQueue, CostEntry};
+pub use queue::{BucketQueue, CostEntry};

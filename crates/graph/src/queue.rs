@@ -19,7 +19,7 @@
 //! - `inv_quantum > 0` and IEEE-754 multiplication/truncation are monotone,
 //!   so `cost₁ ≤ cost₂ ⇒ key₁ ≤ key₂` — the two orders coincide.
 //!
-//! When `inv_quantum` is a power of two (see [`inv_quantum_for`]) the
+//! When `inv_quantum` is a power of two (see [`inv_quantum_for_mean`]) the
 //! multiply is a pure exponent shift (no rounding), so every cost that is
 //! an exact multiple of the quantum lands exactly on its bucket boundary
 //! and a bucket degenerates to a single cost class whose only tie-break is
@@ -94,27 +94,6 @@ pub fn inv_quantum_for_mean(mean_step: f64) -> f64 {
     // for extreme weight scales.
     let e = target.log2().round().clamp(-40.0, 40.0) as i32;
     2f64.powi(e)
-}
-
-/// [`inv_quantum_for_mean`] over the mean of the positive finite weights
-/// in a population. Callers whose step distribution has another additive
-/// component (the risk engine adds per-node entry costs on top of edge
-/// miles) should fold that component into the mean and call
-/// [`inv_quantum_for_mean`] directly — quantizing on edge weights alone
-/// makes buckets far too coarse when entry costs dominate.
-pub fn inv_quantum_for<I: IntoIterator<Item = f64>>(weights: I) -> f64 {
-    let mut sum = 0.0f64;
-    let mut n = 0u64;
-    for w in weights {
-        if w.is_finite() && w > 0.0 {
-            sum += w;
-            n += 1;
-        }
-    }
-    if n == 0 {
-        return 1.0;
-    }
-    inv_quantum_for_mean(sum / n as f64)
 }
 
 /// Ring size: spans a window of `RING_SLOTS` cost quanta (~4 mean
@@ -513,16 +492,15 @@ mod tests {
 
     #[test]
     fn inv_quantum_is_a_power_of_two_near_target_over_mean() {
-        let q = inv_quantum_for([10.0, 20.0, 30.0]);
         // mean 20 → target 256/20 = 12.8 → nearest power of two 16.
-        assert_eq!(q, 16.0);
-        // Zero/non-finite weights are ignored; all-zero falls back to 1.
-        assert_eq!(inv_quantum_for([0.0, f64::INFINITY]), 1.0);
-        assert_eq!(inv_quantum_for(std::iter::empty()), 1.0);
+        assert_eq!(inv_quantum_for_mean(20.0), 16.0);
+        // A zero or non-finite mean (an all-zero graph) falls back to 1.
         assert_eq!(inv_quantum_for_mean(0.0), 1.0);
+        assert_eq!(inv_quantum_for_mean(f64::INFINITY), 1.0);
         assert_eq!(inv_quantum_for_mean(f64::NAN), 1.0);
-        let q = inv_quantum_for([1e-30]);
+        let q = inv_quantum_for_mean(1e-30);
         assert!(q.is_finite() && q > 0.0, "exponent clamp keeps sane");
+        assert_eq!(q, 2f64.powi(40), "the exponent clamps at 2^40");
     }
 
     #[test]

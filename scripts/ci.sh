@@ -304,6 +304,47 @@ echo "== backup: ranked paths byte-for-byte =="
 } > "$OBS_TMP/backup.txt"
 diff scripts/backup_golden.txt "$OBS_TMP/backup.txt"
 
+echo "== budget: cut, checkpoint and resume byte-for-byte =="
+# The budgeted jobs (provision, replay, sweep) cut by --max-work or
+# --deadline-ms 0, resumed from their snapshots, a cut with no checkpoint,
+# and a degraded-mode resume of a truncated snapshot. Each case runs in one
+# fresh directory with relative snapshot paths (the path is printed), and
+# scripts/budget_golden.txt pins its stdout, stderr, exit code and the bytes
+# of every snapshot file after it (printed whole when they changed).
+mkdir "$OBS_TMP/budget"
+(
+  cd "$OBS_TMP/budget"
+  bin="$OLDPWD/target/release/riskroute"
+  budget_case() {
+    local code=0
+    echo "\$ riskroute $*"
+    "$bin" "$@" > out.txt 2> err.txt || code=$?
+    echo "-- stdout"; cat out.txt
+    echo "-- stderr"; cat err.txt
+    echo "-- exit $code"
+    for snap in *.snap; do
+      [ -e "$snap" ] || continue
+      if cmp -s "$snap" "prev/$snap"; then
+        echo "-- file $snap unchanged"
+      else
+        echo "-- file $snap"; cat "$snap"; cp "$snap" "prev/$snap"
+      fi
+    done
+  }
+  mkdir prev
+  budget_case provision Sprint -k 2 --max-work 5 --checkpoint p.snap
+  budget_case resume p.snap
+  budget_case replay Telepak katrina --stride 4 --max-work 5 --checkpoint r.snap
+  head -n 2 r.snap > t.snap
+  budget_case resume r.snap
+  budget_case sweep Telepak --mode n1 --max-work 3 --checkpoint s.snap
+  budget_case resume s.snap
+  budget_case provision Sprint -k 2 --deadline-ms 0 --checkpoint d.snap
+  budget_case sweep Telepak --mode n2 --samples 40 --seed 7 --max-work 9
+  budget_case resume t.snap
+) > "$OBS_TMP/budget.txt"
+diff scripts/budget_golden.txt "$OBS_TMP/budget.txt"
+
 echo "== chaos: fault plans (seeds 42..49) =="
 cargo test --release -p riskroute -q --test chaos_suite ci_fault_plans_hold_every_invariant
 

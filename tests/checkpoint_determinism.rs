@@ -2,9 +2,9 @@
 //! deterministic, and resuming from a snapshot taken at *any* checkpoint
 //! boundary reproduces the uninterrupted result bit-identically.
 
-use riskroute::checkpoint::{load_snapshot, Snapshot, SnapshotProgress};
+use riskroute::checkpoint::{load_snapshot, Snapshot, SnapshotJob, SnapshotProgress};
 use riskroute::prelude::*;
-use riskroute::provisioning::{greedy_links, greedy_links_resume, GreedyLinks};
+use riskroute::provisioning::{greedy_links, greedy_links_budgeted, GreedyLinks};
 use riskroute_population::PopShares;
 use riskroute_topology::Network;
 
@@ -47,18 +47,26 @@ fn greedy_provisioning_is_deterministic_and_resumes_from_every_boundary() {
             original_bit_risk: full.original_bit_risk,
             added: full.added[..cut].to_vec(),
         };
-        let snap = Snapshot::provision(net.name(), K, weights.lambda_h, weights.lambda_f, &prior);
+        let snap = Snapshot {
+            job: SnapshotJob::Provision {
+                network: net.name().to_string(),
+                k: K,
+                lambda_h: weights.lambda_h,
+                lambda_f: weights.lambda_f,
+            },
+            progress: SnapshotProgress::Provision(prior),
+        };
         let loaded = load_snapshot(&snap.to_text()).unwrap();
         let SnapshotProgress::Provision(prior) = loaded.progress else {
             panic!("provision snapshot must load provision progress");
         };
         assert_eq!(prior.added.len(), cut, "prefix survives the wire format");
-        let run = greedy_links_resume(
+        let run = greedy_links_budgeted(
             net,
             &planner,
             K,
             make_rebuild(),
-            prior,
+            Some(prior),
             &WorkBudget::unlimited(),
             |_| {},
         );

@@ -5,7 +5,7 @@
 //! must cut at the same stage boundary regardless of worker count.
 
 use riskroute::prelude::*;
-use riskroute::provisioning::{greedy_links, greedy_links_budgeted, greedy_links_resume};
+use riskroute::provisioning::{greedy_links, greedy_links_budgeted};
 use riskroute::replay::{raw_advisories, replay_raw_advisories_budgeted, replay_storm};
 use riskroute_geo::GeoPoint;
 use riskroute_hazard::HistoricalRisk;
@@ -89,23 +89,18 @@ fn budgeted_provisioning_cuts_and_resumes_identically_across_thread_counts() {
         // One greedy iteration's worth of work: the cut must land after
         // the same iteration no matter how the wave was fanned out.
         let budget = WorkBudget::unlimited().with_max_work(1);
-        let run = greedy_links_budgeted(net, &planner, 3, make_rebuild(), &budget, |_| {});
-        let Budgeted::Partial {
-            completed,
-            resume_state,
-            stopped,
-        } = run
-        else {
+        let run = greedy_links_budgeted(net, &planner, 3, make_rebuild(), None, &budget, |_| {});
+        let Budgeted::Partial { completed, stopped } = run else {
             panic!("a 1-unit budget must stop a 3-link search ({par})");
         };
         assert_eq!(stopped, StopReason::WorkExhausted);
-        partials.push((completed.clone(), resume_state));
-        let resume = greedy_links_resume(
+        partials.push(completed.clone());
+        let resume = greedy_links_budgeted(
             net,
             &planner,
             3,
             make_rebuild(),
-            completed,
+            Some(completed),
             &WorkBudget::unlimited(),
             |_| {},
         );
@@ -174,15 +169,10 @@ fn budgeted_replay_cuts_and_resumes_identically_across_thread_counts() {
             &all,
             Vec::new(),
             &budget,
-            |_, _| {},
+            |_| {},
         )
         .unwrap();
-        let Budgeted::Partial {
-            completed,
-            resume_state,
-            stopped,
-        } = run
-        else {
+        let Budgeted::Partial { completed, stopped } = run else {
             panic!(
                 "a {cut}-tick budget must stop a {}-tick replay ({par})",
                 raws.len()
@@ -194,7 +184,6 @@ fn budgeted_replay_cuts_and_resumes_identically_across_thread_counts() {
             usize::try_from(cut).unwrap(),
             "the work-counter cut must land on the exact tick boundary at {par}"
         );
-        assert_eq!(resume_state.next_index, completed.ticks.len());
         partials.push(completed.clone());
         let resume = replay_raw_advisories_budgeted(
             &planner,
@@ -206,7 +195,7 @@ fn budgeted_replay_cuts_and_resumes_identically_across_thread_counts() {
             &all,
             completed.ticks,
             &WorkBudget::unlimited(),
-            |_, _| {},
+            |_| {},
         )
         .unwrap();
         let (full, stopped) = resume.into_parts();

@@ -27,7 +27,7 @@
 
 use riskroute::engine::{sssp, sssp_to, Bound, Chords, CsrGraph, LbRow, Rho};
 use riskroute::prelude::*;
-use riskroute::provisioning::{greedy_links_budgeted, greedy_links_resume, with_extra_link};
+use riskroute::provisioning::{greedy_links_budgeted, with_extra_link};
 use riskroute::replay::{
     raw_advisories, replay_raw_advisories_budgeted, replay_storm, DisasterReplay, ReplaySession,
     ReplayTick,
@@ -547,16 +547,24 @@ fn greedy_cut_and_resume(config: Config) -> String {
     let net = telepak();
     let planner = telepak_planner(RiskWeights::historical_only(1e5), config);
     let budget = WorkBudget::unlimited().with_max_work(1);
-    let cut = greedy_links_budgeted(net, &planner, 3, rebuild_from(&planner), &budget, |_| {});
-    let Budgeted::Partial { completed, .. } = cut.clone() else {
-        panic!("a 1-unit budget must stop a 3-link search ({config:?})");
-    };
-    let resumed = greedy_links_resume(
+    let cut = greedy_links_budgeted(
         net,
         &planner,
         3,
         rebuild_from(&planner),
-        completed,
+        None,
+        &budget,
+        |_| {},
+    );
+    let Budgeted::Partial { completed, .. } = cut.clone() else {
+        panic!("a 1-unit budget must stop a 3-link search ({config:?})");
+    };
+    let resumed = greedy_links_budgeted(
+        net,
+        &planner,
+        3,
+        rebuild_from(&planner),
+        Some(completed),
         &WorkBudget::unlimited(),
         |_| {},
     );
@@ -610,7 +618,7 @@ fn replay_cut_and_resume(config: Config) -> String {
             &all,
             prior,
             budget,
-            |_, _| {},
+            |_| {},
         )
         .expect("replay")
     };
@@ -647,11 +655,8 @@ fn ensemble_cut_and_resume(config: Config) -> String {
         seed: 11,
     };
     let budget = WorkBudget::unlimited().with_max_work(2);
-    let cut = run_sweep_budgeted(&planner, net, mode, None, &budget, |_, _| {}).expect("sweep");
-    let Budgeted::Partial {
-        completed, stopped, ..
-    } = cut.clone()
-    else {
+    let cut = run_sweep_budgeted(&planner, net, mode, None, &budget, |_| {}).expect("sweep");
+    let Budgeted::Partial { completed, stopped } = cut.clone() else {
         panic!("a 2-unit budget must stop a 5-member sweep ({config:?})");
     };
     assert_eq!(stopped, StopReason::WorkExhausted);
@@ -665,7 +670,7 @@ fn ensemble_cut_and_resume(config: Config) -> String {
         mode,
         Some(prior),
         &WorkBudget::unlimited(),
-        |_, _| {},
+        |_| {},
     )
     .expect("sweep");
     render(&(cut, resumed))

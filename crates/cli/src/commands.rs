@@ -154,13 +154,15 @@ pub fn backup(
     Ok(out)
 }
 
-fn render_provision(net: &Network, result: &GreedyLinks) -> String {
+/// `complete` is false when a budget stopped the run: a cut before the first
+/// link says nothing about whether candidates exist.
+fn render_provision(net: &Network, result: &GreedyLinks, complete: bool) -> String {
     let mut out = format!(
         "{}: best additional links (greedy Eq. 4; original total bit-risk {:.3e})\n\n",
         net.name(),
         result.original_bit_risk
     );
-    if result.added.is_empty() {
+    if complete && result.added.is_empty() {
         out.push_str("no candidate links at any shortcut threshold\n");
     }
     for (i, link) in result.added.iter().enumerate() {
@@ -614,7 +616,7 @@ fn run_job(
                     run.batch(links.added.len(), || snap(links));
                 })
                 .into_parts();
-            let report = notice + &render_provision(net, &links);
+            let report = notice + &render_provision(net, &links, stopped.is_none());
             run.finish(report, links.added.len(), stopped, "links chosen", || {
                 snap(&links)
             })
@@ -1630,6 +1632,20 @@ mod tests {
         )
         .unwrap();
         assert!(out.contains("best additional links"));
+    }
+
+    #[test]
+    fn provision_cut_before_its_first_link_claims_no_absence() {
+        let budget = BudgetArgs {
+            deadline_ms: Some(0),
+            ..BudgetArgs::default()
+        };
+        let out = provision(&ctx(), "Sprint", 2, RiskWeights::PAPER, &budget, false);
+        let Err(CliError::Budget { report, .. }) = out else {
+            panic!("a 0 ms deadline must cut provisioning: {out:?}");
+        };
+        assert!(report.contains("0 of 2 links chosen"), "{report}");
+        assert!(!report.contains("no candidate links"), "{report}");
     }
 
     #[test]

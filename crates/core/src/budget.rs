@@ -16,11 +16,10 @@
 //! - a **wall-clock deadline** (bounded-latency mode for interactive or
 //!   deadline-scheduled callers),
 //! - a **work counter** capping the number of candidate evaluations /
-//!   replay ticks (deterministic, reproducible stopping — the chaos
-//!   harness's kill switch), and
+//!   replay ticks (deterministic, reproducible stopping), and
 //! - an **external cancel flag** (preemption: an operator, supervisor, or
-//!   signal handler flips an [`AtomicBool`] shared via
-//!   [`WorkBudget::cancel_handle`]).
+//!   signal handler flips an [`AtomicBool`] adopted via
+//!   [`WorkBudget::with_cancel`]).
 //!
 //! Checks are *cooperative*: work already inside a stage completes before
 //! the stop is observed, so a `Partial` result is always a consistent
@@ -99,7 +98,7 @@ impl<T> Budgeted<T> {
 /// Cheap to check (`charge` is one atomic add; `exhausted` is a couple of
 /// atomic loads plus, when a deadline is set, one clock read), shareable
 /// across threads by reference, and cancellable from outside via
-/// [`cancel_handle`](WorkBudget::cancel_handle).
+/// [`with_cancel`](WorkBudget::with_cancel).
 #[derive(Debug)]
 pub struct WorkBudget {
     deadline: Option<Instant>,
@@ -153,13 +152,9 @@ impl WorkBudget {
         self
     }
 
-    /// The shared cancel flag. Store `true` (any ordering) to request a
-    /// cooperative stop at the next stage boundary.
-    pub fn cancel_handle(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.cancel)
-    }
-
     /// Adopt an externally owned cancel flag instead of the private one.
+    /// Store `true` in it (any ordering) to request a cooperative stop at
+    /// the next stage boundary.
     ///
     /// This lets one flag fan out over many budgets — the serve daemon
     /// wires its drain-shed flag into every in-flight request budget so a
@@ -317,8 +312,12 @@ mod tests {
 
     #[test]
     fn cancel_flag_wins_over_everything() {
-        let b = WorkBudget::unlimited().with_max_work(0).with_deadline_ms(0);
-        b.cancel_handle().store(true, Ordering::Relaxed);
+        let cancel = Arc::new(AtomicBool::new(false));
+        let b = WorkBudget::unlimited()
+            .with_max_work(0)
+            .with_deadline_ms(0)
+            .with_cancel(Arc::clone(&cancel));
+        cancel.store(true, Ordering::Relaxed);
         assert_eq!(b.exhausted(), Some(StopReason::Cancelled));
     }
 

@@ -4,8 +4,8 @@
 //! sweep run at a clean stage boundary, so a killed, preempted, or
 //! budget-exhausted process (see [`crate::budget`]) can resume without
 //! losing work — and so a resumed run reproduces the uninterrupted result
-//! **bit-identically** (the crash-consistency invariant the chaos harness
-//! enforces, [`crate::chaos::run_kill_resume`]).
+//! **bit-identically** (the crash-consistency invariant the root package's
+//! `tests/chaos.rs` kill/resume test enforces).
 //!
 //! # Format
 //!

@@ -15,7 +15,7 @@
 //!    identical to the reference [`risk_sssp`](crate::routing::risk_sssp)
 //!    over that adjacency.
 //!
-//! 2. **Scratch-arena Dijkstra** ([`SsspArena`]): per-worker reusable
+//! 2. **Scratch-arena Dijkstra** (`SsspArena`): per-worker reusable
 //!    dist/pred buffers and a monotone [`BucketQueue`] frontier, with
 //!    generation-stamped lazy reset — a run bumps one `u32` generation
 //!    instead of clearing its arrays, and a slot is live only when its
@@ -30,7 +30,7 @@
 //!    ([`sssp_to`]), just the target's path and distance ([`PairAnswer`]),
 //!    in O(path length) instead of O(n). A β = 0 run never reads ρ, so a
 //!    distance tree is a function of the topology alone; readers that need
-//!    its Σρ sum it along the path ([`crate::routing::path_rho_sum`]).
+//!    its Σρ sum it along the path (`routing::path_rho_sum`).
 //!
 //!    The kernel is generic over an A\* potential. Full trees run it with
 //!    h ≡ 0. A pair query runs it on a lower bound of the cost still to
@@ -43,7 +43,7 @@
 //!    plain Dijkstra's bit for bit (DESIGN.md §"Goal-directed pair
 //!    queries" has the proof).
 //!
-//! 3. **Exact route cache** ([`RouteTreeCache`]): complete trees keyed by
+//! 3. **Exact route cache** (`RouteTreeCache`): complete trees keyed by
 //!    `(root, β.to_bits(), stamp)` and pair answers keyed by
 //!    `(root, β.to_bits(), stamp, target)`. A β = 0 key carries the
 //!    planner's topology stamp, which only a new topology mints; every

@@ -673,12 +673,6 @@ impl Planner {
             .insert_tree(self.tree_key(root, 0.0), tree, self.live_stamps());
     }
 
-    /// The current cost stamp (tests and the chaos harness compare it to
-    /// tell whether a fork kept its base's cost state).
-    pub(crate) fn cost_stamp(&self) -> u64 {
-        self.stamp
-    }
-
     /// Carry still-valid route trees from `prev` into this planner after
     /// greedy provisioning rebuilt it with one extra `(a, b)` link.
     ///
@@ -870,6 +864,14 @@ mod tests {
     use super::*;
     use riskroute_geo::GeoPoint;
     use riskroute_topology::{NetworkKind, Pop};
+
+    impl Planner {
+        /// The current cost stamp (tests compare it to tell whether a fork
+        /// kept its base's cost state).
+        pub(crate) fn cost_stamp(&self) -> u64 {
+            self.stamp
+        }
+    }
 
     fn pop(name: &str, lat: f64, lon: f64) -> Pop {
         Pop {

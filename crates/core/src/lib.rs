@@ -68,7 +68,6 @@
 
 pub mod backup;
 pub mod budget;
-pub mod chaos;
 pub mod checkpoint;
 pub mod corridor;
 pub mod engine;

@@ -8,7 +8,7 @@
 //! bit-risk miles."
 //!
 //! Like the link-provisioning sweep, candidates are priced incrementally,
-//! with the same [`ViaPricer`]: two SSSP trees per (source, destination)
+//! with the same `ViaPricer`: two SSSP trees per (source, destination)
 //! pair evaluate every candidate peering's added hand-off edges in
 //! O(edges) each.
 

@@ -357,12 +357,12 @@ pub fn greedy_links(
 /// of being killed mid-flight. Because every greedy iteration is a
 /// deterministic function of the augmented network, a resumed run produces
 /// bit-identical output to an uninterrupted one — the crash-consistency
-/// invariant [`crate::chaos::run_kill_resume`] enforces.
+/// invariant the root package's `tests/chaos.rs` kill/resume test enforces.
 ///
 /// `on_iteration` fires after every completed iteration with the links so
 /// far; callers use it to write crash-safe checkpoints
 /// ([`crate::checkpoint::save_snapshot`]) or to flip the budget's cancel
-/// flag (the chaos harness's seeded kill switch).
+/// flag (the kill/resume test's seeded kill switch).
 pub fn greedy_links_budgeted(
     network: &Network,
     planner: &Planner,
@@ -715,7 +715,8 @@ mod tests {
     #[test]
     fn cancelled_run_resumes_to_the_identical_result() {
         use crate::budget::{Budgeted, StopReason, WorkBudget};
-        use std::sync::atomic::Ordering;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
         let (net, planner) = greedy_fixture();
         let uninterrupted = greedy_links(&net, &planner, 3, fixture_rebuild(&planner));
         assert!(
@@ -723,8 +724,8 @@ mod tests {
             "fixture must admit at least two greedy links"
         );
         // Kill after the first iteration via the cooperative cancel flag.
-        let budget = WorkBudget::unlimited();
-        let cancel = budget.cancel_handle();
+        let cancel = Arc::new(AtomicBool::new(false));
+        let budget = WorkBudget::unlimited().with_cancel(Arc::clone(&cancel));
         let run = greedy_links_budgeted(
             &net,
             &planner,

@@ -67,13 +67,13 @@ pub(crate) const NO_PRED: u32 = u32::MAX;
 
 /// A single-source shortest-path tree under a directed node-entry weight.
 ///
-/// Predecessors are packed as `u32` (with [`NO_PRED`] as the sentinel) so a
+/// Predecessors are packed as `u32` (with `NO_PRED` as the sentinel) so a
 /// cached tree costs 12 bytes per node instead of 24. A tree is always
 /// complete: every reachable node settled. Pair queries that read one path
 /// get a [`PairAnswer`] instead (see [`crate::engine::sssp_to`]).
 ///
 /// A β = 0 tree (the distance tree) is a function of the topology alone;
-/// its Σρ is summed where it is read ([`path_rho_sum`], [`RhoSums`]).
+/// its Σρ is summed where it is read (`path_rho_sum`, `RhoSums`).
 #[derive(Debug, Clone)]
 pub struct RiskTree {
     source: usize,

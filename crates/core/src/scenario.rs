@@ -155,7 +155,7 @@ pub struct ExposureReport {
 
 /// Distance-tree exposure of `planner` as-is (no failure mask): one β = 0
 /// SSSP per source and its Σρ to every later node summed once
-/// ([`RhoSums`]), then O(1) per destination, folded in strict
+/// (`RhoSums`), then O(1) per destination, folded in strict
 /// lexicographic pair order so the total is reproducible bit-for-bit.
 pub fn base_exposure(planner: &Planner) -> ExposureReport {
     exposure_masked(planner, &vec![false; planner.pop_count()])

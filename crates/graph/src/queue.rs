@@ -116,7 +116,7 @@ const NO_ENTRY: u32 = u32::MAX;
 /// A monotone bucket queue whose pop sequence is bit-identical to a
 /// `BinaryHeap<CostEntry>` (see the module docs for the argument).
 ///
-/// Layout: a ring of [`RING_SLOTS`] buckets covering the key window
+/// Layout: a ring of `RING_SLOTS` buckets covering the key window
 /// `[cur_key, cur_key + RING_SLOTS)` with a per-word occupancy bitmap, plus
 /// an overflow list for keys beyond the window. The window rebases onto the
 /// overflow minimum whenever that minimum is due — `≤`, not `<`, so

@@ -5,7 +5,7 @@
 //!
 //! # Model
 //!
-//! A single process-global [`Collector`]-style registry holds everything:
+//! A single process-global collector registry holds everything:
 //!
 //! - **Spans** ([`Span`], [`span!`]): scoped timers with a monotonic-clock
 //!   duration, key/value fields, and a per-thread nesting depth. Dropping

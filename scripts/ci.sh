@@ -24,6 +24,10 @@ cargo test --workspace -q
 echo "== clippy (-D warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== docs (-D warnings) =="
+# Broken or private intra-doc links fail here.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "== obs: collector overhead guard (enabled vs disabled) =="
 # A fixed ~2 s provisioning workload, run as 5 disabled/enabled pairs whose
 # order alternates, so drift on a shared host lands on both sides. The
@@ -346,10 +350,10 @@ mkdir "$OBS_TMP/budget"
 diff scripts/budget_golden.txt "$OBS_TMP/budget.txt"
 
 echo "== chaos: fault plans (seeds 42..49) =="
-cargo test --release -p riskroute -q --test chaos_suite ci_fault_plans_hold_every_invariant
+cargo test --release -p riskroute-repro -q --test chaos ci_fault_plans_hold_every_invariant
 
-echo "== chaos: kill/resume crash-consistency (seeds 0..4 via test) =="
-cargo test --release -p riskroute -q chaos::tests::kill_resume -- --nocapture
+echo "== chaos: kill/resume crash-consistency (seeds 0..4, sweep leg 0..3) =="
+cargo test --release -p riskroute-repro -q --test chaos kill_resume -- --nocapture
 
 echo "== cli: usage-error exit codes =="
 # A value-taking flag with no value is a usage error, not a silent default.

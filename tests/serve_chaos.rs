@@ -8,16 +8,16 @@
 //! One `#[test]` on purpose: the obs collector is process-global, and the
 //! counter assertions here need exclusive ownership of it.
 
-use riskroute::chaos::{ConnFault, ConnFaultPlan, CHAOS_FRAME_CAP, CHAOS_WIRE_DEPTH};
-use riskroute_cli::commands::ServeHandler;
-use riskroute_cli::{parse_args, CliContext};
-use riskroute_serve::{QueryCx, QueryHandler, Reply, Request, ServeConfig, Server};
-use std::io::{BufRead, BufReader, Read as _, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+mod support;
 
-const READ_TIMEOUT_MS: u64 = 150;
+use riskroute_cli::commands::ServeHandler;
+use riskroute_serve::{QueryCx, QueryHandler, Reply, Request};
+use std::io::{BufReader, Read as _, Write};
+use std::net::TcpStream;
+use std::sync::Arc;
+use support::conn_faults::{
+    cli_handler, counter, fire, roundtrip, start, wait_counter_above, wait_settled, ConnFaultPlan,
+};
 
 /// The real CLI handler, with one extra op for the panic-isolation probe.
 struct PanicOnBoom(ServeHandler);
@@ -31,111 +31,23 @@ impl QueryHandler for PanicOnBoom {
     }
 }
 
-fn counter(name: &str) -> u64 {
-    riskroute_obs::counter_value(name)
-}
-
-/// Poll until `name` exceeds `before` (the counters fire from detached
-/// connection threads).
-fn wait_counter_above(name: &str, before: u64) -> bool {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while Instant::now() < deadline {
-        if counter(name) > before {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    false
-}
-
-/// Wait until every admitted request has been answered (ok, partial,
-/// error, or panic) so shutdown never races in-flight work.
-fn wait_settled() {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while Instant::now() < deadline {
-        let total = counter("serve_requests_total");
-        let done = counter("serve_requests_ok")
-            + counter("serve_requests_partial")
-            + counter("serve_requests_error")
-            + counter("serve_requests_panicked");
-        if done >= total {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    panic!("in-flight requests never settled");
-}
-
-/// Replay one adversarial client script against the daemon.
-fn drive(addr: SocketAddr, plan: &ConnFaultPlan) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(&plan.payload).expect("write payload");
-    let _ = stream.flush();
-    if plan.fault == ConnFault::StalledWriter {
-        // Hold the half-written frame open past the server's stall window.
-        std::thread::sleep(Duration::from_millis(READ_TIMEOUT_MS * 3));
-    } else if plan.reads_response {
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-        let mut line = String::new();
-        let _ = BufReader::new(&stream).read_line(&mut line);
-    }
-    // Else: vanish without reading (truncation / mid-request disconnect).
-}
-
-fn roundtrip(addr: SocketAddr, line: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(line.as_bytes()).expect("write");
-    stream.write_all(b"\n").expect("write newline");
-    let mut reader = BufReader::new(stream);
-    let mut out = String::new();
-    reader.read_line(&mut out).expect("read");
-    out.trim_end().to_string()
-}
-
 #[test]
 fn daemon_survives_the_connection_fault_suite() {
     riskroute_obs::reset();
     riskroute_obs::enable();
 
-    let ctx = CliContext::build(&[]).expect("context");
-    let cli = parse_args(&["corpus".to_string()]).expect("parse");
-    let handler = Arc::new(PanicOnBoom(ServeHandler::new(ctx, cli.weights(), None)));
-    let config = ServeConfig {
-        frame_cap_bytes: CHAOS_FRAME_CAP,
-        max_depth: CHAOS_WIRE_DEPTH,
-        read_timeout_ms: READ_TIMEOUT_MS,
-        write_timeout_ms: 500,
-        drain_ms: 1_000,
-        ..ServeConfig::default()
-    };
-    let server = Server::bind_tcp("127.0.0.1:0", handler, config).expect("bind");
-    let addr = server.local_addr().expect("tcp addr");
-    let server = server.spawn();
+    let (addr, server) = start(Arc::new(PanicOnBoom(cli_handler())));
 
     let plans = ConnFaultPlan::suite(7, 6);
-    let kinds: Vec<ConnFault> = plans.iter().map(|p| p.fault).collect();
-    for fault in riskroute::chaos::ALL_CONN_FAULTS {
-        assert!(kinds.contains(fault), "suite must cover {}", fault.name());
-    }
-    for plan in &plans {
-        let name = plan.fault.expected_counter();
-        let before = counter(name);
-        drive(addr, plan);
-        assert!(
-            wait_counter_above(name, before),
-            "fault did not drive {name}: {}",
-            plan.summary_line()
-        );
-        // Serialize the heavy mid-request work so admission never sheds a
-        // later plan's well-formed request (that would mask its counter).
-        wait_settled();
+    fire(addr, &plans, |plan| {
         // The daemon is still answering after every single fault.
         assert!(
             roundtrip(addr, r#"{"op":"ping"}"#).contains("pong"),
-            "daemon unresponsive after {}",
-            plan.summary_line()
+            "daemon unresponsive after seed {} {:?}",
+            plan.seed,
+            plan.fault
         );
-    }
+    });
 
     // Induced worker panic: fails that request alone, typed on the wire.
     let before = counter("serve_requests_panicked");

@@ -7,75 +7,12 @@
 //! One `#[test]` on purpose: the obs collector is process-global, and the
 //! counter assertions here need exclusive ownership of it.
 
-use riskroute::chaos::{ConnFault, ConnFaultPlan, CHAOS_FRAME_CAP, CHAOS_WIRE_DEPTH};
-use riskroute_cli::commands::ServeHandler;
-use riskroute_cli::{parse_args, CliContext};
-use riskroute_serve::{ServeConfig, Server};
-use std::io::{BufRead, BufReader, Read as _, Write};
+mod support;
+
+use std::io::{BufReader, Read as _, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-const READ_TIMEOUT_MS: u64 = 150;
-
-fn counter(name: &str) -> u64 {
-    riskroute_obs::counter_value(name)
-}
-
-/// Poll until `name` exceeds `before` (fault counters fire from detached
-/// connection threads).
-fn wait_counter_above(name: &str, before: u64) -> bool {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while Instant::now() < deadline {
-        if counter(name) > before {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    false
-}
-
-/// Wait until every admitted request has been answered so a later plan's
-/// well-formed request is never shed by admission (masking its counter).
-fn wait_settled() {
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while Instant::now() < deadline {
-        let total = counter("serve_requests_total");
-        let done = counter("serve_requests_ok")
-            + counter("serve_requests_partial")
-            + counter("serve_requests_error")
-            + counter("serve_requests_panicked");
-        if done >= total {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    panic!("in-flight requests never settled");
-}
-
-/// Replay one adversarial client script against the daemon.
-fn drive(addr: SocketAddr, plan: &ConnFaultPlan) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(&plan.payload).expect("write payload");
-    let _ = stream.flush();
-    if plan.fault == ConnFault::StalledWriter {
-        std::thread::sleep(Duration::from_millis(READ_TIMEOUT_MS * 3));
-    } else if plan.reads_response {
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-        let mut line = String::new();
-        let _ = BufReader::new(&stream).read_line(&mut line);
-    }
-}
-
-fn roundtrip(addr: SocketAddr, line: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(line.as_bytes()).expect("write");
-    stream.write_all(b"\n").expect("write newline");
-    let mut reader = BufReader::new(stream);
-    let mut out = String::new();
-    reader.read_line(&mut out).expect("read");
-    out.trim_end().to_string()
-}
+use support::conn_faults::{cli_handler, fire, roundtrip, start, ConnFaultPlan, ALL_CONN_FAULTS};
 
 /// Scrape `path` over HTTP and return the body after the header block.
 fn scrape(addr: SocketAddr, path: &str) -> String {
@@ -99,38 +36,10 @@ fn metrics_exposition_stays_well_formed_after_the_fault_suite() {
     riskroute_obs::reset();
     riskroute_obs::enable();
 
-    let ctx = CliContext::build(&[]).expect("context");
-    let cli = parse_args(&["corpus".to_string()]).expect("parse");
-    let handler = Arc::new(ServeHandler::new(ctx, cli.weights(), None));
-    let config = ServeConfig {
-        frame_cap_bytes: CHAOS_FRAME_CAP,
-        max_depth: CHAOS_WIRE_DEPTH,
-        read_timeout_ms: READ_TIMEOUT_MS,
-        write_timeout_ms: 500,
-        drain_ms: 1_000,
-        ..ServeConfig::default()
-    };
-    let server = Server::bind_tcp("127.0.0.1:0", handler, config).expect("bind");
-    let addr = server.local_addr().expect("tcp addr");
-    let server = server.spawn();
+    let (addr, server) = start(Arc::new(cli_handler()));
 
     // Fire the whole fault suite so every fault-kind counter is nonzero.
-    let plans = ConnFaultPlan::suite(5, 17);
-    let kinds: Vec<ConnFault> = plans.iter().map(|p| p.fault).collect();
-    for fault in riskroute::chaos::ALL_CONN_FAULTS {
-        assert!(kinds.contains(fault), "suite must cover {}", fault.name());
-    }
-    for plan in &plans {
-        let name = plan.fault.expected_counter();
-        let before = counter(name);
-        drive(addr, plan);
-        assert!(
-            wait_counter_above(name, before),
-            "fault did not drive {name}: {}",
-            plan.summary_line()
-        );
-        wait_settled();
-    }
+    fire(addr, &ConnFaultPlan::suite(5, 17), |_| {});
     // One clean request so the per-op latency histograms have observations.
     assert!(roundtrip(addr, r#"{"op":"ping"}"#).contains("pong"));
 
@@ -183,7 +92,7 @@ fn metrics_exposition_stays_well_formed_after_the_fault_suite() {
 
     // Every connection-fault kind fired and is visible in the scrape with
     // a nonzero counter.
-    for fault in riskroute::chaos::ALL_CONN_FAULTS {
+    for fault in ALL_CONN_FAULTS {
         let series = format!("riskroute_{} ", fault.expected_counter());
         let value = body
             .lines()

@@ -156,21 +156,15 @@ fn main() {
         total_us += wall_us;
         let heap_peak = snap
             .gauges
-            .get("dijkstra_heap_peak")
+            .get("risk_sssp_heap_peak")
             .copied()
-            .unwrap_or(0.0)
-            .max(
-                snap.gauges
-                    .get("risk_sssp_heap_peak")
-                    .copied()
-                    .unwrap_or(0.0),
-            );
+            .unwrap_or(0.0);
         timings.row(&[
             id.to_string(),
             format!("{:.1}", wall_us as f64 / 1e3),
-            (counter("dijkstra_runs") + counter("risk_sssp_runs")).to_string(),
-            (counter("dijkstra_pops") + counter("risk_sssp_pops")).to_string(),
-            (counter("dijkstra_relaxations") + counter("risk_sssp_relaxations")).to_string(),
+            counter("risk_sssp_runs").to_string(),
+            counter("risk_sssp_pops").to_string(),
+            counter("risk_sssp_relaxations").to_string(),
             format!("{heap_peak:.0}"),
             counter("provision_rounds").to_string(),
             counter("replay_ticks").to_string(),

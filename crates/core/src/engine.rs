@@ -190,9 +190,10 @@ impl CsrGraph {
     /// A masked copy of this snapshot: directed edges `(u, v)` for which
     /// `keep(u, v)` returns `false` are dropped, and every surviving edge
     /// keeps its position relative to the others — the snapshot of the link
-    /// list with those edges left out. A scenario fork's Dijkstra therefore
-    /// replays the base relaxation order restricted to kept edges, the
-    /// property that keeps fork tie-breaks bit-exact.
+    /// list with those edges left out. A scenario fork's Dijkstra (and a
+    /// Yen spur search in `backup`) therefore replays the base relaxation
+    /// order restricted to kept edges, the property that keeps fork
+    /// tie-breaks bit-exact.
     pub(crate) fn masked(&self, keep: impl Fn(usize, usize) -> bool) -> CsrGraph {
         let n = self.node_count();
         let mut offsets = Vec::with_capacity(n + 1);

@@ -390,37 +390,60 @@ fn replay_tick(
     // §4.4: risk is derived from the advisory *text*. A parse failure drops
     // the forecast term for this tick (degraded mode) rather than aborting
     // the replay.
-    let (forecast, pops_in_scope, pops_in_hurricane_winds, degraded) =
-        match ForecastRisk::from_advisory_text(&raw.text) {
-            Ok(field) => {
-                let forecast: Vec<f64> = locations.iter().map(|&p| field.risk(p)).collect();
-                let in_scope = locations.iter().filter(|&&p| field.in_scope(p)).count();
-                let in_hurricane = locations
-                    .iter()
-                    .filter(|&&p| field.in_hurricane_winds(p))
-                    .count();
-                (forecast, in_scope, in_hurricane, false)
-            }
-            Err(_) => (vec![0.0; locations.len()], 0, 0, true),
-        };
-    planner.set_forecast(forecast);
-    let sweep = planner.pair_sweep(sources, dests);
-    let report = RatioReport::aggregate_with_stranded(sweep.outcomes.iter(), sweep.stranded.len());
+    let field = ForecastRisk::from_advisory_text(&raw.text).ok();
+    let tick = evaluate_tick(
+        planner,
+        field.as_ref(),
+        raw.number,
+        raw.label.clone(),
+        locations,
+        sources,
+        dests,
+    );
     if span.is_active() {
         span.field("advisory", raw.number);
-        span.field("degraded", u64::from(degraded));
+        span.field("degraded", u64::from(tick.degraded));
         riskroute_obs::counter_add("replay_ticks", 1);
-        if degraded {
+        if tick.degraded {
             riskroute_obs::counter_add("replay_degraded_ticks", 1);
         }
     }
+    tick
+}
+
+/// The tick every replay evaluates: set `planner`'s forecast from `field`
+/// and sweep the pairs. No field (an advisory that did not parse) is a
+/// degraded tick: zero forecast, no PoP in scope.
+fn evaluate_tick(
+    planner: &mut Planner,
+    field: Option<&ForecastRisk>,
+    advisory: usize,
+    label: String,
+    locations: &[GeoPoint],
+    sources: &[usize],
+    dests: &[usize],
+) -> ReplayTick {
+    let (forecast, pops_in_scope, pops_in_hurricane_winds) = match field {
+        Some(f) => (
+            locations.iter().map(|&p| f.risk(p)).collect(),
+            locations.iter().filter(|&&p| f.in_scope(p)).count(),
+            locations
+                .iter()
+                .filter(|&&p| f.in_hurricane_winds(p))
+                .count(),
+        ),
+        None => (vec![0.0; locations.len()], 0, 0),
+    };
+    planner.set_forecast(forecast);
+    let sweep = planner.pair_sweep(sources, dests);
+    let report = RatioReport::aggregate_with_stranded(sweep.outcomes.iter(), sweep.stranded.len());
     ReplayTick {
-        advisory: raw.number,
-        label: raw.label.clone(),
+        advisory,
+        label,
         pops_in_scope,
         pops_in_hurricane_winds,
         report,
-        degraded,
+        degraded: field.is_none(),
     }
 }
 
@@ -449,30 +472,21 @@ pub fn replay_storm_proactive(
     let all: Vec<usize> = (0..network.pop_count()).collect();
     let advisories = advisories_for(storm);
     let mut planner = base.clone();
-    let mut ticks = Vec::new();
-    for pair in advisories.windows(2).step_by(stride) {
-        let (prev, adv) = (&pair[0], &pair[1]);
-        let projected = riskroute_forecast::project(prev, adv, lead_hours);
-        let field = projected.field;
-        let forecast: Vec<f64> = locations.iter().map(|&p| field.risk(p)).collect();
-        let pops_in_scope = locations.iter().filter(|&&p| field.in_scope(p)).count();
-        let pops_in_hurricane_winds = locations
-            .iter()
-            .filter(|&&p| field.in_hurricane_winds(p))
-            .count();
-        planner.set_forecast(forecast);
-        let sweep = planner.pair_sweep(&all, &all);
-        let report =
-            RatioReport::aggregate_with_stranded(sweep.outcomes.iter(), sweep.stranded.len());
-        ticks.push(ReplayTick {
-            advisory: adv.number,
-            label: adv.timestamp.label(),
-            pops_in_scope,
-            pops_in_hurricane_winds,
-            report,
-            degraded: false,
-        });
-    }
+    let ticks = (advisories.windows(2).step_by(stride))
+        .map(|pair| {
+            let (prev, adv) = (&pair[0], &pair[1]);
+            let projected = riskroute_forecast::project(prev, adv, lead_hours);
+            evaluate_tick(
+                &mut planner,
+                Some(&projected.field),
+                adv.number,
+                adv.timestamp.label(),
+                &locations,
+                &all,
+                &all,
+            )
+        })
+        .collect();
     Ok(DisasterReplay {
         storm: storm.name().to_string(),
         network: network.name().to_string(),

@@ -269,6 +269,9 @@ impl ScenarioFork {
             if riskroute_obs::is_enabled() {
                 riskroute_obs::counter_add("forks_created", 1);
                 riskroute_obs::counter_add("forks_reused_cache", 1);
+                // Published as 0, so a sweep of clones reads "none".
+                riskroute_obs::counter_add("scenario_trees_adopted", 0);
+                riskroute_obs::counter_add("scenario_trees_copied", 0);
             }
             let base_alias = forecast.is_none_or(|f| same_bits(f, base.risk().forecast_slice()));
             return ScenarioFork {
@@ -289,7 +292,9 @@ impl ScenarioFork {
         let comp = components(&planner, &node_off);
         // Still one component: every base tree reaches only its own.
         let connected = comp.iter().all(|&c| c == 0);
-        let mut adopted: u64 = 0;
+        // Adopted trees, and those of them rebuilt into new vectors rather
+        // than shared as the base's `Arc`.
+        let (mut adopted, mut copied) = (0u64, 0u64);
         for (root, &off) in node_off.iter().enumerate() {
             if off {
                 continue;
@@ -298,8 +303,9 @@ impl ScenarioFork {
                 continue;
             };
             if let Some(t) = project_tree(&tree, &comp, root, &delta, connected) {
-                planner.seed_distance_tree(root, t);
                 adopted += 1;
+                copied += u64::from(!Arc::ptr_eq(&t, &tree));
+                planner.seed_distance_tree(root, t);
             }
         }
         if riskroute_obs::is_enabled() {
@@ -308,6 +314,7 @@ impl ScenarioFork {
                 riskroute_obs::counter_add("forks_reused_cache", 1);
             }
             riskroute_obs::counter_add("scenario_trees_adopted", adopted);
+            riskroute_obs::counter_add("scenario_trees_copied", copied);
         }
         ScenarioFork {
             planner,

@@ -74,12 +74,6 @@ impl Graph {
         }
     }
 
-    /// Add a node, returning its id.
-    pub fn add_node(&mut self) -> NodeId {
-        self.adjacency.push(Vec::new());
-        self.adjacency.len() - 1
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.adjacency.len()
@@ -147,18 +141,6 @@ impl Graph {
         a < self.node_count() && self.adjacency[a].iter().any(|&(v, _)| v == b)
     }
 
-    /// The minimum-weight edge joining `a` and `b`, if any.
-    pub fn find_edge(&self, a: NodeId, b: NodeId) -> Option<EdgeId> {
-        if a >= self.node_count() {
-            return None;
-        }
-        self.adjacency[a]
-            .iter()
-            .filter(|&&(v, _)| v == b)
-            .map(|&(_, e)| e)
-            .min_by(|&x, &y| self.edges[x].weight.total_cmp(&self.edges[y].weight))
-    }
-
     /// Iterate `(edge id, a, b, weight)` over all edges.
     pub fn edges(&self) -> impl Iterator<Item = (EdgeId, NodeId, NodeId, f64)> + '_ {
         self.edges
@@ -184,49 +166,6 @@ impl Graph {
     }
 }
 
-impl riskroute_json::ToJson for Graph {
-    fn to_json(&self) -> riskroute_json::Json {
-        use riskroute_json::Json;
-        Json::obj([
-            ("nodes", Json::Num(self.node_count() as f64)),
-            (
-                "edges",
-                Json::Arr(
-                    self.edges
-                        .iter()
-                        .map(|e| {
-                            Json::Arr(vec![
-                                Json::Num(e.a as f64),
-                                Json::Num(e.b as f64),
-                                Json::Num(e.weight),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl riskroute_json::FromJson for Graph {
-    fn from_json(v: &riskroute_json::Json) -> Result<Self, riskroute_json::JsonError> {
-        use riskroute_json::JsonError;
-        let nodes = v.field("nodes")?.as_usize()?;
-        let mut g = Graph::with_nodes(nodes);
-        for edge in v.field("edges")?.as_arr()? {
-            let parts = edge.as_arr()?;
-            if parts.len() != 3 {
-                return Err(JsonError::Shape("edge must be [a, b, weight]".to_string()));
-            }
-            let (a, b) = (parts[0].as_usize()?, parts[1].as_usize()?);
-            let w = parts[2].as_f64()?;
-            g.add_edge(a, b, w)
-                .map_err(|e| JsonError::Shape(e.to_string()))?;
-        }
-        Ok(g)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -247,9 +186,6 @@ mod tests {
         assert_eq!(g.edge_weight(e), 2.5);
         assert_eq!(g.node_count(), 3);
         assert_eq!(g.edge_count(), 1);
-        let n = g.add_node();
-        assert_eq!(n, 3);
-        assert_eq!(g.node_count(), 4);
     }
 
     #[test]
@@ -290,17 +226,14 @@ mod tests {
     }
 
     #[test]
-    fn has_edge_and_find_edge() {
+    fn has_edge_sees_both_directions() {
         let mut g = Graph::with_nodes(3);
-        let heavy = g.add_edge(0, 1, 9.0).unwrap();
-        let light = g.add_edge(0, 1, 1.0).unwrap(); // parallel edge
+        g.add_edge(0, 1, 9.0).unwrap();
+        g.add_edge(0, 1, 1.0).unwrap(); // parallel edge
         assert!(g.has_edge(0, 1));
         assert!(g.has_edge(1, 0));
         assert!(!g.has_edge(0, 2));
-        assert_eq!(g.find_edge(0, 1), Some(light));
-        assert_ne!(g.find_edge(0, 1), Some(heavy));
-        assert_eq!(g.find_edge(2, 0), None);
-        assert_eq!(g.find_edge(99, 0), None);
+        assert!(!g.has_edge(99, 0));
     }
 
     #[test]
@@ -310,16 +243,5 @@ mod tests {
         g.add_edge(1, 2, 2.5).unwrap();
         assert_eq!(g.edges().count(), 2);
         assert_eq!(g.total_weight(), 4.0);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(0, 1, 1.5).unwrap();
-        let json = riskroute_json::to_string(&g);
-        let back: Graph = riskroute_json::from_str(&json).unwrap();
-        assert_eq!(back.node_count(), 3);
-        assert_eq!(back.edge_count(), 1);
-        assert_eq!(back.edge_weight(0), 1.5);
     }
 }

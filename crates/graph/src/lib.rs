@@ -1,26 +1,26 @@
 //! A from-scratch graph substrate for the RiskRoute reproduction.
 //!
 //! RiskRoute reduces to shortest-path computations over a *risk graph* whose
-//! link weights are bit-risk miles (§6.4 of the paper). Rather than pulling in
-//! an external graph library, this crate implements the needed machinery
-//! directly, in the spirit of a self-contained, auditable network stack:
+//! link weights are bit-risk miles (§6.4 of the paper). Those searches all
+//! run on one kernel, the CSR engine of the core crate (`riskroute::engine`);
+//! this crate holds the data structures and the algorithms that are not
+//! shortest paths, implemented directly rather than pulled in from an
+//! external graph library, in the spirit of a self-contained, auditable
+//! network stack:
 //!
 //! - [`Graph`] — a compact undirected adjacency-list graph with `f64` edge
 //!   weights and stable node/edge identifiers.
-//! - [`dijkstra`] — binary-heap Dijkstra: point-to-point queries with path
-//!   reconstruction and full single-source trees.
 //! - [`components`] — BFS reachability and connected components.
 //! - [`centrality`] — weighted betweenness and articulation points (the
-//!   criticality measures behind the failure analyses).
-//! - [`yen`] — Yen's algorithm for k loopless shortest paths (used to offer
-//!   ranked backup-route alternatives).
+//!   criticality measures behind the failure analyses). Brandes counts every
+//!   shortest path, so it keeps its own search.
 //! - [`mst`] — Kruskal minimum spanning tree (used to wire synthetic network
 //!   backbones).
 //! - [`gabriel`] — Gabriel-graph construction over metric point sets (used to
 //!   synthesize realistic sparse PoP meshes).
 //! - [`unionfind`] — the disjoint-set forest backing Kruskal and components.
 //! - [`queue`] — the shared frontier comparator ([`CostEntry`]) and the
-//!   monotone [`BucketQueue`] used by the continental-scale SSSP fast path.
+//!   monotone [`BucketQueue`] the engine's SSSP runs on.
 //!
 //! Weights must be non-negative and finite; [`Graph::add_edge`] enforces this
 //! at the boundary so the algorithms never need defensive checks.
@@ -28,17 +28,15 @@
 //! # Example
 //!
 //! ```
-//! use riskroute_graph::{Graph, dijkstra};
+//! use riskroute_graph::{components, Graph};
 //!
 //! let mut g = Graph::with_nodes(4);
 //! g.add_edge(0, 1, 1.0).unwrap();
 //! g.add_edge(1, 2, 1.0).unwrap();
 //! g.add_edge(0, 2, 5.0).unwrap();
-//! g.add_edge(2, 3, 1.0).unwrap();
 //!
-//! let (cost, path) = dijkstra::shortest_path(&g, 0, 3).unwrap();
-//! assert_eq!(cost, 3.0);
-//! assert_eq!(path, vec![0, 1, 2, 3]);
+//! assert_eq!(components::connected_components(&g), vec![vec![0, 1, 2], vec![3]]);
+//! assert!(!components::is_connected(&g));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,13 +45,11 @@
 
 pub mod centrality;
 pub mod components;
-pub mod dijkstra;
 pub mod gabriel;
 pub mod graph;
 pub mod mst;
 pub mod queue;
 pub mod unionfind;
-pub mod yen;
 
 pub use graph::{EdgeId, Graph, GraphError, NodeId};
 pub use queue::{BucketQueue, CostEntry};

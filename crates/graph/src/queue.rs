@@ -3,9 +3,9 @@
 //! All Dijkstra variants in the workspace order their frontier the same
 //! way: by `f64` cost ascending (via `total_cmp`, so the order is total
 //! even for pathological values), tie-broken toward the lower node index.
-//! [`CostEntry`] packages that comparator once so `graph::dijkstra`,
-//! `graph::yen`, `graph::centrality`, and the risk engine in the core crate
-//! all break ties identically.
+//! [`CostEntry`] packages that comparator once so `graph::centrality`, the
+//! risk engine in the core crate and its reference oracle all break ties
+//! identically.
 //!
 //! [`BucketQueue`] is the continental-scale replacement for
 //! `BinaryHeap<CostEntry>`: a monotone bucket queue over integer-quantized

@@ -95,11 +95,6 @@ impl Parallelism {
         }
     }
 
-    /// Whether this is the one-worker reference knob.
-    pub fn is_sequential(self) -> bool {
-        matches!(self, Parallelism::Sequential)
-    }
-
     /// Map a `--threads N` count to a knob: `0` and `1` mean the one-worker
     /// reference knob, anything larger a pool of `n` workers.
     pub fn from_worker_count(n: usize) -> Self {
@@ -469,8 +464,6 @@ mod tests {
     #[test]
     fn sequential_knob_resolves_to_one_worker() {
         assert_eq!(Parallelism::Sequential.workers(), 1);
-        assert!(Parallelism::Sequential.is_sequential());
-        assert!(!Parallelism::Threads(4).is_sequential());
         assert!(Parallelism::Auto.workers() >= 1);
     }
 

@@ -364,13 +364,42 @@ if [ "$usage_exit" -ne 2 ]; then
   exit 1
 fi
 
+# The crate sources, other than the exempt files named after the pattern,
+# whose non-test part — the lines before the first #[cfg(test)], comment
+# lines skipped — contains the pattern.
+production_matches() {
+  local pat=$1
+  shift
+  find crates/*/src -name '*.rs' | sort | while read -r f; do
+    for exempt in "$@"; do
+      [ "$f" = "$exempt" ] && continue 2
+    done
+    awk -v pat="$pat" '/^#\[cfg\(test\)\]/ { exit }
+      /^[[:space:]]*\/\// { next }
+      index($0, pat) { print FILENAME; exit }' "$f"
+  done
+}
+
 echo "== sssp engine: the reference oracle is test-only =="
 # routing::risk_sssp is the differential oracle; every production SSSP runs
-# through engine::sssp. No crate source outside routing.rs may call it.
-oracle_callers=$(grep -rl 'risk_sssp(' crates/*/src | grep -vx 'crates/core/src/routing.rs' || true)
+# through engine::sssp. No crate's production code outside routing.rs may
+# call it (unit tests compare against it).
+oracle_callers=$(production_matches 'risk_sssp(' crates/core/src/routing.rs)
 if [ -n "$oracle_callers" ]; then
   echo "FAIL: risk_sssp( called outside crates/core/src/routing.rs:"
   echo "$oracle_callers"
+  exit 1
+fi
+
+echo "== sssp engine: one shortest-path kernel =="
+# Every production shortest path runs on the engine's bucket queue. A
+# BinaryHeap in production code is a second Dijkstra; only the oracle and
+# Brandes betweenness (which counts every shortest path) keep one.
+heap_users=$(production_matches BinaryHeap \
+  crates/core/src/routing.rs crates/graph/src/centrality.rs)
+if [ -n "$heap_users" ]; then
+  echo "FAIL: BinaryHeap in production code outside routing.rs and centrality.rs:"
+  echo "$heap_users"
   exit 1
 fi
 

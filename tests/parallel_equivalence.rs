@@ -1,13 +1,14 @@
-//! Sequential/parallel equivalence: every `--threads` setting must produce
-//! byte-identical results. The parallel reductions replay the sequential
-//! fold order exactly, so these are `assert_eq!` checks on full result
-//! structs (f64s included), not tolerance comparisons — and budgeted runs
-//! must cut at the same stage boundary regardless of worker count.
+//! Sequential/parallel equivalence of the ratio report and of greedy
+//! provisioning: every `--threads` setting must produce byte-identical
+//! results. The parallel reductions replay the sequential fold order
+//! exactly, so these are `assert_eq!` checks on full result structs (f64s
+//! included), not tolerance comparisons — and budgeted runs must cut at the
+//! same stage boundary regardless of worker count. (The same checks at
+//! cache off/on, and the replay and sweep ones, are rows of
+//! `tests/sssp_differential.rs`.)
 
 use riskroute::prelude::*;
 use riskroute::provisioning::{greedy_links, greedy_links_budgeted};
-use riskroute::replay::{raw_advisories, replay_raw_advisories_budgeted, replay_storm};
-use riskroute_geo::GeoPoint;
 use riskroute_hazard::HistoricalRisk;
 use riskroute_population::PopShares;
 use riskroute_topology::Network;
@@ -113,103 +114,6 @@ fn budgeted_provisioning_cuts_and_resumes_identically_across_thread_counts() {
         assert_eq!(
             resumed_runs[0], resumed_runs[i],
             "resumed result diverged at {par}"
-        );
-    }
-}
-
-#[test]
-fn replay_tick_series_is_identical_across_thread_counts() {
-    let (corpus, population, hazards) = substrate();
-    let net = corpus.network("Telepak").unwrap();
-    let sequential = replay_storm(
-        &planner_at(net, &population, &hazards, MATRIX[0]),
-        net,
-        Storm::Katrina,
-        4,
-    )
-    .unwrap();
-    assert!(
-        sequential.ticks.len() >= 3,
-        "fixture needs a real tick series"
-    );
-    for par in &MATRIX[1..] {
-        let replay = replay_storm(
-            &planner_at(net, &population, &hazards, *par),
-            net,
-            Storm::Katrina,
-            4,
-        )
-        .unwrap();
-        assert_eq!(sequential, replay, "replay tick series diverged at {par}");
-    }
-}
-
-#[test]
-fn budgeted_replay_cuts_and_resumes_identically_across_thread_counts() {
-    let (corpus, population, hazards) = substrate();
-    let net = corpus.network("Telepak").unwrap();
-    let locations: Vec<GeoPoint> = net.pops().iter().map(|p| p.location).collect();
-    let all: Vec<usize> = (0..net.pop_count()).collect();
-    let raws = raw_advisories(Storm::Katrina, 4).unwrap();
-    assert!(raws.len() >= 4, "fixture needs enough advisories to cut");
-    let cut = raws.len() as u64 / 2;
-
-    let mut partials = Vec::new();
-    let mut resumed_runs = Vec::new();
-    for par in MATRIX {
-        let planner = planner_at(net, &population, &hazards, par);
-        let budget = WorkBudget::unlimited().with_max_work(cut);
-        let run = replay_raw_advisories_budgeted(
-            &planner,
-            net.name(),
-            &locations,
-            Storm::Katrina.name(),
-            &raws,
-            &all,
-            &all,
-            Vec::new(),
-            &budget,
-            |_| {},
-        )
-        .unwrap();
-        let Budgeted::Partial { completed, stopped } = run else {
-            panic!(
-                "a {cut}-tick budget must stop a {}-tick replay ({par})",
-                raws.len()
-            );
-        };
-        assert_eq!(stopped, StopReason::WorkExhausted);
-        assert_eq!(
-            completed.ticks.len(),
-            usize::try_from(cut).unwrap(),
-            "the work-counter cut must land on the exact tick boundary at {par}"
-        );
-        partials.push(completed.clone());
-        let resume = replay_raw_advisories_budgeted(
-            &planner,
-            net.name(),
-            &locations,
-            Storm::Katrina.name(),
-            &raws,
-            &all,
-            &all,
-            completed.ticks,
-            &WorkBudget::unlimited(),
-            |_| {},
-        )
-        .unwrap();
-        let (full, stopped) = resume.into_parts();
-        assert!(stopped.is_none(), "unlimited resume never stops");
-        resumed_runs.push(full);
-    }
-    for (i, par) in MATRIX.iter().enumerate().skip(1) {
-        assert_eq!(
-            partials[0], partials[i],
-            "partial tick prefix diverged at {par}"
-        );
-        assert_eq!(
-            resumed_runs[0], resumed_runs[i],
-            "resumed tick series diverged at {par}"
         );
     }
 }

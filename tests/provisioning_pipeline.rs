@@ -91,10 +91,9 @@ fn candidates_are_genuine_shortcuts() {
     let corpus = Corpus::standard(42);
     let net = corpus.network("Tinet").unwrap();
     let planner = planner_for(net);
-    let g = net.distance_graph();
     for (a, b, direct) in candidate_links(net, &planner) {
         assert!(!net.has_link(a, b), "candidates must be non-edges");
-        if let Some((current, _)) = riskroute_graph::dijkstra::shortest_path(&g, a, b) {
+        if let Some(current) = planner.shortest_route(a, b).map(|r| r.bit_miles) {
             assert!(
                 direct < 0.5 * current,
                 "({a},{b}): direct {direct} must cut the {current}-mile path by >50%"

@@ -1,13 +1,13 @@
-//! Scenario-sweep equivalence: a sweep is a deterministic function of
-//! (planner, network, mode) — byte-identical at any worker count and
-//! across any budget-cut/resume boundary — and its criticality ranking
-//! must agree with graph theory on a hand-checked fixture.
+//! Scenario-sweep equivalence: an N-1 sweep is byte-identical at any
+//! worker count, N-1 forks match planners rebuilt without the failed
+//! element, bit for bit, and the criticality ranking agrees with graph
+//! theory on a hand-checked fixture. (Sampled sweeps, budget cuts and the
+//! cache-off dimension are rows of `tests/sssp_differential.rs`.)
 
 use riskroute::prelude::*;
-use riskroute::scenario::{run_sweep_budgeted, scenario_specs, SweepPrior};
+use riskroute::scenario::scenario_specs;
 use riskroute::{
-    base_exposure, ExposureReport, FailElement, NodeRisk, ScenarioDelta, ScenarioFork,
-    ScenarioSpec, WorkBudget,
+    base_exposure, ExposureReport, FailElement, NodeRisk, ScenarioDelta, ScenarioFork, ScenarioSpec,
 };
 use riskroute_geo::GeoPoint;
 use riskroute_hazard::HistoricalRisk;
@@ -49,74 +49,6 @@ fn n1_sweeps_are_identical_across_thread_counts() {
         let (net, planner) = corpus_planner(*par);
         let outcome = run_sweep(&planner, &net, SweepMode::N1).unwrap();
         assert_eq!(baseline, outcome, "N-1 sweep diverged at {par}");
-    }
-}
-
-#[test]
-fn sampled_sweeps_are_identical_across_thread_counts() {
-    for mode in [
-        SweepMode::N2 {
-            samples: 12,
-            seed: 7,
-        },
-        SweepMode::Ensemble {
-            samples: 6,
-            seed: 7,
-        },
-    ] {
-        let (net, sequential) = corpus_planner(MATRIX[0]);
-        let baseline = run_sweep(&sequential, &net, mode).unwrap();
-        for par in &MATRIX[1..] {
-            let (net, planner) = corpus_planner(*par);
-            let outcome = run_sweep(&planner, &net, mode).unwrap();
-            assert_eq!(baseline, outcome, "{mode:?} sweep diverged at {par}");
-        }
-    }
-}
-
-#[test]
-fn budget_cut_and_resume_matches_the_uninterrupted_sweep() {
-    let (net, planner) = corpus_planner(Parallelism::Sequential);
-    let uninterrupted = run_sweep(&planner, &net, SweepMode::N1).unwrap();
-    for par in MATRIX {
-        let (net, planner) = corpus_planner(par);
-        let cut = run_sweep_budgeted(
-            &planner,
-            &net,
-            SweepMode::N1,
-            None,
-            &WorkBudget::unlimited().with_max_work(5),
-            |_| {},
-        )
-        .unwrap();
-        let Budgeted::Partial { completed, stopped } = cut else {
-            panic!("a 5-scenario budget must cut the sweep at {par}");
-        };
-        // The cut lands on the same canonical boundary at every worker
-        // count: exactly the budgeted number of scenarios, as a prefix.
-        assert_eq!(completed.records.len(), 5, "cut moved at {par}");
-        assert_eq!(stopped, StopReason::WorkExhausted);
-        assert_eq!(
-            completed.records[..],
-            uninterrupted.records[..5],
-            "partial prefix diverged at {par}"
-        );
-        let prior = SweepPrior {
-            baseline: completed.baseline,
-            records: completed.records,
-        };
-        let resumed = run_sweep_budgeted(
-            &planner,
-            &net,
-            SweepMode::N1,
-            Some(prior),
-            &WorkBudget::unlimited(),
-            |_| {},
-        )
-        .unwrap();
-        let (resumed, still_stopped) = resumed.into_parts();
-        assert!(still_stopped.is_none());
-        assert_eq!(resumed, uninterrupted, "resumed sweep diverged at {par}");
     }
 }
 

@@ -18,7 +18,10 @@
 //!    the cache-off sequential planner, or against an independent oracle
 //!    where the row names one: full-tree `risk_route`/`shortest_route`
 //!    answers, a planner built fresh at the evolved state or at each
-//!    replay tick, or a fresh planner given the fork's forecast.
+//!    replay tick, or a fresh planner given the fork's forecast. Budgeted
+//!    rows also check the cut itself at every configuration: it stops on
+//!    exhausted work at the budgeted stage boundary, and the resumed run
+//!    completes.
 //! 3. **Cache and fork rules** that only show in counters: cached pair
 //!    answers never reach a full-tree reader, and a complete tree answers
 //!    every pair query; distance trees survive a forecast change, and a
@@ -467,15 +470,28 @@ macro_rules! differential_table {
     };
 }
 
+/// Historical risk alone (λ_f = 0), the weights under which a forecast
+/// changes no ρ.
+fn historical() -> RiskWeights {
+    RiskWeights::historical_only(1e5)
+}
+
 differential_table! {
     ratio_report_cold_and_warm => ratio_report, None;
     pair_sweeps_against_full_trees => pair_sweeps, Some(pair_sweeps_oracle);
     greedy_pick_sequence => greedy_picks, None;
     greedy_budget_cut_and_resume => greedy_cut_and_resume, None;
-    replay_tick_series => replay_ticks, None;
-    replay_ticks_against_fresh_planners => replay_ticks, Some(fresh_replay_ticks);
-    replay_budget_cut_and_resume => replay_cut_and_resume, None;
+    replay_tick_series => |c| replay_ticks(RiskWeights::PAPER, c), None;
+    replay_tick_series_under_historical_risk => |c| replay_ticks(historical(), c), None;
+    replay_ticks_against_fresh_planners =>
+        |c| replay_ticks(RiskWeights::PAPER, c), Some(fresh_replay_ticks);
+    replay_budget_cut_and_resume => |c| replay_cut_and_resume(RiskWeights::PAPER, 2, c), None;
+    // Half the 16-tick series.
+    replay_budget_cut_and_resume_under_historical_risk =>
+        |c| replay_cut_and_resume(historical(), 8, c), None;
     n1_sweep_records => n1_sweep, None;
+    n1_budget_cut_and_resume => n1_cut_and_resume, None;
+    n2_sweep_records => n2_sweep, None;
     ensemble_sweep_with_forecast_overrides => ensemble_sweep, None;
     ensemble_budget_cut_and_resume => ensemble_cut_and_resume, None;
     evolved_forecasts_against_fresh_planners => evolved_forecasts, Some(fresh_forecasts);
@@ -527,14 +543,14 @@ fn rebuild_from(planner: &Planner) -> impl FnMut(&Network) -> Planner {
 }
 
 fn ratio_report(config: Config) -> String {
-    let planner = telepak_planner(RiskWeights::historical_only(1e5), config);
+    let planner = telepak_planner(historical(), config);
     let cold = planner.ratio_report();
     let warm = planner.ratio_report();
     render(&(cold, warm))
 }
 
 fn greedy_picks(config: Config) -> String {
-    let planner = telepak_planner(RiskWeights::historical_only(1e5), config);
+    let planner = telepak_planner(historical(), config);
     let picks = greedy_links(telepak(), &planner, 3, rebuild_from(&planner));
     assert!(
         !picks.added.is_empty(),
@@ -545,7 +561,7 @@ fn greedy_picks(config: Config) -> String {
 
 fn greedy_cut_and_resume(config: Config) -> String {
     let net = telepak();
-    let planner = telepak_planner(RiskWeights::historical_only(1e5), config);
+    let planner = telepak_planner(historical(), config);
     let budget = WorkBudget::unlimited().with_max_work(1);
     let cut = greedy_links_budgeted(
         net,
@@ -556,9 +572,10 @@ fn greedy_cut_and_resume(config: Config) -> String {
         &budget,
         |_| {},
     );
-    let Budgeted::Partial { completed, .. } = cut.clone() else {
+    let Budgeted::Partial { completed, stopped } = cut.clone() else {
         panic!("a 1-unit budget must stop a 3-link search ({config:?})");
     };
+    assert_eq!(stopped, StopReason::WorkExhausted);
     let resumed = greedy_links_budgeted(
         net,
         &planner,
@@ -568,11 +585,15 @@ fn greedy_cut_and_resume(config: Config) -> String {
         &WorkBudget::unlimited(),
         |_| {},
     );
+    assert!(
+        matches!(resumed, Budgeted::Complete(_)),
+        "unlimited resume never stops"
+    );
     render(&(cut, resumed))
 }
 
-fn replay_ticks(config: Config) -> String {
-    let planner = telepak_planner(RiskWeights::PAPER, config);
+fn replay_ticks(weights: RiskWeights, config: Config) -> String {
+    let planner = telepak_planner(weights, config);
     let replay = replay_storm(&planner, telepak(), Storm::Katrina, 4).expect("replay");
     assert!(replay.ticks.len() >= 3, "fixture needs a real tick series");
     render(&replay)
@@ -601,9 +622,11 @@ fn fresh_replay_ticks() -> String {
     })
 }
 
-fn replay_cut_and_resume(config: Config) -> String {
+/// A replay cut after `cut` ticks, then resumed: the cut lands on exactly
+/// that tick boundary.
+fn replay_cut_and_resume(weights: RiskWeights, cut: u64, config: Config) -> String {
     let net = telepak();
-    let planner = telepak_planner(RiskWeights::PAPER, config);
+    let planner = telepak_planner(weights, config);
     let raws = raw_advisories(Storm::Katrina, 4).expect("advisories");
     let locations: Vec<GeoPoint> = net.pops().iter().map(|p| p.location).collect();
     let all: Vec<usize> = (0..net.pop_count()).collect();
@@ -622,17 +645,81 @@ fn replay_cut_and_resume(config: Config) -> String {
         )
         .expect("replay")
     };
-    let cut = run(Vec::new(), &WorkBudget::unlimited().with_max_work(2));
-    let Budgeted::Partial { completed, .. } = cut.clone() else {
-        panic!("a 2-tick budget must stop the replay ({config:?})");
+    let partial = run(Vec::new(), &WorkBudget::unlimited().with_max_work(cut));
+    let Budgeted::Partial { completed, stopped } = partial.clone() else {
+        panic!("a {cut}-tick budget must stop the replay ({config:?})");
     };
+    assert_eq!(stopped, StopReason::WorkExhausted);
+    assert_eq!(
+        completed.ticks.len() as u64,
+        cut,
+        "the cut must land on tick {cut} ({config:?})"
+    );
     let resumed = run(completed.ticks, &WorkBudget::unlimited());
-    render(&(cut, resumed))
+    assert!(
+        matches!(resumed, Budgeted::Complete(_)),
+        "unlimited resume never stops"
+    );
+    render(&(partial, resumed))
 }
 
 fn n1_sweep(config: Config) -> String {
     let planner = telepak_planner(RiskWeights::PAPER, config);
-    render(&run_sweep(&planner, telepak(), SweepMode::N1).expect("sweep"))
+    let swept = run_sweep(&planner, telepak(), SweepMode::N1).expect("sweep");
+    assert_eq!(
+        swept.records.len(),
+        telepak().pop_count() + telepak().link_count(),
+        "N-1 must cover every node and every link"
+    );
+    render(&swept)
+}
+
+/// An N-1 sweep cut after 5 scenarios, then resumed: the cut is the
+/// uninterrupted sweep's 5-record prefix and the resumed sweep is the
+/// uninterrupted one.
+fn n1_cut_and_resume(config: Config) -> String {
+    let net = telepak();
+    let planner = telepak_planner(historical(), config);
+    let uninterrupted = run_sweep(&planner, net, SweepMode::N1).expect("sweep");
+    let budget = WorkBudget::unlimited().with_max_work(5);
+    let cut =
+        run_sweep_budgeted(&planner, net, SweepMode::N1, None, &budget, |_| {}).expect("sweep");
+    let Budgeted::Partial { completed, stopped } = cut.clone() else {
+        panic!("a 5-scenario budget must cut the sweep ({config:?})");
+    };
+    assert_eq!(stopped, StopReason::WorkExhausted);
+    assert_eq!(
+        completed.records[..],
+        uninterrupted.records[..5],
+        "{config:?}"
+    );
+    let prior = SweepPrior {
+        baseline: completed.baseline,
+        records: completed.records,
+    };
+    let resumed = run_sweep_budgeted(
+        &planner,
+        net,
+        SweepMode::N1,
+        Some(prior),
+        &WorkBudget::unlimited(),
+        |_| {},
+    )
+    .expect("sweep");
+    let (resumed, stopped) = resumed.into_parts();
+    assert!(stopped.is_none(), "unlimited resume never stops");
+    assert_eq!(resumed, uninterrupted, "{config:?}");
+    render(&(cut, resumed))
+}
+
+/// Sampled N-2: every scenario a fork of a fork.
+fn n2_sweep(config: Config) -> String {
+    let planner = telepak_planner(historical(), config);
+    let mode = SweepMode::N2 {
+        samples: 12,
+        seed: 7,
+    };
+    render(&run_sweep(&planner, telepak(), mode).expect("sweep"))
 }
 
 /// The full ensemble sweep: every member is a forecast-only fork.
@@ -986,7 +1073,7 @@ fn override_forecast() -> Vec<f64> {
 /// Weights under which the override changes ρ, and under which it cannot
 /// (λ_f = 0).
 fn fork_weights() -> [RiskWeights; 2] {
-    [RiskWeights::PAPER, RiskWeights::historical_only(1e5)]
+    [RiskWeights::PAPER, historical()]
 }
 
 /// Forecast-only forks of a warm base, both fork paths.
@@ -1107,12 +1194,15 @@ fn pair_answers_never_reach_full_tree_readers() {
     assert_eq!(get(&c, "risk_sssp_tie_reruns"), 0);
 
     // Scenario-fork adoption takes distance trees only: a base that ran
-    // pair queries alone has none.
+    // pair queries alone has none. The delta cuts PoP 7 off, so the one
+    // tree adopted (rooted at 0, reaching 7) is rebuilt without it, not
+    // shared.
     let delta = ScenarioDelta::new().deactivate_link(6, 7);
     let partial_base = chain_planner(&network, true);
     partial_base.pair_list_sweep(&[(0, 1)]);
     let (fork, c) = counted(|| ScenarioFork::fork(&partial_base, delta.clone()));
     assert_eq!(get(&c, "scenario_trees_adopted"), 0);
+    assert_eq!(get(&c, "scenario_trees_copied"), 0);
     let full_base = chain_planner(&network, true);
     full_base.shortest_route(0, 7);
     let (full_fork, c) = counted(|| ScenarioFork::fork(&full_base, delta.clone()));
@@ -1120,6 +1210,11 @@ fn pair_answers_never_reach_full_tree_readers() {
         get(&c, "scenario_trees_adopted"),
         1,
         "complete trees are adopted"
+    );
+    assert_eq!(
+        get(&c, "scenario_trees_copied"),
+        1,
+        "a partitioned tree is copied"
     );
     let expect = ScenarioFork::fork(&oracle, delta)
         .planner()
@@ -1170,7 +1265,9 @@ fn forecast_forks_share_the_base_distance_trees() {
         });
         assert_eq!(get(&c, "forks_created"), 1);
         assert_eq!(get(&c, "forks_reused_cache"), 1);
-        assert_eq!(get(&c, "scenario_trees_adopted"), 0, "{weights:?}");
+        // Published as 0, not left out.
+        assert_eq!(c.get("scenario_trees_adopted"), Some(&0), "{weights:?}");
+        assert_eq!(c.get("scenario_trees_copied"), Some(&0), "{weights:?}");
         assert_eq!(get(&c, "risk_sssp_runs"), 0, "{weights:?}");
     }
 }

@@ -28,9 +28,11 @@
 //!    searched, and then read by one of two extractors — the whole tree
 //!    ([`sssp`]) or, for a pair query that stops once its target settles
 //!    ([`sssp_to`]), just the target's path and distance ([`PairAnswer`]),
-//!    in O(path length) instead of O(n). A β = 0 run never reads ρ, so a
-//!    distance tree is a function of the topology alone; readers that need
-//!    its Σρ sum it along the path (`routing::path_rho_sum`).
+//!    in O(path length) instead of O(n); a sweep reads that path in place,
+//!    off the arena's path buffer, without copying it. A β = 0 run never
+//!    reads ρ, so a distance tree is a function of the topology alone;
+//!    readers that need its Σρ sum it along the path
+//!    (`routing::path_rho_sum`).
 //!
 //!    The kernel is generic over an A\* potential. Full trees run it with
 //!    h ≡ 0. A pair query runs it on a lower bound of the cost still to
@@ -44,13 +46,14 @@
 //!    queries" has the proof).
 //!
 //! 3. **Exact route cache** (`RouteTreeCache`): complete trees keyed by
-//!    `(root, β.to_bits(), stamp)` and pair answers keyed by
-//!    `(root, β.to_bits(), stamp, target)`. A β = 0 key carries the
+//!    `(root, β.to_bits(), stamp)`, and ratio reports memoised under the
+//!    planner's live `[topology, cost]` stamps plus the exact source and
+//!    destination lists. A β = 0 key carries the
 //!    planner's topology stamp, which only a new topology mints; every
 //!    other key carries its cost stamp, which any risk/weight mutation also
 //!    mints. A stale entry can never be *returned*, only evicted. A pair
-//!    lookup is answered by its own entry or by a complete
-//!    tree under its `(root, β, stamp)`; full-tree readers see trees only.
+//!    lookup is answered off a complete tree under its `(root, β, stamp)`;
+//!    no answer is stored per pair.
 //!    After greedy provisioning adds a link `(a, b)` the planner
 //!    re-keys still-valid trees into the new state via a strict
 //!    edge-addition test (`Planner::adopt_route_cache`): a tree rooted at
@@ -63,6 +66,7 @@
 //!    though the distance is unchanged. The cache is exact, never
 //!    approximate: outputs are byte-identical with it on or off.
 
+use crate::ratios::RatioReport;
 use crate::routing::{Adjacency, Entry, PairAnswer, RiskTree, NO_PRED};
 use riskroute_geo::{GeoPoint, EARTH_RADIUS_MILES};
 use riskroute_graph::queue::{inv_quantum_for_mean, BucketQueue};
@@ -278,6 +282,9 @@ pub(crate) struct SsspArena {
     settled: Vec<u32>,
     gen: u32,
     bucket: BucketQueue,
+    /// The last extracted pair path, source first (see
+    /// [`Self::pair_path`]).
+    path: Vec<usize>,
 }
 
 impl SsspArena {
@@ -289,6 +296,7 @@ impl SsspArena {
             settled: Vec::new(),
             gen: 0,
             bucket: BucketQueue::new(),
+            path: Vec::new(),
         }
     }
 
@@ -351,24 +359,23 @@ impl SsspArena {
         RiskTree::from_parts(source, dist, pred)
     }
 
-    /// The answer for `target` of a run that stopped once it settled (or
-    /// drained without reaching it): the settled predecessor chain walked
-    /// back to the source, whose nodes all settled before the target.
-    fn pair_answer(&self, target: usize) -> Option<PairAnswer> {
+    /// The path and distance of `target` in a run that stopped once it
+    /// settled (or drained without reaching it): the settled predecessor
+    /// chain walked back to the source, whose nodes all settled before the
+    /// target, laid out source first in the arena's path buffer.
+    fn pair_path(&mut self, target: usize) -> Option<(&[usize], f64)> {
         if self.settled[target] != self.gen {
             return None;
         }
-        let mut path = vec![target];
+        self.path.clear();
+        self.path.push(target);
         let mut cur = target;
         while self.pred[cur] != NO_PRED {
             cur = self.pred[cur] as usize;
-            path.push(cur);
+            self.path.push(cur);
         }
-        path.reverse();
-        Some(PairAnswer {
-            path,
-            dist: self.dist[target],
-        })
+        self.path.reverse();
+        Some((&self.path, self.dist[target]))
     }
 }
 
@@ -549,6 +556,29 @@ pub fn sssp_to(
     target: usize,
     bound: Bound<'_>,
 ) -> Option<PairAnswer> {
+    sssp_to_with(csr, source, beta, rho, target, bound, |path, dist| {
+        PairAnswer {
+            path: path.to_vec(),
+            dist,
+        }
+    })
+}
+
+/// [`sssp_to`], handing the target's path (source first) and distance to
+/// `read` in place instead of copying them into a [`PairAnswer`]: what a
+/// sweep that keeps only sums along the path calls.
+///
+/// # Panics
+/// As [`sssp_to`].
+pub(crate) fn sssp_to_with<R>(
+    csr: &CsrGraph,
+    source: usize,
+    beta: f64,
+    rho: &Rho,
+    target: usize,
+    bound: Bound<'_>,
+    read: impl FnOnce(&[usize], f64) -> R,
+) -> Option<R> {
     let n = csr.node_count();
     assert!(target < n, "target {target} out of range");
     let metric = Metric { beta, rho };
@@ -578,7 +608,7 @@ pub fn sssp_to(
         if !exact {
             run(arena, csr, source, metric, stop, &Zero);
         }
-        arena.pair_answer(target)
+        arena.pair_path(target).map(|(path, dist)| read(path, dist))
     })
 }
 
@@ -932,19 +962,16 @@ pub(crate) struct TreeKey {
     pub(crate) stamp: u64,
 }
 
-/// Key of one cached pair answer: the key its run's whole tree would have,
-/// plus the target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct PairKey {
-    tree: TreeKey,
-    target: u32,
+/// One cost state's memoised ratio report: the exact source and
+/// destination lists it was folded over, and the report.
+struct Memo {
+    sources: Box<[usize]>,
+    dests: Box<[usize]>,
+    report: RatioReport,
 }
 
-/// A cached pair answer: `None` records an unreachable target.
-type CachedAnswer = Option<Arc<PairAnswer>>;
-
 /// How much memory the cache may pin before it starts refusing inserts.
-/// Every entry is charged [`tree_bytes`] or [`pair_bytes`] when it is
+/// Every entry is charged [`tree_bytes`] or [`memo_bytes`] when it is
 /// inserted.
 pub(crate) const CACHE_BUDGET_BYTES: usize = 256 << 20;
 
@@ -958,12 +985,6 @@ const TREE_OVERHEAD_BYTES: usize = std::mem::size_of::<(TreeKey, Arc<RiskTree>)>
     + std::mem::size_of::<RiskTree>()
     + 2 * std::mem::size_of::<usize>();
 
-/// Fixed per-answer overhead: the map slot, the answer header, and the
-/// `Arc` reference counts.
-const PAIR_OVERHEAD_BYTES: usize = std::mem::size_of::<(PairKey, CachedAnswer)>()
-    + std::mem::size_of::<PairAnswer>()
-    + 2 * std::mem::size_of::<usize>();
-
 /// What one cached tree is charged against [`CACHE_BUDGET_BYTES`]: the
 /// bytes its vectors hold plus the fixed overhead. A tree shared by several
 /// keys is charged once per key.
@@ -971,10 +992,11 @@ fn tree_bytes(tree: &RiskTree) -> usize {
     TREE_OVERHEAD_BYTES + tree.heap_bytes()
 }
 
-/// What one cached pair answer is charged: its path plus the fixed
-/// overhead — O(path length), never O(n).
-fn pair_bytes(answer: &CachedAnswer) -> usize {
-    PAIR_OVERHEAD_BYTES + answer.as_ref().map_or(0, |a| a.heap_bytes())
+/// What one memo is charged: its map slot plus its two lists — O(n), once
+/// per cost state, never per pair.
+fn memo_bytes(memo: &Memo) -> usize {
+    std::mem::size_of::<([u64; 2], Memo)>()
+        + (memo.sources.len() + memo.dests.len()) * std::mem::size_of::<usize>()
 }
 
 /// Entries and bytes held by every live cache in the process.
@@ -1004,8 +1026,10 @@ fn publish((entries, bytes): (usize, usize)) {
 
 struct CacheInner {
     trees: HashMap<TreeKey, Arc<RiskTree>>,
-    pairs: HashMap<PairKey, CachedAnswer>,
-    /// Sum of [`tree_bytes`] and [`pair_bytes`] over both maps.
+    /// At most one memoised ratio report per live `[topology, cost]`
+    /// stamp pair.
+    memos: HashMap<[u64; 2], Memo>,
+    /// Sum of [`tree_bytes`] and [`memo_bytes`] over both maps.
     bytes: usize,
     /// Live stamps for which the cache already proved full after purging
     /// every other stamp — inserts under them are skipped without
@@ -1015,7 +1039,7 @@ struct CacheInner {
 
 impl CacheInner {
     fn len(&self) -> usize {
-        self.trees.len() + self.pairs.len()
+        self.trees.len() + self.memos.len()
     }
 
     /// Make room for one entry of `cost` bytes from a planner whose live
@@ -1034,9 +1058,9 @@ impl CacheInner {
         if !fits(self) {
             if self.full_stamps != live {
                 self.trees.retain(|k, _| live.contains(&k.stamp));
-                self.pairs.retain(|k, _| live.contains(&k.tree.stamp));
+                self.memos.retain(|k, _| *k == live);
                 self.bytes = self.trees.values().map(|t| tree_bytes(t)).sum::<usize>()
-                    + self.pairs.values().map(pair_bytes).sum::<usize>();
+                    + self.memos.values().map(memo_bytes).sum::<usize>();
             }
             if !fits(self) {
                 self.full_stamps = live;
@@ -1068,9 +1092,10 @@ fn count_lookup(hit: bool) {
 /// clones from ever observing each other's entries.
 ///
 /// It holds two kinds of entry: complete trees under `(root, β, stamp)`,
-/// and pair answers under `(root, β, stamp, target)`. A pair lookup
-/// ([`Self::pair`]) is answered by either; every full-tree reader —
-/// [`Self::tree`] and [`Self::trees_with_stamps`] — sees trees only.
+/// and at most one ratio report per live `[topology, cost]` stamp pair,
+/// memoised with the exact source and destination lists it covers. A pair
+/// query reads its answer off a complete tree ([`Self::tree`]); no answer
+/// is stored per pair.
 pub(crate) struct RouteTreeCache {
     inner: Mutex<CacheInner>,
 }
@@ -1081,7 +1106,7 @@ impl RouteTreeCache {
         RouteTreeCache {
             inner: Mutex::new(CacheInner {
                 trees: HashMap::new(),
-                pairs: HashMap::new(),
+                memos: HashMap::new(),
                 bytes: 0,
                 full_stamps: [0, 0],
             }),
@@ -1103,27 +1128,6 @@ impl RouteTreeCache {
         found
     }
 
-    /// Look up the answer to a pair query for `target` (`Some(None)`: the
-    /// target is unreachable): its own pair entry, else read off the
-    /// complete tree under `key` once the lock is released. Counts one hit
-    /// or miss.
-    pub(crate) fn pair(&self, key: &TreeKey, target: usize) -> Option<CachedAnswer> {
-        let pair_key = PairKey {
-            tree: *key,
-            target: target as u32,
-        };
-        let (answer, tree) = {
-            let inner = self.lock();
-            (
-                inner.pairs.get(&pair_key).cloned(),
-                inner.trees.get(key).cloned(),
-            )
-        };
-        let found = answer.or_else(|| tree.map(|t| t.pair_answer(target).map(Arc::new)));
-        count_lookup(found.is_some());
-        found
-    }
-
     /// Insert a freshly computed (or revalidated) complete tree from a
     /// planner whose live stamps are `live`. An occupied key keeps its tree
     /// — concurrent duplicate computes are identical by construction.
@@ -1135,23 +1139,43 @@ impl RouteTreeCache {
         }
     }
 
-    /// Insert the answer of a pair query for `target` under `key`'s
-    /// `(root, β, stamp)`. An occupied key keeps its answer.
-    pub(crate) fn insert_pair(
+    /// Look up the ratio report memoised under the stamps `live` for
+    /// exactly these `sources` and `dests`, counting one hit or miss.
+    pub(crate) fn report(
         &self,
-        key: TreeKey,
-        target: usize,
-        answer: CachedAnswer,
         live: [u64; 2],
+        sources: &[usize],
+        dests: &[usize],
+    ) -> Option<RatioReport> {
+        let found = self
+            .lock()
+            .memos
+            .get(&live)
+            .filter(|m| *m.sources == *sources && *m.dests == *dests)
+            .map(|m| m.report);
+        count_lookup(found.is_some());
+        found
+    }
+
+    /// Memoise `report`, folded over `sources` × `dests` by a planner
+    /// whose live stamps are `live`. A cost state that already holds a
+    /// memo keeps it.
+    pub(crate) fn insert_report(
+        &self,
+        live: [u64; 2],
+        sources: &[usize],
+        dests: &[usize],
+        report: RatioReport,
     ) {
-        let key = PairKey {
-            tree: key,
-            target: target as u32,
+        let memo = Memo {
+            sources: sources.into(),
+            dests: dests.into(),
+            report,
         };
-        let cost = pair_bytes(&answer);
+        let cost = memo_bytes(&memo);
         let mut inner = self.lock();
-        if !inner.pairs.contains_key(&key) && inner.admit(live, cost) {
-            inner.pairs.insert(key, answer);
+        if !inner.memos.contains_key(&live) && inner.admit(live, cost) {
+            inner.memos.insert(live, memo);
         }
     }
 
@@ -1166,7 +1190,7 @@ impl RouteTreeCache {
             .collect()
     }
 
-    /// Number of cached trees and pair answers (all stamps).
+    /// Number of cached trees and memos (all stamps).
     pub(crate) fn len(&self) -> usize {
         self.lock().len()
     }
@@ -1361,68 +1385,59 @@ mod tests {
             cache.insert_tree(key, Arc::clone(&tree), live);
             assert!(cache.tree(&key).is_some());
             assert!(cache.tree(&other_stamp).is_none(), "stamps never alias");
-            assert!(cache.pair(&other_stamp, 2).is_none(), "stamps never alias");
         });
-        assert_eq!((hits, misses), (1, 3));
+        assert_eq!((hits, misses), (1, 2));
         assert_eq!(cache.trees_with_stamps(live).len(), 1);
         assert_eq!(cache.len(), 1);
     }
 
+    /// A distinct ratio report per call site, so a memo read can be told
+    /// apart from another's.
+    fn report(pairs: usize) -> RatioReport {
+        RatioReport {
+            risk_reduction_ratio: 0.25,
+            distance_increase_ratio: 0.5,
+            pairs,
+            stranded_pairs: 1,
+        }
+    }
+
     #[test]
-    fn pair_entries_answer_their_own_target_and_trees_answer_any() {
-        // Line 0-…-7 plus an isolated PoP 8.
-        let adj = Adjacency::from_links(9, (0..7).map(|u| (u, u + 1, 10.0)));
+    fn memos_answer_their_cost_states_exact_lists_only() {
+        let adj = square();
         let csr = CsrGraph::from_adjacency(&adj);
-        let rho = Rho::new(vec![0.0; 9]);
         let cache = RouteTreeCache::new();
         let live = [next_stamp(), next_stamp()];
         let key = TreeKey {
             root: 0,
-            beta_bits: 1.0f64.to_bits(),
-            stamp: live[1],
+            beta_bits: 0,
+            stamp: live[0],
         };
-        let full = Arc::new(sssp(&csr, 0, 1.0, &rho));
+        let tree = Arc::new(sssp(&csr, 0, 0.0, &Rho::new(vec![0.0; 4])));
+        cache.insert_tree(key, tree, live);
+        let all: Vec<usize> = (0..4).collect();
         let (_, hits, misses) = lookups(|| {
-            assert!(cache.pair(&key, 5).is_none());
-            cache.insert_pair(
-                key,
-                5,
-                sssp_to(&csr, 0, 1.0, &rho, 5, Bound::Zero).map(Arc::new),
-                live,
-            );
-            assert!(matches!(
-                cache.pair(&key, 5),
-                Some(Some(a)) if a.path == [0, 1, 2, 3, 4, 5] && a.dist == 50.0
-            ));
-            // Node 2 settled in that run, but the entry answers 5 only.
-            assert!(cache.pair(&key, 2).is_none());
-            assert!(cache.pair(&key, 7).is_none());
-            // Full-tree readers never see a pair entry.
-            assert!(cache.tree(&key).is_none());
-            // An unreachable target is cached as such.
-            let none = sssp_to(&csr, 0, 1.0, &rho, 8, Bound::Zero).map(Arc::new);
-            assert!(none.is_none());
-            cache.insert_pair(key, 8, none, live);
-            assert!(matches!(cache.pair(&key, 8), Some(None)));
-            // A complete tree answers every target.
-            cache.insert_tree(key, Arc::clone(&full), live);
-            for t in 0..9 {
-                let answer = cache.pair(&key, t).expect("a complete tree answers");
-                let expect = full.pair_answer(t).map(|a| a.path);
-                assert_eq!(answer.map(|a| a.path.clone()), expect, "target {t}");
-            }
-            assert!(cache.tree(&key).is_some());
+            assert!(cache.report(live, &all, &all).is_none());
+            cache.insert_report(live, &all, &all, report(72));
+            assert_eq!(cache.report(live, &all, &all), Some(report(72)));
+            assert!(cache.report(live, &all[1..], &all).is_none());
+            assert!(cache.report(live, &all, &all[..3]).is_none());
+            assert!(cache.report([live[0], next_stamp()], &all, &all).is_none());
+            // An occupied cost state keeps its memo.
+            cache.insert_report(live, &all[1..], &all, report(64));
+            assert!(cache.report(live, &all[1..], &all).is_none());
+            assert_eq!(cache.report(live, &all, &all), Some(report(72)));
         });
-        // One hit or one miss per lookup: 16 lookups.
-        assert_eq!((hits, misses), (12, 4));
-        assert!(cache.trees_with_stamps(live).len() == 1);
-        assert_eq!(cache.len(), 3);
+        // One hit or one miss per lookup.
+        assert_eq!((hits, misses), (2, 5));
+        assert_eq!(cache.trees_with_stamps(live).len(), 1, "trees only");
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]
-    fn cache_charges_pair_answers_by_path_length_and_trees_by_n() {
+    fn cache_charges_trees_by_n_and_memos_by_their_lists() {
         // A 10k-node line at β = 0: a tree is charged its dist + pred
-        // vectors (12 bytes a node), a pair answer its path only.
+        // vectors (12 bytes a node), a memo its two lists.
         let n = 10_000;
         let adj = Adjacency::from_links(n, (1..n).map(|u| (u - 1, u, 1.0)));
         let csr = CsrGraph::from_adjacency(&adj);
@@ -1430,30 +1445,30 @@ mod tests {
         let tree = Arc::new(sssp(&csr, 0, 0.0, &rho));
         let per_tree = tree_bytes(&tree);
         assert_eq!(per_tree, 12 * n + TREE_OVERHEAD_BYTES);
-        let cache = RouteTreeCache::new();
         let live = [next_stamp(), next_stamp()];
         let key = |root| TreeKey {
             root,
             beta_bits: 0,
             stamp: live[0],
         };
-        for (target, hops) in [(3, 4), (99, 100)] {
-            let answer = sssp_to(&csr, 0, 0.0, &rho, target, Bound::Zero).map(Arc::new);
-            let a = answer.as_ref().unwrap();
-            assert_eq!(a.path.len(), hops);
-            assert_eq!(
-                pair_bytes(&answer),
-                PAIR_OVERHEAD_BYTES + 8 * a.path.capacity()
-            );
-            assert!(a.path.capacity() < 2 * hops);
-            let before = cache.bytes();
-            cache.insert_pair(key(0), target, answer.clone(), live);
-            assert_eq!(cache.bytes() - before, pair_bytes(&answer));
-        }
-        assert!(cache.bytes() < 4096, "pair entries never cost O(n)");
-        assert_eq!(pair_bytes(&None), PAIR_OVERHEAD_BYTES);
+        let memo = |sources: &[usize], dests: &[usize]| {
+            memo_bytes(&Memo {
+                sources: sources.into(),
+                dests: dests.into(),
+                report: report(0),
+            })
+        };
+        let all: Vec<usize> = (0..n).collect();
+        let cache = RouteTreeCache::new();
+        cache.insert_report(live, &all, &all[..3], report(1));
+        assert_eq!(cache.bytes(), memo(&all, &all[..3]));
+        assert_eq!(
+            memo(&all, &all[..3]) - memo(&[], &[]),
+            8 * (n + 3),
+            "a memo costs its lists, never a pair"
+        );
         // Trees fill the budget and the running total never crosses it. A
-        // pair answer that does not fit is refused; one that fits is not.
+        // memo that does not fit is refused; one that fits is not.
         let cache = RouteTreeCache::new();
         let fit = CACHE_BUDGET_BYTES / per_tree;
         for root in 0..(fit as u32 + 16) {
@@ -1462,14 +1477,15 @@ mod tests {
         }
         assert_eq!(cache.len(), fit);
         let room = CACHE_BUDGET_BYTES - cache.bytes();
-        let far = sssp_to(&csr, 0, 0.0, &rho, n - 1, Bound::Zero).map(Arc::new);
-        assert!(pair_bytes(&far) > room);
-        cache.insert_pair(key(0), n - 1, far, live);
+        let wide: Vec<usize> = (0..room / 8).collect();
+        assert!(memo(&wide, &wide) > room);
+        cache.insert_report(live, &wide, &wide, report(2));
         assert_eq!(cache.len(), fit);
-        let near = sssp_to(&csr, 0, 0.0, &rho, 3, Bound::Zero).map(Arc::new);
-        cache.insert_pair(key(0), 3, near.clone(), live);
+        assert!(cache.report(live, &wide, &wide).is_none());
+        cache.insert_report(live, &all[..3], &all[..3], report(3));
         assert_eq!(cache.len(), fit + 1);
-        assert_eq!(cache.bytes(), fit * per_tree + pair_bytes(&near));
+        assert_eq!(cache.bytes(), fit * per_tree + memo(&all[..3], &all[..3]));
+        assert_eq!(cache.report(live, &all[..3], &all[..3]), Some(report(3)));
     }
 
     #[test]
@@ -1479,7 +1495,7 @@ mod tests {
         let csr = CsrGraph::from_adjacency(&adj);
         let rho = Rho::new(vec![0.5; n]);
         let tree = Arc::new(sssp(&csr, 0, 0.0, &rho));
-        let fit = CACHE_BUDGET_BYTES / tree_bytes(&tree);
+        let per_tree = tree_bytes(&tree);
         let cache = RouteTreeCache::new();
         // [topology, cost] stamps; after a forecast change: the same
         // topology, a new cost state.
@@ -1490,17 +1506,22 @@ mod tests {
             beta_bits: beta.to_bits(),
             stamp: stamps[usize::from(beta != 0.0)],
         };
+        let lists = [0, 1, 2];
         cache.insert_tree(key(0, 0.0, old), Arc::clone(&tree), old);
         cache.insert_tree(key(0, 1.0, old), Arc::clone(&tree), old);
+        cache.insert_report(old, &lists, &lists, report(1));
         cache.insert_tree(key(0, 1.0, live), Arc::clone(&tree), live);
-        for root in 1..fit as u32 - 2 {
+        cache.insert_report(live, &lists, &lists, report(2));
+        let mut root = 1;
+        while cache.bytes() + per_tree <= CACHE_BUDGET_BYTES {
             let other = [next_stamp(), next_stamp()];
             cache.insert_tree(key(root, 2.0, other), Arc::clone(&tree), old);
+            root += 1;
         }
-        assert_eq!(cache.len(), fit);
         // The next insert purges every stamp but `live`'s two: the stale
-        // cost state and the other planners' entries go, the shared
-        // distance tree and the live cost-state tree stay.
+        // cost state (its memo too) and the other planners' entries go,
+        // the shared distance tree, the live cost-state tree and the live
+        // memo stay.
         cache.insert_tree(key(1, 1.0, live), Arc::clone(&tree), live);
         let mut kept: Vec<_> = cache
             .trees_with_stamps(live)
@@ -1509,6 +1530,8 @@ mod tests {
             .collect();
         kept.sort_unstable();
         assert_eq!(kept, [(0, 0), (0, 1.0f64.to_bits()), (1, 1.0f64.to_bits())]);
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.len(), 4);
+        assert_eq!(cache.report(live, &lists, &lists), Some(report(2)));
+        assert!(cache.report(old, &lists, &lists).is_none());
     }
 }

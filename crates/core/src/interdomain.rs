@@ -269,9 +269,7 @@ impl InterdomainAnalysis {
         for d in dest_networks {
             dests.extend(self.topo.pops_of(d)?);
         }
-        let sweep = self.planner.pair_sweep(&sources, &dests);
-        let report =
-            RatioReport::aggregate_with_stranded(sweep.outcomes.iter(), sweep.stranded.len());
+        let report = self.planner.ratio_report_for(&sources, &dests);
         (report.is_informative() || report.stranded_pairs > 0).then_some(report)
     }
 }

@@ -5,7 +5,9 @@ use crate::engine::{self, Bound, Chords, CsrGraph, LbRow, LbRows, Rho, RouteTree
 use crate::error::Error;
 use crate::metric::{NodeRisk, RiskWeights};
 use crate::ratios::{PairOutcome, RatioReport};
-use crate::routing::{evaluate_path, path_rho_sum, Adjacency, PairAnswer, RiskTree, RoutedPath};
+use crate::routing::{
+    evaluate_path, path_miles, path_rho_sum, Adjacency, PairAnswer, RhoSums, RiskTree, RoutedPath,
+};
 use riskroute_geo::GeoPoint;
 use riskroute_hazard::HistoricalRisk;
 use riskroute_par::Parallelism;
@@ -58,12 +60,108 @@ pub struct PairSweep {
     pub stranded: Vec<(usize, usize)>,
 }
 
-impl PairSweep {
-    /// Append `later`'s outcomes and stranded pairs after this sweep's —
-    /// the in-order merge of a pooled fold's per-item parts.
+/// One routed pair of a sweep, as [`Planner::sweep_source`] hands it to a
+/// [`PairSink`]: the pair, its β, the source's distance tree (which reaches
+/// `dst`) and the Σρ of that tree's path to `dst`.
+struct SweepPair<'a> {
+    src: usize,
+    dst: usize,
+    beta: f64,
+    tree: &'a RiskTree,
+    rho_sum: f64,
+}
+
+impl SweepPair<'_> {
+    /// The shortest leg's `[bit-miles, bit-risk miles]`: the tree distance
+    /// *is* the path's bit-miles, and its risk-miles are β times its Σρ —
+    /// the sums [`shortest_from`] reports.
+    fn shortest_miles(&self) -> [f64; 2] {
+        let miles = self.tree.dist(self.dst);
+        [miles, miles + self.beta * self.rho_sum]
+    }
+}
+
+/// What a sweep keeps of each pair: [`PairSweep`] the outcomes with both
+/// paths, [`TermSweep`] just the four Eq. 5/6 terms.
+trait PairSink: Default + Send {
+    /// Keep one pair whose shortest leg routed, or return `false` when its
+    /// RiskRoute leg is unroutable.
+    fn route(&mut self, planner: &Planner, pair: &SweepPair<'_>) -> bool;
+
+    /// Record a pair with no connecting path.
+    fn strand(&mut self, src: usize, dst: usize);
+
+    /// Append `later`'s pairs after this sink's — the in-order merge of a
+    /// pooled fold's per-item parts.
+    fn append(&mut self, later: Self);
+}
+
+impl PairSink for PairSweep {
+    fn route(&mut self, planner: &Planner, pair: &SweepPair<'_>) -> bool {
+        let risk_route = planner
+            .risk_leg(pair, |path| planner.route_along(path, pair.beta))
+            .flatten();
+        let (Some(risk_route), Some(nodes)) = (risk_route, pair.tree.path_to(pair.dst)) else {
+            return false;
+        };
+        let [bit_miles, bit_risk_miles] = pair.shortest_miles();
+        self.outcomes.push(PairOutcome {
+            src: pair.src,
+            dst: pair.dst,
+            risk_route,
+            shortest: RoutedPath {
+                nodes,
+                bit_miles,
+                risk_miles: pair.beta * pair.rho_sum,
+                bit_risk_miles,
+            },
+        });
+        true
+    }
+
+    fn strand(&mut self, src: usize, dst: usize) {
+        self.stranded.push((src, dst));
+    }
+
     fn append(&mut self, later: PairSweep) {
         self.outcomes.extend(later.outcomes);
         self.stranded.extend(later.stranded);
+    }
+}
+
+/// The term fold behind [`Planner::ratio_report_for`]: per routed pair,
+/// `[risk bit-miles, risk bit-risk miles, shortest bit-miles, shortest
+/// bit-risk miles]` ([`PairOutcome::terms`]) in pair order, and the count
+/// of stranded pairs.
+#[derive(Default)]
+struct TermSweep {
+    terms: Vec<[f64; 4]>,
+    stranded: usize,
+}
+
+impl PairSink for TermSweep {
+    fn route(&mut self, planner: &Planner, pair: &SweepPair<'_>) -> bool {
+        let risk = planner
+            .risk_leg(pair, |path| {
+                path_miles(&planner.csr, path, pair.beta, &planner.rho).ok()
+            })
+            .flatten();
+        let Some([bit_miles, risk_miles]) = risk else {
+            return false;
+        };
+        let [sp_miles, sp_bit_risk] = pair.shortest_miles();
+        self.terms
+            .push([bit_miles, bit_miles + risk_miles, sp_miles, sp_bit_risk]);
+        true
+    }
+
+    fn strand(&mut self, _: usize, _: usize) {
+        self.stranded += 1;
+    }
+
+    fn append(&mut self, later: TermSweep) {
+        self.terms.extend(later.terms);
+        self.stranded += later.stranded;
     }
 }
 
@@ -77,11 +175,13 @@ impl PairSweep {
 /// replaces one.
 ///
 /// All SSSP goes through the [`crate::engine`] module: the CSR graph,
-/// pooled scratch-arena Dijkstra, and an exact route-tree cache shared by
+/// pooled scratch-arena Dijkstra, and an exact route cache shared by
 /// clones of this planner. β = 0 distance trees
 /// are keyed by a topology stamp, every other entry by a cost stamp minted
 /// whenever risk or weights change, so a stale tree can never be observed
-/// and a forecast change keeps every distance tree;
+/// and a forecast change keeps every distance tree. The cache also
+/// memoises one ratio report per cost state
+/// ([`Self::ratio_report_for`]); it stores no per-pair answer.
 /// [`Self::with_route_cache`] turns reuse off for debugging without
 /// changing a single output bit. Pair
 /// queries run goal-directed on lower-bound rows ([`Self::pair_sweep`]) or
@@ -344,38 +444,47 @@ impl Planner {
         tree
     }
 
-    /// The answer to a pair query from `root` to `target` under metric β
-    /// (`None` when unreachable): the cached answer for this very pair, else
-    /// read off a cached complete tree under `(root, β)`, else a
-    /// goal-directed run that stops once `target` settles. A `sweep` query
-    /// ([`Self::pair_sweep`]) runs on the target's lower-bound row and
-    /// caches its answer; a pair-list query runs on the chord bound and
-    /// caches nothing, since no list reads a pair twice.
-    fn pair_answer(
-        &self,
-        root: usize,
-        beta: f64,
-        target: usize,
-        sweep: bool,
-    ) -> Option<Arc<PairAnswer>> {
-        let key = self.tree_key(root, beta);
+    /// The answer to a pair-list query from `root` to `target` under
+    /// metric β (`None` when unreachable): read off a cached complete tree
+    /// under `(root, β)`, else a run on the chord bound that stops once
+    /// `target` settles. Nothing is cached per pair, since no list reads a
+    /// pair twice.
+    fn pair_answer(&self, root: usize, beta: f64, target: usize) -> Option<PairAnswer> {
         if self.route_cache {
-            if let Some(answer) = self.cache.pair(&key, target) {
-                return answer;
+            if let Some(tree) = self.cache.tree(&self.tree_key(root, beta)) {
+                return tree.pair_answer(target);
             }
         }
-        let row = if sweep { self.lb_row(target) } else { None };
-        let bound = match (row, &self.chords) {
+        let bound = match &self.chords {
+            Some(chords) => Bound::Chord(chords),
+            None => Bound::Zero,
+        };
+        engine::sssp_to(&self.csr, root, beta, &self.rho, target, bound)
+    }
+
+    /// The RiskRoute leg of one sweep pair, handed to `read` as its path
+    /// (source first); `None` when unroutable. A β = 0 pair reads the
+    /// source's distance tree; any other runs on the target's lower-bound
+    /// row (the chord bound past the row budget) and is read in place off
+    /// the engine's arena.
+    fn risk_leg<R>(&self, pair: &SweepPair<'_>, read: impl FnOnce(&[usize]) -> R) -> Option<R> {
+        if pair.beta == 0.0 {
+            return pair.tree.path_to(pair.dst).map(|path| read(&path));
+        }
+        let bound = match (self.lb_row(pair.dst), &self.chords) {
             (Some(row), _) => Bound::Row(row),
             (None, Some(chords)) => Bound::Chord(chords),
             (None, None) => Bound::Zero,
         };
-        let answer = engine::sssp_to(&self.csr, root, beta, &self.rho, target, bound).map(Arc::new);
-        if self.route_cache && sweep {
-            self.cache
-                .insert_pair(key, target, answer.clone(), self.live_stamps());
-        }
-        answer
+        engine::sssp_to_with(
+            &self.csr,
+            pair.src,
+            pair.beta,
+            &self.rho,
+            pair.dst,
+            bound,
+            |path, _| read(path),
+        )
     }
 
     /// Target `t`'s lower-bound row, built on first request; `None` over
@@ -418,40 +527,46 @@ impl Planner {
         self.risk_tree(root, 0.0)
     }
 
-    /// Route one source against every destination, appending routed pairs
-    /// to `out.outcomes` and unroutable ones to `out.stranded` — the
-    /// per-source unit of [`Self::pair_sweep`].
+    /// Route one source against every destination into `out` — the
+    /// per-source unit of every all-pairs sweep, and its one loop.
     ///
     /// The shortest-path leg reads the source's one distance tree: its
-    /// path and miles are β-independent, and its Σρ is summed along the
-    /// path. The RiskRoute leg's β differs per destination, so it reads a
-    /// pair answer.
-    fn sweep_source(&self, i: usize, dests: &[usize], out: &mut PairSweep) {
-        let dist_tree = self.risk_tree_distance(i);
-        for &j in dests {
-            if i == j {
+    /// path and miles are β-independent, and its Σρ is summed down the tree
+    /// (bit for bit `path_rho_sum` of each path). The RiskRoute leg's β
+    /// differs per destination, so it runs one pair query
+    /// ([`Self::risk_leg`]).
+    fn sweep_source<S: PairSink>(&self, src: usize, dests: &[usize], out: &mut S) {
+        let tree = self.risk_tree_distance(src);
+        let mut scratch = RhoSums::default();
+        let sums = scratch.sum(&tree, &self.rho, 0);
+        for &dst in dests {
+            if src == dst {
                 continue;
             }
-            let beta = self.impact(i, j);
-            let Some(answer) = dist_tree.pair_answer(j) else {
-                out.stranded.push((i, j));
-                continue;
+            let pair = SweepPair {
+                src,
+                dst,
+                beta: self.impact(src, dst),
+                tree: &tree,
+                rho_sum: sums[dst],
             };
-            let shortest = shortest_from(answer, beta, &self.rho);
-            let risk_route = self
-                .pair_answer(i, beta, j, true)
-                .and_then(|a| self.route_along(&a.path, beta));
-            let Some(risk_route) = risk_route else {
-                out.stranded.push((i, j));
-                continue;
-            };
-            out.outcomes.push(PairOutcome {
-                src: i,
-                dst: j,
-                risk_route,
-                shortest,
-            });
+            if !(tree.reachable(dst) && out.route(self, &pair)) {
+                out.strand(src, dst);
+            }
         }
+    }
+
+    /// Fold [`Self::sweep_source`] over `sources` into one sink, in source
+    /// order at any worker count.
+    fn sweep<S: PairSink>(&self, sources: &[usize], dests: &[usize], sink: &mut S) {
+        riskroute_par::par_fold(
+            self.parallelism,
+            sources,
+            sink,
+            S::default,
+            |&i, out| self.sweep_source(i, dests, out),
+            S::append,
+        );
     }
 
     /// Pair outcomes plus the pairs that could not be routed — the
@@ -459,33 +574,59 @@ impl Planner {
     /// the topology, routing proceeds *within* each connected component and
     /// the cross-component pairs are surfaced as `stranded` instead of
     /// aborting the aggregation.
+    ///
+    /// For the ratios alone, [`Self::ratio_report_for`] runs the same pair
+    /// queries without building any path.
     pub fn pair_sweep(&self, sources: &[usize], dests: &[usize]) -> PairSweep {
         let mut span = riskroute_obs::span!("pair_sweep");
         let mut sweep = PairSweep {
             outcomes: Vec::with_capacity(sources.len() * dests.len()),
             stranded: Vec::new(),
         };
-        riskroute_par::par_fold(
-            self.parallelism,
-            sources,
-            &mut sweep,
-            PairSweep::default,
-            |&i, out| self.sweep_source(i, dests, out),
-            PairSweep::append,
-        );
+        self.sweep(sources, dests, &mut sweep);
         if span.is_active() {
-            span.field("pairs_routed", sweep.outcomes.len());
-            span.field("pairs_stranded", sweep.stranded.len());
-            riskroute_obs::counter_add("pairs_routed", sweep.outcomes.len() as u64);
-            riskroute_obs::counter_add("pairs_stranded", sweep.stranded.len() as u64);
-            let bit_risk: f64 = sweep
-                .outcomes
-                .iter()
-                .map(|o| o.risk_route.bit_risk_miles)
-                .sum();
-            riskroute_obs::gauge_set("pair_sweep_bit_risk_miles", bit_risk);
+            let bit_risk = sweep.outcomes.iter().map(|o| o.risk_route.bit_risk_miles);
+            publish_sweep(
+                &mut span,
+                sweep.outcomes.len(),
+                sweep.stranded.len(),
+                bit_risk,
+            );
         }
         sweep
+    }
+
+    /// The §7 ratio report (Eqs. 5–6) over `sources` × `dests`: bit for bit
+    /// `RatioReport::aggregate_with_stranded` of [`Self::pair_sweep`]'s
+    /// outcomes, folded from four numbers per pair instead of two paths.
+    /// Stranded pairs are counted on the report rather than aborting it.
+    ///
+    /// With the route cache on, the report is memoised under this
+    /// planner's topology and cost stamps and the exact lists, so a repeat
+    /// in the same cost state (a quiet replay tick, a served `ratio`) is
+    /// one lookup, counted as one `route_cache_hits`.
+    pub fn ratio_report_for(&self, sources: &[usize], dests: &[usize]) -> RatioReport {
+        let live = self.live_stamps();
+        if self.route_cache {
+            if let Some(report) = self.cache.report(live, sources, dests) {
+                return report;
+            }
+        }
+        let mut span = riskroute_obs::span!("pair_sweep");
+        let mut sweep = TermSweep {
+            terms: Vec::with_capacity(sources.len() * dests.len()),
+            stranded: 0,
+        };
+        self.sweep(sources, dests, &mut sweep);
+        if span.is_active() {
+            let bit_risk = sweep.terms.iter().map(|t| t[1]);
+            publish_sweep(&mut span, sweep.terms.len(), sweep.stranded, bit_risk);
+        }
+        let report = RatioReport::from_terms(sweep.terms, sweep.stranded);
+        if self.route_cache {
+            self.cache.insert_report(live, sources, dests, report);
+        }
+        report
     }
 
     /// Route one explicit (i, j) pair: the shortest-path and RiskRoute legs
@@ -494,14 +635,14 @@ impl Planner {
     /// answers; at β = 0 the two legs are one query.
     fn route_pair(&self, i: usize, j: usize) -> Option<PairOutcome> {
         let beta = self.impact(i, j);
-        let distance = self.pair_answer(i, 0.0, j, false)?;
+        let distance = self.pair_answer(i, 0.0, j)?;
         let risk_route = if beta == 0.0 {
             self.route_along(&distance.path, beta)
         } else {
-            self.pair_answer(i, beta, j, false)
+            self.pair_answer(i, beta, j)
                 .and_then(|a| self.route_along(&a.path, beta))
         }?;
-        let shortest = shortest_from(Arc::unwrap_or_clone(distance), beta, &self.rho);
+        let shortest = shortest_from(distance, beta, &self.rho);
         Some(PairOutcome {
             src: i,
             dst: j,
@@ -541,10 +682,7 @@ impl Planner {
             PairSweep::append,
         );
         if span.is_active() {
-            span.field("pairs_routed", sweep.outcomes.len());
-            span.field("pairs_stranded", sweep.stranded.len());
-            riskroute_obs::counter_add("pairs_routed", sweep.outcomes.len() as u64);
-            riskroute_obs::counter_add("pairs_stranded", sweep.stranded.len() as u64);
+            publish_pair_counts(&mut span, sweep.outcomes.len(), sweep.stranded.len());
         }
         sweep
     }
@@ -565,13 +703,11 @@ impl Planner {
         self.pair_outcomes(&all, &all)
     }
 
-    /// The §7 ratio report over all PoP pairs (Eqs. 5–6). Stranded pairs
-    /// (partitioned topologies) are counted on the report rather than
-    /// aborting it.
+    /// The §7 ratio report over all PoP pairs (Eqs. 5–6):
+    /// [`Self::ratio_report_for`] every PoP to every PoP.
     pub fn ratio_report(&self) -> RatioReport {
         let all: Vec<usize> = (0..self.pop_count()).collect();
-        let sweep = self.pair_sweep(&all, &all);
-        RatioReport::aggregate_with_stranded(sweep.outcomes.iter(), sweep.stranded.len())
+        self.ratio_report_for(&all, &all)
     }
 
     /// Total aggregated bit-risk miles `Σ_{i<j} min_p r_{i,j}(p)` — the
@@ -654,7 +790,7 @@ impl Planner {
 
     /// The cached β = 0 distance tree rooted at `root` on this planner's
     /// topology, if any (scenario forks probe the base cache for trees to
-    /// adopt; a pair answer cannot be projected).
+    /// adopt).
     pub(crate) fn cached_distance_tree(&self, root: usize) -> Option<Arc<RiskTree>> {
         if !self.route_cache {
             return None;
@@ -698,8 +834,8 @@ impl Planner {
     /// nodes unreachable from `r` also survives: it cannot create any new
     /// path from `r`.
     ///
-    /// Only trees are carried; pair answers stay behind (the test reads
-    /// distances a pair answer does not hold).
+    /// Only trees are carried: the new planner is a new cost state, so the
+    /// previous one's ratio memo stays behind.
     ///
     /// Adoption is skipped entirely (correct, just slower) unless `prev`
     /// has bitwise-identical ρ and a graph equal to this one minus exactly
@@ -770,6 +906,28 @@ impl Planner {
             riskroute_obs::counter_add("route_cache_invalidated", dropped);
         }
     }
+}
+
+/// Publish a sweep's routed and stranded pair counts on its span and as
+/// counters.
+fn publish_pair_counts(span: &mut riskroute_obs::Span, routed: usize, stranded: usize) {
+    span.field("pairs_routed", routed);
+    span.field("pairs_stranded", stranded);
+    riskroute_obs::counter_add("pairs_routed", routed as u64);
+    riskroute_obs::counter_add("pairs_stranded", stranded as u64);
+}
+
+/// [`publish_pair_counts`] for an all-pairs sweep, plus the sum of its
+/// RiskRoute legs' bit-risk miles (added in pair order) as the
+/// `pair_sweep_bit_risk_miles` gauge.
+fn publish_sweep(
+    span: &mut riskroute_obs::Span,
+    routed: usize,
+    stranded: usize,
+    bit_risk: impl Iterator<Item = f64>,
+) {
+    publish_pair_counts(span, routed, stranded);
+    riskroute_obs::gauge_set("pair_sweep_bit_risk_miles", bit_risk.sum());
 }
 
 /// The shortest-path [`RoutedPath`] read off a β = 0 pair answer: its
@@ -1028,48 +1186,53 @@ mod tests {
     }
 
     #[test]
-    fn pair_answers_stay_out_of_full_tree_readers() {
-        // Uniform shares: β = 0.5 for every pair. From West (0) the safe
-        // North PoP (1) settles first, so a pair query to it stops before
-        // South (2) and East (3) settle. Its lower-bound row brings target
-        // 1's distance tree into the cache beside the two pair answers.
-        let p = planner(1e5);
-        assert_eq!(p.pair_answer(0, 0.5, 1, true).unwrap().path, vec![0, 1]);
-        assert_eq!(p.pair_answer(0, 0.0, 1, true).unwrap().path, vec![0, 1]);
-        assert_eq!(p.cache.len(), 3);
-        assert!(p.cached_distance_tree(1).is_some());
-        assert!(p.cached_distance_tree(0).is_none());
+    fn sweeps_store_no_pair_answers_and_one_memo_per_cost_state() {
+        // Uniform shares: β = 0.5 for every pair. A sweep caches the four
+        // distance trees (its shortest legs and its targets' rows) and no
+        // pair answer.
+        let mut p = planner(1e5);
+        let all: Vec<usize> = (0..4).collect();
+        let sweep = p.pair_sweep(&all, &all);
+        assert_eq!(sweep.outcomes.len(), 12);
+        assert_eq!(p.cache.len(), 4);
+        // The ratio fold adds one memo, which a repeat reads.
+        let report = p.ratio_report();
+        assert_eq!(
+            report,
+            RatioReport::aggregate_with_stranded(sweep.outcomes.iter(), 0)
+        );
+        assert_eq!(p.cache.len(), 5);
+        assert_eq!(p.ratio_report(), report);
+        assert_eq!(p.cache.len(), 5);
+        // Other lists in the same cost state keep the first memo.
+        let some = p.ratio_report_for(&all[..2], &all);
+        assert_eq!(p.cache.len(), 5);
+        assert_eq!(some.pairs, 6);
         // A pair-list query caches nothing.
-        assert_eq!(p.pair_answer(0, 0.5, 2, false).unwrap().path, vec![0, 2]);
-        assert_eq!(p.cache.len(), 3);
+        assert_eq!(p.pair_answer(0, 0.5, 2).unwrap().path, vec![0, 2]);
+        assert_eq!(p.cache.len(), 5);
 
-        // Greedy adoption leaves pair answers behind.
+        // Greedy adoption carries trees only, never the memo.
         let (net, risk, shares) = diamond();
         let augmented = crate::provisioning::with_extra_link(&net, 1, 2);
-        let rebuild = || {
-            Planner::new(
-                &augmented,
-                risk.clone(),
-                shares.clone(),
-                RiskWeights::historical_only(1e5),
-            )
-        };
-        let mut next = rebuild();
+        let mut next = Planner::new(&augmented, risk, shares, RiskWeights::historical_only(1e5));
         next.adopt_route_cache(&p, 1, 2);
-        assert_eq!(next.cache.len(), 0);
+        let adopted = next.cache.trees_with_stamps(next.live_stamps()).len();
+        assert_eq!(next.cache.len(), adopted);
 
-        // A full request runs a whole tree beside the pair answer, and the
-        // tree then serves pair queries for every other target.
+        // A full request runs a whole tree, which then answers pair-list
+        // queries for every target.
         let full = p.risk_tree(0, 0.5);
         assert_eq!(full.path_to(3), Some(vec![0, 1, 3]));
-        assert_eq!(p.cache.len(), 4);
-        assert_eq!(p.pair_answer(0, 0.5, 3, true).unwrap().path, vec![0, 1, 3]);
-        assert_eq!(p.cache.len(), 4, "a tree hit stores no pair answer");
-        p.risk_tree_distance(0);
-        assert!(p.cached_distance_tree(0).is_some());
-        let mut next = rebuild();
-        next.adopt_route_cache(&p, 1, 2);
-        assert_eq!(next.cache.len(), 2, "both trees survive the link");
+        assert_eq!(p.cache.len(), 6);
+        assert_eq!(p.pair_answer(0, 0.5, 3).unwrap().path, vec![0, 1, 3]);
+        assert_eq!(p.cache.len(), 6, "a tree hit stores no pair answer");
+
+        // New weights are a new cost state: the memo misses and a second
+        // one joins it.
+        p.set_weights(RiskWeights::historical_only(1e6));
+        assert_ne!(p.ratio_report(), report);
+        assert_eq!(p.cache.len(), 7);
     }
 
     #[test]

@@ -21,6 +21,19 @@ pub struct PairOutcome {
     pub shortest: RoutedPath,
 }
 
+impl PairOutcome {
+    /// The four numbers Eqs. 5–6 read of this pair: RiskRoute's bit-miles
+    /// and bit-risk miles, then the shortest path's.
+    pub(crate) fn terms(&self) -> [f64; 4] {
+        [
+            self.risk_route.bit_miles,
+            self.risk_route.bit_risk_miles,
+            self.shortest.bit_miles,
+            self.shortest.bit_risk_miles,
+        ]
+    }
+}
+
 /// Aggregated Eq. 5 / Eq. 6 ratios.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RatioReport {
@@ -60,15 +73,31 @@ impl RatioReport {
         outcomes: impl IntoIterator<Item = &'a PairOutcome>,
         stranded_pairs: usize,
     ) -> RatioReport {
+        let terms = outcomes
+            .into_iter()
+            .filter(|o| o.src != o.dst)
+            .map(PairOutcome::terms);
+        RatioReport::from_terms(terms, stranded_pairs)
+    }
+
+    /// Fold per-pair [`PairOutcome::terms`] into the two ratios, in the
+    /// order given. A pair whose shortest path has no positive bit-risk
+    /// miles or bit-miles is skipped — the one home of that rule, whether
+    /// the terms come from outcomes or straight from a sweep
+    /// ([`Planner::ratio_report_for`](crate::Planner::ratio_report_for)).
+    pub(crate) fn from_terms(
+        terms: impl IntoIterator<Item = [f64; 4]>,
+        stranded_pairs: usize,
+    ) -> RatioReport {
         let mut risk_ratio_sum = 0.0;
         let mut dist_ratio_sum = 0.0;
         let mut pairs = 0usize;
-        for o in outcomes {
-            if o.src == o.dst || o.shortest.bit_risk_miles <= 0.0 || o.shortest.bit_miles <= 0.0 {
+        for [rr_miles, rr_bit_risk, sp_miles, sp_bit_risk] in terms {
+            if sp_bit_risk <= 0.0 || sp_miles <= 0.0 {
                 continue;
             }
-            risk_ratio_sum += o.risk_route.bit_risk_miles / o.shortest.bit_risk_miles;
-            dist_ratio_sum += o.risk_route.bit_miles / o.shortest.bit_miles;
+            risk_ratio_sum += rr_bit_risk / sp_bit_risk;
+            dist_ratio_sum += rr_miles / sp_miles;
             pairs += 1;
         }
         if pairs == 0 {

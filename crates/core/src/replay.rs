@@ -435,8 +435,7 @@ fn evaluate_tick(
         None => (vec![0.0; locations.len()], 0, 0),
     };
     planner.set_forecast(forecast);
-    let sweep = planner.pair_sweep(sources, dests);
-    let report = RatioReport::aggregate_with_stranded(sweep.outcomes.iter(), sweep.stranded.len());
+    let report = planner.ratio_report_for(sources, dests);
     ReplayTick {
         advisory,
         label,

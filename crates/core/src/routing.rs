@@ -216,14 +216,6 @@ pub struct PairAnswer {
     pub dist: f64,
 }
 
-impl PairAnswer {
-    /// Bytes held by the path (allocated capacity) — what a cache entry
-    /// charges against its budget on top of the fixed per-entry overhead.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        self.path.capacity() * std::mem::size_of::<usize>()
-    }
-}
-
 // The frontier entry lives in `riskroute-graph` now so every shortest-path
 // call site in the workspace shares one comparator (cost via `total_cmp`,
 // lowest-node-index tie-break) — bit-identical to the struct this module
@@ -295,9 +287,7 @@ pub fn risk_sssp(adj: &Adjacency, source: usize, entry_cost: impl Fn(usize) -> f
 }
 
 /// Evaluate a node sequence under the metric `d(u,v) + β·ρ(v)`,
-/// decomposing bit-miles and risk-miles. Each hop reads `u`'s CSR row;
-/// parallel links resolve to the cheapest (first in row order on a tie).
-/// The source node's entry cost is never charged (Eq. 1 sums from p₂).
+/// decomposing bit-miles and risk-miles.
 ///
 /// # Errors
 /// [`Error::NotAdjacent`] when consecutive nodes share no link.
@@ -310,6 +300,32 @@ pub(crate) fn evaluate_path(
     beta: f64,
     rho: &[f64],
 ) -> Result<RoutedPath, Error> {
+    let [bit_miles, risk_miles] = path_miles(csr, nodes, beta, rho)?;
+    Ok(RoutedPath {
+        nodes: nodes.to_vec(),
+        bit_miles,
+        risk_miles,
+        bit_risk_miles: bit_miles + risk_miles,
+    })
+}
+
+/// `[bit-miles, risk-miles]` of a node sequence under the metric
+/// `d(u,v) + β·ρ(v)`: the sums [`evaluate_path`] reports, without copying
+/// the path. Each hop reads `u`'s CSR row; parallel links resolve to the
+/// cheapest (first in row order on a tie). The source node's entry cost is
+/// never charged (Eq. 1 sums from p₂).
+///
+/// # Errors
+/// [`Error::NotAdjacent`] when consecutive nodes share no link.
+///
+/// # Panics
+/// Panics when the path is empty.
+pub(crate) fn path_miles(
+    csr: &CsrGraph,
+    nodes: &[usize],
+    beta: f64,
+    rho: &[f64],
+) -> Result<[f64; 2], Error> {
     assert!(!nodes.is_empty(), "cannot evaluate an empty path");
     let mut bit_miles = 0.0;
     let mut risk_miles = 0.0;
@@ -324,12 +340,7 @@ pub(crate) fn evaluate_path(
         bit_miles += miles;
         risk_miles += beta * rho[v];
     }
-    Ok(RoutedPath {
-        nodes: nodes.to_vec(),
-        bit_miles,
-        risk_miles,
-        bit_risk_miles: bit_miles + risk_miles,
-    })
+    Ok([bit_miles, risk_miles])
 }
 
 #[cfg(test)]

@@ -131,16 +131,6 @@ impl Graph {
             .map(move |&(v, e)| (v, self.edges[e].weight, e))
     }
 
-    /// Degree (number of incident edges) of node `n`.
-    pub fn degree(&self, n: NodeId) -> usize {
-        self.adjacency[n].len()
-    }
-
-    /// Whether at least one edge joins `a` and `b`.
-    pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        a < self.node_count() && self.adjacency[a].iter().any(|&(v, _)| v == b)
-    }
-
     /// Iterate `(edge id, a, b, weight)` over all edges.
     pub fn edges(&self) -> impl Iterator<Item = (EdgeId, NodeId, NodeId, f64)> + '_ {
         self.edges
@@ -221,19 +211,6 @@ mod tests {
         assert_eq!(n0, vec![(1, 1.0), (2, 2.0)]);
         let n1: Vec<_> = g.neighbors(1).map(|(v, w, _)| (v, w)).collect();
         assert_eq!(n1, vec![(0, 1.0)]);
-        assert_eq!(g.degree(0), 2);
-        assert_eq!(g.degree(1), 1);
-    }
-
-    #[test]
-    fn has_edge_sees_both_directions() {
-        let mut g = Graph::with_nodes(3);
-        g.add_edge(0, 1, 9.0).unwrap();
-        g.add_edge(0, 1, 1.0).unwrap(); // parallel edge
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(1, 0));
-        assert!(!g.has_edge(0, 2));
-        assert!(!g.has_edge(99, 0));
     }
 
     #[test]

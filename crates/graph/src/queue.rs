@@ -170,11 +170,18 @@ impl BucketQueue {
 
     /// Empty the queue and install the quantization factor for the next
     /// run. Arena and ring capacities are retained, so steady-state reuse
-    /// allocates nothing.
+    /// allocates nothing. A chain head is non-empty exactly when its
+    /// `occupied` bit is set, so only those heads are cleared — a short run
+    /// leaves a handful, not the whole ring.
     pub fn reset(&mut self, inv_quantum: f64) {
         self.entries.clear();
-        self.head.fill(NO_ENTRY);
-        self.occupied = [0; RING_WORDS];
+        for (w, word) in self.occupied.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                self.head[w * 64 + bits.trailing_zeros() as usize] = NO_ENTRY;
+                bits &= bits - 1;
+            }
+        }
         self.overflow.clear();
         self.overflow_min = u64::MAX;
         self.cur_key = 0;
@@ -488,6 +495,41 @@ mod tests {
                 prev = e.cost;
             }
         }
+    }
+
+    #[test]
+    fn a_queue_abandoned_mid_drain_resets_to_heap_order() {
+        // An early-exit search abandons entries in ring buckets and in
+        // overflow; after a reset the reused queue must pop exactly as a
+        // fresh heap does.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut bq = BucketQueue::new();
+        for round in 0..24 {
+            bq.reset([0.25, 4.0, 1024.0][round % 3]);
+            let mut heap: BinaryHeap<CostEntry> = BinaryHeap::new();
+            for _ in 0..60 {
+                let e = CostEntry {
+                    cost: match rng.next_u64() % 4 {
+                        0 => 0.0,
+                        1 => rng.gen_f64() * 2.0,
+                        2 => rng.gen_f64() * 40.0,
+                        _ => 500.0 + rng.gen_f64() * 5000.0,
+                    },
+                    node: (rng.next_u64() % 32) as usize,
+                };
+                heap.push(e);
+                bq.push(e);
+            }
+            // A few pops, none, half, then a full drain: every round
+            // starts from what the one before it abandoned.
+            for _ in 0..[7, 0, 30, 60][round % 4] {
+                let h = heap.pop().expect("60 entries pushed");
+                let b = bq.pop().expect("bucket queue drained early");
+                assert_eq!(h.cost.to_bits(), b.cost.to_bits(), "round {round}");
+                assert_eq!(h.node, b.node, "round {round}");
+            }
+        }
+        assert!(bq.pop().is_none());
     }
 
     #[test]

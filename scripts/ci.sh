@@ -211,9 +211,9 @@ if [ "$tie_reruns" != 0 ]; then
 fi
 
 echo "== sssp engine: route-cache-bytes guard =="
-# The same run's cache holds one pair answer per query, charged by path
-# length; scripts/cache_bytes_baseline.txt records its size. A higher value
-# means n-length trees came back into pair entries.
+# The same run's cache holds its distance trees and one memoised ratio
+# report, never an entry per pair; scripts/cache_bytes_baseline.txt
+# records its size. A higher value means per-pair entries came back.
 cache_bytes=$(awk '$1 == "riskroute_route_cache_bytes" { print $2 }' "$OBS_TMP/settles.prom")
 cache_bytes_baseline=$(cat scripts/cache_bytes_baseline.txt)
 echo "route_cache_bytes ${cache_bytes} (baseline ${cache_bytes_baseline})"

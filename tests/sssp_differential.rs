@@ -13,18 +13,20 @@
 //! 2. **Planner table.** Every planner workload is a row rendered to bytes
 //!    (the `Debug` rendering, which round-trips every f64 bit-for-bit) and
 //!    run under each configuration of route cache {on, off} × workers
-//!    {1, 2, 8}. Each configuration gets a freshly built planner, so a warm
-//!    cache never hides a cold-path divergence. A row is compared against
-//!    the cache-off sequential planner, or against an independent oracle
-//!    where the row names one: full-tree `risk_route`/`shortest_route`
+//!    {1, 2, 4, 8}. Each configuration gets a freshly built planner, so a
+//!    warm cache never hides a cold-path divergence. A row is compared
+//!    against the cache-off sequential planner, or against an independent
+//!    oracle where the row names one: full-tree `risk_route`/`shortest_route`
 //!    answers, a planner built fresh at the evolved state or at each
-//!    replay tick, or a fresh planner given the fork's forecast. Budgeted
+//!    replay tick, a fresh planner given the fork's forecast, or, for the
+//!    Eq. 5/6 term fold (`ratio_report_for`), the outcomes of the
+//!    path-building `pair_sweep` aggregated by the reference. Budgeted
 //!    rows also check the cut itself at every configuration: it stops on
 //!    exhausted work at the budgeted stage boundary, and the resumed run
 //!    completes.
-//! 3. **Cache and fork rules** that only show in counters: cached pair
-//!    answers never reach a full-tree reader, and a complete tree answers
-//!    every pair query; distance trees survive a forecast change, and a
+//! 3. **Cache and fork rules** that only show in counters: pair-list
+//!    answers are never cached, and a complete tree answers every pair
+//!    query; distance trees survive a forecast change, and a
 //!    forecast-only fork is a clone that reads the base's distance trees
 //!    (it adopts none and runs no search).
 
@@ -426,11 +428,11 @@ impl Config {
     }
 }
 
-/// Route cache {on, off} × workers {1, 2, 8}.
+/// Route cache {on, off} × workers {1, 2, 4, 8}.
 fn configs() -> impl Iterator<Item = Config> {
     [false, true]
         .into_iter()
-        .flat_map(|cache| [1, 2, 8].map(move |workers| Config { cache, workers }))
+        .flat_map(|cache| [1, 2, 4, 8].map(move |workers| Config { cache, workers }))
 }
 
 /// The reference every row without an oracle is compared against.
@@ -478,6 +480,13 @@ fn historical() -> RiskWeights {
 
 differential_table! {
     ratio_report_cold_and_warm => ratio_report, None;
+    ratio_terms_on_every_corpus_network =>
+        |c| corpus_ratios(c, Fold::Terms), Some(|| corpus_ratios(REFERENCE, Fold::Outcomes));
+    ratio_terms_on_a_partitioned_fork =>
+        |c| fork_ratios(c, Fold::Terms), Some(|| fork_ratios(REFERENCE, Fold::Outcomes));
+    ratio_terms_with_zero_beta_pairs =>
+        |c| zero_beta_ratios(c, Fold::Terms), Some(|| zero_beta_ratios(REFERENCE, Fold::Outcomes));
+    ratio_memo_serves_one_cost_state => ratio_memo, None;
     pair_sweeps_against_full_trees => pair_sweeps, Some(pair_sweeps_oracle);
     greedy_pick_sequence => greedy_picks, None;
     greedy_budget_cut_and_resume => greedy_cut_and_resume, None;
@@ -547,6 +556,170 @@ fn ratio_report(config: Config) -> String {
     let cold = planner.ratio_report();
     let warm = planner.ratio_report();
     render(&(cold, warm))
+}
+
+/// How a ratio row folds its reports: straight from the sweep's Eq. 5/6
+/// terms, or from the outcomes of the path-building sweep (the reference).
+#[derive(Debug, Clone, Copy)]
+enum Fold {
+    Terms,
+    Outcomes,
+}
+
+/// `planner`'s report over `sources` × `dests`, folded as `fold` says.
+fn ratio_of(planner: &Planner, sources: &[usize], dests: &[usize], fold: Fold) -> RatioReport {
+    match fold {
+        Fold::Terms => planner.ratio_report_for(sources, dests),
+        Fold::Outcomes => {
+            let sweep = planner.pair_sweep(sources, dests);
+            RatioReport::aggregate_with_stranded(sweep.outcomes.iter(), sweep.stranded.len())
+        }
+    }
+}
+
+/// Reports over all pairs (twice: cold, then warm) and over the even PoPs
+/// to every PoP, rendered.
+fn ratios_of(planner: &Planner, fold: Fold) -> String {
+    let all: Vec<usize> = (0..planner.pop_count()).collect();
+    let evens: Vec<usize> = all.iter().copied().step_by(2).collect();
+    render(&[
+        ratio_of(planner, &all, &all, fold),
+        ratio_of(planner, &all, &all, fold),
+        ratio_of(planner, &evens, &all, fold),
+    ])
+}
+
+/// Every corpus network under the paper's weights.
+fn corpus_ratios(config: Config, fold: Fold) -> String {
+    let s = substrate();
+    s.corpus
+        .all_networks()
+        .map(|net| {
+            let planner = config.apply(Planner::for_network(
+                net,
+                &s.population,
+                &s.hazards,
+                RiskWeights::PAPER,
+            ));
+            format!("{}: {}", net.name(), ratios_of(&planner, fold))
+        })
+        .collect()
+}
+
+/// A Telepak fork with two PoPs failed: their pairs strand.
+fn fork_ratios(config: Config, fold: Fold) -> String {
+    let base = telepak_planner(RiskWeights::PAPER, config);
+    let fork = ScenarioFork::fork(
+        &base,
+        ScenarioDelta::new().deactivate_node(3).deactivate_node(40),
+    );
+    let all: Vec<usize> = (0..base.pop_count()).collect();
+    let report = ratio_of(fork.planner(), &all, &all, fold);
+    assert_eq!(report.stranded_pairs, 4 * (all.len() - 1) - 2, "{config:?}");
+    ratios_of(fork.planner(), fold)
+}
+
+/// The random networks under shares that are zero at every even PoP (so
+/// β = 0 between two of them), with every third PoP's ρ overflowing to ∞
+/// (a β = 0 leg through one charges 0·∞ = NaN risk miles).
+fn zero_beta_ratios(config: Config, fold: Fold) -> String {
+    let mut out = String::new();
+    network_cases(|network, risk, shares, _| {
+        let n = network.pop_count();
+        let overflow: Vec<f64> = (0..n)
+            .map(|v| if v % 3 == 0 { 1e300 } else { risk[v] })
+            .collect();
+        let half_zero = (0..n)
+            .map(|v| if v % 2 == 0 { 0.0 } else { shares.share(v) })
+            .collect();
+        let planner = config.apply(Planner::new(
+            network,
+            NodeRisk::new(overflow, vec![0.0; n]),
+            PopShares::from_shares(half_zero),
+            RiskWeights::new(1e10, 1e3),
+        ));
+        out += &ratios_of(&planner, fold);
+    });
+    out
+}
+
+/// The route cache's `(entries, bytes)`, read off the planner's `Debug`
+/// rendering — the one public view of the cache.
+fn cache_size(planner: &Planner) -> (usize, usize) {
+    let text = format!("{planner:?}");
+    let at = text
+        .find("RouteTreeCache { entries: ")
+        .expect("the planner renders its cache");
+    let mut numbers = text[at..]
+        .split(|c: char| !c.is_ascii_digit())
+        .filter(|w| !w.is_empty())
+        .map(|w| w.parse().expect("a count"));
+    let entries = numbers.next().expect("entries");
+    (entries, numbers.next().expect("bytes"))
+}
+
+/// The ratio memo: one report per cost state, read again after a
+/// bitwise-equal forecast, recomputed after a ρ-changing forecast and
+/// after new weights, and charged for its lists only.
+fn ratio_memo(config: Config) -> String {
+    let mut planner = telepak_planner(RiskWeights::PAPER, config);
+    let n = planner.pop_count();
+    let all: Vec<usize> = (0..n).collect();
+    let mut reports = Vec::new();
+    // A pass's report, SSSP runs and route-cache hits and misses.
+    let mut pass = |planner: &Planner, sources: &[usize]| {
+        let (report, c) = counted(|| planner.ratio_report_for(sources, &all));
+        reports.push(report);
+        let get = |name| get(&c, name);
+        (
+            get("risk_sssp_runs"),
+            get("route_cache_hits"),
+            get("route_cache_misses"),
+        )
+    };
+    let (runs, _, _) = pass(&planner, &all);
+    assert!(runs > 0);
+    let cold = cache_size(&planner);
+    assert_eq!(cold.0, usize::from(config.cache) * (n + 1), "{config:?}");
+
+    // Resubmitting the active forecast bit for bit keeps the cost state:
+    // with the cache, one memo hit and no search.
+    planner.set_forecast(vec![0.0; n]);
+    let (runs, hits, misses) = pass(&planner, &all);
+    if config.cache {
+        assert_eq!((runs, hits, misses), (0, 1, 0));
+    } else {
+        assert!(runs > 0 && hits + misses == 0);
+    }
+    // Other lists in the same cost state miss, and the state keeps its
+    // one memo.
+    pass(&planner, &all[1..]);
+    assert_eq!(cache_size(&planner), cold, "{config:?}");
+
+    // A ρ-changing forecast, then new weights: each a new cost state that
+    // misses and adds one memo, charged for its two lists — never per pair.
+    let memo_bytes = |before: (usize, usize), after: (usize, usize)| {
+        assert_eq!(after.0, before.0 + usize::from(config.cache), "{config:?}");
+        let grown = after.1 - before.1;
+        if config.cache {
+            assert!((16 * n..16 * n + 256).contains(&grown), "{grown} bytes");
+        } else {
+            assert_eq!(grown, 0);
+        }
+    };
+    let before = cache_size(&planner);
+    planner.set_forecast(override_forecast());
+    let (runs, _, _) = pass(&planner, &all);
+    assert!(runs > 0);
+    memo_bytes(before, cache_size(&planner));
+    let before = cache_size(&planner);
+    planner.set_weights(RiskWeights::new(1e6, 1e4));
+    let (runs, _, _) = pass(&planner, &all);
+    assert!(runs > 0);
+    memo_bytes(before, cache_size(&planner));
+    let (runs, _, _) = pass(&planner, &all);
+    assert_eq!(runs == 0, config.cache, "{config:?}");
+    render(&reports)
 }
 
 fn greedy_picks(config: Config) -> String {
@@ -1325,7 +1498,7 @@ fn lower_bound_rows_are_reused_only_where_they_still_bound() {
     };
     let mut planner = chain_planner(&network, true);
     assert_eq!(sweep_rows(&planner), 8, "one row per target");
-    assert_eq!(sweep_rows(&planner), 0, "a warm sweep hits the pair cache");
+    assert_eq!(sweep_rows(&planner), 0, "a warm sweep reuses every row");
     planner.set_forecast(vec![0.0, 0.3, 0.0, 0.1, 0.5, 0.0, 0.2, 0.0]);
     assert_eq!(sweep_rows(&planner), 0, "rows serve every forecast");
     let fork = ScenarioFork::fork(&planner, ScenarioDelta::new().deactivate_link(2, 5));

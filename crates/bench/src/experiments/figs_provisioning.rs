@@ -6,19 +6,11 @@ use crate::table::{f, TextTable};
 use crate::{emit, ExperimentContext};
 use riskroute::prelude::*;
 use riskroute::provisioning::{greedy_links, GreedyLinks};
-use riskroute_population::PopShares;
 use riskroute_topology::Network;
 
 fn greedy_for(ctx: &ExperimentContext, net: &Network, k: usize) -> GreedyLinks {
     let planner = ctx.planner_for(net, RiskWeights::historical_only(1e5));
-    // PoP positions never change during augmentation, so risk vectors and
-    // shares are reused verbatim by the rebuild hook.
-    let risk = planner.risk().clone();
-    let shares = PopShares::from_shares(planner.shares().shares().to_vec());
-    let weights = planner.weights();
-    greedy_links(net, &planner, k, move |augmented| {
-        Planner::new(augmented, risk.clone(), shares.clone(), weights)
-    })
+    greedy_links(net, &planner, k)
 }
 
 /// Figure 9 — the ten best additional links for Level3, AT&T, and Tinet.

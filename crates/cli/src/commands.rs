@@ -599,10 +599,6 @@ fn run_job(
                 None => None,
                 Some(_) => return Err(integrity("job/progress kind mismatch".into())),
             };
-            let risk = planner.risk().clone();
-            let shares = PopShares::from_shares(planner.shares().shares().to_vec());
-            let rebuild =
-                move |aug: &Network| Planner::new(aug, risk.clone(), shares.clone(), weights);
             let snap = |links: &GreedyLinks| SnapshotProgress::Provision(links.clone());
             let mut run = JobRun::new(
                 &job,
@@ -612,7 +608,7 @@ fn run_job(
                 heartbeat(format!("provision {network}")),
             );
             let (links, stopped) =
-                greedy_links_budgeted(net, &planner, *k, rebuild, prior, &work, |links| {
+                greedy_links_budgeted(net, &planner, *k, prior, &work, |links| {
                     run.batch(links.added.len(), || snap(links));
                 })
                 .into_parts();

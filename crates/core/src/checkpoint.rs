@@ -175,15 +175,8 @@ impl Snapshot {
     }
 }
 
-/// FNV-1a 64-bit hash — the snapshot checksum (in-tree, dependency-free).
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
+/// FNV-1a 64-bit hash — the snapshot checksum.
+pub use riskroute_rng::fnv1a_64;
 
 /// Save `snapshot` to `path` atomically, recording the
 /// `checkpoint_write` span and the `checkpoint_writes`,

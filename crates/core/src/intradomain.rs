@@ -269,6 +269,22 @@ impl Planner {
         self.parallelism
     }
 
+    /// A planner over `augmented` — this planner's network plus added
+    /// links, PoPs unchanged — with this planner's risk, shares and
+    /// weights (cloned, not recomputed) and its parallelism and
+    /// route-cache knobs. Greedy provisioning builds each round's planner
+    /// here.
+    pub(crate) fn rebuilt_for(&self, augmented: &Network) -> Planner {
+        Planner::new(
+            augmented,
+            (*self.risk).clone(),
+            (*self.shares).clone(),
+            self.weights,
+        )
+        .with_parallelism(self.parallelism)
+        .with_route_cache(self.route_cache)
+    }
+
     /// Build a planner with the standard §5 instantiation: population
     /// shares by nearest-neighbour census assignment and historical risk
     /// from the five-corpus hazard model (zero forecast risk).

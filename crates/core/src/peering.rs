@@ -7,13 +7,12 @@
 //! found such that the RiskRoute paths have the smallest lower-bound
 //! bit-risk miles."
 //!
-//! Like the link-provisioning sweep, candidates are priced incrementally,
-//! with the same `ViaPricer`: two SSSP trees per (source, destination)
-//! pair evaluate every candidate peering's added hand-off edges in
-//! O(edges) each.
+//! Candidates are priced by link provisioning's candidate pricer: a
+//! peering is the set of its hand-off edges, and two SSSP trees per
+//! (source, destination) pair evaluate every candidate in O(edges) each.
 
 use crate::interdomain::InterdomainAnalysis;
-use crate::provisioning::ViaPricer;
+use crate::provisioning::{price_edge_sets, Edge};
 use riskroute_topology::colocation::{candidate_peers, CandidatePeer};
 use riskroute_topology::{Network, PeeringGraph};
 
@@ -34,6 +33,9 @@ pub struct ScoredPeering {
 ///
 /// `sources`/`dests` are merged ids in `analysis` (§7 uses the regional
 /// network's PoPs as sources and all regional PoPs as destinations).
+/// Every `(source, dest)` pair with distinct ends is priced, sources-major,
+/// by the same pricer as [`crate::provisioning::score_candidates`], under
+/// the analysis planner's parallelism (bit-identical at any worker count).
 /// Unreachable pairs contribute only when a candidate bridges them; pairs
 /// no candidate reaches are skipped uniformly.
 pub fn score_peerings(
@@ -52,8 +54,7 @@ pub fn score_peerings(
     }
     // Map every candidate's colocations to merged-id edges.
     let topo = analysis.topology();
-    let planner = analysis.planner();
-    let edges_per_candidate: Vec<Vec<(usize, usize, f64)>> = candidates
+    let edges_per_candidate: Vec<Vec<Edge>> = candidates
         .iter()
         .map(|c| {
             c.colocations
@@ -66,29 +67,12 @@ pub fn score_peerings(
                 .collect()
         })
         .collect();
-
-    let mut totals = vec![0.0_f64; candidates.len()];
-    for &i in sources {
-        for &j in dests {
-            if i == j {
-                continue;
-            }
-            let beta = planner.impact(i, j);
-            let tree_i = planner.risk_tree(i, beta);
-            let tree_j = planner.risk_tree(j, beta);
-            let pricer = ViaPricer::new(&tree_i, &tree_j, planner.rho(), beta, j);
-            let old = tree_i.dist(j);
-            for (c, edges) in edges_per_candidate.iter().enumerate() {
-                let mut best = old;
-                for &(a, b, miles) in edges {
-                    best = best.min(pricer.best_via(a, b, miles));
-                }
-                if best.is_finite() {
-                    totals[c] += best;
-                }
-            }
-        }
-    }
+    let edge_sets: Vec<&[Edge]> = edges_per_candidate.iter().map(Vec::as_slice).collect();
+    let pairs: Vec<(usize, usize)> = sources
+        .iter()
+        .flat_map(|&i| dests.iter().filter(move |&&j| j != i).map(move |&j| (i, j)))
+        .collect();
+    let totals = price_edge_sets(analysis.planner(), &pairs, &edge_sets);
 
     let mut scored: Vec<ScoredPeering> = candidates
         .iter()

@@ -161,40 +161,8 @@ pub fn score_candidates_budgeted(
     let _obs = budget.scope().enter();
     budget.charge(candidates.len() as u64);
     riskroute_obs::counter_add("provision_candidates_scored", candidates.len() as u64);
-    let rho = planner.rho();
-    // Totals accumulate pair-major in lexicographic pair order at any
-    // worker count, because float addition is non-associative and the
-    // totals feed a total-ordered argmax; `-0.0` is the exact identity a
-    // pooled per-pair part starts from.
-    let mut totals = vec![0.0_f64; candidates.len()];
-    riskroute_par::par_fold(
-        planner.parallelism(),
-        &unordered_pairs(network.pop_count()),
-        &mut totals,
-        || vec![-0.0; candidates.len()],
-        |&(i, j), totals: &mut Vec<f64>| {
-            let beta = planner.impact(i, j);
-            let tree_i = planner.risk_tree(i, beta);
-            let tree_j = planner.risk_tree(j, beta);
-            let pricer = ViaPricer::new(&tree_i, &tree_j, rho, beta, j);
-            let old = tree_i.dist(j);
-            for (total, &(a, b, miles)) in totals.iter_mut().zip(candidates) {
-                let new = old.min(pricer.best_via(a, b, miles));
-                // Unreachable pairs stay unreachable only if the candidate
-                // does not bridge them; skip still-infinite contributions
-                // so totals remain comparable (all candidates see the same
-                // pair set).
-                if new.is_finite() {
-                    *total += new;
-                }
-            }
-        },
-        |totals, part| {
-            for (total, p) in totals.iter_mut().zip(part) {
-                *total += p;
-            }
-        },
-    );
+    let edge_sets: Vec<&[Edge]> = candidates.iter().map(std::slice::from_ref).collect();
+    let totals = price_edge_sets(planner, &unordered_pairs(network.pop_count()), &edge_sets);
 
     let mut scored: Vec<CandidateLink> = candidates
         .iter()
@@ -212,7 +180,7 @@ pub fn score_candidates_budgeted(
     // is a total order over f64 (NaN sorts after every finite total, so a
     // poisoned candidate can never win), and exact ties — symmetric
     // topologies produce bit-identical totals — fall through to the
-    // deterministic `(a, b)` endpoint key. Equivalent to the issue's
+    // deterministic `(a, b)` endpoint key. Equivalent to a
     // `(gain, src, dst)` key since gain = original − total with original
     // fixed across candidates.
     scored.sort_by(|x, y| {
@@ -224,6 +192,55 @@ pub fn score_candidates_budgeted(
     scored
 }
 
+/// A would-be edge `(a, b, miles)`.
+pub(crate) type Edge = (PopId, PopId, f64);
+
+/// The one candidate pricer behind link provisioning (one-edge sets) and
+/// peering (a peer's hand-off edges): each set's total, over `pairs`, of
+/// the pair's cost with the set added — `min(old, best_via)` over the
+/// set's edges.
+///
+/// Totals accumulate pair-major in `pairs` order at any worker count,
+/// because float addition is non-associative and the totals feed a
+/// total-ordered argmax; `-0.0` is the exact identity a pooled per-pair
+/// part starts from. Pairs a set leaves unreachable contribute nothing,
+/// so totals stay comparable (every set sees the same pair list).
+pub(crate) fn price_edge_sets(
+    planner: &Planner,
+    pairs: &[(usize, usize)],
+    edge_sets: &[&[Edge]],
+) -> Vec<f64> {
+    let rho = planner.rho();
+    let mut totals = vec![0.0_f64; edge_sets.len()];
+    riskroute_par::par_fold(
+        planner.parallelism(),
+        pairs,
+        &mut totals,
+        || vec![-0.0; edge_sets.len()],
+        |&(i, j), totals: &mut Vec<f64>| {
+            let beta = planner.impact(i, j);
+            let tree_i = planner.risk_tree(i, beta);
+            let tree_j = planner.risk_tree(j, beta);
+            let pricer = ViaPricer::new(&tree_i, &tree_j, rho, beta, j);
+            let old = tree_i.dist(j);
+            for (total, edges) in totals.iter_mut().zip(edge_sets) {
+                let new = edges.iter().fold(old, |best, &(a, b, miles)| {
+                    best.min(pricer.best_via(a, b, miles))
+                });
+                if new.is_finite() {
+                    *total += new;
+                }
+            }
+        },
+        |totals, part| {
+            for (total, p) in totals.iter_mut().zip(part) {
+                *total += p;
+            }
+        },
+    );
+    totals
+}
+
 /// Prices "route i→j forced through new link (a, b)" in O(1) per candidate
 /// from one (i, j) pair's two SSSP trees. Carries everything β-dependent
 /// precomputed so the per-candidate call takes only the candidate itself.
@@ -233,7 +250,7 @@ pub fn score_candidates_budgeted(
 /// [`ViaPricer::best_via`] is safe — a NaN could only enter via a
 /// non-finite `miles`, which the candidate enumerators never produce
 /// (great-circle distances are finite).
-pub(crate) struct ViaPricer<'a> {
+struct ViaPricer<'a> {
     tree_i: &'a crate::routing::RiskTree,
     tree_j: &'a crate::routing::RiskTree,
     rho: &'a [f64],
@@ -243,7 +260,7 @@ pub(crate) struct ViaPricer<'a> {
 }
 
 impl<'a> ViaPricer<'a> {
-    pub(crate) fn new(
+    fn new(
         tree_i: &'a crate::routing::RiskTree,
         tree_j: &'a crate::routing::RiskTree,
         rho: &'a [f64],
@@ -280,7 +297,7 @@ impl<'a> ViaPricer<'a> {
 
     /// Best bit-risk route i→j forced through new link (a, b), in either
     /// orientation.
-    pub(crate) fn best_via(&self, a: usize, b: usize, miles: f64) -> f64 {
+    fn best_via(&self, a: usize, b: usize, miles: f64) -> f64 {
         let via_ab = self.tree_i.dist(a) + miles + self.rho_at(b) + self.rev(b);
         let via_ba = self.tree_i.dist(b) + miles + self.rho_at(a) + self.rev(a);
         via_ab.min(via_ba)
@@ -323,25 +340,14 @@ pub fn best_additional_link_adaptive_budgeted(
 /// Greedy k-link augmentation (§6.3): repeatedly add the best candidate and
 /// re-evaluate. Returns fewer than `k` links when candidates run out.
 ///
-/// `rebuild` must construct a fresh planner for an augmented copy of the
-/// network (risk vectors and shares are position-stable because PoPs never
-/// change, so callers normally reuse them).
-pub fn greedy_links(
-    network: &Network,
-    planner: &Planner,
-    k: usize,
-    rebuild: impl FnMut(&Network) -> Planner,
-) -> GreedyLinks {
-    let (links, _) = greedy_links_budgeted(
-        network,
-        planner,
-        k,
-        rebuild,
-        None,
-        &WorkBudget::unlimited(),
-        |_| {},
-    )
-    .into_parts();
+/// Each round's planner is built over the augmented network from
+/// `planner`'s risk, shares and weights (PoPs never change, so the per-PoP
+/// vectors stay position-stable) and inherits its parallelism and
+/// route-cache knobs.
+pub fn greedy_links(network: &Network, planner: &Planner, k: usize) -> GreedyLinks {
+    let (links, _) =
+        greedy_links_budgeted(network, planner, k, None, &WorkBudget::unlimited(), |_| {})
+            .into_parts();
     links
 }
 
@@ -349,7 +355,8 @@ pub fn greedy_links(
 /// given (a completed prefix, e.g. one loaded from a checkpoint snapshot).
 ///
 /// `network`/`planner` are the **unaugmented** inputs of the run; the
-/// prior links are reapplied first. The budget is checked before every
+/// prior links are reapplied first, and every later planner is built from
+/// `planner` as in [`greedy_links`]. The budget is checked before every
 /// greedy iteration (a clean stage boundary), and candidate evaluations
 /// inside [`score_candidates_budgeted`] are charged as work. When the
 /// budget runs out the call returns [`Budgeted::Partial`] with the links
@@ -367,7 +374,6 @@ pub fn greedy_links_budgeted(
     network: &Network,
     planner: &Planner,
     k: usize,
-    mut rebuild: impl FnMut(&Network) -> Planner,
     prior: Option<GreedyLinks>,
     budget: &WorkBudget,
     mut on_iteration: impl FnMut(&GreedyLinks),
@@ -383,16 +389,10 @@ pub fn greedy_links_budgeted(
     for link in &prior.added {
         current_net = with_extra_link(&current_net, link.a, link.b);
     }
-    // Rebuilt planners inherit the base planner's parallelism and
-    // route-cache knobs: `rebuild` closures predate both and construct
-    // default planners, and neither knob ever changes results — only
-    // wall-clock.
     let mut current_planner = if prior.added.is_empty() {
         planner.clone()
     } else {
-        rebuild(&current_net)
-            .with_parallelism(planner.parallelism())
-            .with_route_cache(planner.route_cache())
+        planner.rebuilt_for(&current_net)
     };
     let mut result = prior;
     while result.added.len() < k {
@@ -416,9 +416,7 @@ pub fn greedy_links_budgeted(
             break;
         };
         current_net = with_extra_link(&current_net, best.a, best.b);
-        let mut next_planner = rebuild(&current_net)
-            .with_parallelism(planner.parallelism())
-            .with_route_cache(planner.route_cache());
+        let mut next_planner = current_planner.rebuilt_for(&current_net);
         // Trees the new link provably cannot improve survive into the next
         // round's cache (strict edge-addition test; see
         // `Planner::adopt_route_cache`), so re-measuring the augmented
@@ -606,37 +604,8 @@ mod tests {
 
     #[test]
     fn greedy_series_is_monotone_nonincreasing() {
-        // Use the horseshoe, which has real candidates.
-        let net = Network::new(
-            "horseshoe",
-            NetworkKind::Regional,
-            vec![
-                pop("P0", 35.0, -100.0),
-                pop("P1", 35.0, -97.0),
-                pop("P2", 35.0, -94.0),
-                pop("P3", 35.8, -94.0),
-                pop("P4", 35.8, -100.0),
-                pop("P5", 35.8, -97.0),
-            ],
-            vec![(0, 1), (1, 2), (2, 3), (3, 5), (5, 4)],
-        )
-        .unwrap();
-        let risk = NodeRisk::new(vec![0.0, 0.0, 2e-3, 0.0, 0.0, 0.0], vec![0.0; 6]);
-        let shares = PopShares::from_shares(vec![1.0 / 6.0; 6]);
-        let planner = Planner::new(
-            &net,
-            risk.clone(),
-            shares.clone(),
-            RiskWeights::historical_only(1e5),
-        );
-        let result = greedy_links(&net, &planner, 3, |n| {
-            Planner::new(
-                n,
-                risk.clone(),
-                shares.clone(),
-                RiskWeights::historical_only(1e5),
-            )
-        });
+        let (net, planner) = greedy_fixture();
+        let result = greedy_links(&net, &planner, 3);
         assert!(!result.added.is_empty());
         let series = result.fraction_series();
         assert!(series[0] <= 1.0 + 1e-12);
@@ -648,14 +617,7 @@ mod tests {
     #[test]
     fn greedy_stops_when_no_candidates() {
         let (net, planner) = line_network();
-        let result = greedy_links(&net, &planner, 5, |n| {
-            Planner::new(
-                n,
-                planner.risk().clone(),
-                PopShares::from_shares(planner.shares().shares().to_vec()),
-                planner.weights(),
-            )
-        });
+        let result = greedy_links(&net, &planner, 5);
         assert!(result.added.is_empty());
         assert!(result.fraction_series().is_empty());
     }
@@ -683,27 +645,12 @@ mod tests {
         (net, planner)
     }
 
-    fn fixture_rebuild(planner: &Planner) -> impl FnMut(&Network) -> Planner {
-        let risk = planner.risk().clone();
-        let shares = PopShares::from_shares(planner.shares().shares().to_vec());
-        let weights = planner.weights();
-        move |n: &Network| Planner::new(n, risk.clone(), shares.clone(), weights)
-    }
-
     #[test]
     fn exhausted_budget_returns_a_partial_prefix() {
         use crate::budget::{Budgeted, StopReason, WorkBudget};
         let (net, planner) = greedy_fixture();
         let budget = WorkBudget::unlimited().with_max_work(0);
-        let run = greedy_links_budgeted(
-            &net,
-            &planner,
-            3,
-            fixture_rebuild(&planner),
-            None,
-            &budget,
-            |_| {},
-        );
+        let run = greedy_links_budgeted(&net, &planner, 3, None, &budget, |_| {});
         let Budgeted::Partial { completed, stopped } = run else {
             panic!("zero budget must stop before the first iteration");
         };
@@ -718,7 +665,7 @@ mod tests {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
         let (net, planner) = greedy_fixture();
-        let uninterrupted = greedy_links(&net, &planner, 3, fixture_rebuild(&planner));
+        let uninterrupted = greedy_links(&net, &planner, 3);
         assert!(
             uninterrupted.added.len() >= 2,
             "fixture must admit at least two greedy links"
@@ -726,19 +673,11 @@ mod tests {
         // Kill after the first iteration via the cooperative cancel flag.
         let cancel = Arc::new(AtomicBool::new(false));
         let budget = WorkBudget::unlimited().with_cancel(Arc::clone(&cancel));
-        let run = greedy_links_budgeted(
-            &net,
-            &planner,
-            3,
-            fixture_rebuild(&planner),
-            None,
-            &budget,
-            |links| {
-                if links.added.len() == 1 {
-                    cancel.store(true, Ordering::Relaxed);
-                }
-            },
-        );
+        let run = greedy_links_budgeted(&net, &planner, 3, None, &budget, |links| {
+            if links.added.len() == 1 {
+                cancel.store(true, Ordering::Relaxed);
+            }
+        });
         let Budgeted::Partial { completed, stopped } = run else {
             panic!("cancel flag must interrupt the run");
         };
@@ -749,7 +688,6 @@ mod tests {
             &net,
             &planner,
             3,
-            fixture_rebuild(&planner),
             Some(completed),
             &WorkBudget::unlimited(),
             |_| {},

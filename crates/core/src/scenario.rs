@@ -39,6 +39,7 @@ use crate::routing::{RhoSums, RiskTree, NO_PRED};
 use riskroute_geo::distance::great_circle_miles;
 use riskroute_hazard::events::sample_member_events;
 use riskroute_hazard::EventKind;
+use riskroute_rng::splitmix64;
 use riskroute_topology::Network;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -630,16 +631,6 @@ pub struct SweepPrior {
     pub baseline: ExposureReport,
     /// Records completed before the cut, in canonical order.
     pub records: Vec<SweepRecord>,
-}
-
-/// SplitMix64 — the deterministic, dependency-free stream behind N-2
-/// sampling.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// The canonical failable-element list of a network: nodes `0..n` in

@@ -24,12 +24,37 @@ pub struct StdRng {
     s: [u64; 4],
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// SplitMix64: advance `state` and return its next output. Seeds
+/// [`StdRng`] and drives the workspace's other small seeded streams.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// FNV-1a 64 over `bytes`, starting from the offset basis xor `seed`.
+fn fnv1a_fold(seed: u64, bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325 ^ seed;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// FNV-1a 64-bit hash (the snapshot checksum and the digest tests' hash).
+pub fn fnv1a_64(bytes: &[u8]) -> u64 {
+    fnv1a_fold(0, bytes)
+}
+
+/// Derive a sub-seed for a named component, so sibling components given
+/// the same master seed do not share streams: the FNV-1a fold of `label`
+/// from the offset basis xor `master` — stable across Rust versions
+/// (unlike `DefaultHasher`).
+pub fn derive_seed(master: u64, label: &str) -> u64 {
+    fnv1a_fold(master, label.as_bytes())
 }
 
 impl StdRng {

@@ -5,27 +5,11 @@
 //! its generator here, so experiments regenerate bit-identically across runs
 //! and platforms.
 
-pub use riskroute_rng::{SliceRandom, StdRng, WeightedIndex};
+pub use riskroute_rng::{derive_seed, SliceRandom, StdRng, WeightedIndex};
 
 /// A seeded standard generator.
 pub fn seeded(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
-}
-
-/// Derive a sub-seed for a named component, so sibling components given the
-/// same master seed do not accidentally share streams.
-///
-/// Uses the FNV-1a hash of the label folded into the seed — stable across
-/// Rust versions (unlike `DefaultHasher`).
-pub fn derive_seed(master: u64, label: &str) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-    const FNV_PRIME: u64 = 0x100000001b3;
-    let mut h = FNV_OFFSET ^ master;
-    for b in label.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 /// A deterministic shuffled permutation of `0..n`.

@@ -16,7 +16,7 @@ use crate::tier1::build_network;
 use riskroute_geo::bbox::CONUS;
 use riskroute_geo::distance::{destination, great_circle_miles};
 use riskroute_graph::gabriel::gabriel_graph;
-use riskroute_rng::StdRng;
+use riskroute_rng::{derive_seed, StdRng};
 
 /// Specification for one regional network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,18 +235,6 @@ fn wire_gabriel(pops: &[Pop]) -> Vec<(usize, usize)> {
         }
     }
     links
-}
-
-/// FNV-1a seed derivation (see `tier1` module note on the duplication).
-fn derive_seed(master: u64, label: &str) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-    const FNV_PRIME: u64 = 0x100000001b3;
-    let mut h = FNV_OFFSET ^ master;
-    for b in label.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 #[cfg(test)]

@@ -21,7 +21,7 @@ use riskroute_geo::bbox::CONUS;
 use riskroute_geo::distance::{destination, great_circle_miles};
 use riskroute_geo::GeoPoint;
 use riskroute_graph::gabriel::gabriel_graph;
-use riskroute_rng::StdRng;
+use riskroute_rng::{derive_seed, StdRng};
 use std::collections::HashMap;
 
 /// Approximate continental-US land area, used only to scale the minimum
@@ -295,19 +295,6 @@ impl SpatialHash {
         found.truncate(k);
         found.into_iter().map(|(_, i)| i).collect()
     }
-}
-
-/// FNV-1a seed derivation (see the `tier1` module note on why this is
-/// duplicated rather than imported from the stats crate).
-fn derive_seed(master: u64, label: &str) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-    const FNV_PRIME: u64 = 0x100000001b3;
-    let mut h = FNV_OFFSET ^ master;
-    for b in label.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 #[cfg(test)]

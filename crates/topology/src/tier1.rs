@@ -13,7 +13,7 @@ use crate::gazetteer::{self, City};
 use crate::model::{Network, NetworkKind, Pop};
 use riskroute_geo::distance::great_circle_miles;
 use riskroute_graph::gabriel::gabriel_graph;
-use riskroute_rng::{StdRng, WeightedIndex};
+use riskroute_rng::{derive_seed, StdRng, WeightedIndex};
 
 /// Specification for one Tier-1 network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,7 +69,7 @@ pub const TIER1_SPECS: &[Tier1Spec] = &[
 ///
 /// The same `(spec, master_seed)` pair always yields the same network.
 pub fn synthesize_tier1(spec: &Tier1Spec, master_seed: u64) -> Network {
-    let seed = riskroute_stats_seed(master_seed, spec.name);
+    let seed = derive_seed(master_seed, spec.name);
     let mut rng = seeded(seed);
     let cities = sample_cities(spec.pops, &mut rng);
     build_network(spec.name, NetworkKind::Tier1, &cities, spec.hubs, &mut rng)
@@ -265,20 +265,6 @@ pub(crate) fn knn_edges(pops: &[Pop], k: usize) -> Vec<(usize, usize)> {
 
 fn seeded(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
-}
-
-/// Mirror of `riskroute_stats::rng::derive_seed` (FNV-1a fold), duplicated to
-/// avoid a dependency cycle: stats does not depend on topology, and topology
-/// only needs this one helper from it.
-fn riskroute_stats_seed(master: u64, label: &str) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-    const FNV_PRIME: u64 = 0x100000001b3;
-    let mut h = FNV_OFFSET ^ master;
-    for b in label.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 #[cfg(test)]

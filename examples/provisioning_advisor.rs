@@ -11,7 +11,6 @@ use riskroute::interdomain::InterdomainAnalysis;
 use riskroute::peering::score_peerings;
 use riskroute::prelude::*;
 use riskroute::provisioning::greedy_links;
-use riskroute_population::PopShares;
 use riskroute_topology::colocation::DEFAULT_COLOCATION_MILES;
 use riskroute_topology::Network;
 
@@ -44,12 +43,7 @@ fn main() {
         &hazards,
         RiskWeights::historical_only(1e5),
     );
-    let risk = planner.risk().clone();
-    let shares = PopShares::from_shares(planner.shares().shares().to_vec());
-    let weights = planner.weights();
-    let result = greedy_links(net, &planner, 5, move |augmented| {
-        Planner::new(augmented, risk.clone(), shares.clone(), weights)
-    });
+    let result = greedy_links(net, &planner, 5);
     if result.added.is_empty() {
         println!("  no candidate link passes the >50% bit-mile shortcut filter");
     }

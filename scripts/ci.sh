@@ -279,11 +279,11 @@ fi
 echo "== experiments: paper artifacts byte-for-byte =="
 # Every paper artifact that runs in at most ~10 s on a release build
 # regenerates byte-identically to the committed results/ (fig4 also pins
-# the binned KDE's output; table2, fig12 and ablations 1, 2 and 4 pin the
-# goal-directed pair sweeps). The harness writes ./results/ under its
-# working directory; timings.txt holds wall times.
+# the binned KDE's output; table2, table3, fig8, fig12 and ablations 1, 2
+# and 4 pin the goal-directed pair sweeps). The harness writes ./results/
+# under its working directory; timings.txt holds wall times.
 (cd "$OBS_TMP" && "$OLDPWD/target/release/experiments" \
-  table2 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig12 \
+  table2 table3 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig12 \
   ablation1 ablation2 ablation3 ablation4 ablation5 >/dev/null 2>&1)
 regenerated=0
 for f in "$OBS_TMP"/results/*.txt; do
@@ -292,8 +292,8 @@ for f in "$OBS_TMP"/results/*.txt; do
   diff "results/$name" "$f"
   regenerated=$(( regenerated + 1 ))
 done
-if [ "$regenerated" -ne 14 ]; then
-  echo "FAIL: expected 14 regenerated artifacts, got ${regenerated}"
+if [ "$regenerated" -ne 16 ]; then
+  echo "FAIL: expected 16 regenerated artifacts, got ${regenerated}"
   exit 1
 fi
 echo "${regenerated} paper artifacts are byte-identical"

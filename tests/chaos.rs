@@ -644,12 +644,7 @@ fn horseshoe_fixture(parallelism: Parallelism) -> (Network, Planner) {
 fn provision_leg(seed: u64, parallelism: Parallelism) -> Leg {
     let (net, planner) = horseshoe_fixture(parallelism);
     let weights = planner.weights();
-    let rebuild = || {
-        let risk = planner.risk().clone();
-        let shares = PopShares::from_shares(planner.shares().shares().to_vec());
-        move |n: &Network| Planner::new(n, risk.clone(), shares.clone(), weights)
-    };
-    let uninterrupted = greedy_links(&net, &planner, PROVISION_K, rebuild());
+    let uninterrupted = greedy_links(&net, &planner, PROVISION_K);
     assert_eq!(
         uninterrupted.added.len(),
         PROVISION_K,
@@ -659,20 +654,12 @@ fn provision_leg(seed: u64, parallelism: Parallelism) -> Leg {
     let cancel = Arc::new(AtomicBool::new(false));
     let budget = WorkBudget::unlimited().with_cancel(Arc::clone(&cancel));
     let mut checkpointed: Option<GreedyLinks> = None;
-    let run = greedy_links_budgeted(
-        &net,
-        &planner,
-        PROVISION_K,
-        rebuild(),
-        None,
-        &budget,
-        |links| {
-            checkpointed = Some(links.clone());
-            if links.added.len() == killed_after {
-                cancel.store(true, Ordering::Relaxed);
-            }
-        },
-    );
+    let run = greedy_links_budgeted(&net, &planner, PROVISION_K, None, &budget, |links| {
+        checkpointed = Some(links.clone());
+        if links.added.len() == killed_after {
+            cancel.store(true, Ordering::Relaxed);
+        }
+    });
     let Budgeted::Partial { completed, .. } = run else {
         panic!("seed {seed}: the kill after link {killed_after} did not stop provisioning");
     };
@@ -692,7 +679,6 @@ fn provision_leg(seed: u64, parallelism: Parallelism) -> Leg {
             &net,
             &planner,
             PROVISION_K,
-            rebuild(),
             Some(prior),
             &WorkBudget::unlimited(),
             |_| {},

@@ -5,8 +5,6 @@
 use riskroute::checkpoint::{load_snapshot, Snapshot, SnapshotJob, SnapshotProgress};
 use riskroute::prelude::*;
 use riskroute::provisioning::{greedy_links, greedy_links_budgeted, GreedyLinks};
-use riskroute_population::PopShares;
-use riskroute_topology::Network;
 
 const K: usize = 3;
 
@@ -24,17 +22,10 @@ fn greedy_provisioning_is_deterministic_and_resumes_from_every_boundary() {
     let net = corpus.network("Telepak").unwrap();
     let weights = RiskWeights::historical_only(1e5);
     let planner = Planner::for_network(net, &population, &hazards, weights);
-    let risk = planner.risk().clone();
-    let shares = PopShares::from_shares(planner.shares().shares().to_vec());
-    let make_rebuild = || {
-        let risk = risk.clone();
-        let shares = shares.clone();
-        move |aug: &Network| Planner::new(aug, risk.clone(), shares.clone(), weights)
-    };
 
     // Determinism: two unbudgeted runs agree exactly, f64s included.
-    let full = greedy_links(net, &planner, K, make_rebuild());
-    let again = greedy_links(net, &planner, K, make_rebuild());
+    let full = greedy_links(net, &planner, K);
+    let again = greedy_links(net, &planner, K);
     assert_eq!(full, again, "greedy must be bit-deterministic");
     assert!(!full.added.is_empty(), "fixture must actually choose links");
 
@@ -65,7 +56,6 @@ fn greedy_provisioning_is_deterministic_and_resumes_from_every_boundary() {
             net,
             &planner,
             K,
-            make_rebuild(),
             Some(prior),
             &WorkBudget::unlimited(),
             |_| {},

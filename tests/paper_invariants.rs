@@ -112,3 +112,31 @@ fn definition_1_bit_risk_decomposition() {
     assert!((route.risk_miles - recomputed).abs() < 1e-9);
     assert!((route.bit_risk_miles - route.bit_miles - route.risk_miles).abs() < 1e-9);
 }
+
+#[test]
+fn figure_10_added_links_never_raise_bit_risk() {
+    // Figure 10's shape: each greedily added link (Eq. 4) leaves at most
+    // the bit-risk miles there were before it.
+    let corpus = Corpus::standard(42);
+    let population = PopulationModel::synthesize(42, 3_000);
+    let hazards = riskroute_hazard::HistoricalRisk::standard(42, Some(500));
+    let net = corpus.network("Sprint").unwrap();
+    let planner = Planner::for_network(
+        net,
+        &population,
+        &hazards,
+        RiskWeights::historical_only(1e5),
+    );
+    let series = greedy_links(net, &planner, 3).fraction_series();
+    assert_eq!(series.len(), 3, "Sprint admits three greedy links");
+    assert!(
+        series[0] <= 1.0 + 1e-12,
+        "first link raised bit-risk: {series:?}"
+    );
+    for w in series.windows(2) {
+        assert!(
+            w[1] <= w[0] * (1.0 + 1e-12),
+            "an added link raised bit-risk: {series:?}"
+        );
+    }
+}

@@ -10,7 +10,6 @@
 use riskroute::prelude::*;
 use riskroute::provisioning::{greedy_links, greedy_links_budgeted};
 use riskroute_hazard::HistoricalRisk;
-use riskroute_population::PopShares;
 use riskroute_topology::Network;
 
 /// Sequential first: the later entries are diffed against index 0.
@@ -56,11 +55,7 @@ fn provisioning_pick_sequence_is_identical_across_thread_counts() {
     let mut runs = Vec::new();
     for par in MATRIX {
         let planner = planner_at(net, &population, &hazards, par);
-        let risk = planner.risk().clone();
-        let shares = PopShares::from_shares(planner.shares().shares().to_vec());
-        let weights = RiskWeights::historical_only(1e5);
-        let rebuild = move |aug: &Network| Planner::new(aug, risk.clone(), shares.clone(), weights);
-        runs.push(greedy_links(net, &planner, 3, rebuild));
+        runs.push(greedy_links(net, &planner, 3));
     }
     assert!(
         !runs[0].added.is_empty(),
@@ -75,22 +70,14 @@ fn provisioning_pick_sequence_is_identical_across_thread_counts() {
 fn budgeted_provisioning_cuts_and_resumes_identically_across_thread_counts() {
     let (corpus, population, hazards) = substrate();
     let net = corpus.network("Telepak").unwrap();
-    let weights = RiskWeights::historical_only(1e5);
     let mut partials = Vec::new();
     let mut resumed_runs = Vec::new();
     for par in MATRIX {
         let planner = planner_at(net, &population, &hazards, par);
-        let risk = planner.risk().clone();
-        let shares = PopShares::from_shares(planner.shares().shares().to_vec());
-        let make_rebuild = || {
-            let risk = risk.clone();
-            let shares = shares.clone();
-            move |aug: &Network| Planner::new(aug, risk.clone(), shares.clone(), weights)
-        };
         // One greedy iteration's worth of work: the cut must land after
         // the same iteration no matter how the wave was fanned out.
         let budget = WorkBudget::unlimited().with_max_work(1);
-        let run = greedy_links_budgeted(net, &planner, 3, make_rebuild(), None, &budget, |_| {});
+        let run = greedy_links_budgeted(net, &planner, 3, None, &budget, |_| {});
         let Budgeted::Partial { completed, stopped } = run else {
             panic!("a 1-unit budget must stop a 3-link search ({par})");
         };
@@ -100,7 +87,6 @@ fn budgeted_provisioning_cuts_and_resumes_identically_across_thread_counts() {
             net,
             &planner,
             3,
-            make_rebuild(),
             Some(completed),
             &WorkBudget::unlimited(),
             |_| {},

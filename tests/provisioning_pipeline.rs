@@ -68,12 +68,7 @@ fn greedy_augmentation_is_monotone_on_corpus_network() {
     let corpus = Corpus::standard(42);
     let net = corpus.network("NTT").unwrap();
     let planner = planner_for(net);
-    let risk = planner.risk().clone();
-    let shares = PopShares::from_shares(planner.shares().shares().to_vec());
-    let weights = planner.weights();
-    let result = greedy_links(net, &planner, 4, move |augmented| {
-        Planner::new(augmented, risk.clone(), shares.clone(), weights)
-    });
+    let result = greedy_links(net, &planner, 4);
     let series = result.fraction_series();
     for w in series.windows(2) {
         assert!(

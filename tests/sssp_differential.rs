@@ -31,6 +31,7 @@
 //!    (it adopts none and runs no search).
 
 use riskroute::engine::{sssp, sssp_to, Bound, Chords, CsrGraph, LbRow, Rho};
+use riskroute::peering::score_peerings;
 use riskroute::prelude::*;
 use riskroute::provisioning::{greedy_links_budgeted, with_extra_link};
 use riskroute::replay::{
@@ -44,6 +45,7 @@ use riskroute_geo::distance::great_circle_miles;
 use riskroute_geo::GeoPoint;
 use riskroute_obs::{trace_counters, ObsScope};
 use riskroute_rng::StdRng;
+use riskroute_topology::colocation::DEFAULT_COLOCATION_MILES;
 use riskroute_topology::Pop;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -490,6 +492,7 @@ differential_table! {
     pair_sweeps_against_full_trees => pair_sweeps, Some(pair_sweeps_oracle);
     greedy_pick_sequence => greedy_picks, None;
     greedy_budget_cut_and_resume => greedy_cut_and_resume, None;
+    peering_scores_on_a_merged_topology => peering_scores, None;
     replay_tick_series => |c| replay_ticks(RiskWeights::PAPER, c), None;
     replay_tick_series_under_historical_risk => |c| replay_ticks(historical(), c), None;
     replay_ticks_against_fresh_planners =>
@@ -540,15 +543,6 @@ fn telepak_planner(weights: RiskWeights, config: Config) -> Planner {
         &s.hazards,
         weights,
     ))
-}
-
-/// The greedy `rebuild` closure: a planner over the augmented network with
-/// the base planner's risk and shares (greedy applies the knobs).
-fn rebuild_from(planner: &Planner) -> impl FnMut(&Network) -> Planner {
-    let risk = planner.risk().clone();
-    let shares = planner.shares().clone();
-    let weights = planner.weights();
-    move |net: &Network| Planner::new(net, risk.clone(), shares.clone(), weights)
 }
 
 fn ratio_report(config: Config) -> String {
@@ -724,7 +718,7 @@ fn ratio_memo(config: Config) -> String {
 
 fn greedy_picks(config: Config) -> String {
     let planner = telepak_planner(historical(), config);
-    let picks = greedy_links(telepak(), &planner, 3, rebuild_from(&planner));
+    let picks = greedy_links(telepak(), &planner, 3);
     assert!(
         !picks.added.is_empty(),
         "fixture must actually choose links"
@@ -736,15 +730,7 @@ fn greedy_cut_and_resume(config: Config) -> String {
     let net = telepak();
     let planner = telepak_planner(historical(), config);
     let budget = WorkBudget::unlimited().with_max_work(1);
-    let cut = greedy_links_budgeted(
-        net,
-        &planner,
-        3,
-        rebuild_from(&planner),
-        None,
-        &budget,
-        |_| {},
-    );
+    let cut = greedy_links_budgeted(net, &planner, 3, None, &budget, |_| {});
     let Budgeted::Partial { completed, stopped } = cut.clone() else {
         panic!("a 1-unit budget must stop a 3-link search ({config:?})");
     };
@@ -753,7 +739,6 @@ fn greedy_cut_and_resume(config: Config) -> String {
         net,
         &planner,
         3,
-        rebuild_from(&planner),
         Some(completed),
         &WorkBudget::unlimited(),
         |_| {},
@@ -763,6 +748,45 @@ fn greedy_cut_and_resume(config: Config) -> String {
         "unlimited resume never stops"
     );
     render(&(cut, resumed))
+}
+
+/// Figure 11's peering scores for one regional network of a small merged
+/// topology: a regional network, the networks it could peer with, and a
+/// regional network it already reaches.
+fn peering_scores(config: Config) -> String {
+    let s = substrate();
+    let networks: Vec<&Network> = ["Gridnet", "AT&T", "Sprint", "NTT", "Iris", "CoStreet"]
+        .into_iter()
+        .map(|name| s.corpus.network(name).expect("corpus network"))
+        .collect();
+    let fresh = InterdomainAnalysis::new(
+        &networks,
+        &s.corpus.peering,
+        &s.population,
+        &s.hazards,
+        historical(),
+    );
+    let analysis = InterdomainAnalysis::from_parts(
+        fresh.topology().clone(),
+        config.apply(fresh.planner().clone()),
+    );
+    let topo = analysis.topology();
+    let pops = |name: &str| topo.pops_of(name).expect("merged network");
+    let dests: Vec<usize> = ["Gridnet", "Iris", "CoStreet"]
+        .into_iter()
+        .flat_map(pops)
+        .collect();
+    let scored = score_peerings(
+        &analysis,
+        networks[0],
+        &networks[1..],
+        &s.corpus.peering,
+        DEFAULT_COLOCATION_MILES,
+        &pops("Gridnet"),
+        &dests,
+    );
+    assert!(scored.len() >= 2, "fixture needs rival peers: {scored:?}");
+    render(&scored)
 }
 
 fn replay_ticks(weights: RiskWeights, config: Config) -> String {
@@ -1407,10 +1431,8 @@ fn pair_answers_never_reach_full_tree_readers() {
     warm.pair_sweep(&all, &all);
     warm.pair_list_sweep(&[(0, 1), (3, 4), (7, 6)]);
     assert_eq!(
-        greedy_links(&network, &warm, 2, |net: &Network| chain_planner(net, true)),
-        greedy_links(&network, &oracle, 2, |net: &Network| chain_planner(
-            net, false
-        ))
+        greedy_links(&network, &warm, 2),
+        greedy_links(&network, &oracle, 2)
     );
 }
 

@@ -68,6 +68,7 @@
 
 use crate::ratios::RatioReport;
 use crate::routing::{Adjacency, Entry, PairAnswer, RiskTree, NO_PRED};
+use riskroute_geo::distance::{chord_sq, unit_vector};
 use riskroute_geo::{GeoPoint, EARTH_RADIUS_MILES};
 use riskroute_graph::queue::{inv_quantum_for_mean, BucketQueue};
 use std::collections::HashMap;
@@ -767,8 +768,7 @@ fn search<P: Potential>(
 /// The great-circle chord between two unit vectors, in miles.
 #[inline]
 fn chord_miles(a: [f64; 3], b: [f64; 3]) -> f64 {
-    let (dx, dy, dz) = (a[0] - b[0], a[1] - b[1], a[2] - b[2]);
-    EARTH_RADIUS_MILES * (dx * dx + dy * dy + dz * dz).sqrt()
+    EARTH_RADIUS_MILES * chord_sq(a, b).sqrt()
 }
 
 /// Every PoP's unit 3-vector, for the great-circle chord bound of pair
@@ -790,13 +790,7 @@ impl Chords {
     /// Panics when `points` and `csr` disagree on the node count.
     pub fn new(points: &[GeoPoint], csr: &CsrGraph) -> Option<Chords> {
         assert_eq!(points.len(), csr.node_count(), "one point per node");
-        let units: Vec<[f64; 3]> = points
-            .iter()
-            .map(|p| {
-                let (lat, lon) = (p.lat_rad(), p.lon_rad());
-                [lat.cos() * lon.cos(), lat.cos() * lon.sin(), lat.sin()]
-            })
-            .collect();
+        let units: Vec<[f64; 3]> = points.iter().map(|&p| unit_vector(p)).collect();
         let fits = (0..csr.node_count()).all(|u| {
             csr.edge_range(u)
                 .all(|e| csr.weights[e] >= chord_miles(units[u], units[csr.targets[e] as usize]))

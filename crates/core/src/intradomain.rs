@@ -294,7 +294,14 @@ impl Planner {
         hazards: &HistoricalRisk,
         weights: RiskWeights,
     ) -> Self {
-        let shares = PopShares::assign(population, network, None);
+        let shares = {
+            let _span = riskroute_obs::span!(
+                "pop_shares",
+                blocks = population.blocks().len(),
+                pops = network.pop_count()
+            );
+            PopShares::assign(population, network, None)
+        };
         let risk = NodeRisk::from_historical(network, hazards);
         Planner::new(network, risk, shares, weights)
     }

@@ -104,7 +104,11 @@ impl NodeRisk {
             events = hazards.event_count()
         );
         let pts: Vec<GeoPoint> = network.pops().iter().map(|p| p.location).collect();
-        let historical = hazards.risk_at_all(&pts);
+        let (historical, misses) = hazards.risk_at_all_counted(&pts);
+        if riskroute_obs::is_enabled() {
+            riskroute_obs::counter_add("node_risk_memo_hits", (pts.len() - misses) as u64);
+            riskroute_obs::counter_add("node_risk_memo_misses", misses as u64);
+        }
         let forecast = vec![0.0; historical.len()];
         NodeRisk::new(historical, forecast)
     }

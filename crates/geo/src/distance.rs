@@ -81,8 +81,8 @@ pub fn sample_great_circle(a: GeoPoint, b: GeoPoint, n: usize) -> Vec<GeoPoint> 
 
 /// Spherical linear interpolation between `a` and `b` at fraction `t ∈ [0,1]`.
 pub fn slerp(a: GeoPoint, b: GeoPoint, t: f64) -> GeoPoint {
-    let (x1, y1, z1) = to_unit_vec(a);
-    let (x2, y2, z2) = to_unit_vec(b);
+    let [x1, y1, z1] = unit_vector(a);
+    let [x2, y2, z2] = unit_vector(b);
     let dot = (x1 * x2 + y1 * y2 + z1 * z2).clamp(-1.0, 1.0);
     let omega = dot.acos();
     if omega < 1e-12 {
@@ -95,9 +95,23 @@ pub fn slerp(a: GeoPoint, b: GeoPoint, t: f64) -> GeoPoint {
     from_unit_vec(x, y, z)
 }
 
-fn to_unit_vec(p: GeoPoint) -> (f64, f64, f64) {
+/// `p` as a unit 3-vector: x toward (0°N, 0°E), z toward the north pole.
+///
+/// Built from the same radians as [`great_circle_miles`], so the two agree
+/// on which points coincide.
+#[inline]
+pub fn unit_vector(p: GeoPoint) -> [f64; 3] {
     let (lat, lon) = (p.lat_rad(), p.lon_rad());
-    (lat.cos() * lon.cos(), lat.cos() * lon.sin(), lat.sin())
+    [lat.cos() * lon.cos(), lat.cos() * lon.sin(), lat.sin()]
+}
+
+/// Squared chord between two unit vectors on the unit sphere: `4·h` for
+/// the haversine `h` of the arc between them, so it rises strictly with
+/// great-circle distance and needs no trig.
+#[inline]
+pub fn chord_sq(a: [f64; 3], b: [f64; 3]) -> f64 {
+    let (dx, dy, dz) = (a[0] - b[0], a[1] - b[1], a[2] - b[2]);
+    dx * dx + dy * dy + dz * dz
 }
 
 fn from_unit_vec(x: f64, y: f64, z: f64) -> GeoPoint {

@@ -21,7 +21,10 @@
 use crate::events::{sample_events, DisasterEvent, EventKind, ALL_EVENT_KINDS};
 use riskroute_geo::{GeoGrid, GeoPoint};
 use riskroute_stats::GeoKde;
+use std::collections::HashMap;
 use std::f64::consts::PI;
+use std::fmt;
+use std::sync::{Arc, Mutex, PoisonError};
 
 // Per-kind damage radii live on `EventKind::damage_radius_miles`; an event
 // striking within that distance of a PoP threatens its physical
@@ -101,17 +104,35 @@ impl RiskSurface {
     }
 }
 
+/// A location's memo key: the exact bit patterns of its `(lat, lon)`.
+type LocationKey = [u64; 2];
+
 /// The aggregate historical outage risk: `o_h(y) = Σ_kinds P_k(y)`, the
 /// sum of the per-kind outage probabilities.
-#[derive(Debug, Clone)]
+///
+/// The surfaces never change after construction, so the model memoises
+/// `o_h` per location for [`Self::risk_at_all`]; clones share that memo.
+#[derive(Clone)]
 pub struct HistoricalRisk {
     surfaces: Vec<RiskSurface>,
+    memo: Arc<Mutex<HashMap<LocationKey, f64>>>,
+}
+
+impl fmt::Debug for HistoricalRisk {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("HistoricalRisk")
+            .field("surfaces", &self.surfaces)
+            .finish_non_exhaustive()
+    }
 }
 
 impl HistoricalRisk {
     /// Aggregate the given surfaces.
     pub fn new(surfaces: Vec<RiskSurface>) -> Self {
-        HistoricalRisk { surfaces }
+        HistoricalRisk {
+            surfaces,
+            memo: Arc::default(),
+        }
     }
 
     /// Build the standard five-corpus risk model: paper event counts
@@ -151,8 +172,54 @@ impl HistoricalRisk {
     }
 
     /// Aggregate risk at every location of `points`, in order.
+    ///
+    /// Values come from a memo keyed by each point's exact `(lat, lon)` bit
+    /// pattern and shared by every clone of this model, so a process
+    /// evaluates each distinct location once: the serve daemon's 23 corpus
+    /// planners (809 PoPs at 392 locations) and the merged interdomain graph
+    /// reuse each other's values. A memoised value is [`Self::risk`] of the
+    /// same point, so every bit equals a fresh evaluation. The memo holds one
+    /// entry per distinct location this model has been asked about.
     pub fn risk_at_all(&self, points: &[GeoPoint]) -> Vec<f64> {
-        points.iter().map(|&p| self.risk(p)).collect()
+        self.risk_at_all_counted(points).0
+    }
+
+    /// [`Self::risk_at_all`], with the number of distinct locations this
+    /// call evaluated (memo misses); the other points were memo hits.
+    pub fn risk_at_all_counted(&self, points: &[GeoPoint]) -> (Vec<f64>, usize) {
+        let key = |i: usize| [points[i].lat().to_bits(), points[i].lon().to_bits()];
+        // Every entry is complete when inserted, so a poisoned memo is valid.
+        let lock = || self.memo.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut values = vec![0.0; points.len()];
+        let mut missing = Vec::new();
+        {
+            let memo = lock();
+            for (i, v) in values.iter_mut().enumerate() {
+                match memo.get(&key(i)) {
+                    Some(&hit) => *v = hit,
+                    None => missing.push(i),
+                }
+            }
+        }
+        // Evaluated outside the lock, so concurrent planner builds overlap;
+        // a location two callers both missed gets the same value twice.
+        // Sorting by key puts repeats of one location side by side.
+        missing.sort_unstable_by_key(|&i| key(i));
+        let mut evaluated = 0;
+        let mut last: Option<(LocationKey, f64)> = None;
+        for &i in &missing {
+            let v = match last {
+                Some((k, v)) if k == key(i) => v,
+                _ => {
+                    evaluated += 1;
+                    self.risk(points[i])
+                }
+            };
+            values[i] = v;
+            last = Some((key(i), v));
+        }
+        lock().extend(missing.iter().map(|&i| (key(i), values[i])));
+        (values, evaluated)
     }
 }
 

@@ -6,10 +6,9 @@
 //! i and j is `β(i,j) = c_i + c_j`.
 
 use crate::blocks::PopulationModel;
-use riskroute_geo::distance::great_circle_miles;
+use riskroute_geo::distance::{chord_sq, great_circle_miles, unit_vector};
 use riskroute_geo::GeoPoint;
 use riskroute_topology::{Network, PopId};
-use std::cmp::Ordering;
 
 /// Per-PoP population shares for one network.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,13 +100,25 @@ impl PopShares {
     }
 }
 
-/// Miles per degree of latitude used as a *lower bound* on great-circle
-/// distance. Deliberately below the true ≈69.09 mi/° so that floating-point
-/// error in the haversine can never let the bound prune a candidate whose
-/// exact distance ties the current best — pruned PoPs are strictly farther,
-/// and the index returns the same `(distance, index)` minimum as
-/// [`Network::nearest_pop`]'s linear scan, bit for bit.
-const LAT_BAND_LOWER_BOUND_MI_PER_DEG: f64 = 69.0;
+/// Chord slack, 2⁻⁴⁰ of a unit-sphere chord (≈3.6e-9 miles): PoPs whose
+/// chord to a query is within this of the shortest are re-ranked by
+/// haversine. It is over 200× the bound on the rounding, relative and
+/// absolute, of the chord and the haversine (DESIGN.md, "Nearest PoP by
+/// chord").
+const CHORD_SLACK: f64 = 1.0 / 1_099_511_627_776.0;
+
+/// Latitude gap, in degrees, past which every PoP's chord to the query is
+/// longer than `reach`: the inverse of `chord ≥ 2·sin(|Δφ|/2)`, padded by
+/// the slack on both sides of the `asin`. Infinite when `reach` spans the
+/// sphere.
+fn stop_gap_deg(reach: f64) -> f64 {
+    let half = 0.5 * reach + CHORD_SLACK;
+    if half >= 1.0 {
+        f64::INFINITY
+    } else {
+        (2.0 * half.asin() + CHORD_SLACK).to_degrees()
+    }
+}
 
 /// Latitude-sorted nearest-PoP index.
 ///
@@ -115,24 +126,35 @@ const LAT_BAND_LOWER_BOUND_MI_PER_DEG: f64 = 69.0;
 /// continental-scale synthetic networks (10k–100k PoPs, see
 /// `riskroute synth`) the linear scan turns assignment into a
 /// blocks × PoPs quadratic pass. This index sorts PoPs by latitude once
-/// and answers each query by expanding outward from the query latitude,
-/// stopping as soon as the latitude separation alone exceeds the best
-/// distance found — `O(log n + k)` per query with `k` the PoPs inside the
-/// winning latitude band.
+/// and answers each query by expanding outward from the query latitude.
+///
+/// The walk ranks PoPs by the squared chord between unit 3-vectors
+/// ([`chord_sq`]), which rises strictly with great-circle distance and
+/// needs no trig. Each time the shortest chord improves it becomes a
+/// latitude-gap stop (one `asin`); the walk ends once the latitude
+/// separation alone puts every unvisited PoP beyond the slack. Only the
+/// visited PoPs whose chord lies within [`CHORD_SLACK`] of the best are
+/// then re-ranked by [`great_circle_miles`] under `(distance, PoP id)`
+/// `total_cmp` — usually one, more where PoPs coincide. DESIGN.md
+/// ("Nearest PoP by chord") proves that the slack covers the rounding of
+/// both the chord and the haversine, so every PoP the filter drops has a
+/// computed haversine strictly above a kept one's, and the answer is
+/// [`Network::nearest_pop`]'s linear scan, bit for bit, anywhere on the
+/// sphere (poles and the antimeridian included).
 struct LatBandIndex {
-    /// `(latitude, PoP id)`, sorted ascending.
-    by_lat: Vec<(f64, PopId)>,
+    /// `(latitude, unit vector, PoP id)`, sorted by latitude, then id.
+    by_lat: Vec<(f64, [f64; 3], PopId)>,
 }
 
 impl LatBandIndex {
     fn build(network: &Network) -> Self {
-        let mut by_lat: Vec<(f64, PopId)> = network
+        let mut by_lat: Vec<(f64, [f64; 3], PopId)> = network
             .pops()
             .iter()
             .enumerate()
-            .map(|(i, p)| (p.location.lat(), i))
+            .map(|(i, p)| (p.location.lat(), unit_vector(p.location), i))
             .collect();
-        by_lat.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        by_lat.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.2.cmp(&b.2)));
         LatBandIndex { by_lat }
     }
 
@@ -140,55 +162,45 @@ impl LatBandIndex {
     /// [`Network::nearest_pop`]: minimal `(distance, PoP id)` under
     /// `total_cmp`.
     fn nearest(&self, network: &Network, q: GeoPoint) -> Option<(PopId, f64)> {
-        let pops = network.pops();
-        let start = self.by_lat.partition_point(|&(lat, _)| lat < q.lat());
-        let mut lo = start.checked_sub(1);
-        let mut hi = (start < self.by_lat.len()).then_some(start);
-        let mut best: Option<(f64, PopId)> = None;
+        let u = unit_vector(q);
+        let start = self.by_lat.partition_point(|e| e.0 < q.lat());
+        // The visited PoPs are always the contiguous run `by_lat[lo..hi]`.
+        let (mut lo, mut hi) = (start, start);
+        let mut best_sq = f64::INFINITY;
+        let mut stop_deg = f64::INFINITY;
         loop {
             // Visit whichever unexplored side is nearer in latitude; once
-            // its latitude bound exceeds the best distance, the other side's
-            // bound does too and the search is complete.
-            let lo_gap = lo.map(|i| q.lat() - self.by_lat[i].0);
-            let hi_gap = hi.map(|i| self.by_lat[i].0 - q.lat());
-            let (at, gap, from_lo) = match (lo, hi) {
-                (None, None) => break,
-                (Some(i), None) => (i, lo_gap.unwrap_or(0.0), true),
-                (None, Some(i)) => (i, hi_gap.unwrap_or(0.0), false),
-                (Some(li), Some(hi_i)) => {
-                    let lg = lo_gap.unwrap_or(0.0);
-                    let hg = hi_gap.unwrap_or(0.0);
-                    if lg <= hg {
-                        (li, lg, true)
-                    } else {
-                        (hi_i, hg, false)
-                    }
-                }
-            };
-            if let Some((best_d, _)) = best {
-                if gap * LAT_BAND_LOWER_BOUND_MI_PER_DEG > best_d {
-                    break;
-                }
+            // its gap passes the stop, the other side's gap does too.
+            let lo_gap = lo
+                .checked_sub(1)
+                .map_or(f64::INFINITY, |i| q.lat() - self.by_lat[i].0);
+            let hi_gap = self.by_lat.get(hi).map_or(f64::INFINITY, |e| e.0 - q.lat());
+            let gap = lo_gap.min(hi_gap);
+            if gap == f64::INFINITY || gap > stop_deg {
+                break;
             }
-            let id = self.by_lat[at].1;
-            let d = great_circle_miles(q, pops[id].location);
-            best = Some(match best {
-                None => (d, id),
-                Some(b) => {
-                    if d.total_cmp(&b.0).then(id.cmp(&b.1)) == Ordering::Less {
-                        (d, id)
-                    } else {
-                        b
-                    }
-                }
-            });
-            if from_lo {
-                lo = at.checked_sub(1);
+            let at = if lo_gap <= hi_gap {
+                lo -= 1;
+                lo
             } else {
-                hi = (at + 1 < self.by_lat.len()).then_some(at + 1);
+                hi += 1;
+                hi - 1
+            };
+            let c = chord_sq(u, self.by_lat[at].1);
+            if c < best_sq {
+                best_sq = c;
+                stop_deg = stop_gap_deg(c.sqrt() + CHORD_SLACK);
             }
         }
-        best.map(|(d, i)| (i, d))
+        let reach = best_sq.sqrt() + CHORD_SLACK;
+        let reach_sq = reach * reach;
+        let pops = network.pops();
+        self.by_lat[lo..hi]
+            .iter()
+            .filter(|e| chord_sq(u, e.1) <= reach_sq)
+            .map(|e| (great_circle_miles(q, pops[e.2].location), e.2))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+            .map(|(d, i)| (i, d))
     }
 }
 
@@ -333,6 +345,178 @@ mod tests {
                 let slow = net.nearest_pop(p.location);
                 assert_eq!(fast, slow, "trial {trial} pop {i}");
             }
+        }
+    }
+
+    fn cloud(name: &str, points: &[(f64, f64)]) -> Network {
+        let pops = points
+            .iter()
+            .enumerate()
+            .map(|(i, &(lat, lon))| Pop {
+                name: format!("{name}{i}"),
+                location: GeoPoint::new(lat, lon).unwrap(),
+            })
+            .collect();
+        Network::new(name, NetworkKind::Tier1, pops, vec![]).unwrap()
+    }
+
+    /// Degrees of latitude per mile, for sub-mile offsets.
+    const DEG_PER_MILE: f64 = 1.0 / 69.09;
+
+    /// Networks that sit where the chord filter's rounding matters:
+    /// coincident PoPs, PoPs a micro-mile apart, one PoP, the poles, the
+    /// antimeridian, and mirror pairs whose distances tie exactly.
+    fn adversarial_networks() -> Vec<Network> {
+        let micro = 1e-6 * DEG_PER_MILE;
+        vec![
+            cloud("solo", &[(38.0, -97.0)]),
+            cloud(
+                "colocated",
+                &[(40.0, -90.0), (35.0, -100.0), (40.0, -90.0), (40.0, -90.0)],
+            ),
+            cloud(
+                "micro",
+                &[
+                    (30.0, -95.0),
+                    (30.0 + micro, -95.0),
+                    (30.0, -95.0 + micro),
+                    (30.0 - micro, -95.0 - micro),
+                    (30.5, -95.5),
+                ],
+            ),
+            cloud(
+                "polar",
+                &[
+                    (89.0, 0.0),
+                    (89.0, 120.0),
+                    (89.0, -120.0),
+                    (89.999_999, 45.0),
+                    (90.0, 0.0),
+                    (-89.0, 10.0),
+                    (-89.5, -170.0),
+                    (-90.0, 0.0),
+                ],
+            ),
+            cloud(
+                "antimeridian",
+                &[
+                    (10.0, 179.999),
+                    (10.0, -179.999),
+                    (10.0, 180.0),
+                    (10.0, -180.0),
+                    (-5.0, 179.5),
+                    (25.0, -179.5),
+                ],
+            ),
+            cloud(
+                "mirror",
+                &[
+                    (35.0, -100.0 - 2.0),
+                    (35.0, -100.0 + 2.0),
+                    (35.0 + 1.5, -100.0),
+                    (35.0 - 1.5, -100.0),
+                    (35.0, -100.0 - 2.0 - micro),
+                ],
+            ),
+            cloud(
+                "antipodal",
+                &[
+                    (-40.0, 80.0),
+                    (-40.0, 80.0 + micro),
+                    (-40.0 - micro, 80.0),
+                    (-39.999_9, 79.999_9),
+                    (40.0, -100.0),
+                ],
+            ),
+        ]
+    }
+
+    /// Query points around every PoP: on it, nudged by 1e-9…1e-3 degrees,
+    /// at its antipode, at ±89.9/±90 on its meridian, across the
+    /// antimeridian from it, and midway between every pair of PoPs.
+    fn adversarial_queries(net: &Network) -> Vec<GeoPoint> {
+        let clamp_pt = |lat: f64, lon: f64| {
+            let lon = if lon > 180.0 { lon - 360.0 } else { lon };
+            let lon = if lon < -180.0 { lon + 360.0 } else { lon };
+            GeoPoint::new(lat.clamp(-90.0, 90.0), lon).unwrap()
+        };
+        let mut out = Vec::new();
+        for p in net.pops() {
+            let (lat, lon) = (p.location.lat(), p.location.lon());
+            out.push(p.location);
+            for eps in [1e-9, 1e-7, 1e-5, 1e-3] {
+                out.push(clamp_pt(lat + eps, lon));
+                out.push(clamp_pt(lat - eps, lon - eps));
+                out.push(clamp_pt(lat, lon + eps));
+            }
+            out.push(clamp_pt(-lat, lon + 180.0));
+            out.push(clamp_pt(-lat + 1e-7, lon + 180.0 - 1e-7));
+            out.push(clamp_pt(89.9, lon));
+            out.push(clamp_pt(-89.9, lon));
+            out.push(clamp_pt(90.0, lon));
+            out.push(clamp_pt(-90.0, lon));
+            out.push(clamp_pt(lat, -lon));
+            for q in net.pops() {
+                let (qlat, qlon) = (q.location.lat(), q.location.lon());
+                out.push(clamp_pt((lat + qlat) / 2.0, (lon + qlon) / 2.0));
+            }
+        }
+        for lat in [-89.99, -45.0, 0.0, 35.0, 89.99] {
+            out.push(clamp_pt(lat, 180.0));
+            out.push(clamp_pt(lat, -180.0));
+        }
+        out
+    }
+
+    #[test]
+    fn chord_index_matches_linear_scan_on_adversarial_networks() {
+        for net in adversarial_networks() {
+            let index = LatBandIndex::build(&net);
+            for q in adversarial_queries(&net) {
+                let fast = index.nearest(&net, q);
+                let slow = net.nearest_pop(q);
+                let (Some((fi, fd)), Some((si, sd))) = (fast, slow) else {
+                    panic!("{}: {fast:?} vs {slow:?} at {q:?}", net.name());
+                };
+                assert_eq!(
+                    (fi, fd.to_bits()),
+                    (si, sd.to_bits()),
+                    "{} at {q:?}",
+                    net.name()
+                );
+            }
+        }
+        // Coincident PoPs: the lowest id wins.
+        let net = &adversarial_networks()[1];
+        let at = GeoPoint::new(40.0, -90.0).unwrap();
+        assert_eq!(LatBandIndex::build(net).nearest(net, at), Some((0, 0.0)));
+    }
+
+    #[test]
+    fn assign_matches_linear_scan_on_adversarial_networks() {
+        let model = PopulationModel::synthesize(5, 2_000);
+        // Every block is also a PoP of one network: zero-distance queries.
+        let on_blocks: Vec<(f64, f64)> = model
+            .blocks()
+            .iter()
+            .step_by(40)
+            .map(|b| (b.location.lat(), b.location.lon()))
+            .collect();
+        let mut nets = adversarial_networks();
+        nets.push(cloud("on-blocks", &on_blocks));
+        for net in &nets {
+            let mut totals = vec![0.0; net.pop_count()];
+            for b in model.blocks() {
+                totals[net.nearest_pop(b.location).unwrap().0] += b.population;
+            }
+            let total: f64 = model.blocks().iter().map(|b| b.population).sum();
+            let want: Vec<u64> = totals.iter().map(|t| (t / total).to_bits()).collect();
+            let got: Vec<u64> = PopShares::assign(&model, net, None)
+                .shares()
+                .iter()
+                .map(|s| s.to_bits())
+                .collect();
+            assert_eq!(got, want, "{}", net.name());
         }
     }
 

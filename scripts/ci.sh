@@ -297,6 +297,18 @@ if [ "$regenerated" -ne 16 ]; then
   exit 1
 fi
 echo "${regenerated} paper artifacts are byte-identical"
+# timings.txt: every column but wall_ms is a deterministic search count, so
+# the regenerated rows must match the committed rows of the same names.
+awk 'NR == FNR { if (FNR > 2) ran[$1] = 1; next }
+     FNR > 2 && ($1 in ran) { $2 = ""; print }' \
+  "$OBS_TMP/results/timings.txt" results/timings.txt | sort > "$OBS_TMP/counters.want"
+awk 'FNR > 2 { $2 = ""; print }' "$OBS_TMP/results/timings.txt" | sort > "$OBS_TMP/counters.got"
+diff "$OBS_TMP/counters.want" "$OBS_TMP/counters.got"
+if [ "$(wc -l < "$OBS_TMP/counters.got")" -ne 16 ]; then
+  echo "FAIL: expected 16 regenerated timings rows"
+  exit 1
+fi
+echo "timings.txt counters match for $(wc -l < "$OBS_TMP/counters.got") experiments"
 
 echo "== backup: ranked paths byte-for-byte =="
 # Yen-ranked alternates re-evaluated under Eq. 1, on two Level3 pairs and
